@@ -11,13 +11,10 @@ import json
 import sys
 
 from .diagram import DiagramError, load_diagram, serialize_diagram, validate
-from .engine import Engine, compile_network
 from .generate import GeneratorSpec, gen_random_id
-from .harness import run_profile
-from .multistage import dumps_multistage_policy, sweep_back
+from .harness import run_profile, run_sweep_profile
 from .oracle import oracle_optimal, oracle_optimal_multistage
-from .refine import RefinementConfig, StoppingRule, refine
-from .tree import dumps_policy, tree_value
+from .refine import RefinementConfig, StoppingRule
 
 VALIDATION_FAILURE = 1
 RUNTIME_ERROR = 2
@@ -138,24 +135,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args, parser) -> int:
     diagram = _load_valid(args.file)
-    decision = args.decision
-    if decision is None:
-        decisions = diagram.decisions
-        if len(decisions) != 1:
-            raise ValueError("--decision is required for a multi-decision diagram")
-        decision = decisions[0]
-    engine = Engine(compile_network(diagram))
-    tree, trace = refine(engine, decision, _config(args, parser))
-    if args.trace:
-        trace.write(args.trace)
-    if args.policy:
-        with open(args.policy, "w", encoding="utf-8") as fh:
-            fh.write(dumps_policy(tree))
-    value = tree_value(tree)
+    summary, trace = run_profile(diagram, args.decision, _config(args, parser),
+                                 trace_path=args.trace, policy_path=args.policy,
+                                 with_oracle=False)
+    # the last record, not the engine counter: a --min-evi stop spends
+    # queries on an extension it then declines
     last = trace.records[-1]
-    print(f"{decision}: value {value!r} (raw {tree.denormalize(value)!r}) after "
-          f"{last.iteration} extensions, {last.fine_queries} fine queries, "
-          f"{last.passes} passes")
+    print(f"{summary.decision}: value {summary.final_value_normalized!r} "
+          f"(raw {summary.final_value_raw!r}) after {last.iteration} extensions, "
+          f"{last.fine_queries} fine queries, {last.passes} passes")
     return 0
 
 
@@ -177,14 +165,8 @@ def _cmd_sweep(args, parser) -> int:
         configs[d] = RefinementConfig(leaf_strategy=base.leaf_strategy,
                                       extension_strategy=base.extension_strategy,
                                       stop=stop, seed=base.seed)
-    policy, traces = sweep_back(diagram, configs)
-    if args.trace:
-        from .harness import trace_path_for
-        for d, trace in traces.items():
-            trace.write(trace_path_for(args.trace, d))
-    if args.policy:
-        with open(args.policy, "w", encoding="utf-8") as fh:
-            fh.write(dumps_multistage_policy(policy))
+    _, policy, traces = run_sweep_profile(diagram, configs, trace_template=args.trace,
+                                          policy_path=args.policy, with_oracle=False)
     print(f"joint value {policy.value_normalized!r} (raw {policy.value_raw!r})")
     for d in diagram.decision_order:
         last = traces[d].records[-1]

@@ -122,10 +122,6 @@ class InfluenceDiagram:
     def chance_names(self) -> tuple[str, ...]:
         return tuple(n for n, nd in self.nodes.items() if isinstance(nd, ChanceNode))
 
-    def arcs(self) -> list[tuple[str, str]]:
-        return [(p, nd.name if not isinstance(nd, ValueNode) else nd.name)
-                for nd in self.nodes.values() for p in nd.parents]
-
     def predecessors(self, decision: str) -> tuple[Variable, ...]:
         node = self.node(decision)
         if not isinstance(node, DecisionNode):
@@ -206,6 +202,8 @@ def parse_diagram(text: str) -> InfluenceDiagram:
     variables: dict[str, Variable] = {}
     kinds: dict[str, str] = {}
     for spec in raw_nodes:
+        if not isinstance(spec, dict):
+            raise DiagramError(f"every node must be an object, got {spec!r}")
         name = spec.get("name")
         if not isinstance(name, str) or not name:
             raise DiagramError("every node needs a non-empty string 'name'")
@@ -232,6 +230,8 @@ def parse_diagram(text: str) -> InfluenceDiagram:
         if not isinstance(parents, list):
             raise DiagramError(f"node {name!r}: 'parents' must be a list")
         for p in parents:
+            if not isinstance(p, str):
+                raise DiagramError(f"node {name!r}: parent references must be strings, got {p!r}")
             if p not in kinds:
                 raise DiagramError(f"node {name!r}: unresolved parent reference {p!r}")
             if kinds[p] == "value":
@@ -273,7 +273,8 @@ def parse_diagram(text: str) -> InfluenceDiagram:
 
     declared_decisions = [n for n, k in kinds.items() if k == "decision"]
     order = doc.get("decision_order", declared_decisions)
-    if not isinstance(order, list) or sorted(order) != sorted(declared_decisions):
+    if (not isinstance(order, list) or not all(isinstance(d, str) for d in order)
+            or sorted(order) != sorted(declared_decisions)):
         raise DiagramError("'decision_order' must list every decision node exactly once")
 
     return InfluenceDiagram(nodes, tuple(order))

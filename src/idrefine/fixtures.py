@@ -163,10 +163,3 @@ def car_buyer_data_path() -> str | None:
     if path and os.path.exists(path):
         return path
     return None
-
-
-BUILTIN_FIXTURES = {
-    "mini-weather": mini_weather,
-    "weather3": weather3,
-    "deterministic-exclusion": deterministic_exclusion,
-}

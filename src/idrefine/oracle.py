@@ -1,10 +1,15 @@
-"""Brute-force ground truth by raw joint enumeration.
+"""Brute-force ground truth over the dense joint.
 
-These oracles never touch the inference engine: probabilities come
-straight from the diagram's tables, summed over the full joint in a fixed
-lexicographic order, so results are bit-reproducible for a given diagram.
-They are the independent reference that the engine and the refinement
-algorithms are tested against.
+These oracles never touch the inference engine: the chance tables are
+broadcast into one array over every chance and decision variable and
+multiplied, with no elimination, and the mass is binned by (information
+state, action).  They are the independent reference that the engine and
+the refinement algorithms are tested against.
+
+Results are bit-reproducible for a given diagram: the tables are multiplied
+in node-declaration order starting from ones, and ``np.bincount`` adds each
+bin's terms one after another in the joint's lexicographic order (a
+pairwise ``sum`` would change the last bits).
 
 Decisions other than the queried one are treated as uniform, matching how
 an unfixed decision enters the compiled network.
@@ -48,30 +53,69 @@ class MultistageOracleResult:
 
 
 def _layout(diagram: InfluenceDiagram, cap: int):
+    """Joint axes: one per chance or decision variable, declaration order."""
     names = [n for n, nd in diagram.nodes.items() if not isinstance(nd, ValueNode)]
-    doms = [diagram.variable(n).arity for n in names]
+    doms = tuple(diagram.variable(n).arity for n in names)
     if math.prod(doms) > cap:
         raise StateSpaceCapError(
             f"joint state space {math.prod(doms)} exceeds cap {cap}")
-    pos = {n: i for i, n in enumerate(names)}
-    value = diagram.value_node
-    return names, doms, pos, value
+    return doms, {n: i for i, n in enumerate(names)}
 
 
-def _chance_weight(diagram, pos, config) -> float:
-    p = 1.0
+def _spread(table: np.ndarray, axes, doms) -> np.ndarray:
+    """``table`` (one axis per joint axis in ``axes``) broadcastable over the joint."""
+    shape = [1] * len(doms)
+    for ax in axes:
+        shape[ax] = doms[ax]
+    return np.transpose(table, np.argsort(axes)).reshape(shape)
+
+
+def _index(axes, doms) -> np.ndarray:
+    """Lexicographic index of the variables on ``axes`` (first slowest),
+    broadcastable over the joint."""
+    key = np.zeros([1] * len(doms), dtype=np.intp)
+    for ax in axes:
+        key = key * doms[ax] + _spread(np.arange(doms[ax]), [ax], doms)
+    return key
+
+
+def _joint(diagram: InfluenceDiagram, doms, pos):
+    """Chance weight of every joint configuration, and the utility
+    broadcastable over the joint."""
+    p = np.ones(doms)
     for name, node in diagram.nodes.items():
         if isinstance(node, ChanceNode):
-            idx = tuple(config[pos[q]] for q in node.parents) + (config[pos[name]],)
-            p *= float(node.cpt[idx])
-            if p == 0.0:
-                return 0.0
-    return p
+            p *= _spread(node.cpt, [pos[q] for q in (*node.parents, name)], doms)
+    value = diagram.value_node
+    return p, _spread(value.utility, [pos[q] for q in value.parents], doms)
 
 
-def _utility(value_node, pos, config) -> float:
-    idx = tuple(config[pos[q]] for q in value_node.parents)
-    return float(value_node.utility[idx])
+def _accumulate(p, u, weight, axes, doms):
+    """Bin the weighted joint by the index of the variables on ``axes``.
+
+    Returns (num, den), one entry per bin: den sums p * weight, num the
+    same mass times u.
+    """
+    key = np.broadcast_to(_index(axes, doms), doms).ravel()
+    size = math.prod(doms[ax] for ax in axes)
+    mass = p * weight
+    den = np.bincount(key, mass.ravel(), size)
+    mass *= u
+    return np.bincount(key, mass.ravel(), size), den
+
+
+def _state_action(p, u, weight, doms, states, action):
+    """``_accumulate`` by (information state on axes ``states``, action on
+    axis ``action``), as (#states, #actions) arrays."""
+    num, den = _accumulate(p, u, weight, [*states, action], doms)
+    return num.reshape(-1, doms[action]), den.reshape(-1, doms[action])
+
+
+def _choose(num, den):
+    """Per state: the best action (first on ties, 0 if impossible) and E[u]
+    of every action (-inf where impossible)."""
+    eu = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 0.0)
+    return eu.argmax(axis=1), eu
 
 
 def state_action_values(diagram: InfluenceDiagram, decision: str,
@@ -86,32 +130,13 @@ def state_action_values(diagram: InfluenceDiagram, decision: str,
     node = diagram.node(decision)
     if not isinstance(node, DecisionNode):
         raise DiagramError(f"{decision!r} is not a decision node")
-    names, doms, pos, value_node = _layout(diagram, cap)
-
+    doms, pos = _layout(diagram, cap)
+    uniform = math.prod(1.0 / diagram.variable(e).arity
+                        for e in diagram.decisions if e != decision)
     preds = diagram.predecessors(decision)
-    pred_pos = [pos[v.name] for v in preds]
-    pred_doms = [v.arity for v in preds]
-    n_states = math.prod(pred_doms)
-    n_actions = diagram.variable(decision).arity
-    d_pos = pos[decision]
-
-    others = [n for n in names if n != decision
-              and isinstance(diagram.nodes[n], DecisionNode)]
-    uniform = math.prod(1.0 / diagram.variable(n).arity for n in others)
-
-    num = np.zeros((n_states, n_actions))
-    den = np.zeros((n_states, n_actions))
-    for config in product(*(range(d) for d in doms)):
-        p = _chance_weight(diagram, pos, config)
-        if p == 0.0:
-            continue
-        p *= uniform
-        w = 0
-        for i, dom in zip(pred_pos, pred_doms):
-            w = w * dom + config[i]
-        a = config[d_pos]
-        den[w, a] += p
-        num[w, a] += p * _utility(value_node, pos, config)
+    p, u = _joint(diagram, doms, pos)
+    num, den = _state_action(p, u, uniform, doms, [pos[v.name] for v in preds],
+                             pos[decision])
     return preds, num, den
 
 
@@ -138,26 +163,20 @@ def oracle_optimal(diagram: InfluenceDiagram, decision: str | None = None,
     state_probs: dict[tuple[str, ...], float] = {}
     raw_total = 0.0
     prob_total = 0.0
-    state_labels = list(product(*(v.outcomes for v in preds)))
-    for w, labels in enumerate(state_labels):
-        best_a, best_eu = 0, None
-        for a in range(len(actions)):
-            if den[w, a] <= 0.0:
-                continue
-            eu = num[w, a] / den[w, a]
-            if best_eu is None or eu > best_eu:
-                best_a, best_eu = a, eu
-        table[labels] = actions[best_a]
-        if best_eu is None:  # impossible state
+    best, eu = _choose(num, den)
+    for w, labels in enumerate(product(*(v.outcomes for v in preds))):
+        a = best[w]
+        table[labels] = actions[a]
+        if den[w, a] <= 0.0:  # impossible state
             per_state[labels] = 0.0
             state_probs[labels] = 0.0
             continue
         # den already marginalizes everything but the fixed own action, so
         # for a state over non-descendants it equals P(state) directly
-        p_state = float(den[w, best_a])
+        p_state = float(den[w, a])
         state_probs[labels] = p_state
-        per_state[labels] = 0.5 if span == 0.0 else (best_eu - u_min) / span
-        raw_total += p_state * best_eu
+        per_state[labels] = 0.5 if span == 0.0 else (eu[w, a] - u_min) / span
+        raw_total += p_state * eu[w, a]
         prob_total += p_state
 
     if span == 0.0:
@@ -178,87 +197,32 @@ def oracle_optimal_multistage(diagram: InfluenceDiagram,
     decisions act by their already-computed tables and earlier ones are
     weighted uniformly (they may still appear in the conditioning state).
     """
-    names, doms, pos, value_node = _layout(diagram, cap)
+    doms, pos = _layout(diagram, cap)
     order = diagram.decision_order
     if not order:
         raise DiagramError("diagram has no decision node")
+    p, u = _joint(diagram, doms, pos)
 
-    pred_info = {}
-    for d in order:
-        preds = diagram.predecessors(d)
-        pred_info[d] = ([pos[v.name] for v in preds], [v.arity for v in preds], preds)
-
-    def policy_index(d, config, tables_idx):
-        ppos, pdoms, _ = pred_info[d]
-        w = 0
-        for i, dom in zip(ppos, pdoms):
-            w = w * dom + config[i]
-        return tables_idx[d][w]
-
-    tables_idx: dict[str, list[int]] = {}
+    chosen: dict[str, np.ndarray] = {}
+    consistent = True  # later decisions act by their tables
     for k in range(len(order) - 1, -1, -1):
         d = order[k]
-        ppos, pdoms, _ = pred_info[d]
-        n_states = math.prod(pdoms)
-        n_actions = diagram.variable(d).arity
-        d_pos = pos[d]
-        earlier = order[:k]
-        later = order[k + 1:]
-        uniform = math.prod(1.0 / diagram.variable(e).arity for e in earlier)
+        uniform = math.prod(1.0 / diagram.variable(e).arity for e in order[:k])
+        states = [pos[v.name] for v in diagram.predecessors(d)]
+        num, den = _state_action(p, u, uniform * consistent, doms, states, pos[d])
+        chosen[d] = _choose(num, den)[0]
+        acted = chosen[d][_index(states, doms)]
+        consistent = consistent & (_index([pos[d]], doms) == acted)
+    raw_value = float(_accumulate(p, u, consistent, [], doms)[0][0])
 
-        num = np.zeros((n_states, n_actions))
-        den = np.zeros((n_states, n_actions))
-        for config in product(*(range(x) for x in doms)):
-            consistent = True
-            for m in later:
-                if config[pos[m]] != policy_index(m, config, tables_idx):
-                    consistent = False
-                    break
-            if not consistent:
-                continue
-            p = _chance_weight(diagram, pos, config)
-            if p == 0.0:
-                continue
-            p *= uniform
-            w = 0
-            for i, dom in zip(ppos, pdoms):
-                w = w * dom + config[i]
-            a = config[d_pos]
-            den[w, a] += p
-            num[w, a] += p * _utility(value_node, pos, config)
-
-        chosen = []
-        for w in range(n_states):
-            best_a, best_eu = 0, None
-            for a in range(n_actions):
-                if den[w, a] <= 0.0:
-                    continue
-                eu = num[w, a] / den[w, a]
-                if best_eu is None or eu > best_eu:
-                    best_a, best_eu = a, eu
-            chosen.append(best_a)
-        tables_idx[d] = chosen
-
-    raw_value = 0.0
-    for config in product(*(range(x) for x in doms)):
-        if any(config[pos[d]] != policy_index(d, config, tables_idx) for d in order):
-            continue
-        p = _chance_weight(diagram, pos, config)
-        if p == 0.0:
-            continue
-        raw_value += p * _utility(value_node, pos, config)
-
-    u = value_node.utility
-    u_min, u_max = float(u.min()), float(u.max())
+    utility = diagram.value_node.utility
+    u_min, u_max = float(utility.min()), float(utility.max())
     span = u_max - u_min
     value = 0.5 if span == 0.0 else (raw_value - u_min) / span
 
     tables: dict[str, dict[tuple[str, ...], str]] = {}
     for d in order:
-        _, _, preds = pred_info[d]
         actions = diagram.variable(d).outcomes
-        rows = {}
-        for w, labels in enumerate(product(*(v.outcomes for v in preds))):
-            rows[labels] = actions[tables_idx[d][w]]
-        tables[d] = rows
+        states = product(*(v.outcomes for v in diagram.predecessors(d)))
+        tables[d] = {labels: actions[a] for labels, a in zip(states, chosen[d])}
     return MultistageOracleResult(tables, value, raw_value)

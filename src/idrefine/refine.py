@@ -44,20 +44,17 @@ class StoppingRule:
     """When to stop refining; at least one bound or run_to_complete."""
 
     max_extensions: int | None = None
-    max_fine: int | None = None
     max_passes: int | None = None
     min_evi: float | None = None
     run_to_complete: bool = False
 
     def __post_init__(self):
-        bounds = (self.max_extensions, self.max_fine, self.max_passes, self.min_evi)
+        bounds = (self.max_extensions, self.max_passes, self.min_evi)
         if not self.run_to_complete and all(b is None for b in bounds):
             raise ValueError("stopping rule needs at least one bound or run_to_complete")
 
     def budget_reached(self, iterations: int, engine: Engine) -> bool:
         if self.max_extensions is not None and iterations >= self.max_extensions:
-            return True
-        if self.max_fine is not None and engine.counter.fine >= self.max_fine:
             return True
         if self.max_passes is not None and engine.counter.passes >= self.max_passes:
             return True

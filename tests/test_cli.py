@@ -3,6 +3,7 @@ import json
 import pytest
 
 from idrefine.cli import main
+from idrefine.diagram import DiagramError, parse_diagram
 from idrefine.fixtures import MINI_WEATHER_JSON
 from idrefine.refine import CSV_HEADER
 
@@ -48,6 +49,22 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         assert main(["validate", str(path)]) == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(nodes=[1]), "every node must be an object"),
+        (lambda doc: doc["nodes"][1].update(parents=[["W"]]),
+         "parent references must be strings"),
+        (lambda doc: doc.update(decision_order=[1, "D"]), "'decision_order'"),
+    ], ids=["node-not-object", "parent-not-string", "order-entry-not-string"])
+    def test_malformed_structure_is_a_diagram_error(self, tmp_path, capsys, edit, message):
+        doc = json.loads(MINI_WEATHER_JSON)
+        edit(doc)
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DiagramError, match=message):
+            parse_diagram(path.read_text())
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().out
 
 
 class TestSolve:

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import enum_best_action, normalized
+from idrefine.diagram import information_states
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import constant_utility, mini_weather
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -56,6 +58,36 @@ class TestSingleDecision:
         engine = Engine(compile_network(diagram))
         oracle_optimal(diagram)
         assert engine.counter.snapshot() == (0, 0)
+
+
+class TestAgainstIndependentEnumeration:
+    """The oracle against the separate per-state enumeration in helpers.py."""
+
+    @staticmethod
+    def assert_matches(diagram, decision):
+        result = oracle_optimal(diagram, decision)
+        _, num, den = state_action_values(diagram, decision)
+        actions = diagram.variable(decision).outcomes
+        for w, state in enumerate(information_states(diagram, decision)):
+            labels = tuple(state.values())
+            action, raw = enum_best_action(diagram, decision, state)
+            a = actions.index(result.table[labels])
+            assert result.table[labels] == action
+            assert num[w, a] / den[w, a] == pytest.approx(raw, abs=TOL)
+            assert result.per_state[labels] == pytest.approx(
+                normalized(diagram, raw), abs=TOL)
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_diagrams(self, n, arity):
+        for seed in range(2):
+            self.assert_matches(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)), "d")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_two_stage_every_decision(self, seed):
+        diagram = gen_two_stage(seed)
+        for decision in diagram.decisions:
+            self.assert_matches(diagram, decision)
 
 
 class TestMultistage:

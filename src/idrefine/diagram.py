@@ -118,10 +118,6 @@ class InfluenceDiagram:
     def decisions(self) -> tuple[str, ...]:
         return tuple(n for n, nd in self.nodes.items() if isinstance(nd, DecisionNode))
 
-    @property
-    def chance_names(self) -> tuple[str, ...]:
-        return tuple(n for n, nd in self.nodes.items() if isinstance(nd, ChanceNode))
-
     def predecessors(self, decision: str) -> tuple[Variable, ...]:
         node = self.node(decision)
         if not isinstance(node, DecisionNode):
@@ -154,12 +150,13 @@ def normalize_rows(rows: np.ndarray, where: str = "table") -> np.ndarray:
 
     Normalization iterates to an exact floating-point fixpoint so that
     serialize/parse round-trips reproduce identical tables.  Generators
-    use this on freshly sampled rows for the same reason.
+    use this on freshly sampled rows for the same reason.  Both checks are
+    written so that NaN fails them.
     """
-    if (rows < -ROW_SUM_TOL).any() or (rows > 1 + ROW_SUM_TOL).any():
+    if not ((rows >= -ROW_SUM_TOL) & (rows <= 1 + ROW_SUM_TOL)).all():
         raise DiagramError(f"{where}: probabilities must lie in [0, 1]")
     sums = rows.sum(axis=1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
     if off.any():
         i = int(np.argmax(off))
         raise DiagramError(f"{where}: row {i} sums to {sums[i]!r}, expected 1")
@@ -250,10 +247,14 @@ def parse_diagram(text: str) -> InfluenceDiagram:
         table = spec.get("table")
         if not isinstance(table, list):
             raise DiagramError(f"node {name!r}: missing 'table'")
+        # bool is a subclass of int, and np.asarray would also take strings
+        # such as "0.7" and nested lists
+        if not {*map(type, table)} <= {int, float}:
+            raise DiagramError(f"node {name!r}: table entries must be numbers in a flat list")
         try:
             flat = np.asarray(table, dtype=float)
-        except (TypeError, ValueError):
-            raise DiagramError(f"node {name!r}: table entries must be numbers") from None
+        except OverflowError:
+            raise DiagramError(f"node {name!r}: table entries must be finite numbers") from None
 
         if kind == "chance":
             arity = variables[name].arity
@@ -269,6 +270,8 @@ def parse_diagram(text: str) -> InfluenceDiagram:
                     f"value node {name!r}: table has {flat.size} entries, expected {n_configs}")
             if not np.isfinite(flat).all():
                 raise DiagramError(f"value node {name!r}: utilities must be finite")
+            if not math.isfinite(float(flat.max()) - float(flat.min())):
+                raise DiagramError(f"value node {name!r}: the utility range must be finite")
             nodes[name] = ValueNode(name, tuple(parents), flat.reshape(parent_doms))
 
     declared_decisions = [n for n, k in kinds.items() if k == "decision"]
@@ -332,8 +335,11 @@ def validate(diagram: InfluenceDiagram) -> ValidationReport:
             elif isinstance(diagram.nodes[p], ValueNode):
                 add(f"node {name!r}: value node {p!r} has an outgoing arc")
         if isinstance(node, ValueNode):
-            if not np.isfinite(node.utility).all():
+            u = node.utility
+            if not np.isfinite(u).all():
                 add(f"value node {name!r}: non-finite utilities")
+            elif u.size and not math.isfinite(float(u.max()) - float(u.min())):
+                add(f"value node {name!r}: the utility range is not finite")
             continue
         var = node.variable
         if var.arity < 2:
@@ -348,7 +354,7 @@ def validate(diagram: InfluenceDiagram) -> ValidationReport:
                 add(f"node {name!r}: table shape {node.cpt.shape} != {expected}")
             else:
                 sums = node.cpt.reshape(-1, var.arity).sum(axis=1)
-                if (np.abs(sums - 1.0) > ROW_SUM_TOL).any():
+                if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
                     add(f"node {name!r}: a probability row does not sum to 1")
 
     graph = {name: set(node.parents) for name, node in diagram.nodes.items()}

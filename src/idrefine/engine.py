@@ -4,7 +4,9 @@ An influence diagram is compiled into a network of chance variables only:
 decisions not yet fixed by a policy become uniform root variables, fixed
 decisions keep their contingency tables, and the value node becomes a
 binary proxy variable whose true-probability is the utility normalized to
-[0, 1].  Queries are answered exactly by variable elimination.
+[0, 1].  Queries are answered exactly by variable elimination: factors
+keep the axis order they are built with, and each elimination step is one
+``np.einsum`` over the factors that mention the eliminated variable.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -13,6 +15,9 @@ independent of the elimination backend:
   calibration of a context, two per action/value query pair);
 * ``fine`` counts extracted posterior/value numbers; reads from an
   existing calibration are lookups and cost nothing.
+
+An action/value query pair is answered by one contraction, to a joint that
+keeps the decision and the proxy, but it is still counted as two passes.
 
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
@@ -60,16 +65,11 @@ class PolicyCpt:
 
 
 class _Factor(NamedTuple):
-    vars: tuple[str, ...]  # always sorted by network variable index
+    vars: tuple[str, ...]  # one axis per variable, in this order
     values: np.ndarray
 
 
-def _canonical(vars_: tuple[str, ...], values: np.ndarray, index: dict[str, int]) -> _Factor:
-    order = sorted(range(len(vars_)), key=lambda i: index[vars_[i]])
-    if order != list(range(len(vars_))):
-        values = np.transpose(values, order)
-        vars_ = tuple(vars_[i] for i in order)
-    return _Factor(vars_, values)
+_MAX_OPERANDS = 32  # np.einsum's operand limit under numpy 1.x
 
 
 def _restrict(f: _Factor, evidence: Mapping[str, int]) -> _Factor:
@@ -79,46 +79,46 @@ def _restrict(f: _Factor, evidence: Mapping[str, int]) -> _Factor:
     return _Factor(tuple(v for v in f.vars if v not in evidence), f.values[slicer])
 
 
-def _product(factors: list[_Factor], index: dict[str, int], doms: dict[str, int]) -> _Factor:
-    union = sorted({v for f in factors for v in f.vars}, key=index.__getitem__)
-    out = None
+def _contract(factors: list[_Factor], keep: tuple[str, ...]) -> np.ndarray:
+    """Product of the factors, multiplied left to right and summed down to
+    the variables in ``keep``, axes in that order."""
+    if len(factors) > _MAX_OPERANDS:
+        head = factors[:_MAX_OPERANDS]
+        union = tuple(dict.fromkeys(v for f in head for v in f.vars))
+        factors = [_Factor(union, _contract(head, union))] + factors[_MAX_OPERANDS:]
+        return _contract(factors, keep)
+    labels: dict[str, int] = {}
+    operands: list = []
     for f in factors:
-        members = set(f.vars)
-        shape = tuple(doms[v] if v in members else 1 for v in union)
-        arr = f.values.reshape(shape)
-        out = arr if out is None else out * arr
-    return _Factor(tuple(union), out)
+        operands += [f.values, [labels.setdefault(v, len(labels)) for v in f.vars]]
+    return np.einsum(*operands, [labels[v] for v in keep])
 
 
-def _query(factors: Iterable[_Factor], evidence: Mapping[str, int],
-           targets: tuple[str, ...], index: dict[str, int],
-           doms: dict[str, int]) -> np.ndarray:
-    """Unnormalized joint P(targets, evidence), axes in target order."""
+def _query(net: "ChanceNetwork", factors: Iterable[_Factor], evidence: Mapping[str, int],
+           targets: tuple[str, ...]) -> np.ndarray:
+    """Unnormalized joint P(targets, evidence), axes in target order.
+
+    Eliminates the hidden variables one at a time, each time the one whose
+    elimination makes the smallest factor (ties by network index).
+    """
+    index, doms = net.index, net.doms
     work = [_restrict(f, evidence) for f in factors]
-    target_set = set(targets)
-    hidden = sorted({v for f in work for v in f.vars} - target_set, key=index.__getitem__)
+    hidden = sorted({v for f in work for v in f.vars} - set(targets), key=index.__getitem__)
     while hidden:
-        best_var, best_key = None, None
+        best = None
         for v in hidden:
-            scope: set[str] = set()
-            for f in work:
-                if v in f.vars:
-                    scope.update(f.vars)
-            key = (math.prod(doms[u] for u in scope if u != v), index[v])
-            if best_key is None or key < best_key:
-                best_var, best_key = v, key
-        hidden.remove(best_var)
-        related = [f for f in work if best_var in f.vars]
-        work = [f for f in work if best_var not in f.vars]
-        merged = _product(related, index, doms)
-        axis = merged.vars.index(best_var)
-        work.append(_Factor(merged.vars[:axis] + merged.vars[axis + 1:],
-                            merged.values.sum(axis=axis)))
-    result = _product(work, index, doms)
-    if not targets:
-        return result.values
-    perm = [result.vars.index(t) for t in targets]
-    return np.transpose(result.values, perm)
+            scope = {u for f in work if v in f.vars for u in f.vars}
+            scope.discard(v)
+            key = (math.prod(doms[u] for u in scope), index[v])
+            if best is None or key < best[0]:
+                best = (key, v, scope)
+        _, var, scope = best
+        hidden.remove(var)
+        related = [f for f in work if var in f.vars]
+        work = [f for f in work if var not in f.vars]
+        kept = tuple(sorted(scope, key=index.__getitem__))
+        work.append(_Factor(kept, _contract(related, kept)))
+    return _contract(work, targets)
 
 
 class ChanceNetwork:
@@ -134,6 +134,7 @@ class ChanceNetwork:
         self.diagram = diagram
         self.fixed_policies = fixed_policies
         self.outcomes = outcomes
+        self.doms = {v: len(o) for v, o in outcomes.items()}
         self.index = index
         self.factors = factors
         self.proxy = proxy
@@ -148,13 +149,6 @@ class ChanceNetwork:
     @property
     def compiled(self) -> frozenset[str]:
         return frozenset(self.fixed_policies)
-
-    def arity(self, name: str) -> int:
-        return len(self.outcomes[name])
-
-    @property
-    def doms(self) -> dict[str, int]:
-        return {v: len(o) for v, o in self.outcomes.items()}
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -197,7 +191,7 @@ def compile_network(diagram: InfluenceDiagram,
     factors: dict[str, _Factor] = {}
     for n, node in diagram.nodes.items():
         if isinstance(node, ChanceNode):
-            factors[n] = _canonical(node.parents + (n,), node.cpt, index)
+            factors[n] = _Factor(node.parents + (n,), node.cpt)
         elif isinstance(node, DecisionNode):
             if n in fixed:
                 pol = fixed[n]
@@ -205,12 +199,12 @@ def compile_network(diagram: InfluenceDiagram,
                 if pol.table.shape != expected:
                     raise ValueError(f"contingency table for {n!r} has shape "
                                      f"{pol.table.shape}, expected {expected}")
-                factors[n] = _canonical(pol.parents + (n,), pol.table, index)
+                factors[n] = _Factor(pol.parents + (n,), pol.table)
             else:
                 factors[n] = _Factor((n,), np.full(doms[n], 1.0 / doms[n]))
         else:
             vals = np.stack([1.0 - p_true, p_true], axis=-1)
-            factors[n] = _canonical(node.parents + (proxy,), vals, index)
+            factors[n] = _Factor(node.parents + (proxy,), vals)
 
     return ChanceNetwork(diagram, fixed, outcomes, index, factors, proxy, u_min, u_max)
 
@@ -259,8 +253,10 @@ class Engine:
     def best_action(self, decision: str, evidence: Mapping[str, str]) -> tuple[str, float]:
         """Maximizing action and its normalized value in the given context.
 
-        Ties break by action declaration order.  Costs two passes: one
-        action-selection pass, one value pass.
+        Ties break by action declaration order.  Counted as two passes (an
+        action-selection pass and a value pass), served by one contraction
+        to the joint of decision and proxy: the chosen action's row holds
+        its value.
         """
         net = self.network
         self._check_decision(decision)
@@ -268,16 +264,13 @@ class Engine:
         if decision in ev:
             raise ValueError(f"evidence must not assign the decision {decision!r}")
         self.counter.passes += 2
-        self.counter.fine += 2 * net.arity(decision)
-        joint = _query(net.factors.values(), ev, (decision, net.proxy), net.index, net.doms)
+        self.counter.fine += 2 * net.doms[decision]
+        joint = _query(net, net.factors.values(), ev, (decision, net.proxy))
         if float(joint.sum()) < ZERO_PROB:
             raise ZeroProbabilityError(f"context has probability zero: {dict(evidence)!r}")
         a_idx = int(np.argmax(joint[:, 1]))
-        ev2 = dict(ev)
-        ev2[decision] = a_idx
-        vjoint = _query(net.factors.values(), ev2, (net.proxy,), net.index, net.doms)
-        total = float(vjoint.sum())
-        value = float(vjoint[1] / total) if total > 0.0 else 0.0
+        total = float(joint[a_idx].sum())
+        value = float(joint[a_idx, 1] / total) if total > 0.0 else 0.0
         return net.outcomes[decision][a_idx], value
 
     def action_value(self, decision: str, action: str, evidence: Mapping[str, str]) -> float:
@@ -287,8 +280,8 @@ class Engine:
         ev = self._evidence_idx(evidence)
         ev[decision] = net.outcomes[decision].index(action)
         self.counter.passes += 1
-        self.counter.fine += net.arity(decision)
-        vjoint = _query(net.factors.values(), ev, (net.proxy,), net.index, net.doms)
+        self.counter.fine += net.doms[decision]
+        vjoint = _query(net, net.factors.values(), ev, (net.proxy,))
         total = float(vjoint.sum())
         if total < ZERO_PROB:
             raise ZeroProbabilityError(f"context has probability zero: {dict(evidence)!r}")
@@ -306,7 +299,7 @@ class Engine:
         out: dict[str, dict[str, float]] = {}
         for var in variables:
             dist = cal.posterior(var)
-            self.counter.fine += net.arity(var)
+            self.counter.fine += net.doms[var]
             out[var] = dict(zip(net.outcomes[var], dist.tolist()))
         return out
 
@@ -321,12 +314,12 @@ class Engine:
         """Exact P(evidence); 0 for impossible contexts, never an error."""
         net = self.network
         ev = self._evidence_idx(evidence)
-        return float(_query(net.factors.values(), ev, (), net.index, net.doms))
+        return float(_query(net, net.factors.values(), ev, ()))
 
     def network_value(self) -> float:
         """Normalized expected value of the network as compiled, P(proxy true)."""
         net = self.network
-        joint = _query(net.factors.values(), {}, (net.proxy,), net.index, net.doms)
+        joint = _query(net, net.factors.values(), {}, (net.proxy,))
         return float(joint[1] / joint.sum())
 
     def denormalize(self, value: float) -> float:
@@ -342,40 +335,39 @@ class Calibration:
     def __init__(self, engine: Engine, evidence_idx: dict[str, int]):
         self._engine = engine
         self._evidence = evidence_idx
-        net = engine.network
-        self._factors = {name: _restrict(f, evidence_idx) for name, f in net.factors.items()}
+        self._factors = [_restrict(f, evidence_idx) for f in engine.network.factors.values()]
         self._posteriors: dict[str, np.ndarray] = {}
         self._prob: float | None = None
-
-    @property
-    def evidence_idx(self) -> dict[str, int]:
-        return dict(self._evidence)
 
     def probability(self) -> float:
         """P(context); computed lazily once."""
         if self._prob is None:
-            net = self._engine.network
-            self._prob = float(_query(self._factors.values(), {}, (), net.index, net.doms))
+            self._prob = float(_query(self._engine.network, self._factors, {}, ()))
         return self._prob
 
     def posterior(self, variable: str) -> np.ndarray:
         """P(variable | context) over declared outcomes."""
-        net = self._engine.network
         if variable in self._evidence:
             raise ValueError(f"{variable!r} is assigned in the context")
         if variable not in self._posteriors:
-            if self.probability() < ZERO_PROB:
+            joint = _query(self._engine.network, self._factors, {}, (variable,))
+            total = joint.sum()
+            if total < ZERO_PROB:
                 raise ZeroProbabilityError("context has probability zero")
-            joint = _query(self._factors.values(), {}, (variable,), net.index, net.doms)
-            self._posteriors[variable] = joint / joint.sum()
+            self._posteriors[variable] = joint / total
         return self._posteriors[variable]
 
     def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
         """Best action and value for every outcome of one extension variable.
 
-        Two passes: an action-selection pass over the joint of decision and
-        variable given the proxy, and a value pass with the decision acting
-        by the selected per-outcome actions.
+        Counted as two passes (an action-selection pass and a value pass
+        with the decision following the selected per-outcome actions), served
+        by one contraction to the joint of decision, variable and proxy.  The
+        proxy = true slice gives the maximizing actions.  An unfixed decision
+        is a uniform root, so the slice at action a is the joint with the
+        decision forced to a, divided by the decision's arity; the slices at
+        the selected actions, times that arity, are the joint under the
+        per-outcome policy.
         """
         eng = self._engine
         net = eng.network
@@ -383,23 +375,17 @@ class Calibration:
         if variable in self._evidence or variable == decision:
             raise ValueError(f"{variable!r} is not a possible extension here")
         eng.counter.passes += 2
-        eng.counter.fine += 2 * net.arity(variable)
-        if self.probability() < ZERO_PROB:
+        eng.counter.fine += 2 * net.doms[variable]
+        joint = _query(net, self._factors, {}, (decision, variable, net.proxy))
+        context = float(joint.sum())
+        if context < ZERO_PROB:
             raise ZeroProbabilityError("context has probability zero")
 
-        joint = _query(self._factors.values(), {net.proxy: 1}, (decision, variable),
-                       net.index, net.doms)
-        action_idx = np.argmax(joint, axis=0)
-
-        one_hot = np.zeros((net.arity(variable), net.arity(decision)))
-        one_hot[np.arange(len(action_idx)), action_idx] = 1.0
-        policy = _canonical((variable, decision), one_hot, net.index)
-        swapped = dict(self._factors)
-        swapped[decision] = policy
-        vjoint = _query(swapped.values(), {}, (net.proxy, variable), net.index, net.doms)
-        totals = vjoint.sum(axis=0)
-        probs = totals / self.probability()
+        action_idx = np.argmax(joint[:, :, 1], axis=0)
+        chosen = joint[action_idx, np.arange(len(action_idx))] * net.doms[decision]
+        totals = chosen.sum(axis=1)
+        probs = totals / context
         safe = np.where(totals > 0.0, totals, 1.0)
-        values = np.where(totals > 0.0, vjoint[1] / safe, 0.0)
+        values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
         actions = tuple(net.outcomes[decision][i] for i in action_idx)
         return CandidateEvaluation(variable, net.outcomes[variable], probs, actions, values)

@@ -73,6 +73,12 @@ def random_runs():
 def test_c01_oracle_equivalence(greedy_runs):
     for run in greedy_runs:
         assert run["value"] == pytest.approx(run["oracle"], abs=TOL)
+    for seed in range(3):
+        diagram = gen_random_id(GeneratorSpec(n=8, seed=seed))
+        oracle = oracle_optimal(diagram, "d").value
+        for run in (greedy_run, random_run):
+            _, tree, _ = run(diagram, seed=seed)
+            assert tree_value(tree) == pytest.approx(oracle, abs=TOL)
 
 
 def test_c02_monotone_anytime_profiles(greedy_runs, random_runs):

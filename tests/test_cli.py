@@ -55,7 +55,21 @@ class TestValidate:
         (lambda doc: doc["nodes"][1].update(parents=[["W"]]),
          "parent references must be strings"),
         (lambda doc: doc.update(decision_order=[1, "D"]), "'decision_order'"),
-    ], ids=["node-not-object", "parent-not-string", "order-entry-not-string"])
+        (lambda doc: doc["nodes"][0].update(table=[float("nan"), 1.0]),
+         "probabilities must lie in"),
+        (lambda doc: doc["nodes"][0].update(table=["0.7", "0.3"]),
+         "table entries must be numbers"),
+        (lambda doc: doc["nodes"][0].update(table=[True, False]),
+         "table entries must be numbers"),
+        (lambda doc: doc["nodes"][0].update(table=[[0.7], [0.3]]),
+         "table entries must be numbers"),
+        (lambda doc: doc["nodes"][3].update(table=[10 ** 400, 0, 0, 0]),
+         "table entries must be finite numbers"),
+        (lambda doc: doc["nodes"][3].update(table=[1e308, -1e308, 1e308, -1e308]),
+         "utility range must be finite"),
+    ], ids=["node-not-object", "parent-not-string", "order-entry-not-string",
+            "nan-probability", "string-entry", "boolean-entry", "nested-table",
+            "integer-beyond-float", "utility-range-overflow"])
     def test_malformed_structure_is_a_diagram_error(self, tmp_path, capsys, edit, message):
         doc = json.loads(MINI_WEATHER_JSON)
         edit(doc)

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -117,6 +118,24 @@ class TestValidate:
         d2 = InfluenceDiagram(dict(d.nodes), ("d2", "d1"))
         report = validate(d2)
         assert not report.ok
+
+    def test_nan_probability_row_reported(self):
+        d = mini_weather()
+        d.nodes["W"].cpt = np.array([np.nan, 1.0])
+        report = validate(d)
+        assert any("does not sum to 1" in v for v in report.violations)
+
+    def test_utility_range_overflow_reported(self):
+        d = mini_weather()
+        d.nodes["V"].utility = np.array([[1e308, -1e308], [1e308, -1e308]])
+        report = validate(d)
+        assert any("utility range is not finite" in v for v in report.violations)
+
+    def test_integer_table_entries_accepted(self):
+        d = parse_diagram(mutate(MINI_WEATHER_JSON,
+                                 lambda doc: doc["nodes"][0].update(table=[1, 0])))
+        assert d.nodes["W"].cpt.tolist() == [1.0, 0.0]
+        assert validate(d).ok
 
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 5))
     def test_generator_output_always_valid(self, seed, n):

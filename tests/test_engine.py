@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (enum_best_action, enum_posterior, enum_probability,
-                     normalized)
-from idrefine.diagram import DiagramError
+from helpers import (enum_action_value, enum_best_action, enum_posterior,
+                     enum_probability, normalized)
+from idrefine.diagram import DiagramError, parse_diagram
 from idrefine.engine import (Engine, ZeroProbabilityError, compile_network)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather)
@@ -173,6 +175,66 @@ class TestCandidateEvaluation:
         ev = cal.evaluate_candidate("D", "B")
         assert ev.probs[1] == 0.0
         assert ev.values[1] == 0.0
+
+
+def check_candidate(diagram, decision, context, variable):
+    """evaluate_candidate against the enumeration, outcome by outcome."""
+    cal = Engine(compile_network(diagram)).calibrate(context)
+    ev = cal.evaluate_candidate(decision, variable)
+    posterior = enum_posterior(diagram, variable, context)
+    assert ev.outcomes == diagram.variable(variable).outcomes
+    for j, outcome in enumerate(ev.outcomes):
+        child = {**context, variable: outcome}
+        action, _ = enum_best_action(diagram, decision, child)
+        assert ev.actions[j] == action
+        assert ev.probs[j] == pytest.approx(posterior[outcome], abs=TOL)
+        raw = enum_action_value(diagram, decision, action, child)
+        assert ev.values[j] == pytest.approx(normalized(diagram, raw), abs=TOL)
+
+
+class TestCandidateAgainstEnumeration:
+    @given(seed=st.integers(0, 10_000))
+    def test_random_id(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        arity = int(rng.integers(2, 4))
+        diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+        preds = [v.name for v in diagram.predecessors("d")]
+        order = rng.permutation(n)
+        k = int(rng.integers(0, n))
+        context = {preds[i]: f"v{int(rng.integers(arity))}" for i in order[:k]}
+        check_candidate(diagram, "d", context, preds[order[k]])
+
+    @given(seed=st.integers(0, 10_000))
+    def test_two_stage_second_decision(self, seed):
+        diagram = gen_two_stage(seed)
+        check_candidate(diagram, "d2", {}, "d1")
+        check_candidate(diagram, "d2", {}, "m")
+        check_candidate(diagram, "d2", {"m": "n"}, "d1")
+        check_candidate(diagram, "d2", {"d1": "wait"}, "m")
+
+
+class TestManyFactors:
+    def test_more_factors_than_einsum_operands(self):
+        """70 independent coins, one observed: after the hidden coins are
+        summed out, far more factors remain than np.einsum takes at once."""
+        coins = [f"c{i}" for i in range(70)]
+        nodes = [{"name": c, "kind": "chance", "outcomes": ["h", "t"], "parents": [],
+                  "table": [0.25, 0.75]} for c in coins]
+        nodes.append({"name": "d", "kind": "decision", "outcomes": ["a", "b"],
+                      "parents": ["c0"]})
+        nodes.append({"name": "v", "kind": "value", "parents": ["c0", "d"],
+                      "table": [1.0, 0.0, 0.0, 2.0]})
+        eng = Engine(compile_network(parse_diagram(json.dumps({"nodes": nodes}))))
+        assert eng.context_probability({c: "h" for c in coins}) == pytest.approx(
+            0.25 ** 70, rel=1e-12)
+        action, value = eng.best_action("d", {})
+        assert action == "b"
+        assert value == pytest.approx(0.75, abs=TOL)
+        ev = eng.calibrate({}).evaluate_candidate("d", "c0")
+        assert ev.actions == ("a", "b")
+        assert ev.probs == pytest.approx([0.25, 0.75], abs=TOL)
+        assert ev.values == pytest.approx([0.5, 1.0], abs=TOL)
 
 
 class TestExactness:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .diagram import DiagramError, load_diagram, serialize_diagram, validate
 from .generate import GeneratorSpec, gen_random_id
@@ -118,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, parser) -> int:
     try:
         diagram = load_diagram(args.file)
     except DiagramError as e:
@@ -154,17 +155,8 @@ def _cmd_sweep(args, parser) -> int:
     for name in budgets:
         if name not in diagram.decisions:
             raise ValueError(f"--budget names unknown decision {name!r}")
-    configs = {}
-    for d in diagram.decision_order:
-        if d in budgets:
-            stop = StoppingRule(max_extensions=budgets[d], max_passes=base.stop.max_passes,
-                                min_evi=base.stop.min_evi,
-                                run_to_complete=base.stop.run_to_complete)
-        else:
-            stop = base.stop
-        configs[d] = RefinementConfig(leaf_strategy=base.leaf_strategy,
-                                      extension_strategy=base.extension_strategy,
-                                      stop=stop, seed=base.seed)
+    configs = {d: replace(base, stop=replace(base.stop, max_extensions=budgets[d]))
+               if d in budgets else base for d in diagram.decision_order}
     _, policy, traces = run_sweep_profile(diagram, configs, trace_template=args.trace,
                                           policy_path=args.policy, with_oracle=False)
     print(f"joint value {policy.value_normalized!r} (raw {policy.value_raw!r})")
@@ -175,7 +167,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args, parser) -> int:
     diagram = _load_valid(args.file)
     decisions = diagram.decisions
     if args.decision is not None or len(decisions) == 1:
@@ -198,7 +190,7 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, parser) -> int:
     diagram = gen_random_id(GeneratorSpec(n=args.n, seed=args.seed, arity=args.arity))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_diagram(diagram))
@@ -215,23 +207,15 @@ def _cmd_profile(args, parser) -> int:
     return 0
 
 
+COMMANDS = {"validate": _cmd_validate, "solve": _cmd_solve, "sweep": _cmd_sweep,
+            "oracle": _cmd_oracle, "gen": _cmd_gen, "profile": _cmd_profile}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "solve":
-            return _cmd_solve(args, parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, parser)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "profile":
-            return _cmd_profile(args, parser)
-        raise ValueError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args, parser)
     except _InvalidInput as e:
         print(f"invalid diagram: {e}", file=sys.stderr)
         return VALIDATION_FAILURE

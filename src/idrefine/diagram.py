@@ -145,21 +145,31 @@ class InfluenceDiagram:
         return True
 
 
+def _row_problems(rows: np.ndarray, where: str = "table") -> list[str]:
+    """Every problem of a block of probability rows, up to ROW_SUM_TOL:
+    first entries outside [0, 1], then a row that does not sum to 1.  Both
+    checks are written so that NaN fails them."""
+    problems = []
+    if not ((rows >= -ROW_SUM_TOL) & (rows <= 1 + ROW_SUM_TOL)).all():
+        problems.append(f"{where}: probabilities must lie in [0, 1]")
+    sums = rows.sum(axis=1)
+    ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+    if not ok.all():
+        i = int(np.argmin(ok))
+        problems.append(f"{where}: row {i} does not sum to 1, it sums to {sums[i]!r}")
+    return problems
+
+
 def normalize_rows(rows: np.ndarray, where: str = "table") -> np.ndarray:
     """Renormalize CPT rows that are within ROW_SUM_TOL of 1; reject others.
 
     Normalization iterates to an exact floating-point fixpoint so that
     serialize/parse round-trips reproduce identical tables.  Generators
-    use this on freshly sampled rows for the same reason.  Both checks are
-    written so that NaN fails them.
+    use this on freshly sampled rows for the same reason.
     """
-    if not ((rows >= -ROW_SUM_TOL) & (rows <= 1 + ROW_SUM_TOL)).all():
-        raise DiagramError(f"{where}: probabilities must lie in [0, 1]")
-    sums = rows.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOL)
-    if off.any():
-        i = int(np.argmax(off))
-        raise DiagramError(f"{where}: row {i} sums to {sums[i]!r}, expected 1")
+    problems = _row_problems(rows, where)
+    if problems:
+        raise DiagramError(problems[0])
     rows = np.clip(rows, 0.0, 1.0)
     for _ in range(4):
         sums = rows.sum(axis=1)
@@ -353,9 +363,8 @@ def validate(diagram: InfluenceDiagram) -> ValidationReport:
             if node.cpt.shape != expected:
                 add(f"node {name!r}: table shape {node.cpt.shape} != {expected}")
             else:
-                sums = node.cpt.reshape(-1, var.arity).sum(axis=1)
-                if not (np.abs(sums - 1.0) <= ROW_SUM_TOL).all():
-                    add(f"node {name!r}: a probability row does not sum to 1")
+                report.violations += _row_problems(node.cpt.reshape(-1, var.arity),
+                                                  f"node {name!r}")
 
     graph = {name: set(node.parents) for name, node in diagram.nodes.items()}
     acyclic = True

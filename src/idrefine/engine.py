@@ -121,25 +121,19 @@ def _query(net: "ChanceNetwork", factors: Iterable[_Factor], evidence: Mapping[s
     return _contract(work, targets)
 
 
+@dataclass(frozen=True, eq=False)
 class ChanceNetwork:
-    """Compiled chance-only model: one factor per variable, plus metadata.
+    """Compiled chance-only model: one factor per variable, plus metadata."""
 
-    Immutable after construction.
-    """
-
-    def __init__(self, diagram: InfluenceDiagram, fixed_policies: dict[str, PolicyCpt],
-                 outcomes: dict[str, tuple[str, ...]], index: dict[str, int],
-                 factors: dict[str, _Factor], proxy: str,
-                 u_min: float, u_max: float):
-        self.diagram = diagram
-        self.fixed_policies = fixed_policies
-        self.outcomes = outcomes
-        self.doms = {v: len(o) for v, o in outcomes.items()}
-        self.index = index
-        self.factors = factors
-        self.proxy = proxy
-        self.u_min = u_min
-        self.u_max = u_max
+    diagram: InfluenceDiagram
+    fixed_policies: dict[str, PolicyCpt]
+    outcomes: dict[str, tuple[str, ...]]
+    doms: dict[str, int]  # variable -> number of outcomes
+    index: dict[str, int]  # variable -> declaration rank, proxy last
+    factors: dict[str, _Factor]
+    proxy: str
+    u_min: float
+    u_max: float
 
     @property
     def degenerate(self) -> bool:
@@ -206,7 +200,7 @@ def compile_network(diagram: InfluenceDiagram,
             vals = np.stack([1.0 - p_true, p_true], axis=-1)
             factors[n] = _Factor(node.parents + (proxy,), vals)
 
-    return ChanceNetwork(diagram, fixed, outcomes, index, factors, proxy, u_min, u_max)
+    return ChanceNetwork(diagram, fixed, outcomes, doms, index, factors, proxy, u_min, u_max)
 
 
 @dataclass(frozen=True)
@@ -235,10 +229,7 @@ class Engine:
         for var, outcome in evidence.items():
             if var not in net.outcomes or var == net.proxy:
                 raise DiagramError(f"unknown variable {var!r} in evidence")
-            try:
-                out[var] = net.outcomes[var].index(outcome)
-            except ValueError:
-                raise DiagramError(f"variable {var!r} has no outcome {outcome!r}") from None
+            out[var] = net.diagram.nodes[var].variable.index_of(outcome)
         return out
 
     def _check_decision(self, decision: str) -> None:

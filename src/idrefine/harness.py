@@ -13,7 +13,7 @@ from .multistage import (MultistagePolicy, dumps_multistage_policy, sweep_back)
 from .oracle import (StateSpaceCapError, oracle_optimal,
                      oracle_optimal_multistage)
 from .refine import AnytimeTrace, RefinementConfig, refine
-from .tree import dumps_policy, tree_counts, tree_value
+from .tree import dumps_policy
 
 
 def baseline_states(diagram: InfluenceDiagram, decision: str) -> int:
@@ -57,7 +57,10 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
                 config: RefinementConfig, trace_path=None, policy_path=None,
                 summary_path=None, with_oracle: bool = True,
                 ) -> tuple[ProfileSummary, AnytimeTrace]:
-    """Refine one decision (other decisions stay uniform), write artifacts."""
+    """Refine one decision (other decisions stay uniform), write artifacts.
+
+    Tree size and value are the trace's last record, taken of the final tree.
+    """
     if decision is None:
         decisions = diagram.decisions
         if len(decisions) != 1:
@@ -69,18 +72,17 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
     n = len(tree.predecessors)
     arities = [v.arity for v in tree.predecessors] + [len(tree.actions)]
     bound = greedy_query_bound(n, max(arities)) if n > 0 else float("inf")
-    internals, leaves = tree_counts(tree)
-    value = tree_value(tree)
+    last = trace.records[-1]
     summary = ProfileSummary(
         decision=decision,
         leaf_strategy=config.leaf_strategy,
         extension_strategy=config.extension_strategy,
         seed=config.seed,
-        extensions=len(trace.records) - 1,
-        internal_vertices=internals,
-        leaves=leaves,
-        final_value_normalized=value,
-        final_value_raw=tree.denormalize(value),
+        extensions=last.iteration,
+        internal_vertices=last.internal_vertices,
+        leaves=last.leaves,
+        final_value_normalized=last.value_normalized,
+        final_value_raw=last.value_raw,
         total_fine_queries=engine.counter.fine,
         total_passes=engine.counter.passes,
         baseline_states=baseline_states(diagram, decision),
@@ -95,7 +97,7 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
         if oracle is not None:
             summary.oracle_value_normalized = oracle.value
             summary.oracle_value_raw = oracle.raw_value
-            summary.oracle_gap = oracle.value - value
+            summary.oracle_gap = oracle.value - last.value_normalized
 
     if trace_path is not None:
         trace.write(trace_path)
@@ -140,24 +142,22 @@ def run_sweep_profile(diagram: InfluenceDiagram,
                       with_oracle: bool = True,
                       ) -> tuple[SweepSummary, MultistagePolicy, dict[str, AnytimeTrace]]:
     policy, traces = sweep_back(diagram, config)
-    total_fine = sum(t.records[-1].fine_queries for t in traces.values())
-    total_passes = sum(t.records[-1].passes for t in traces.values())
+    last = {d: t.records[-1] for d, t in traces.items()}
     summary = SweepSummary(
         value_normalized=policy.value_normalized,
         value_raw=policy.value_raw,
-        total_fine_queries=total_fine,
-        total_passes=total_passes,
+        total_fine_queries=sum(r.fine_queries for r in last.values()),
+        total_passes=sum(r.passes for r in last.values()),
     )
     for compiled in policy.policies:
         d = compiled.decision
-        internals, leaves = tree_counts(compiled.tree)
         states = baseline_states(diagram, d)
         summary.per_decision[d] = {
-            "internal_vertices": internals,
-            "leaves": leaves,
+            "internal_vertices": last[d].internal_vertices,
+            "leaves": last[d].leaves,
             "used_predecessors": list(compiled.used_predecessors),
-            "fine_queries": traces[d].records[-1].fine_queries,
-            "passes": traces[d].records[-1].passes,
+            "fine_queries": last[d].fine_queries,
+            "passes": last[d].passes,
             "baseline_states": states,
         }
         summary.baseline_states_total += states

@@ -25,16 +25,18 @@ import numpy as np
 from .diagram import InfluenceDiagram
 from .engine import ChanceNetwork, Engine, PolicyCpt, compile_network
 from .refine import AnytimeTrace, ExtensionEvent, RefinementConfig, refine
-from .tree import (DecisionTree, Internal, iter_internals, tree_value,
-                   vertex_to_json)
+from .tree import DecisionTree, find_leaf, iter_internals, vertex_to_json
 
 
 @dataclass(eq=False)
 class CompiledPolicy:
     decision: str
     tree: DecisionTree
-    used_predecessors: tuple[str, ...]
     contingency: PolicyCpt
+
+    @property
+    def used_predecessors(self) -> tuple[str, ...]:
+        return self.contingency.parents
 
 
 @dataclass(eq=False)
@@ -62,15 +64,12 @@ def contingency_from_tree(tree: DecisionTree) -> PolicyCpt:
     doms = tuple(v.arity for v in used_vars)
     table = np.zeros(doms + (n_actions,))
     for combo in product(*(range(v.arity) for v in used_vars)):
-        assignment = {v.name: v.outcomes[i] for v, i in zip(used_vars, combo)}
-        vertex = tree.root
-        while isinstance(vertex, Internal):
-            vertex = vertex.children[assignment[vertex.variable]]
-        if vertex.pruned:
+        leaf = find_leaf(tree, {v.name: v.outcomes[i] for v, i in zip(used_vars, combo)})
+        if leaf.pruned:
             table[combo] = 1.0 / n_actions
         else:
-            table[combo + (tree.actions.index(vertex.action),)] = 1.0
-    return PolicyCpt(tuple(used), table)
+            table[combo + (tree.actions.index(leaf.action),)] = 1.0
+    return PolicyCpt(used, table)
 
 
 def compile_decision(diagram: InfluenceDiagram, net: ChanceNetwork,
@@ -92,8 +91,9 @@ def sweep_back(diagram: InfluenceDiagram,
                ) -> tuple[MultistagePolicy, dict[str, AnytimeTrace]]:
     """Refine each decision from last to first, compiling as it goes.
 
-    The joint value is the first decision's tree value, which already
-    accounts for every later decision acting by its compiled policy.
+    The joint value is the first decision's tree value (its trace's last
+    record), which already accounts for every later decision acting by its
+    compiled policy.
     """
     order = diagram.decision_order
     if not order:
@@ -109,20 +109,17 @@ def sweep_back(diagram: InfluenceDiagram,
     net = compile_network(diagram)
     traces: dict[str, AnytimeTrace] = {}
     compiled: dict[str, CompiledPolicy] = {}
-    last_tree: DecisionTree | None = None
     for d in reversed(order):
         engine = Engine(net)
         hook = None if observer is None else (lambda ev, _d=d: observer(_d, ev))
         tree, trace = refine(engine, d, config_for(d), observer=hook)
         traces[d] = trace
         net = compile_decision(diagram, net, d, tree)
-        compiled[d] = CompiledPolicy(d, tree, used_predecessors(tree),
-                                     net.fixed_policies[d])
-        last_tree = tree
+        compiled[d] = CompiledPolicy(d, tree, net.fixed_policies[d])
 
-    value = tree_value(last_tree)
-    policy = MultistagePolicy([compiled[d] for d in order], value,
-                              last_tree.denormalize(value))
+    final = traces[order[0]].records[-1]
+    policy = MultistagePolicy([compiled[d] for d in order], final.value_normalized,
+                              final.value_raw)
     return policy, traces
 
 

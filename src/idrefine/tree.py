@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Union
+from typing import Iterator, Mapping, Union
 
 from .diagram import Variable
 from .engine import Calibration, CandidateEvaluation, Engine, ZERO_PROB
@@ -109,9 +109,9 @@ def extensions(tree: DecisionTree, leaf: Leaf) -> tuple[Variable, ...]:
     return tuple(v for v in tree.predecessors if v.name not in seen)
 
 
-def find_leaf(tree: DecisionTree, context: Context) -> Leaf:
-    """Locate the leaf a context path leads to."""
-    assignment = dict(context)
+def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
+    """Locate the leaf a context path or a variable assignment leads to."""
+    assignment = dict(where)
     v = tree.root
     while isinstance(v, Internal):
         v = v.children[assignment[v.variable]]
@@ -133,12 +133,15 @@ def _locate(tree: DecisionTree, leaf: Leaf) -> tuple[Internal | None, str | None
     return parent, key
 
 
-def _require_extensible(tree: DecisionTree, leaf: Leaf) -> tuple[Variable, ...]:
+def _require_extensible(tree: DecisionTree, leaf: Leaf,
+                        variable: str | None = None) -> tuple[Variable, ...]:
     if leaf.pruned:
         raise ValueError("a pruned leaf cannot be extended")
     exts = extensions(tree, leaf)
     if not exts:
         raise ValueError("leaf context already contains every predecessor")
+    if variable is not None and all(v.name != variable for v in exts):
+        raise ValueError(f"{variable!r} is not a possible extension of this leaf")
     return exts
 
 
@@ -166,9 +169,7 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     Leaves the tree unchanged; the result is reach-weighted so values are
     comparable across leaves, and is never below -1e-9.
     """
-    exts = _require_extensible(tree, leaf)
-    if variable not in {v.name for v in exts}:
-        raise ValueError(f"{variable!r} is not a possible extension of this leaf")
+    _require_extensible(tree, leaf, variable)
     return _gain(leaf, _evaluation(tree, leaf, variable, engine))
 
 
@@ -202,10 +203,7 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     leaf was explored before; otherwise costs one calibration pass plus
     two passes for the chosen candidate.
     """
-    exts = _require_extensible(tree, leaf)
-    names = {v.name for v in exts}
-    if variable not in names:
-        raise ValueError(f"{variable!r} is not a possible extension of this leaf")
+    _require_extensible(tree, leaf, variable)
     parent, key = _locate(tree, leaf)
     ev = _evaluation(tree, leaf, variable, engine)
 
@@ -234,10 +232,7 @@ def apply_policy(tree: DecisionTree, state: dict[str, str]) -> str:
     missing = [v.name for v in tree.predecessors if v.name not in state]
     if missing:
         raise ValueError(f"incomplete information state, missing {missing}")
-    v = tree.root
-    while isinstance(v, Internal):
-        v = v.children[state[v.variable]]
-    return v.action
+    return find_leaf(tree, state).action
 
 
 def to_table(tree: DecisionTree) -> list[dict]:
@@ -245,7 +240,7 @@ def to_table(tree: DecisionTree) -> list[dict]:
     rows = []
     for combo in product(*(v.outcomes for v in tree.predecessors)):
         state = {v.name: o for v, o in zip(tree.predecessors, combo)}
-        leaf = find_leaf(tree, tuple(state.items()))
+        leaf = find_leaf(tree, state)
         rows.append({"state": state, "action": leaf.action,
                      "value_normalized": leaf.value,
                      "value_raw": tree.denormalize(leaf.value)})

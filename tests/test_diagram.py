@@ -125,6 +125,12 @@ class TestValidate:
         report = validate(d)
         assert any("does not sum to 1" in v for v in report.violations)
 
+    def test_probability_out_of_range_reported(self):
+        d = mini_weather()
+        d.nodes["W"].cpt = np.array([1.5, -0.5])  # sums to 1
+        report = validate(d)
+        assert report.violations == ["node 'W': probabilities must lie in [0, 1]"]
+
     def test_utility_range_overflow_reported(self):
         d = mini_weather()
         d.nodes["V"].utility = np.array([[1e308, -1e308], [1e308, -1e308]])

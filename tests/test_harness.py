@@ -2,11 +2,20 @@ import json
 
 import pytest
 
-from idrefine.fixtures import mini_weather
+from idrefine.fixtures import mini_weather, mini_weather_coin
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.harness import (baseline_states, greedy_query_bound,
                               run_profile, run_sweep_profile, trace_path_for)
-from idrefine.refine import CSV_HEADER, RefinementConfig
+from idrefine.multistage import used_predecessors
+from idrefine.refine import CSV_HEADER, RefinementConfig, StoppingRule
+
+
+def recount(vertex: dict) -> tuple[int, int]:
+    """(internal vertices, non-pruned leaves) of a policy-JSON tree."""
+    if "var" not in vertex:
+        return 0, int(not vertex["pruned"])
+    counts = [recount(c) for c in vertex["children"].values()]
+    return 1 + sum(i for i, _ in counts), sum(l for _, l in counts)
 
 
 class TestBounds:
@@ -51,6 +60,42 @@ class TestRunProfile:
                                extension_strategy="random", seed=0)
         summary, trace = run_profile(diagram, "d", cfg, with_oracle=False)
         assert len(trace.records) == summary.internal_vertices + 1
+
+
+class TestSummaryFromTrace:
+    """Summaries read the trace's last record; the policy JSON recounts the tree."""
+
+    @pytest.mark.parametrize("diagram, stop, extensions", [
+        (gen_random_id(GeneratorSpec(n=5, seed=3)), StoppingRule(run_to_complete=True), 31),
+        (gen_random_id(GeneratorSpec(n=5, seed=3)), StoppingRule(max_extensions=3), 3),
+        # the second split would be on a worthless coin, so it is evaluated and declined
+        (mini_weather_coin(2), StoppingRule(min_evi=1e-6), 1),
+    ], ids=["complete", "max-extensions", "min-evi"])
+    def test_profile_matches_policy_json(self, tmp_path, diagram, stop, extensions):
+        policy = tmp_path / "p.json"
+        summary, trace = run_profile(diagram, None, RefinementConfig(stop=stop),
+                                     policy_path=policy, with_oracle=False)
+        doc = json.loads(policy.read_text())
+        assert summary.extensions == extensions
+        assert (summary.internal_vertices, summary.leaves) == recount(doc["tree"])
+        assert summary.internal_vertices == extensions
+        assert summary.final_value_normalized == doc["value_normalized"]
+        assert summary.final_value_raw == doc["value_raw"]
+        if stop.min_evi is not None:
+            assert summary.total_fine_queries > trace.records[-1].fine_queries
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_matches_policy_json(self, tmp_path, seed):
+        path = tmp_path / "policy.json"
+        summary, policy, _ = run_sweep_profile(gen_two_stage(seed), RefinementConfig(),
+                                               policy_path=path, with_oracle=False)
+        doc = json.loads(path.read_text())
+        assert summary.value_normalized == doc["value_normalized"]
+        for entry, compiled in zip(doc["policies"], policy.policies):
+            counts = summary.per_decision[entry["decision"]]
+            assert (counts["internal_vertices"], counts["leaves"]) == recount(entry["tree"])
+            assert counts["used_predecessors"] == entry["used_predecessors"]
+            assert tuple(counts["used_predecessors"]) == used_predecessors(compiled.tree)
 
 
 class TestSweepProfile:

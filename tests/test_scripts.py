@@ -24,3 +24,12 @@ def test_car_buyer_script_reports_missing_data(tmp_path):
         env={k: v for k, v in os.environ.items() if k != "CAR_BUYER_DATA"})
     assert result.returncode == 1
     assert "no car-buyer data file" in result.stderr
+
+
+def test_check_pins_script():
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "check_pins.py"),
+         "--limit", "4", "sweep_two_stage"],
+        capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert "sweep_two_stage: 4 checked, 0 failed" in result.stdout

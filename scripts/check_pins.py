@@ -6,17 +6,23 @@
 For each pooled instance of each named workload (default: all four), in pool
 order, it runs the benchmark's own pipeline (perfbench/workloads.py: set_up,
 solve, oracle_value, check) against perfbench/pins.json.  Per workload it
-prints the instances checked, the failures, and how many final values are
-bit-equal to their pin (check allows a difference of 1e-9).  It exits 1 on
-any failure.  It imports perfbench/ read-only and writes no files.
+prints the instances checked, the failures, how many final values are
+bit-equal to their pin (check allows a difference of 1e-9), and a sha256
+digest of the tree shapes of every instance solved: split variables,
+outcome keys, actions and pruned flags, no floats.  Equal digests on two
+commits mean equal trees and actions on every instance checked.  It exits 1
+on any failure.  It imports perfbench/ read-only and writes no files.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib
 import json
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -26,17 +32,54 @@ sys.path[:0] = [str(REPO / "src"), str(BENCH)]
 
 import workloads as W  # noqa: E402
 
+# the modules, not the function the package re-exports as idrefine.refine
+R = importlib.import_module("idrefine.refine")
+M = importlib.import_module("idrefine.multistage")
+T = importlib.import_module("idrefine.tree")
 
-def check_workload(name: str, limit: int | None) -> tuple[int, int, int]:
-    """(instances checked, failures, final values bit-equal to their pin)."""
+
+def shape(vertex) -> list:
+    """[action, pruned] for a leaf, [variable, [[outcome, child], ...]] otherwise."""
+    if isinstance(vertex, T.Leaf):
+        return [vertex.action, vertex.pruned]
+    return [vertex.variable, [[o, shape(c)] for o, c in vertex.children.items()]]
+
+
+@contextmanager
+def recording_trees(trees: list):
+    """Append the tree of every refine call to trees, in call order.
+
+    W.solve looks refine up on the refine module; sweep_back calls the name
+    multistage imported.  Both are patched and restored on exit.
+    """
+    original = R.refine
+
+    def refine(*args, **kwargs):
+        tree, trace = original(*args, **kwargs)
+        trees.append(tree)
+        return tree, trace
+
+    R.refine = M.refine = refine
+    try:
+        yield
+    finally:
+        R.refine = M.refine = original
+
+
+def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str]:
+    """(instances checked, failures, final values bit-equal to their pin,
+    digest of the solved instances' tree shapes)."""
     wl = W.WORKLOADS[name]
     pins = json.loads((BENCH / "pins.json").read_text())[name]
     checked = wl.pool if limit is None else min(limit, wl.pool)
     failed = equal = 0
+    digest = hashlib.sha256()
     for index in range(checked):
+        trees: list = []
         try:
             diagram, network = W.set_up(wl.text(index))
-            solved = W.solve(wl, diagram, network)
+            with recording_trees(trees):
+                solved = W.solve(wl, diagram, network)
             W.check(wl, solved, W.oracle_value(wl, diagram), pins[index])
         except Exception:  # noqa: BLE001 - any error fails the instance, not the run
             failed += 1
@@ -44,7 +87,9 @@ def check_workload(name: str, limit: int | None) -> tuple[int, int, int]:
             traceback.print_exc()
             continue
         equal += solved.value == pins[index][0]
-    return checked, failed, equal
+        shapes = [[t.decision, shape(t.root)] for t in trees]
+        digest.update(json.dumps([index, shapes]).encode() + b"\n")
+    return checked, failed, equal, digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -59,10 +104,11 @@ def main(argv=None) -> int:
             ap.error(f"unknown workload {name!r}")
     total_failed = 0
     for name in args.workloads or W.WORKLOADS:
-        checked, failed, equal = check_workload(name, args.limit)
+        checked, failed, equal, digest = check_workload(name, args.limit)
         total_failed += failed
         print(f"{name}: {checked} checked, {failed} failed, "
-              f"{equal}/{checked} values bit-equal to their pin", flush=True)
+              f"{equal}/{checked} values bit-equal to their pin, "
+              f"tree shapes sha256 {digest}", flush=True)
     return 1 if total_failed else 0
 
 

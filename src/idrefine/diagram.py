@@ -362,7 +362,7 @@ def validate(diagram: InfluenceDiagram) -> ValidationReport:
             expected = doms + (var.arity,)
             if node.cpt.shape != expected:
                 add(f"node {name!r}: table shape {node.cpt.shape} != {expected}")
-            else:
+            elif var.arity:  # with no outcomes there are no rows to check
                 report.violations += _row_problems(node.cpt.reshape(-1, var.arity),
                                                   f"node {name!r}")
 

@@ -269,7 +269,7 @@ class Engine:
         net = self.network
         self._check_decision(decision)
         ev = self._evidence_idx(evidence)
-        ev[decision] = net.outcomes[decision].index(action)
+        ev[decision] = net.diagram.nodes[decision].variable.index_of(action)
         self.counter.passes += 1
         self.counter.fine += net.doms[decision]
         vjoint = _query(net, net.factors.values(), ev, (net.proxy,))

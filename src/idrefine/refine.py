@@ -11,7 +11,9 @@ Leaf choice and extension choice are orthogonal and pluggable:
 * leaf strategies: ``posthoc`` (a max-gain priority queue over internal
   vertices; all leaves of the dequeued vertex are served before the queue
   is consulted again; ties break by seeded RNG) or ``random`` (uniform
-  over extensible, non-pruned leaves);
+  over extensible, non-pruned leaves, drawn from a list kept in depth-first
+  order: each extension splices the new vertex's extensible children in
+  where the leaf it replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
   evaluated and cached) or ``random`` (uniform over candidates, only the
   chosen one evaluated).
@@ -22,6 +24,7 @@ A fixed seed makes a run fully deterministic.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable
@@ -132,7 +135,7 @@ class PosthocSelector:
         self._rng = rng
         self._seq = count()
         self._heap: list[tuple[float, float, int, Internal]] = []
-        self._pending: list = []
+        self._pending: deque = deque()
         if isinstance(tree.root, Leaf):
             self._pending.append(tree.root)
         else:
@@ -145,7 +148,7 @@ class PosthocSelector:
     def next_leaf(self, tree: DecisionTree) -> Leaf | None:
         while True:
             while self._pending:
-                leaf = self._pending.pop(0)
+                leaf = self._pending.popleft()
                 if isinstance(leaf, Leaf) and not leaf.pruned and extensions(tree, leaf):
                     return leaf
             if not self._heap:
@@ -155,19 +158,36 @@ class PosthocSelector:
 
 
 class RandomLeafSelector:
-    """Uniform choice over extensible, non-pruned leaves."""
+    """Uniform choice over extensible, non-pruned leaves.
+
+    The candidates are kept in depth-first order, the order of
+    iter_leaves, so a seeded draw picks the same leaf as an index into a
+    fresh scan would.  notify_extended must be given the vertex that
+    replaced the leaf last served.
+    """
 
     def __init__(self, tree: DecisionTree, rng: np.random.Generator):
         self._rng = rng
+        self._depth = len(tree.predecessors)
+        self._leaves = [l for l in iter_leaves(tree) if self._extensible(l)]
+        self._served: int | None = None
+
+    def _extensible(self, leaf: Leaf) -> bool:
+        return not leaf.pruned and len(leaf.context) < self._depth
 
     def notify_extended(self, vertex: Internal) -> None:
-        pass
+        i = self._served
+        children = list(vertex.children.values())
+        if i is None or self._leaves[i].context != children[0].context[:-1]:
+            raise ValueError("vertex did not replace the leaf last served")
+        self._leaves[i:i + 1] = [c for c in children if self._extensible(c)]
+        self._served = None
 
     def next_leaf(self, tree: DecisionTree) -> Leaf | None:
-        candidates = [l for l in iter_leaves(tree) if not l.pruned and extensions(tree, l)]
-        if not candidates:
+        if not self._leaves:
             return None
-        return candidates[int(self._rng.integers(len(candidates)))]
+        self._served = int(self._rng.integers(len(self._leaves)))
+        return self._leaves[self._served]
 
 
 def make_selector(strategy: str, tree: DecisionTree, rng: np.random.Generator):

@@ -13,12 +13,18 @@ the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
 Trees are single-owner mutable values; extension results are cached on
-leaves so that a greedy exploration pays for queries once.
+leaves so that a greedy exploration pays for queries once.  A tree keeps
+its internal-vertex and leaf counts and its value up to date as extend()
+grows it, so reading them costs no walk.  The value is held as Shewchuk
+partials (Shewchuk 1997, the algorithm behind math.fsum): the exact sum of
+every leaf's value * reach, read out correctly rounded, so it does not
+depend on the order in which the leaves were made.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Union
@@ -57,6 +63,20 @@ class DecisionTree:
     u_min: float
     u_max: float
     root: Vertex
+    # running statistics, kept current by extend(); see tree_counts/tree_value
+    internals: int = field(init=False)
+    leaves: int = field(init=False)      # non-pruned
+    partials: list[float] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.internals = self.leaves = 0
+        self.partials = []
+        for v in iter_vertices(self.root):
+            if isinstance(v, Internal):
+                self.internals += 1
+            elif not v.pruned:
+                self.leaves += 1
+                _add_exact(self.partials, v.value * v.reach)
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -71,36 +91,52 @@ def init_tree(engine: Engine, decision: str) -> DecisionTree:
                         net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
 
 
-def iter_leaves(tree: DecisionTree) -> Iterator[Leaf]:
-    """All leaves in depth-first, outcome-declaration order."""
-    stack: list[Vertex] = [tree.root]
+def iter_vertices(root: Vertex) -> Iterator[Vertex]:
+    """Every vertex under root, depth-first, children in outcome-declaration order."""
+    stack: list[Vertex] = [root]
     while stack:
         v = stack.pop()
-        if isinstance(v, Leaf):
-            yield v
-        else:
-            stack.extend(reversed(list(v.children.values())))
+        yield v
+        if isinstance(v, Internal):
+            stack.extend(reversed(v.children.values()))
+
+
+def iter_leaves(tree: DecisionTree) -> Iterator[Leaf]:
+    """All leaves in depth-first, outcome-declaration order."""
+    return (v for v in iter_vertices(tree.root) if isinstance(v, Leaf))
 
 
 def iter_internals(tree: DecisionTree) -> Iterator[Internal]:
-    stack: list[Vertex] = [tree.root]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Internal):
-            yield v
-            stack.extend(reversed(list(v.children.values())))
+    return (v for v in iter_vertices(tree.root) if isinstance(v, Internal))
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add x to non-overlapping partials without rounding (Shewchuk 1997)."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def tree_counts(tree: DecisionTree) -> tuple[int, int]:
     """(internal vertices, non-pruned leaves)."""
-    internals = sum(1 for _ in iter_internals(tree))
-    leaves = sum(1 for l in iter_leaves(tree) if not l.pruned)
-    return internals, leaves
+    return tree.internals, tree.leaves
 
 
 def tree_value(tree: DecisionTree) -> float:
-    """Expected value: sum over leaves of value times reach probability."""
-    return sum(l.value * l.reach for l in iter_leaves(tree) if not l.pruned)
+    """Expected value: sum over non-pruned leaves of value times reach.
+
+    The sum is correctly rounded (math.fsum of the exact partials kept as
+    the tree grew), so it is the same float whatever the extension order.
+    """
+    return math.fsum(tree.partials)
 
 
 def extensions(tree: DecisionTree, leaf: Leaf) -> tuple[Variable, ...]:
@@ -224,6 +260,12 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
         tree.root = node
     else:
         parent.children[key] = node
+    kept = [c for c in children.values() if not c.pruned]
+    tree.internals += 1
+    tree.leaves += len(kept) - 1
+    _add_exact(tree.partials, -(leaf.value * leaf.reach))
+    for c in kept:
+        _add_exact(tree.partials, c.value * c.reach)
     return node
 
 

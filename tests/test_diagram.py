@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idrefine.diagram import (DiagramError, InfluenceDiagram, information_states,
-                              parse_diagram, serialize_diagram, validate)
+from idrefine.diagram import (DiagramError, InfluenceDiagram, Variable,
+                              information_states, parse_diagram, serialize_diagram,
+                              validate)
 from idrefine.fixtures import MINI_WEATHER_JSON, mini_weather, weather3
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 
@@ -130,6 +131,13 @@ class TestValidate:
         d.nodes["W"].cpt = np.array([1.5, -0.5])  # sums to 1
         report = validate(d)
         assert report.violations == ["node 'W': probabilities must lie in [0, 1]"]
+
+    def test_chance_variable_without_outcomes_reported(self):
+        d = mini_weather()
+        d.nodes["W"].variable = Variable("W", ())
+        d.nodes["W"].cpt = np.zeros((0,))
+        report = validate(d)
+        assert "node 'W': fewer than 2 outcomes" in report.violations
 
     def test_utility_range_overflow_reported(self):
         d = mini_weather()

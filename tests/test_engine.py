@@ -79,6 +79,10 @@ class TestBestAction:
         with pytest.raises(DiagramError):
             mini_engine.best_action("D", {"Q": "x"})
 
+    def test_unknown_action(self, mini_engine):
+        with pytest.raises(DiagramError, match="variable 'D' has no outcome 'nope'"):
+            mini_engine.action_value("D", "nope", {})
+
 
 class TestPosteriors:
     def test_report_prior(self, mini_engine):

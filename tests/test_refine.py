@@ -1,11 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from idrefine.engine import Engine, compile_network
-from idrefine.fixtures import (constant_utility, mini_weather,
-                               mini_weather_coin)
+from idrefine.fixtures import (constant_utility, deterministic_exclusion,
+                               mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id
 from idrefine.harness import greedy_query_bound
 from idrefine.oracle import oracle_optimal
@@ -210,6 +212,93 @@ class TestRandomLeafSelector:
                 seed=9, observer=events.append)
             sequences.append([(e.context_size, e.variable) for e in events])
         assert sequences[0] == sequences[1]
+
+    @given(seed=st.integers(0, 2_000), n=st.integers(2, 5), arity=st.integers(2, 3),
+           exclusion=st.booleans())
+    def test_kept_list_equals_rescan(self, seed, n, arity, exclusion):
+        diagram = (deterministic_exclusion() if exclusion
+                   else gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)))
+        eng = Engine(compile_network(diagram))
+        tree = init_tree(eng, diagram.decision_order[0])
+        rng = np.random.default_rng(seed)
+        sel = RandomLeafSelector(tree, rng)
+        while (leaf := sel.next_leaf(tree)) is not None:
+            candidates = extensions(tree, leaf)
+            variable = candidates[int(rng.integers(len(candidates)))].name
+            sel.notify_extended(extend(tree, leaf, variable, eng))
+            assert sel._leaves == rescan(tree)
+
+    def test_vertex_from_another_leaf_rejected(self):
+        eng = Engine(compile_network(mini_weather_coin()))
+        tree = init_tree(eng, "D")
+        sel = RandomLeafSelector(tree, np.random.default_rng(0))
+        sel.notify_extended(extend(tree, sel.next_leaf(tree), "R", eng))
+        sunny = tree.root.children["sunny"]
+        with pytest.raises(ValueError, match="last served"):
+            sel.notify_extended(extend(tree, sunny, "C1", eng))
+
+    @pytest.mark.parametrize("extension", ["random", "greedy"])
+    @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2), (6, 3)])
+    def test_same_events_as_rescanning_selector(self, monkeypatch, extension, n, seed):
+        diagram = gen_random_id(GeneratorSpec(n=n, seed=seed))
+        cfg = dict(leaf_strategy="random", extension_strategy=extension, seed=seed)
+        events = []
+        run(diagram, observer=events.append, **cfg)
+        monkeypatch.setattr(sys.modules["idrefine.refine"], "RandomLeafSelector",
+                            RescanningSelector)
+        reference = []
+        run(diagram, observer=reference.append, **cfg)
+        assert len(events) == 2 ** n - 1
+        assert events == reference
+
+
+def rescan(tree):
+    return [l for l in iter_leaves(tree) if not l.pruned and extensions(tree, l)]
+
+
+class RescanningSelector:
+    """Reference: a uniform draw over a fresh scan of the tree on every call."""
+
+    def __init__(self, tree, rng):
+        self._rng = rng
+
+    def notify_extended(self, vertex):
+        pass
+
+    def next_leaf(self, tree):
+        candidates = rescan(tree)
+        if not candidates:
+            return None
+        return candidates[int(self._rng.integers(len(candidates)))]
+
+
+class TestTreeWalks:
+    """A run walks the tree a bounded number of times, not once per iteration."""
+
+    def walks(self, monkeypatch, n, **cfg):
+        counted = []
+        # sys.modules: the package re-exports the function refine as idrefine.refine
+        targets = [(sys.modules["idrefine.tree"], "iter_vertices"),
+                   (sys.modules["idrefine.refine"], "iter_leaves"),
+                   (sys.modules["idrefine.refine"], "iter_internals")]
+        for module, name in targets:
+            def counting(*args, _original=getattr(module, name), _name=name):
+                counted.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(module, name, counting)
+        _, _, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)), **cfg)
+        monkeypatch.undo()
+        assert trace.records[-1].internal_vertices == 2 ** n - 1
+        return len(counted)
+
+    @pytest.mark.parametrize("leaf, extension", [("posthoc", "greedy"),
+                                                 ("random", "random"),
+                                                 ("random", "greedy")])
+    def test_walk_count_independent_of_iterations(self, monkeypatch, leaf, extension):
+        small = self.walks(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension)
+        large = self.walks(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension)
+        assert 1 <= small <= 4
+        assert large == small
 
 
 class TestTraceCsv:

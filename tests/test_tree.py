@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 from hypothesis import given
@@ -11,9 +12,10 @@ from idrefine.fixtures import (constant_utility, deterministic_exclusion,
 from idrefine.generate import GeneratorSpec, gen_random_id
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import RefinementConfig, refine
-from idrefine.tree import (Leaf, apply_policy, best_extension, evi,
-                           extend, extensions, find_leaf, init_tree,
-                           iter_leaves, to_table, tree_value, vertex_to_json)
+from idrefine.tree import (DecisionTree, Internal, Leaf, apply_policy,
+                           best_extension, evi, extend, extensions, find_leaf,
+                           init_tree, iter_leaves, policy_json, to_table,
+                           tree_counts, tree_value, vertex_to_json)
 
 TOL = 1e-9
 
@@ -315,6 +317,74 @@ class TestStructuralInvariants:
         for leaf in iter_leaves(tree):
             names = [v for v, _ in leaf.context]
             assert len(names) == len(set(names))
+
+
+def recount(vertex):
+    """(internal vertices, non-pruned leaves, value * reach of each such leaf),
+    by a recursive walk."""
+    if isinstance(vertex, Leaf):
+        return (0, 0, []) if vertex.pruned else (0, 1, [vertex.value * vertex.reach])
+    internals, leaves, products = 1, 0, []
+    for child in vertex.children.values():
+        i, l, p = recount(child)
+        internals, leaves, products = internals + i, leaves + l, products + p
+    return internals, leaves, products
+
+
+def assert_statistics(tree):
+    internals, leaves, products = recount(tree.root)
+    assert tree_counts(tree) == (internals, leaves)
+    assert tree_value(tree) == math.fsum(products)
+    assert policy_json(tree)["value_normalized"] == tree_value(tree)
+
+
+class TestRunningStatistics:
+    """extend() keeps the counts and the correctly rounded value current."""
+
+    def grow(self, diagram, data, steps, first=()):
+        """Extend `first` ((context, variable) pairs), then up to `steps`
+        drawn leaves on drawn variables, checking after every extend."""
+        eng = Engine(compile_network(diagram))
+        tree = init_tree(eng, diagram.decision_order[0])
+        assert_statistics(tree)
+        for context, variable in first:
+            extend(tree, find_leaf(tree, context), variable, eng)
+            assert_statistics(tree)
+        for _ in range(steps):
+            open_leaves = [l for l in iter_leaves(tree)
+                           if not l.pruned and extensions(tree, l)]
+            if not open_leaves:
+                break
+            leaf = data.draw(st.sampled_from(open_leaves))
+            variable = data.draw(st.sampled_from(extensions(tree, leaf))).name
+            extend(tree, leaf, variable, eng)
+            assert_statistics(tree)
+        return tree
+
+    @given(seed=st.integers(0, 3_000), n=st.integers(2, 5), arity=st.integers(2, 3),
+           steps=st.integers(0, 40), data=st.data())
+    def test_random_extension_sequences(self, seed, n, arity, steps, data):
+        diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+        self.grow(diagram, data, steps)
+
+    @given(data=st.data())
+    def test_pruned_leaves_excluded(self, data):
+        # B copies A, so splitting a0 on B prunes its b1 child
+        tree = self.grow(deterministic_exclusion(), data, 5,
+                         first=[((), "A"), ((("A", "a0"),), "B")])
+        assert find_leaf(tree, (("A", "a0"), ("B", "b1"))).pruned
+
+    @given(seed=st.integers(0, 3_000), n=st.integers(2, 4), arity=st.integers(2, 3),
+           steps=st.integers(1, 20), data=st.data())
+    def test_tree_built_from_extended_root(self, seed, n, arity, steps, data):
+        grown = self.grow(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)),
+                          data, steps)
+        rebuilt = DecisionTree(grown.decision, grown.actions, grown.predecessors,
+                               grown.u_min, grown.u_max, grown.root)
+        assert isinstance(rebuilt.root, Internal)
+        assert_statistics(rebuilt)
+        assert tree_counts(rebuilt) == tree_counts(grown)
+        assert tree_value(rebuilt) == tree_value(grown)
 
 
 class TestSerialization:

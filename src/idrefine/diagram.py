@@ -14,6 +14,12 @@ The on-disk format is a single JSON document::
 Tables are row-major over parent configurations: parents vary slowest
 first in declaration order, child outcomes fastest.  Value nodes omit
 ``outcomes`` and give ``table`` as raw utilities.
+
+``parse_diagram`` checks JSON shapes only: objects, lists, unique
+non-empty string names, kinds, at least 2 string outcomes, string parents
+and tables as flat lists of numbers that fit a float.  ``validate`` owns
+every other rule, NaN and infinite entries included; ``parse_diagram``
+raises the first violation it reports, then renormalizes the CPT rows.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from itertools import product
 from typing import Iterator, Union
 
@@ -161,15 +166,16 @@ def _row_problems(rows: np.ndarray, where: str = "table") -> list[str]:
 
 
 def normalize_rows(rows: np.ndarray, where: str = "table") -> np.ndarray:
-    """Renormalize CPT rows that are within ROW_SUM_TOL of 1; reject others.
-
-    Normalization iterates to an exact floating-point fixpoint so that
-    serialize/parse round-trips reproduce identical tables.  Generators
-    use this on freshly sampled rows for the same reason.
-    """
+    """Renormalize CPT rows that are within ROW_SUM_TOL of 1, to an exact
+    floating-point fixpoint so that serialize/parse round-trips reproduce
+    identical tables; reject other rows."""
     problems = _row_problems(rows, where)
     if problems:
         raise DiagramError(problems[0])
+    return _fixpoint(rows)
+
+
+def _fixpoint(rows: np.ndarray) -> np.ndarray:
     rows = np.clip(rows, 0.0, 1.0)
     for _ in range(4):
         sums = rows.sum(axis=1)
@@ -183,119 +189,97 @@ def normalize_rows(rows: np.ndarray, where: str = "table") -> np.ndarray:
     return rows
 
 
-def _build_variable(name: str, outcomes, where: str) -> Variable:
-    if not isinstance(outcomes, list) or len(outcomes) < 2:
-        raise DiagramError(f"{where}: needs at least 2 outcomes")
-    if any(not isinstance(o, str) for o in outcomes):
-        raise DiagramError(f"{where}: outcome labels must be strings")
-    if len(set(outcomes)) != len(outcomes):
-        raise DiagramError(f"{where}: duplicate outcome labels")
-    return Variable(name, tuple(outcomes))
+def _node(spec, names) -> Node:
+    """Check one node's JSON shapes and build it, with its table flat."""
+    if not isinstance(spec, dict):
+        raise DiagramError(f"every node must be an object, got {spec!r}")
+    name = spec.get("name")
+    if not isinstance(name, str) or not name:
+        raise DiagramError("every node needs a non-empty string 'name'")
+    if name in names:
+        raise DiagramError(f"duplicate node name {name!r}")
+    kind = spec.get("kind")
+    if kind not in ("chance", "decision", "value"):
+        raise DiagramError(f"node {name!r}: kind must be chance, decision or value")
+    outcomes = spec.get("outcomes")
+    if kind == "value" and "outcomes" in spec:
+        raise DiagramError(f"value node {name!r} must not declare outcomes")
+    if kind != "value" and (not isinstance(outcomes, list) or len(outcomes) < 2
+                            or any(not isinstance(o, str) for o in outcomes)):
+        raise DiagramError(f"node {name!r}: needs at least 2 outcomes, as a list of strings")
+    variable = Variable(name, tuple(outcomes)) if kind != "value" else None
+    parents = spec.get("parents", [])
+    if not isinstance(parents, list) or any(not isinstance(p, str) for p in parents):
+        raise DiagramError(f"node {name!r}: 'parents' must be a list, and parent references "
+                           f"must be strings")
+    parents = tuple(parents)
+    if kind == "decision":
+        if "table" in spec:
+            raise DiagramError(f"decision node {name!r} must not carry a table")
+        return DecisionNode(variable, parents)
+    table = spec.get("table")
+    if not isinstance(table, list):
+        raise DiagramError(f"node {name!r}: missing 'table'")
+    # bool is a subclass of int, and np.asarray would also take strings
+    # such as "0.7" and nested lists
+    if not {*map(type, table)} <= {int, float}:
+        raise DiagramError(f"node {name!r}: table entries must be numbers in a flat list")
+    try:
+        table = np.asarray(table, dtype=float)
+    except OverflowError:
+        raise DiagramError(f"node {name!r}: table entries must be finite numbers") from None
+    return ChanceNode(variable, parents, table) if variable else ValueNode(name, parents, table)
 
 
 def parse_diagram(text: str) -> InfluenceDiagram:
-    """Parse the JSON diagram format; raises DiagramError on any defect."""
+    """Parse the JSON diagram format into a diagram that passes validate;
+    raises DiagramError on any defect (see the module docstring)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DiagramError(f"syntax error at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise DiagramError("the document nests too deeply") from None
     if not isinstance(doc, dict) or "nodes" not in doc:
         raise DiagramError("document must be an object with a 'nodes' list")
-
-    raw_nodes = doc["nodes"]
-    if not isinstance(raw_nodes, list) or not raw_nodes:
+    if not isinstance(doc["nodes"], list) or not doc["nodes"]:
         raise DiagramError("'nodes' must be a non-empty list")
-
-    variables: dict[str, Variable] = {}
-    kinds: dict[str, str] = {}
-    for spec in raw_nodes:
-        if not isinstance(spec, dict):
-            raise DiagramError(f"every node must be an object, got {spec!r}")
-        name = spec.get("name")
-        if not isinstance(name, str) or not name:
-            raise DiagramError("every node needs a non-empty string 'name'")
-        if name in kinds:
-            raise DiagramError(f"duplicate node name {name!r}")
-        kind = spec.get("kind")
-        if kind not in ("chance", "decision", "value"):
-            raise DiagramError(f"node {name!r}: kind must be chance, decision or value")
-        kinds[name] = kind
-        if kind == "value":
-            if "outcomes" in spec:
-                raise DiagramError(f"value node {name!r} must not declare outcomes")
-        else:
-            variables[name] = _build_variable(name, spec.get("outcomes"), f"node {name!r}")
-
-    n_value = sum(1 for k in kinds.values() if k == "value")
-    if n_value != 1:
-        raise DiagramError(f"diagram must have exactly one value node, found {n_value}")
-
     nodes: dict[str, Node] = {}
-    for spec in raw_nodes:
-        name, kind = spec["name"], kinds[spec["name"]]
-        parents = spec.get("parents", [])
-        if not isinstance(parents, list):
-            raise DiagramError(f"node {name!r}: 'parents' must be a list")
-        for p in parents:
-            if not isinstance(p, str):
-                raise DiagramError(f"node {name!r}: parent references must be strings, got {p!r}")
-            if p not in kinds:
-                raise DiagramError(f"node {name!r}: unresolved parent reference {p!r}")
-            if kinds[p] == "value":
-                raise DiagramError(f"node {name!r}: the value node cannot be a parent")
-        if len(set(parents)) != len(parents):
-            raise DiagramError(f"node {name!r}: duplicate parent")
-        parent_doms = tuple(variables[p].arity for p in parents)
-        n_configs = math.prod(parent_doms)
+    for raw in doc["nodes"]:
+        node = _node(raw, nodes)
+        nodes[node.name] = node
+    order = doc.get("decision_order",
+                    [n for n, node in nodes.items() if isinstance(node, DecisionNode)])
+    if not isinstance(order, list) or any(not isinstance(d, str) for d in order):
+        raise DiagramError("'decision_order' must be a list of strings")
 
-        if kind == "decision":
-            if "table" in spec:
-                raise DiagramError(f"decision node {name!r} must not carry a table")
-            nodes[name] = DecisionNode(variables[name], tuple(parents))
-            continue
+    # give each flat table the shape of its parents where the size fits;
+    # validate reports an unresolved parent before the node's table
+    arity = {n: node.variable.arity for n, node in nodes.items()
+             if not isinstance(node, ValueNode)}
+    for node in nodes.values():
+        shape = tuple(arity[p] for p in node.parents if p in arity)
+        if isinstance(node, ChanceNode) and node.cpt.size == math.prod(shape) * arity[node.name]:
+            node.cpt = node.cpt.reshape(shape + (arity[node.name],))
+        elif isinstance(node, ValueNode) and node.utility.size == math.prod(shape):
+            node.utility = node.utility.reshape(shape)
+    diagram = InfluenceDiagram(nodes, tuple(order))
 
-        table = spec.get("table")
-        if not isinstance(table, list):
-            raise DiagramError(f"node {name!r}: missing 'table'")
-        # bool is a subclass of int, and np.asarray would also take strings
-        # such as "0.7" and nested lists
-        if not {*map(type, table)} <= {int, float}:
-            raise DiagramError(f"node {name!r}: table entries must be numbers in a flat list")
-        try:
-            flat = np.asarray(table, dtype=float)
-        except OverflowError:
-            raise DiagramError(f"node {name!r}: table entries must be finite numbers") from None
-
-        if kind == "chance":
-            arity = variables[name].arity
-            if flat.size != n_configs * arity:
-                raise DiagramError(
-                    f"node {name!r}: table has {flat.size} entries, expected {n_configs * arity}")
-            rows = normalize_rows(flat.reshape(n_configs, arity), f"node {name!r}")
-            cpt = rows.reshape(parent_doms + (arity,))
-            nodes[name] = ChanceNode(variables[name], tuple(parents), cpt)
-        else:
-            if flat.size != n_configs:
-                raise DiagramError(
-                    f"value node {name!r}: table has {flat.size} entries, expected {n_configs}")
-            if not np.isfinite(flat).all():
-                raise DiagramError(f"value node {name!r}: utilities must be finite")
-            if not math.isfinite(float(flat.max()) - float(flat.min())):
-                raise DiagramError(f"value node {name!r}: the utility range must be finite")
-            nodes[name] = ValueNode(name, tuple(parents), flat.reshape(parent_doms))
-
-    declared_decisions = [n for n, k in kinds.items() if k == "decision"]
-    order = doc.get("decision_order", declared_decisions)
-    if (not isinstance(order, list) or not all(isinstance(d, str) for d in order)
-            or sorted(order) != sorted(declared_decisions)):
-        raise DiagramError("'decision_order' must list every decision node exactly once")
-
-    return InfluenceDiagram(nodes, tuple(order))
+    if violations := validate(diagram).violations:
+        raise DiagramError(violations[0])
+    for node in nodes.values():
+        if isinstance(node, ChanceNode):
+            rows = _fixpoint(node.cpt.reshape(-1, node.variable.arity))
+            node.cpt = rows.reshape(node.cpt.shape)
+    return diagram
 
 
 def load_diagram(path) -> InfluenceDiagram:
-    with open(path, encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_diagram(fh.read())
+    except UnicodeDecodeError as e:
+        raise DiagramError(f"the file is not UTF-8 text: {e.reason}") from None
 
 
 def serialize_diagram(diagram: InfluenceDiagram) -> str:
@@ -330,71 +314,86 @@ class ValidationReport:
         return self.ok
 
 
+def _ancestors(nodes: dict[str, Node]) -> tuple[dict[str, set[str]], list[str]]:
+    """One depth-first walk along parent arcs.  Returns each node's set of
+    ancestors and, if the arcs close a cycle, that cycle in arc order with
+    its first node repeated at the end (the sets are then incomplete)."""
+    ancestors: dict[str, set[str]] = {}
+    for root in nodes:
+        if root in ancestors:
+            continue
+        path, pending = [root], [iter(nodes[root].parents)]
+        while pending:
+            for p in pending[-1]:
+                if p in path:
+                    return ancestors, [p, *reversed(path[path.index(p):])]
+                if p in nodes and p not in ancestors:
+                    path.append(p)
+                    pending.append(iter(nodes[p].parents))
+                    break
+            else:
+                pending.pop()
+                name = path.pop()
+                parents = [p for p in nodes[name].parents if p in nodes]
+                ancestors[name] = set(parents).union(*(ancestors[p] for p in parents))
+    return ancestors, []
+
+
 def validate(diagram: InfluenceDiagram) -> ValidationReport:
-    """Check every structural invariant; violations are report entries, not errors."""
+    """Check every structural rule.  Violations are report entries: validate
+    never raises, whatever the diagram holds."""
     report = ValidationReport()
     add = report.violations.append
+    nodes = diagram.nodes
 
-    value_nodes = [n for n, nd in diagram.nodes.items() if isinstance(nd, ValueNode)]
-    if len(value_nodes) != 1:
-        add(f"expected exactly one value node, found {len(value_nodes)}")
-    for name, node in diagram.nodes.items():
+    n_value = sum(isinstance(node, ValueNode) for node in nodes.values())
+    if n_value != 1:
+        add(f"expected exactly one value node, found {n_value}")
+    for name, node in nodes.items():
+        shape = []
         for p in node.parents:
-            if p not in diagram.nodes:
+            if p not in nodes:
                 add(f"node {name!r}: unresolved parent {p!r}")
-            elif isinstance(diagram.nodes[p], ValueNode):
+            elif isinstance(nodes[p], ValueNode):
                 add(f"node {name!r}: value node {p!r} has an outgoing arc")
+            else:
+                shape.append(nodes[p].variable.arity)
+        if len(set(node.parents)) != len(node.parents):
+            add(f"node {name!r}: duplicate parent")
         if isinstance(node, ValueNode):
-            u = node.utility
-            if not np.isfinite(u).all():
+            table = node.utility
+            if not np.isfinite(table).all():
                 add(f"value node {name!r}: non-finite utilities")
-            elif u.size and not math.isfinite(float(u.max()) - float(u.min())):
-                add(f"value node {name!r}: the utility range is not finite")
-            continue
-        var = node.variable
-        if var.arity < 2:
-            add(f"node {name!r}: fewer than 2 outcomes")
-        if len(set(var.outcomes)) != var.arity:
-            add(f"node {name!r}: duplicate outcome labels")
-        if isinstance(node, ChanceNode):
-            doms = tuple(diagram.variable(p).arity for p in node.parents
-                         if p in diagram.nodes and not isinstance(diagram.nodes[p], ValueNode))
-            expected = doms + (var.arity,)
-            if node.cpt.shape != expected:
-                add(f"node {name!r}: table shape {node.cpt.shape} != {expected}")
-            elif var.arity:  # with no outcomes there are no rows to check
-                report.violations += _row_problems(node.cpt.reshape(-1, var.arity),
-                                                  f"node {name!r}")
+            elif table.size and not math.isfinite(float(table.max()) - float(table.min())):
+                add(f"value node {name!r}: the utility range is not finite "
+                    f"(max - min overflows); the utility range must be finite")
+        else:
+            var = node.variable
+            if var.arity < 2:
+                add(f"node {name!r}: fewer than 2 outcomes")
+            if len(set(var.outcomes)) != var.arity:
+                add(f"node {name!r}: duplicate outcome labels")
+            if isinstance(node, DecisionNode):
+                continue
+            table = node.cpt
+            shape.append(var.arity)
+        shape = tuple(shape)
+        if table.shape != shape:
+            add(f"node {name!r}: table has {table.size} entries in shape {table.shape}, "
+                f"expected {math.prod(shape)} in shape {shape}")
+        elif isinstance(node, ChanceNode) and var.arity:  # no outcomes, no rows
+            report.violations += _row_problems(table.reshape(-1, var.arity), f"node {name!r}")
 
-    graph = {name: set(node.parents) for name, node in diagram.nodes.items()}
-    acyclic = True
-    try:
-        tuple(TopologicalSorter(graph).static_order())
-    except CycleError as e:
-        acyclic = False
-        add(f"arc graph contains a cycle: {e.args[1]}")
-
-    decisions = diagram.decisions
-    if sorted(diagram.decision_order) != sorted(decisions):
+    ancestors, cycle = _ancestors(nodes)
+    if cycle:
+        add(f"arc graph contains a cycle: {cycle}")
+    order = diagram.decision_order
+    if sorted(order) != sorted(diagram.decisions):
         add("decision_order must list every decision node exactly once")
-    elif acyclic:
-        children: dict[str, set[str]] = {n: set() for n in diagram.nodes}
-        for name, node in diagram.nodes.items():
-            for p in node.parents:
-                if p in children:
-                    children[p].add(name)
-        for i, d in enumerate(diagram.decision_order):
-            descendants = set()
-            stack = [d]
-            while stack:
-                for c in children.get(stack.pop(), ()):
-                    if c not in descendants:
-                        descendants.add(c)
-                        stack.append(c)
-            for listed_before in diagram.decision_order[:i]:
-                if listed_before in descendants:
-                    add(f"decision_order: {listed_before!r} is listed before {d!r} "
-                        f"but is a descendant of it")
+    elif not cycle:
+        report.violations += [
+            f"decision_order: {before!r} is listed before {d!r} but is a descendant of it"
+            for i, d in enumerate(order) for before in order[:i] if d in ancestors[before]]
     return report
 
 

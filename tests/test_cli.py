@@ -3,7 +3,7 @@ import json
 import pytest
 
 from idrefine.cli import main
-from idrefine.diagram import DiagramError, parse_diagram
+from idrefine.diagram import DiagramError, load_diagram, parse_diagram
 from idrefine.fixtures import MINI_WEATHER_JSON
 from idrefine.refine import CSV_HEADER
 
@@ -77,6 +77,18 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         with pytest.raises(DiagramError, match=message):
             parse_diagram(path.read_text())
+        assert main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+        (b'\xff\xfe{"nodes": 1}', "not UTF-8 text"),
+    ], ids=["deep-nesting", "not-utf8"])
+    def test_malformed_file_is_a_diagram_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "malformed.json"
+        path.write_bytes(content)
+        with pytest.raises(DiagramError, match=message):
+            load_diagram(path)
         assert main(["validate", str(path)]) == 1
         assert message in capsys.readouterr().out
 

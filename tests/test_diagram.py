@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -6,9 +8,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idrefine.diagram import (DiagramError, InfluenceDiagram, Variable,
-                              information_states, parse_diagram, serialize_diagram,
-                              validate)
+from idrefine.cli import main
+from idrefine.diagram import (ChanceNode, DiagramError, InfluenceDiagram, ValueNode,
+                              Variable, information_states, parse_diagram,
+                              serialize_diagram, validate)
 from idrefine.fixtures import MINI_WEATHER_JSON, mini_weather, weather3
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 
@@ -80,6 +83,19 @@ class TestParse:
         with pytest.raises(DiagramError, match="at least 2 outcomes"):
             parse_diagram(bad)
 
+    def test_cycle_rejected(self):
+        doc = json.loads(MINI_WEATHER_JSON)
+        doc["nodes"][0]["parents"] = ["R"]
+        doc["nodes"][0]["table"] = [0.7, 0.3, 0.7, 0.3]
+        with pytest.raises(DiagramError, match=r"cycle: \['W', 'R', 'W'\]"):
+            parse_diagram(json.dumps(doc))
+
+    def test_decision_order_against_topology_rejected(self):
+        doc = json.loads(serialize_diagram(gen_two_stage(0)))
+        doc["decision_order"] = ["d2", "d1"]
+        with pytest.raises(DiagramError, match="'d2' is listed before 'd1'"):
+            parse_diagram(json.dumps(doc))
+
 
 class TestValidate:
     def test_fixtures_clean(self):
@@ -87,10 +103,9 @@ class TestValidate:
             assert validate(d).ok
 
     def test_cycle_detected(self):
-        doc = json.loads(MINI_WEATHER_JSON)
-        doc["nodes"][0]["parents"] = ["R"]
-        doc["nodes"][0]["table"] = [0.7, 0.3, 0.7, 0.3]
-        d = parse_diagram(json.dumps(doc))
+        d = mini_weather()
+        d.nodes["W"].parents = ("R",)
+        d.nodes["W"].cpt = np.array([[0.7, 0.3], [0.7, 0.3]])
         report = validate(d)
         assert any("cycle" in v for v in report.violations)
 
@@ -145,6 +160,17 @@ class TestValidate:
         report = validate(d)
         assert any("utility range is not finite" in v for v in report.violations)
 
+    def test_duplicate_parent_reported(self):
+        d = mini_weather()
+        d.nodes["D"].parents = ("R", "R")
+        assert validate(d).violations == ["node 'D': duplicate parent"]
+
+    def test_value_table_shape_reported(self):
+        d = mini_weather()
+        d.nodes["V"].utility = d.nodes["V"].utility.ravel()
+        assert validate(d).violations == [
+            "node 'V': table has 4 entries in shape (4,), expected 4 in shape (2, 2)"]
+
     def test_integer_table_entries_accepted(self):
         d = parse_diagram(mutate(MINI_WEATHER_JSON,
                                  lambda doc: doc["nodes"][0].update(table=[1, 0])))
@@ -154,6 +180,95 @@ class TestValidate:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 5))
     def test_generator_output_always_valid(self, seed, n):
         assert validate(gen_random_id(GeneratorSpec(n=n, seed=seed))).ok
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12)
+NEAR_MISSES = st.sampled_from(["W", "R", "D", "V", "chance", "decision", "value"])
+FIELD_VALUES = (JSON_VALUES | NEAR_MISSES | st.lists(NEAR_MISSES, max_size=3)
+                | st.lists(st.integers(-1, 2) | st.floats(), max_size=8))
+
+
+@st.composite
+def mutated_mini_weather(draw):
+    """mini_weather with node fields (or decision_order) replaced or dropped."""
+    doc = json.loads(MINI_WEATHER_JSON)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(doc["nodes"])))
+        target, key = ((doc, "decision_order") if i == len(doc["nodes"]) else
+                       (doc["nodes"][i],
+                        draw(st.sampled_from(["name", "kind", "outcomes", "parents", "table"]))))
+        if draw(st.booleans()):
+            target.pop(key, None)
+        else:
+            target[key] = draw(FIELD_VALUES)
+    return doc
+
+
+class TestParseFuzz:
+    @given(doc=JSON_VALUES | mutated_mini_weather())
+    def test_valid_diagram_or_diagram_error(self, tmp_path_factory, doc):
+        text = json.dumps(doc)
+        try:
+            diagram = parse_diagram(text)
+        except DiagramError:
+            diagram = None
+        else:
+            assert validate(diagram).ok
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", str(path)])
+        assert code == (1 if diagram is None else 0)
+
+
+def _mutate(d: InfluenceDiagram, mutation: str, name: str) -> bool:
+    """Apply one in-code mutation; True if it surely breaks a rule."""
+    node = d.nodes[name]
+    table = {ChanceNode: "cpt", ValueNode: "utility"}.get(type(node))
+    if mutation == "drop-parent":
+        node.parents = node.parents[1:]
+    elif mutation == "duplicate-parent":
+        node.parents += node.parents[:1]
+        return bool(node.parents)
+    elif mutation == "self-loop":
+        node.parents += (name,)
+        return True
+    elif mutation == "swap-order":
+        d.decision_order = d.decision_order[::-1]
+    elif mutation == "zero-outcomes" and not isinstance(node, ValueNode):
+        node.variable = Variable(name, ())
+        return True
+    elif table and mutation == "wrong-shape":
+        setattr(node, table, np.zeros(5))
+        return True
+    elif table and mutation in ("nan", "out-of-range"):
+        values = getattr(node, table).copy()
+        values.flat[0] = np.nan if mutation == "nan" else 1.5
+        setattr(node, table, values)
+        return mutation == "nan" or isinstance(node, ChanceNode)
+    return False
+
+
+class TestValidateFuzz:
+    @given(fixture=st.sampled_from([mini_weather, weather3, lambda: gen_two_stage(3)]),
+           data=st.data())
+    def test_validate_never_raises(self, fixture, data):
+        d = fixture()
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutation = data.draw(st.sampled_from(
+                ["drop-parent", "duplicate-parent", "self-loop", "swap-order",
+                 "zero-outcomes", "wrong-shape", "nan", "out-of-range"]))
+            # a later drop-parent can undo an earlier mutation, not the last one
+            broken = _mutate(d, mutation, data.draw(st.sampled_from(list(d.nodes))))
+        report = validate(d)
+        assert all(isinstance(v, str) for v in report.violations)
+        if broken:
+            assert not report.ok
 
 
 class TestRoundTrip:

@@ -7,11 +7,15 @@ For each pooled instance of each named workload (default: all four), in pool
 order, it runs the benchmark's own pipeline (perfbench/workloads.py: set_up,
 solve, oracle_value, check) against perfbench/pins.json.  Per workload it
 prints the instances checked, the failures, how many final values are
-bit-equal to their pin (check allows a difference of 1e-9), and a sha256
-digest of the tree shapes of every instance solved: split variables,
-outcome keys, actions and pruned flags, no floats.  Equal digests on two
-commits mean equal trees and actions on every instance checked.  It exits 1
-on any failure.  It imports perfbench/ read-only and writes no files.
+bit-equal to their pin (check allows a difference of 1e-9) and two sha256
+digests over every instance solved.  The tree-shape digest covers split
+variables, outcome keys, actions and pruned flags, no floats; equal digests
+on two commits mean equal trees and actions on every instance checked.  The
+policy digest covers the action of every row of each tree's to_table, so it
+stays equal when only the order of the splits changed (a near-tie between
+candidates that change no action can go either way under a new float
+summation order).  It exits 1 on any failure.  It imports perfbench/
+read-only and writes no files.
 """
 
 from __future__ import annotations
@@ -66,14 +70,14 @@ def recording_trees(trees: list):
         R.refine = M.refine = original
 
 
-def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str]:
+def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str, str]:
     """(instances checked, failures, final values bit-equal to their pin,
-    digest of the solved instances' tree shapes)."""
+    digests of the solved instances' tree shapes and policies)."""
     wl = W.WORKLOADS[name]
     pins = json.loads((BENCH / "pins.json").read_text())[name]
     checked = wl.pool if limit is None else min(limit, wl.pool)
     failed = equal = 0
-    digest = hashlib.sha256()
+    digest, policy = hashlib.sha256(), hashlib.sha256()
     for index in range(checked):
         trees: list = []
         try:
@@ -89,7 +93,9 @@ def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str]:
         equal += solved.value == pins[index][0]
         shapes = [[t.decision, shape(t.root)] for t in trees]
         digest.update(json.dumps([index, shapes]).encode() + b"\n")
-    return checked, failed, equal, digest.hexdigest()
+        actions = [[t.decision, [row["action"] for row in T.to_table(t)]] for t in trees]
+        policy.update(json.dumps([index, actions]).encode() + b"\n")
+    return checked, failed, equal, digest.hexdigest(), policy.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -104,11 +110,11 @@ def main(argv=None) -> int:
             ap.error(f"unknown workload {name!r}")
     total_failed = 0
     for name in args.workloads or W.WORKLOADS:
-        checked, failed, equal, digest = check_workload(name, args.limit)
+        checked, failed, equal, digest, policy = check_workload(name, args.limit)
         total_failed += failed
         print(f"{name}: {checked} checked, {failed} failed, "
               f"{equal}/{checked} values bit-equal to their pin, "
-              f"tree shapes sha256 {digest}", flush=True)
+              f"tree shapes sha256 {digest}, policies sha256 {policy}", flush=True)
     return 1 if total_failed else 0
 
 

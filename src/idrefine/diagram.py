@@ -182,11 +182,34 @@ def _fixpoint(rows: np.ndarray) -> np.ndarray:
         if (sums == 1.0).all():
             return rows
         rows = rows / sums[:, None]
-    for i in range(rows.shape[0]):
-        s = rows[i].sum()
-        if s != 1.0:
-            rows[i, int(np.argmax(rows[i]))] += 1.0 - s
+    for row in rows:
+        _settle(row)
     return rows
+
+
+def _settle(row: np.ndarray) -> None:
+    """Move entries of a row that sums to within a few ulps of 1 until it
+    sums to exactly 1.0.
+
+    Entries are tried largest first.  Each takes the step 1 - sum, then
+    single ulps while the sum stays on the same side of 1.  The sum is
+    monotone in every entry, so the ulp steps either land on 1.0 or cross
+    it; a crossing means the summation's roundings skip 1.0 for every value
+    of that entry, and the next entry is tried.  The loops are bounded, and
+    an entry no larger than four times the gap is never moved, so no entry
+    changes sign.
+    """
+    for k in np.argsort(-row, kind="stable"):
+        gap = 1.0 - row.sum()
+        if gap == 0.0 or row[k] <= 4.0 * abs(gap):
+            return
+        row[k] += gap
+        below = row.sum() < 1.0
+        for _ in range(1024):
+            s = row.sum()
+            if s == 1.0 or (s < 1.0) != below:
+                break
+            row[k] = np.nextafter(row[k], 2.0 if below else 0.0)
 
 
 def _node(spec, names) -> Node:

@@ -19,6 +19,20 @@ independent of the elimination backend:
 An action/value query pair is answered by one contraction, to a joint that
 keeps the decision and the proxy, but it is still counted as two passes.
 
+Exploring a context for a decision works from the context's *leaf joint*:
+the unnormalized joint over the decision's predecessors missing from the
+context (in declaration order), the decision and the proxy.  A calibration
+computes it with one contraction, and each candidate's (decision,
+candidate, proxy) joint is a sum over it.  Adding the finding X = x to the
+context slices the leaf joint at x, as new evidence slices a calibrated
+clique (Shafer & Shenoy 1990; Jensen, Lauritzen & Olesen 1990), so
+``Engine.calibrate`` accepts such a slice, a numpy view, and a calibration
+handed one contracts and restricts nothing.  The joint is computed only
+when it is no larger than the largest factor restricted to the context,
+which holds whenever one utility spans the missing predecessors; otherwise
+each candidate takes its own contraction.  The counters charge the same
+either way.
+
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
 concurrently.
@@ -35,6 +49,9 @@ import numpy as np
 from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, ValueNode
 
 ZERO_PROB = 1e-12
+# Below about this many entries, a numpy call's fixed cost outweighs the
+# additions that halving a leaf joint saves (Calibration._marginal).
+_HALVING_MIN = 1024
 
 
 class ZeroProbabilityError(ValueError):
@@ -294,10 +311,16 @@ class Engine:
             out[var] = dict(zip(net.outcomes[var], dist.tolist()))
         return out
 
-    def calibrate(self, evidence: Mapping[str, str]) -> "Calibration":
-        """Enter a context as findings (one pass); posteriors become lookups."""
+    def calibrate(self, evidence: Mapping[str, str],
+                  joint: np.ndarray | None = None) -> "Calibration":
+        """Enter a context as findings (one pass); posteriors become lookups.
+
+        ``joint``, if given, is the context's leaf joint for the decision
+        the calibration will explore (see Calibration.leaf_joint), e.g. a
+        slice of the parent context's; only its shape is checked.
+        """
         self.counter.passes += 1
-        return Calibration(self, self._evidence_idx(evidence))
+        return Calibration(self, self._evidence_idx(evidence), joint)
 
     # -- uncounted diagnostics -------------------------------------------
 
@@ -320,15 +343,29 @@ class Engine:
 class Calibration:
     """A context entered as findings; queries against it are lookups.
 
-    Created through Engine.calibrate (which counts the pass).
+    Created through Engine.calibrate (which counts the pass).  The factors
+    are restricted to the context on first use, so a calibration handed its
+    leaf joint restricts none.  A calibration explores one decision.
     """
 
-    def __init__(self, engine: Engine, evidence_idx: dict[str, int]):
+    def __init__(self, engine: Engine, evidence_idx: dict[str, int],
+                 joint: np.ndarray | None = None):
         self._engine = engine
         self._evidence = evidence_idx
-        self._factors = [_restrict(f, evidence_idx) for f in engine.network.factors.values()]
+        self._restricted: list[_Factor] | None = None
+        self._decision: str | None = None
+        self._axes: tuple[str, ...] = ()
+        self._joint = joint
+        self._halves: dict[tuple[int, int], np.ndarray] = {}
         self._posteriors: dict[str, np.ndarray] = {}
         self._prob: float | None = None
+
+    @property
+    def _factors(self) -> list[_Factor]:
+        if self._restricted is None:
+            self._restricted = [_restrict(f, self._evidence)
+                                for f in self._engine.network.factors.values()]
+        return self._restricted
 
     def probability(self) -> float:
         """P(context); computed lazily once."""
@@ -348,14 +385,62 @@ class Calibration:
             self._posteriors[variable] = joint / total
         return self._posteriors[variable]
 
+    def leaf_joint(self, decision: str) -> np.ndarray | None:
+        """Unnormalized joint over (the decision's predecessors missing from
+        the context, in declaration order; the decision; the proxy), or None
+        where it would be larger than the largest restricted factor.
+
+        Computed once, unless the calibration was handed it.  Slicing it at
+        one outcome of a missing predecessor gives the leaf joint of the
+        context extended by that outcome.
+        """
+        if self._decision is None:
+            net = self._engine.network
+            self._decision = decision
+            self._axes = tuple(v.name for v in net.diagram.predecessors(decision)
+                               if v.name not in self._evidence) + (decision, net.proxy)
+            shape = tuple(net.doms[v] for v in self._axes)
+            if self._joint is None:
+                largest = max(math.prod(net.doms[v] for v in f.vars if v not in self._evidence)
+                              for f in net.factors.values())
+                if math.prod(shape) <= largest:
+                    self._joint = _query(net, self._factors, {}, self._axes)
+            elif self._joint.shape != shape:
+                raise ValueError(f"a leaf joint for {decision!r} in this context has shape "
+                                 f"{shape}, not {self._joint.shape}")
+        elif decision != self._decision:
+            raise ValueError(f"this calibration explores {self._decision!r}, not {decision!r}")
+        return self._joint
+
+    def _marginal(self, k: int) -> np.ndarray:
+        """The leaf joint summed down to its k-th predecessor axis, the
+        decision and the proxy.
+
+        While the joint has more than _HALVING_MIN entries, its predecessor
+        axes are halved towards axis k, and each half is summed once and
+        kept: all m marginals of a joint of size N then cost about 2N
+        additions instead of m * N.  What is left is summed directly.
+        """
+        joint, lo, hi = self._joint, 0, self._joint.ndim - 2
+        while hi - lo > 1 and joint.size > _HALVING_MIN:
+            mid = (lo + hi) // 2
+            keep = (lo, mid) if k < mid else (mid, hi)
+            if keep not in self._halves:
+                drop = tuple(i - lo for i in range(lo, hi) if not keep[0] <= i < keep[1])
+                self._halves[keep] = joint.sum(axis=drop)
+            joint, (lo, hi) = self._halves[keep], keep
+        drop = tuple(i - lo for i in range(lo, hi) if i != k)
+        return joint.sum(axis=drop) if drop else joint
+
     def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
         """Best action and value for every outcome of one extension variable.
 
         Counted as two passes (an action-selection pass and a value pass
         with the decision following the selected per-outcome actions), served
-        by one contraction to the joint of decision, variable and proxy.  The
-        proxy = true slice gives the maximizing actions.  An unfixed decision
-        is a uniform root, so the slice at action a is the joint with the
+        by the joint of decision, variable and proxy: a sum over the leaf
+        joint, or one contraction where there is none.  The proxy = true
+        slice gives the maximizing actions.  An unfixed decision is a
+        uniform root, so the slice at action a is the joint with the
         decision forced to a, divided by the decision's arity; the slices at
         the selected actions, times that arity, are the joint under the
         per-outcome policy.
@@ -367,7 +452,11 @@ class Calibration:
             raise ValueError(f"{variable!r} is not a possible extension here")
         eng.counter.passes += 2
         eng.counter.fine += 2 * net.doms[variable]
-        joint = _query(net, self._factors, {}, (decision, variable, net.proxy))
+        leaf = self.leaf_joint(decision)
+        if leaf is not None and variable in self._axes[:-2]:
+            joint = self._marginal(self._axes.index(variable)).swapaxes(0, 1)
+        else:
+            joint = _query(net, self._factors, {}, (decision, variable, net.proxy))
         context = float(joint.sum())
         if context < ZERO_PROB:
             raise ZeroProbabilityError("context has probability zero")

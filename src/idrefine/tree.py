@@ -12,13 +12,19 @@ Leaves whose context has probability zero are marked pruned: they inherit
 the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
-Trees are single-owner mutable values; extension results are cached on
-leaves so that a greedy exploration pays for queries once.  A tree keeps
-its internal-vertex and leaf counts and its value up to date as extend()
-grows it, so reading them costs no walk.  The value is held as Shewchuk
-partials (Shewchuk 1997, the algorithm behind math.fsum): the exact sum of
-every leaf's value * reach, read out correctly rounded, so it does not
-depend on the order in which the leaves were made.
+Trees are single-owner mutable values.  A leaf caches the
+CandidateEvaluation of every candidate it has explored, the record of what
+the counters were already charged, so that a greedy exploration pays for
+queries once.  It also keeps its leaf joint (Calibration.leaf_joint) once
+one is known.  Extending the leaf hands each child that can still be
+extended a slice of that joint, a numpy view, and drops the leaf's own
+reference, so on a star topology only the root's joint is contracted.
+
+A tree keeps its internal-vertex and leaf counts and its value up to date
+as extend() grows it, so reading them costs no walk.  The value is held as
+Shewchuk partials (Shewchuk 1997, the algorithm behind math.fsum): the
+exact sum of every leaf's value * reach, read out correctly rounded, so it
+does not depend on the order in which the leaves were made.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator, Mapping, Union
 
+import numpy as np
+
 from .diagram import Variable
-from .engine import Calibration, CandidateEvaluation, Engine, ZERO_PROB
+from .engine import CandidateEvaluation, Engine, ZERO_PROB
 
 Context = tuple[tuple[str, str], ...]
 
@@ -43,6 +51,7 @@ class Leaf:
     context: Context
     pruned: bool = False
     cache: dict[str, CandidateEvaluation] = field(default_factory=dict, repr=False)
+    joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
 
 
 @dataclass(eq=False)
@@ -181,12 +190,16 @@ def _require_extensible(tree: DecisionTree, leaf: Leaf,
     return exts
 
 
-def _evaluation(tree: DecisionTree, leaf: Leaf, variable: str,
-                engine: Engine, calibration: Calibration | None = None) -> CandidateEvaluation:
-    if variable not in leaf.cache:
-        cal = calibration or engine.calibrate(dict(leaf.context))
-        leaf.cache[variable] = cal.evaluate_candidate(tree.decision, variable)
-    return leaf.cache[variable]
+def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
+    """Evaluate and cache the named candidates not yet cached: one
+    calibration pass plus two passes per candidate.  The calibration is
+    handed the leaf's joint, and the leaf keeps the one it ends with."""
+    missing = [name for name in names if name not in leaf.cache]
+    if missing:
+        cal = engine.calibrate(dict(leaf.context), leaf.joint)
+        for name in missing:
+            leaf.cache[name] = cal.evaluate_candidate(tree.decision, name)
+        leaf.joint = cal.leaf_joint(tree.decision)
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
@@ -206,7 +219,8 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     comparable across leaves, and is never below -1e-9.
     """
     _require_extensible(tree, leaf, variable)
-    return _gain(leaf, _evaluation(tree, leaf, variable, engine))
+    _explore(tree, leaf, [variable], engine)
+    return _gain(leaf, leaf.cache[variable])
 
 
 def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
@@ -218,11 +232,7 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
     candidate.
     """
     exts = _require_extensible(tree, leaf)
-    missing = [v.name for v in exts if v.name not in leaf.cache]
-    if missing:
-        cal = engine.calibrate(dict(leaf.context))
-        for name in missing:
-            leaf.cache[name] = cal.evaluate_candidate(tree.decision, name)
+    _explore(tree, leaf, [v.name for v in exts], engine)
     best_name, best_gain = None, None
     for v in exts:
         g = _gain(leaf, leaf.cache[v.name])
@@ -237,11 +247,15 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     Children below the zero-probability threshold are marked pruned and
     inherit the parent leaf's action.  Reuses a cached evaluation when the
     leaf was explored before; otherwise costs one calibration pass plus
-    two passes for the chosen candidate.
+    two passes for the chosen candidate.  Each child that is not pruned
+    and can still be extended gets the leaf's joint sliced at its outcome,
+    a view; the leaf's own reference to the joint is dropped.
     """
-    _require_extensible(tree, leaf, variable)
+    exts = _require_extensible(tree, leaf, variable)
     parent, key = _locate(tree, leaf)
-    ev = _evaluation(tree, leaf, variable, engine)
+    _explore(tree, leaf, [variable], engine)
+    ev = leaf.cache[variable]
+    prefix = (slice(None),) * [v.name for v in exts].index(variable)  # axes before it
 
     children: dict[str, Vertex] = {}
     for j, outcome in enumerate(ev.outcomes):
@@ -250,11 +264,13 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
             children[outcome] = Leaf(leaf.action, 0.0, reach,
                                      leaf.context + ((variable, outcome),), pruned=True)
         else:
+            joint = leaf.joint[prefix + (j,)] if leaf.joint is not None and len(exts) > 1 else None
             children[outcome] = Leaf(ev.actions[j], float(ev.values[j]), reach,
-                                     leaf.context + ((variable, outcome),))
+                                     leaf.context + ((variable, outcome),), joint=joint)
     gain = _gain(leaf, ev)
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
+    leaf.joint = None
     node = Internal(variable, children, gain)
     if parent is None:
         tree.root = node

@@ -284,6 +284,13 @@ class TestRoundTrip:
         assert again == d
         assert serialize_diagram(again) == serialize_diagram(d)
 
+    def test_row_one_adjustment_cannot_settle(self):
+        """c4's prior: moving its largest entry by 1 - sum overshoots, and
+        no value of that entry makes the row sum to exactly 1.0."""
+        d = gen_random_id(GeneratorSpec(n=4, seed=33, arity=3))
+        assert d.nodes["c4"].cpt.sum() == 1.0
+        assert parse_diagram(serialize_diagram(d)) == d
+
     @given(seed=st.integers(0, 10_000))
     def test_two_stage(self, seed):
         d = gen_two_stage(seed)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from helpers import (enum_action_value, enum_best_action, enum_posterior,
                      enum_probability, normalized)
-from idrefine.diagram import DiagramError, parse_diagram
+from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
+                              ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (Engine, ZeroProbabilityError, compile_network)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
+from idrefine.tree import best_extension, extend, extensions, init_tree, iter_leaves
 
 TOL = 1e-9
 
@@ -184,7 +186,11 @@ class TestCandidateEvaluation:
 def check_candidate(diagram, decision, context, variable):
     """evaluate_candidate against the enumeration, outcome by outcome."""
     cal = Engine(compile_network(diagram)).calibrate(context)
-    ev = cal.evaluate_candidate(decision, variable)
+    check_evaluation(diagram, decision, context, cal.evaluate_candidate(decision, variable))
+
+
+def check_evaluation(diagram, decision, context, ev):
+    variable = ev.variable
     posterior = enum_posterior(diagram, variable, context)
     assert ev.outcomes == diagram.variable(variable).outcomes
     for j, outcome in enumerate(ev.outcomes):
@@ -216,6 +222,92 @@ class TestCandidateAgainstEnumeration:
         check_candidate(diagram, "d2", {}, "m")
         check_candidate(diagram, "d2", {"m": "n"}, "d1")
         check_candidate(diagram, "d2", {"d1": "wait"}, "m")
+
+
+def partial_utility_diagram(seed):
+    """Chance predecessors c1..cn of d, each maybe a child of the one before;
+    the utility reads d and a random subset of them, so the leaf joint can
+    be larger than every factor."""
+    rng = np.random.default_rng(seed)
+    n, arity = (3, 3) if rng.integers(2) else (int(rng.integers(3, 5)), 2)
+    outs = tuple(f"v{i}" for i in range(arity))
+    names = [f"c{k}" for k in range(1, n + 1)]
+    nodes = {}
+    for k, name in enumerate(names):
+        parents = (names[k - 1],) if k and rng.integers(2) else ()
+        cpt = rng.uniform(0.05, 1.0, size=(arity,) * len(parents) + (arity,))
+        rows = normalize_rows((cpt / cpt.sum(axis=-1, keepdims=True)).reshape(-1, arity))
+        nodes[name] = ChanceNode(Variable(name, outs), parents, rows.reshape(cpt.shape))
+    nodes["d"] = DecisionNode(Variable("d", ("a0", "a1")), tuple(names))
+    read = tuple(c for c in names if rng.integers(2))
+    nodes["v"] = ValueNode("v", read + ("d",), rng.random(size=(arity,) * len(read) + (2,)))
+    return InfluenceDiagram(nodes, ("d",))
+
+
+class TestLeafJoint:
+    def test_guard(self):
+        """The joint is computed only where it is no larger than the
+        largest restricted factor, here the utility."""
+        diagram = gen_random_id(GeneratorSpec(n=3, seed=1))
+        assert Engine(compile_network(diagram)).calibrate({}).leaf_joint("d").shape == (2,) * 5
+        diagram.nodes["v"] = ValueNode("v", ("c1", "d"), np.array([[0.0, 1.0], [1.0, 0.5]]))
+        eng = Engine(compile_network(diagram))
+        assert eng.calibrate({}).leaf_joint("d") is None
+        assert eng.calibrate({"c2": "v0", "c3": "v1"}).leaf_joint("d").shape == (2, 2, 2)
+
+    def test_halved_sums_match_child_queries(self):
+        """Joints of more than 1,024 entries are summed by halving their
+        axes; every candidate still matches separate queries in the child
+        contexts, at the root and on a slice of the root's joint."""
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=10, seed=3))))
+        root = eng.calibrate({})
+        joint = root.leaf_joint("d")
+        assert joint.size == 2 ** 12
+        for context, cal in (({}, root), ({"c1": "v1"}, eng.calibrate({"c1": "v1"}, joint[1]))):
+            reach = eng.context_probability(context)
+            for var in (f"c{k}" for k in range(1, 11) if f"c{k}" not in context):
+                ev = cal.evaluate_candidate("d", var)
+                for j, outcome in enumerate(ev.outcomes):
+                    child = {**context, var: outcome}
+                    action, value = eng.best_action("d", child)
+                    assert ev.actions[j] == action
+                    assert ev.values[j] == pytest.approx(value, abs=TOL)
+                    assert ev.probs[j] == pytest.approx(
+                        eng.context_probability(child) / reach, abs=TOL)
+
+    def test_handed_joint_of_wrong_shape_rejected(self):
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
+        joint = eng.calibrate({}).leaf_joint("d")
+        with pytest.raises(ValueError, match="shape"):
+            eng.calibrate({"c1": "v0"}, joint).evaluate_candidate("d", "c2")
+        sliced = eng.calibrate({"c1": "v0"}, joint[0]).evaluate_candidate("d", "c2")
+        fresh = eng.calibrate({"c1": "v0"}).evaluate_candidate("d", "c2")
+        assert sliced.actions == fresh.actions
+        assert sliced.probs == pytest.approx(fresh.probs, abs=TOL)
+        assert sliced.values == pytest.approx(fresh.values, abs=TOL)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_greedy_tree_matches_enumeration(self, seed):
+        """Grow a tree greedily to depth 2 and explore the leaves below:
+        every cached evaluation, whether from a sliced joint, a joint
+        computed at the leaf or per-candidate contractions, matches the
+        enumeration."""
+        diagram = partial_utility_diagram(seed)
+        eng = Engine(compile_network(diagram))
+        tree = init_tree(eng, "d")
+        frontier = [tree.root]
+        for _ in range(2):
+            children = []
+            for leaf in frontier:
+                node = extend(tree, leaf, best_extension(tree, leaf, eng)[0], eng)
+                children += [c for c in node.children.values() if not c.pruned]
+            frontier = children
+        for leaf in frontier:
+            if extensions(tree, leaf):
+                best_extension(tree, leaf, eng)
+        for leaf in iter_leaves(tree):
+            for ev in leaf.cache.values():
+                check_evaluation(diagram, "d", dict(leaf.context), ev)
 
 
 class TestManyFactors:

@@ -301,6 +301,30 @@ class TestTreeWalks:
         assert large == small
 
 
+class TestEngineQueries:
+    """A complete run on the star template contracts twice: the root's best
+    action and the root's leaf joint.  Every later evaluation slices it."""
+
+    def queries(self, monkeypatch, n, **cfg):
+        engine = sys.modules["idrefine.engine"]
+        counted = []
+
+        def counting(*args, _original=engine._query):
+            counted.append(1)
+            return _original(*args)
+        monkeypatch.setattr(engine, "_query", counting)
+        _, _, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)), **cfg)
+        monkeypatch.undo()
+        assert trace.records[-1].internal_vertices == 2 ** n - 1
+        return len(counted)
+
+    @pytest.mark.parametrize("leaf, extension", [("posthoc", "greedy"),
+                                                 ("random", "random")])
+    def test_query_count_independent_of_n(self, monkeypatch, leaf, extension):
+        assert self.queries(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension) == 2
+        assert self.queries(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension) == 2
+
+
 class TestTraceCsv:
     def test_header_and_shape(self):
         _, _, trace = run(mini_weather())

@@ -253,7 +253,7 @@ class Engine:
         node = self.network.diagram.node(decision)
         if not isinstance(node, DecisionNode):
             raise DiagramError(f"{decision!r} is not a decision node")
-        if decision in self.network.compiled:
+        if decision in self.network.fixed_policies:
             raise ValueError(f"decision {decision!r} is already fixed in this network")
 
     # -- counted query operations ----------------------------------------

@@ -9,7 +9,8 @@ the refinement algorithms are tested against.
 Results are bit-reproducible for a given diagram: the tables are multiplied
 in node-declaration order starting from ones, and ``np.bincount`` adds each
 bin's terms one after another in the joint's lexicographic order (a
-pairwise ``sum`` would change the last bits).
+pairwise ``sum`` would change the last bits).  Likewise the single-decision
+value is a sequential sum over information states, in state order.
 
 Decisions other than the queried one are treated as uniform, matching how
 an unfixed decision enters the compiled network.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -34,15 +36,39 @@ class StateSpaceCapError(ValueError):
 
 @dataclass(eq=False)
 class OracleResult:
+    """The optimal decision function for one decision and its value.
+
+    The per-state arrays run over information states in ``product`` order
+    of the predecessors' outcomes.  The label-keyed tables ``table``,
+    ``per_state`` and ``state_probs`` are built from them on first read.
+    """
+
     decision: str
     predecessors: tuple[str, ...]
-    # information state (outcome labels, predecessor order) -> optimal action
-    table: dict[tuple[str, ...], str]
-    # per-state normalized value of the best action (0.0 for impossible states)
-    per_state: dict[tuple[str, ...], float]
-    state_probs: dict[tuple[str, ...], float]
     value: float       # normalized optimal expected value
     raw_value: float
+    outcomes: tuple[tuple[str, ...], ...]  # per predecessor
+    actions: tuple[str, ...]
+    best: np.ndarray          # per state: index of the optimal action
+    state_values: np.ndarray  # per state: its normalized value (0.0 if impossible)
+    state_masses: np.ndarray  # per state: its probability
+
+    def _keyed(self, values) -> dict[tuple[str, ...], object]:
+        return dict(zip(product(*self.outcomes), values))
+
+    @cached_property
+    def table(self) -> dict[tuple[str, ...], str]:
+        """Information state (outcome labels, predecessor order) -> optimal action."""
+        return self._keyed(self.actions[a] for a in self.best.tolist())
+
+    @cached_property
+    def per_state(self) -> dict[tuple[str, ...], float]:
+        """Normalized value of the best action (0.0 for impossible states)."""
+        return self._keyed(self.state_values.tolist())
+
+    @cached_property
+    def state_probs(self) -> dict[tuple[str, ...], float]:
+        return self._keyed(self.state_masses.tolist())
 
 
 @dataclass(eq=False)
@@ -73,10 +99,8 @@ def _spread(table: np.ndarray, axes, doms) -> np.ndarray:
 def _index(axes, doms) -> np.ndarray:
     """Lexicographic index of the variables on ``axes`` (first slowest),
     broadcastable over the joint."""
-    key = np.zeros([1] * len(doms), dtype=np.intp)
-    for ax in axes:
-        key = key * doms[ax] + _spread(np.arange(doms[ax]), [ax], doms)
-    return key
+    sizes = [doms[ax] for ax in axes]
+    return _spread(np.arange(math.prod(sizes)).reshape(sizes), axes, doms)
 
 
 def _joint(diagram: InfluenceDiagram, doms, pos):
@@ -109,6 +133,11 @@ def _state_action(p, u, weight, doms, states, action):
     axis ``action``), as (#states, #actions) arrays."""
     num, den = _accumulate(p, u, weight, [*states, action], doms)
     return num.reshape(-1, doms[action]), den.reshape(-1, doms[action])
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... added left to right onto 0.0, as a loop would."""
+    return float(np.cumsum(x)[-1]) + 0.0  # + 0.0: an all -0.0 sum reads 0.0
 
 
 def _choose(num, den):
@@ -153,40 +182,27 @@ def oracle_optimal(diagram: InfluenceDiagram, decision: str | None = None,
             raise DiagramError("decision must be named for a multi-decision diagram")
         decision = decisions[0]
     preds, num, den = state_action_values(diagram, decision, cap)
-    actions = diagram.variable(decision).outcomes
     u = diagram.value_node.utility
     u_min, u_max = float(u.min()), float(u.max())
     span = u_max - u_min
 
-    table: dict[tuple[str, ...], str] = {}
-    per_state: dict[tuple[str, ...], float] = {}
-    state_probs: dict[tuple[str, ...], float] = {}
-    raw_total = 0.0
-    prob_total = 0.0
     best, eu = _choose(num, den)
-    for w, labels in enumerate(product(*(v.outcomes for v in preds))):
-        a = best[w]
-        table[labels] = actions[a]
-        if den[w, a] <= 0.0:  # impossible state
-            per_state[labels] = 0.0
-            state_probs[labels] = 0.0
-            continue
-        # den already marginalizes everything but the fixed own action, so
-        # for a state over non-descendants it equals P(state) directly
-        p_state = float(den[w, a])
-        state_probs[labels] = p_state
-        per_state[labels] = 0.5 if span == 0.0 else (eu[w, a] - u_min) / span
-        raw_total += p_state * eu[w, a]
-        prob_total += p_state
-
+    rows = np.arange(len(best))
+    # den already marginalizes everything but the fixed own action, so for
+    # a state over non-descendants it equals P(state) directly
+    mass = den[rows, best]  # >= 0; exactly 0.0 for an impossible state
+    possible = mass > 0.0
+    eu = np.where(possible, eu[rows, best], 0.0)  # no 0 * -inf below
     if span == 0.0:
-        value = 0.5
-        raw_value = u_min
+        value, raw_value = 0.5, u_min
+        state_values = np.where(possible, 0.5, 0.0)
     else:
-        raw_value = raw_total
-        value = (raw_value - u_min * prob_total) / span
-    return OracleResult(decision, tuple(v.name for v in preds), table,
-                        per_state, state_probs, value, raw_value)
+        raw_value = _sequential_sum(mass * eu)
+        value = (raw_value - u_min * _sequential_sum(mass)) / span
+        state_values = np.where(possible, (eu - u_min) / span, 0.0)
+    return OracleResult(decision, tuple(v.name for v in preds), value, raw_value,
+                        tuple(v.outcomes for v in preds),
+                        diagram.variable(decision).outcomes, best, state_values, mass)
 
 
 def oracle_optimal_multistage(diagram: InfluenceDiagram,

@@ -34,7 +34,7 @@ import numpy as np
 from .engine import Engine
 from .tree import (DecisionTree, Internal, Leaf, best_extension, extend,
                    extensions, init_tree, iter_internals, iter_leaves,
-                   tree_counts, tree_value)
+                   iter_vertices, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -212,7 +212,9 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
 
     The trace holds one record for the initial tree and one per extension;
     its value column is non-decreasing.  Budget bounds are checked between
-    iterations, so an iteration in flight may overshoot them slightly.
+    iterations, so an iteration in flight may overshoot them slightly.  A
+    run that stops with extensible leaves left drops their leaf joints, so
+    the returned tree does not keep the root's joint alive.
     """
     config = config or RefinementConfig()
     rng = np.random.default_rng(config.seed)
@@ -235,7 +237,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     while not config.stop.budget_reached(iterations, engine):
         leaf = selector.next_leaf(tree)
         if leaf is None:
-            break
+            return tree, trace  # complete: extend() left no leaf a joint
         before = engine.counter.snapshot()
         variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine, rng)
         if config.stop.min_evi is not None and gain is not None and gain < config.stop.min_evi:
@@ -249,4 +251,8 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             after = engine.counter.snapshot()
             observer(ExtensionEvent(iterations, context_size, variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
+    # stopped early: free the joints that extensible leaves still hold views of
+    for vertex in iter_vertices(tree.root):
+        if isinstance(vertex, Leaf):
+            vertex.joint = None
     return tree, trace

@@ -2,12 +2,18 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.
+engine is checked against a genuinely separate code path.  The one
+exception, ``loop_oracle``, is the oracle's former per-state loop over
+``state_action_values``, kept as the bit-exact reference for its vectorized
+replacement.
 """
 
 from itertools import product
 
+import numpy as np
+
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
+from idrefine.oracle import state_action_values
 
 
 def _frame(diagram):
@@ -93,3 +99,32 @@ def normalized(diagram, raw):
     u = diagram.value_node.utility
     lo, hi = float(u.min()), float(u.max())
     return (raw - lo) / (hi - lo)
+
+
+def loop_oracle(diagram, decision):
+    """(table, per_state, state_probs, value, raw_value) of oracle_optimal,
+    one information state at a time, adding in state order."""
+    preds, num, den = state_action_values(diagram, decision)
+    actions = diagram.variable(decision).outcomes
+    u = diagram.value_node.utility
+    u_min, u_max = float(u.min()), float(u.max())
+    span = u_max - u_min
+    table, per_state, state_probs = {}, {}, {}
+    raw_total = prob_total = 0.0
+    eu = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 0.0)
+    best = eu.argmax(axis=1)
+    for w, labels in enumerate(product(*(v.outcomes for v in preds))):
+        a = best[w]
+        table[labels] = actions[a]
+        if den[w, a] <= 0.0:  # impossible state
+            per_state[labels] = 0.0
+            state_probs[labels] = 0.0
+            continue
+        p_state = float(den[w, a])
+        state_probs[labels] = p_state
+        per_state[labels] = 0.5 if span == 0.0 else (eu[w, a] - u_min) / span
+        raw_total += p_state * eu[w, a]
+        prob_total += p_state
+    if span == 0.0:
+        return table, per_state, state_probs, 0.5, u_min
+    return table, per_state, state_probs, (raw_total - u_min * prob_total) / span, raw_total

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import enum_best_action, normalized
+from helpers import enum_best_action, loop_oracle, normalized
 from idrefine.diagram import information_states
 from idrefine.engine import Engine, compile_network
-from idrefine.fixtures import constant_utility, mini_weather
+from idrefine.fixtures import constant_utility, deterministic_exclusion, mini_weather
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
-from idrefine.oracle import (StateSpaceCapError, oracle_optimal,
+from idrefine.oracle import (StateSpaceCapError, _index, oracle_optimal,
                              oracle_optimal_multistage, state_action_values)
 
 TOL = 1e-9
@@ -88,6 +88,56 @@ class TestAgainstIndependentEnumeration:
         diagram = gen_two_stage(seed)
         for decision in diagram.decisions:
             self.assert_matches(diagram, decision)
+
+
+class TestAgainstPerStateLoop:
+    """Bit for bit against the per-state loop in helpers.py: the same sums
+    in the same order, so == and float.hex, never approx."""
+
+    @staticmethod
+    def assert_identical(diagram, decision):
+        result = oracle_optimal(diagram, decision)
+        table, per_state, state_probs, value, raw_value = loop_oracle(diagram, decision)
+        assert float(result.value).hex() == float(value).hex()
+        assert float(result.raw_value).hex() == float(raw_value).hex()
+        assert list(result.table.items()) == list(table.items())
+        assert list(result.per_state.items()) == list(per_state.items())
+        assert list(result.state_probs.items()) == list(state_probs.items())
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_random_diagrams(self, n, arity):
+        for seed in range(3):
+            self.assert_identical(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)), "d")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_stage_every_decision(self, seed):
+        diagram = gen_two_stage(seed)
+        for decision in diagram.decisions:
+            self.assert_identical(diagram, decision)
+
+    def test_impossible_states(self):
+        diagram = deterministic_exclusion()
+        assert 0.0 in oracle_optimal(diagram).state_probs.values()
+        self.assert_identical(diagram, diagram.decisions[0])
+
+    def test_zero_span(self):
+        self.assert_identical(constant_utility(), "D")
+
+
+@given(data=st.data())
+def test_index_is_ravel_multi_index(data):
+    doms = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    axes = data.draw(st.permutations(range(len(doms))))
+    axes = axes[:data.draw(st.integers(0, len(doms)))]
+    key = np.broadcast_to(_index(axes, doms), doms)
+    if axes:
+        grids = np.indices(doms)
+        expected = np.ravel_multi_index([grids[ax] for ax in axes], [doms[ax] for ax in axes])
+    else:
+        expected = np.zeros(doms, dtype=np.intp)
+    assert key.dtype == np.intp
+    assert np.array_equal(key, expected)
 
 
 class TestMultistage:

@@ -301,6 +301,20 @@ class TestTreeWalks:
         assert large == small
 
 
+class TestLeafJointsReleased:
+    """A run that stops with extensible leaves left keeps no leaf joint, so
+    the root joint they were sliced from can be freed."""
+
+    @pytest.mark.parametrize("stop", [StoppingRule(max_extensions=60),
+                                      StoppingRule(max_passes=400),
+                                      StoppingRule(min_evi=1e-3)])
+    def test_budgeted_greedy_run(self, stop):
+        _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
+        leaves = list(iter_leaves(tree))
+        assert any(not l.pruned and len(l.context) < 12 for l in leaves)
+        assert all(l.joint is None for l in leaves)
+
+
 class TestEngineQueries:
     """A complete run on the star template contracts twice: the root's best
     action and the root's leaf joint.  Every later evaluation slices it."""

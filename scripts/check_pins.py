@@ -7,7 +7,7 @@ For each pooled instance of each named workload (default: all four), in pool
 order, it runs the benchmark's own pipeline (perfbench/workloads.py: set_up,
 solve, oracle_value, check) against perfbench/pins.json.  Per workload it
 prints the instances checked, the failures, how many final values are
-bit-equal to their pin (check allows a difference of 1e-9) and three sha256
+bit-equal to their pin (check allows a difference of 1e-9) and four sha256
 digests over every instance solved.  The tree-shape digest covers split
 variables, outcome keys, actions and pruned flags, no floats; equal digests
 on two commits mean equal trees and actions on every instance checked.  The
@@ -15,7 +15,10 @@ policy digest covers the action of every row of each tree's to_table, so it
 stays equal when only the order of the splits changed (a near-tie between
 candidates that change no action can go either way under a new float
 summation order).  The oracle digest covers every instance's oracle value
-as float.hex, so equal digests mean bit-identical oracle values.  It exits 1
+as float.hex, so equal digests mean bit-identical oracle values.  The trace
+digest covers every row of every refined decision's anytime trace (passes,
+fine_queries and value_normalized as float.hex), so equal digests mean the
+same cost and bit-identical values after every extension.  It exits 1
 on any failure.  It imports perfbench/ read-only and writes no files.
 """
 
@@ -71,14 +74,15 @@ def recording_trees(trees: list):
         R.refine = M.refine = original
 
 
-def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str, str, str]:
+def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str, str, str, str]:
     """(instances checked, failures, final values bit-equal to their pin,
-    digests of the solved instances' tree shapes, policies and oracle values)."""
+    digests of the solved instances' tree shapes, policies, oracle values and
+    trace rows)."""
     wl = W.WORKLOADS[name]
     pins = json.loads((BENCH / "pins.json").read_text())[name]
     checked = wl.pool if limit is None else min(limit, wl.pool)
     failed = equal = 0
-    digest, policy, oracles = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, policy, oracles, rows = (hashlib.sha256() for _ in range(4))
     for index in range(checked):
         trees: list = []
         try:
@@ -98,8 +102,11 @@ def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str, st
         actions = [[t.decision, [row["action"] for row in T.to_table(t)]] for t in trees]
         policy.update(json.dumps([index, actions]).encode() + b"\n")
         oracles.update(json.dumps([index, float(oracle).hex()]).encode() + b"\n")
+        records = [[[r.passes, r.fine_queries, r.value_normalized.hex()] for r in t.records]
+                   for t in solved.traces]
+        rows.update(json.dumps([index, records]).encode() + b"\n")
     return (checked, failed, equal, digest.hexdigest(), policy.hexdigest(),
-            oracles.hexdigest())
+            oracles.hexdigest(), rows.hexdigest())
 
 
 def main(argv=None) -> int:
@@ -114,12 +121,12 @@ def main(argv=None) -> int:
             ap.error(f"unknown workload {name!r}")
     total_failed = 0
     for name in args.workloads or W.WORKLOADS:
-        checked, failed, equal, digest, policy, oracles = check_workload(name, args.limit)
+        checked, failed, equal, digest, policy, oracles, rows = check_workload(name, args.limit)
         total_failed += failed
         print(f"{name}: {checked} checked, {failed} failed, "
               f"{equal}/{checked} values bit-equal to their pin, "
               f"tree shapes sha256 {digest}, policies sha256 {policy}, "
-              f"oracle values sha256 {oracles}", flush=True)
+              f"oracle values sha256 {oracles}, trace rows sha256 {rows}", flush=True)
     return 1 if total_failed else 0
 
 

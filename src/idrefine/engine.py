@@ -22,8 +22,8 @@ keeps the decision and the proxy, but it is still counted as two passes.
 Exploring a context for a decision works from the context's *leaf joint*:
 the unnormalized joint over the decision's predecessors missing from the
 context (in declaration order), the decision and the proxy.  A calibration
-computes it with one contraction, and each candidate's (decision,
-candidate, proxy) joint is a sum over it.  Adding the finding X = x to the
+computes it with one contraction, and each candidate's (candidate,
+decision, proxy) joint is a sum over it.  Adding the finding X = x to the
 context slices the leaf joint at x, as new evidence slices a calibrated
 clique (Shafer & Shenoy 1990; Jensen, Lauritzen & Olesen 1990), so
 ``Engine.calibrate`` accepts such a slice, a numpy view, and a calibration
@@ -31,7 +31,9 @@ handed one contracts and restricts nothing.  The joint is computed only
 when it is no larger than the largest factor restricted to the context,
 which holds whenever one utility spans the missing predecessors; otherwise
 each candidate takes its own contraction.  The counters charge the same
-either way.
+either way.  All of a context's candidates are evaluated in one call:
+their joints are stacked by shape and memory layout, and the argmax, the
+gather and the divisions run once per stack.
 
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,10 +159,6 @@ class ChanceNetwork:
         """True when the utility is constant; any policy is then optimal."""
         return self.u_max == self.u_min
 
-    @property
-    def compiled(self) -> frozenset[str]:
-        return frozenset(self.fixed_policies)
-
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
 
@@ -246,7 +244,10 @@ class Engine:
         for var, outcome in evidence.items():
             if var not in net.outcomes or var == net.proxy:
                 raise DiagramError(f"unknown variable {var!r} in evidence")
-            out[var] = net.diagram.nodes[var].variable.index_of(outcome)
+            try:
+                out[var] = net.outcomes[var].index(outcome)
+            except ValueError:
+                raise DiagramError(f"variable {var!r} has no outcome {outcome!r}") from None
         return out
 
     def _check_decision(self, decision: str) -> None:
@@ -285,8 +286,7 @@ class Engine:
         """Normalized expected value of one fixed action in a context (one pass)."""
         net = self.network
         self._check_decision(decision)
-        ev = self._evidence_idx(evidence)
-        ev[decision] = net.diagram.nodes[decision].variable.index_of(action)
+        ev = self._evidence_idx({**evidence, decision: action})
         self.counter.passes += 1
         self.counter.fine += net.doms[decision]
         vjoint = _query(net, net.factors.values(), ev, (net.proxy,))
@@ -397,8 +397,8 @@ class Calibration:
         if self._decision is None:
             net = self._engine.network
             self._decision = decision
-            self._axes = tuple(v.name for v in net.diagram.predecessors(decision)
-                               if v.name not in self._evidence) + (decision, net.proxy)
+            self._axes = tuple(p for p in net.diagram.nodes[decision].parents
+                               if p not in self._evidence) + (decision, net.proxy)
             shape = tuple(net.doms[v] for v in self._axes)
             if self._joint is None:
                 largest = max(math.prod(net.doms[v] for v in f.vars if v not in self._evidence)
@@ -432,40 +432,70 @@ class Calibration:
         drop = tuple(i - lo for i in range(lo, hi) if i != k)
         return joint.sum(axis=drop) if drop else joint
 
-    def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
-        """Best action and value for every outcome of one extension variable.
+    def _candidate_joint(self, decision: str, variable: str) -> np.ndarray:
+        """The unnormalized joint of (variable, decision, proxy): a sum over
+        the leaf joint, or one contraction where there is none."""
+        if self._joint is not None and variable in self._axes[:-2]:
+            return self._marginal(self._axes.index(variable))
+        net = self._engine.network
+        return _query(net, self._factors, {}, (decision, variable, net.proxy)).swapaxes(0, 1)
 
-        Counted as two passes (an action-selection pass and a value pass
-        with the decision following the selected per-outcome actions), served
-        by the joint of decision, variable and proxy: a sum over the leaf
-        joint, or one contraction where there is none.  The proxy = true
-        slice gives the maximizing actions.  An unfixed decision is a
-        uniform root, so the slice at action a is the joint with the
-        decision forced to a, divided by the decision's arity; the slices at
-        the selected actions, times that arity, are the joint under the
-        per-outcome policy.
+    def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
+        """evaluate_candidates for one variable."""
+        return self.evaluate_candidates(decision, (variable,))[0]
+
+    def evaluate_candidates(self, decision: str,
+                            variables: Sequence[str]) -> list[CandidateEvaluation]:
+        """Best action and value for every outcome of each extension variable.
+
+        Each candidate is counted as two passes (an action-selection pass
+        and a value pass with the decision following the selected
+        per-outcome actions), served by its joint of variable, decision and
+        proxy.  The proxy = true slice gives the maximizing actions.  An
+        unfixed decision is a uniform root, so the slice at action a is the
+        joint with the decision forced to a, divided by the decision's
+        arity; the slices at the selected actions, times that arity, are
+        the joint under the per-outcome policy.
+
+        Joints of equal shape and memory layout are stacked (np.stack keeps
+        a layout its inputs share), and each step runs once per stack.  The
+        layout decides the order in which a joint's total is summed, so
+        every result is bit-identical to evaluating that candidate alone.
+        A stack of one is a view.
         """
         eng = self._engine
         net = eng.network
         eng._check_decision(decision)
-        if variable in self._evidence or variable == decision:
-            raise ValueError(f"{variable!r} is not a possible extension here")
-        eng.counter.passes += 2
-        eng.counter.fine += 2 * net.doms[variable]
-        leaf = self.leaf_joint(decision)
-        if leaf is not None and variable in self._axes[:-2]:
-            joint = self._marginal(self._axes.index(variable)).swapaxes(0, 1)
-        else:
-            joint = _query(net, self._factors, {}, (decision, variable, net.proxy))
-        context = float(joint.sum())
-        if context < ZERO_PROB:
-            raise ZeroProbabilityError("context has probability zero")
-
-        action_idx = np.argmax(joint[:, :, 1], axis=0)
-        chosen = joint[action_idx, np.arange(len(action_idx))] * net.doms[decision]
-        totals = chosen.sum(axis=1)
-        probs = totals / context
-        safe = np.where(totals > 0.0, totals, 1.0)
-        values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
-        actions = tuple(net.outcomes[decision][i] for i in action_idx)
-        return CandidateEvaluation(variable, net.outcomes[variable], probs, actions, values)
+        fine = 0
+        for variable in variables:
+            if variable in self._evidence or variable in (decision, net.proxy) \
+                    or variable not in net.doms:
+                raise ValueError(f"{variable!r} is not a possible extension here")
+            fine += net.doms[variable]
+        eng.counter.passes += 2 * len(variables)
+        eng.counter.fine += 2 * fine
+        self.leaf_joint(decision)
+        joints = [self._candidate_joint(decision, v) for v in variables]
+        groups: dict[tuple, list[int]] = {}
+        for i, joint in enumerate(joints):
+            groups.setdefault((joint.shape, joint.strides), []).append(i)
+        arity, labels = net.doms[decision], net.outcomes[decision]
+        out: list[CandidateEvaluation] = [None] * len(variables)  # type: ignore[list-item]
+        for group in groups.values():
+            parts = [joints[i] for i in group]
+            stack = np.stack(parts) if len(parts) > 1 else parts[0][None]
+            context = stack.sum(axis=(1, 2, 3))
+            if min(context.tolist()) < ZERO_PROB:
+                raise ZeroProbabilityError("context has probability zero")
+            m, x = stack.shape[:2]
+            best = stack[..., 1].argmax(axis=2)  # (m, x)
+            rows = stack.reshape(m * x, arity, 2)[np.arange(m * x), best.ravel()]
+            chosen = rows.reshape(m, x, 2) * arity
+            totals = chosen.sum(axis=2)
+            probs = totals / context[:, None]
+            values = np.divide(chosen[..., 1], totals, out=np.zeros(totals.shape),
+                               where=totals > 0.0)
+            for i, p, a, v in zip(group, probs, best.tolist(), values):
+                out[i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]], p,
+                                             tuple(labels[k] for k in a), v)
+        return out

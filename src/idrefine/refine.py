@@ -149,7 +149,8 @@ class PosthocSelector:
         while True:
             while self._pending:
                 leaf = self._pending.popleft()
-                if isinstance(leaf, Leaf) and not leaf.pruned and extensions(tree, leaf):
+                if (isinstance(leaf, Leaf) and not leaf.pruned
+                        and len(leaf.context) < len(tree.predecessors)):
                     return leaf
             if not self._heap:
                 return None

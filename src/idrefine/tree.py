@@ -15,10 +15,12 @@ extended.
 Trees are single-owner mutable values.  A leaf caches the
 CandidateEvaluation of every candidate it has explored, the record of what
 the counters were already charged, so that a greedy exploration pays for
-queries once.  It also keeps its leaf joint (Calibration.leaf_joint) once
-one is known.  Extending the leaf hands each child that can still be
-extended a slice of that joint, a numpy view, and drops the leaf's own
-reference, so on a star topology only the root's joint is contracted.
+queries once.  The candidates a leaf has not yet explored are evaluated
+together, in one Calibration.evaluate_candidates call.  A leaf also keeps
+its leaf joint (Calibration.leaf_joint) once one is known.  Extending the
+leaf hands each child that can still be extended a slice of that joint, a
+numpy view, and drops the leaf's own reference, so on a star topology only
+the root's joint is contracted.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() grows it, so reading them costs no walk.  The value is held as
@@ -150,7 +152,7 @@ def tree_value(tree: DecisionTree) -> float:
 
 def extensions(tree: DecisionTree, leaf: Leaf) -> tuple[Variable, ...]:
     """Predecessors absent from the leaf's context, in declaration order."""
-    seen = {var for var, _ in leaf.context}
+    seen = dict(leaf.context)
     return tuple(v for v in tree.predecessors if v.name not in seen)
 
 
@@ -191,14 +193,14 @@ def _require_extensible(tree: DecisionTree, leaf: Leaf,
 
 
 def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
-    """Evaluate and cache the named candidates not yet cached: one
-    calibration pass plus two passes per candidate.  The calibration is
-    handed the leaf's joint, and the leaf keeps the one it ends with."""
+    """Evaluate and cache the named candidates not yet cached, in one
+    evaluate_candidates call: one calibration pass plus two passes per
+    candidate.  The calibration is handed the leaf's joint, and the leaf
+    keeps the one it ends with."""
     missing = [name for name in names if name not in leaf.cache]
     if missing:
         cal = engine.calibrate(dict(leaf.context), leaf.joint)
-        for name in missing:
-            leaf.cache[name] = cal.evaluate_candidate(tree.decision, name)
+        leaf.cache.update(zip(missing, cal.evaluate_candidates(tree.decision, missing)))
         leaf.joint = cal.leaf_joint(tree.decision)
 
 

@@ -2,10 +2,11 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.  The one
-exception, ``loop_oracle``, is the oracle's former per-state loop over
-``state_action_values``, kept as the bit-exact reference for its vectorized
-replacement.
+engine is checked against a genuinely separate code path.  The two
+exceptions are bit-exact references for vectorized replacements:
+``loop_oracle`` is the oracle's former per-state loop over
+``state_action_values``, and ``loop_candidate`` is the former per-candidate
+arithmetic of ``Calibration.evaluate_candidate``.
 """
 
 from itertools import product
@@ -13,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
+from idrefine.engine import ZERO_PROB, CandidateEvaluation, ZeroProbabilityError, _query
 from idrefine.oracle import state_action_values
 
 
@@ -128,3 +130,25 @@ def loop_oracle(diagram, decision):
     if span == 0.0:
         return table, per_state, state_probs, 0.5, u_min
     return table, per_state, state_probs, (raw_total - u_min * prob_total) / span, raw_total
+
+
+def loop_candidate(cal, decision, variable):
+    """One candidate evaluated on its own, as Calibration.evaluate_candidate
+    did before the candidates of a leaf were stacked; it charges nothing."""
+    net = cal._engine.network
+    leaf = cal.leaf_joint(decision)
+    if leaf is not None and variable in cal._axes[:-2]:
+        joint = cal._marginal(cal._axes.index(variable)).swapaxes(0, 1)
+    else:
+        joint = _query(net, cal._factors, {}, (decision, variable, net.proxy))
+    context = float(joint.sum())
+    if context < ZERO_PROB:
+        raise ZeroProbabilityError("context has probability zero")
+    action_idx = np.argmax(joint[:, :, 1], axis=0)
+    chosen = joint[action_idx, np.arange(len(action_idx))] * net.doms[decision]
+    totals = chosen.sum(axis=1)
+    probs = totals / context
+    safe = np.where(totals > 0.0, totals, 1.0)
+    values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
+    actions = tuple(net.outcomes[decision][i] for i in action_idx)
+    return CandidateEvaluation(variable, net.outcomes[variable], probs, actions, values)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (enum_action_value, enum_best_action, enum_posterior,
-                     enum_probability, normalized)
+                     enum_probability, loop_candidate, normalized)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (Engine, ZeroProbabilityError, compile_network)
@@ -308,6 +308,93 @@ class TestLeafJoint:
         for leaf in iter_leaves(tree):
             for ev in leaf.cache.values():
                 check_evaluation(diagram, "d", dict(leaf.context), ev)
+
+
+def mixed_arity_diagram(seed, every):
+    """Chance predecessors c1..cn of d, c1 binary, c2 ternary and the rest
+    either, each maybe a child of the one before.  The utility reads d and
+    every predecessor (leaf joints are computed) or all but c1 (a leaf joint
+    over c1 is refused)."""
+    rng = np.random.default_rng(seed)
+    names = [f"c{k}" for k in range(1, int(rng.integers(2, 6)) + 1)]
+    nodes = {}
+    for k, name in enumerate(names):
+        arity = (2, 3)[k] if k < 2 else int(rng.integers(2, 4))
+        parents = (names[k - 1],) if k and rng.integers(2) else ()
+        shape = tuple(nodes[p].variable.arity for p in parents) + (arity,)
+        cpt = rng.uniform(0.05, 1.0, size=shape)
+        rows = normalize_rows((cpt / cpt.sum(axis=-1, keepdims=True)).reshape(-1, arity))
+        outs = tuple(f"v{i}" for i in range(arity))
+        nodes[name] = ChanceNode(Variable(name, outs), parents, rows.reshape(shape))
+    actions = ("a0", "a1", "a2")[:int(rng.integers(2, 4))]
+    nodes["d"] = DecisionNode(Variable("d", actions), tuple(names))
+    read = tuple(names if every else names[1:])
+    shape = tuple(nodes[c].variable.arity for c in read) + (len(actions),)
+    nodes["v"] = ValueNode("v", read + ("d",), rng.random(size=shape))
+    return InfluenceDiagram(nodes, ("d",))
+
+
+class TestStackedCandidates:
+    """evaluate_candidates bit for bit against loop_candidate in helpers.py,
+    charged as one evaluate_candidate call per candidate."""
+
+    @staticmethod
+    def assert_identical(net, decision, context, joint, variables):
+        eng, single = Engine(net), Engine(net)
+        evs = eng.calibrate(context, joint).evaluate_candidates(decision, variables)
+        cal = single.calibrate(context, joint)
+        for v in variables:
+            cal.evaluate_candidate(decision, v)
+        assert eng.counter.snapshot() == single.counter.snapshot()
+        reference = Engine(net).calibrate(context, joint)
+        assert [ev.variable for ev in evs] == list(variables)
+        for ev in evs:
+            ref = loop_candidate(reference, decision, ev.variable)
+            assert ev.outcomes == ref.outcomes
+            assert ev.actions == ref.actions
+            assert np.array_equal(ev.probs, ref.probs)
+            assert np.array_equal(ev.values, ref.values)
+        return evs
+
+    @pytest.mark.parametrize("mode", ["computed", "refused", "sliced"])
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_per_candidate_arithmetic(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        net = compile_network(mixed_arity_diagram(seed, every=mode != "refused"))
+        names = list(net.diagram.nodes["d"].parents)
+        known = [n for n in names[1:] if rng.integers(2)]
+        context = {n: net.outcomes[n][int(rng.integers(net.doms[n]))] for n in known}
+        joint = None
+        if mode == "sliced":
+            joint = Engine(net).calibrate(context).leaf_joint("d")
+            missing = [n for n in names if n not in context]
+            k = int(rng.integers(len(missing)))
+            j = int(rng.integers(net.doms[missing[k]]))
+            context[missing[k]] = net.outcomes[missing[k]][j]
+            joint = joint[(slice(None),) * k + (j,)]
+        leaf = Engine(net).calibrate(context, joint).leaf_joint("d")
+        assert (leaf is None) == (mode == "refused")
+        variables = [str(n) for n in rng.permutation([n for n in names if n not in context])]
+        self.assert_identical(net, "d", context, joint, variables)
+
+    def test_impossible_child(self):
+        net = compile_network(deterministic_exclusion())
+        evs = self.assert_identical(net, "D", {"A": "a0"}, None, ["B", "C"])
+        assert evs[0].probs[1] == 0.0 and evs[0].values[1] == 0.0
+
+    def test_impossible_context(self):
+        eng = Engine(compile_network(deterministic_exclusion()))
+        with pytest.raises(ZeroProbabilityError):
+            eng.calibrate({"A": "a0", "B": "b1"}).evaluate_candidates("D", ["C"])
+        with pytest.raises(ZeroProbabilityError):
+            loop_candidate(Engine(eng.network).calibrate({"A": "a0", "B": "b1"}), "D", "C")
+
+    def test_rejects_non_candidates(self, mini_engine):
+        cal = mini_engine.calibrate({})
+        for variable in ("D", "V", "nope"):
+            with pytest.raises(ValueError, match="not a possible extension"):
+                cal.evaluate_candidates("D", ["R", variable])
+        assert mini_engine.counter.snapshot() == (0, 1)
 
 
 class TestManyFactors:

@@ -76,7 +76,7 @@ class TestCompileDecision:
         diagram = mini_weather()
         tree = complete_tree(diagram)
         net = compile_decision(diagram, compile_network(diagram), "D", tree)
-        assert net.compiled == {"D"}
+        assert list(net.fixed_policies) == ["D"]
         eng = Engine(net)
         # acting by the optimal policy: joint value equals the tree value
         assert eng.network_value() == pytest.approx(0.812, abs=TOL)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idrefine.engine import Engine, compile_network
+from idrefine.engine import Calibration, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
 from idrefine.generate import GeneratorSpec, gen_random_id
@@ -214,6 +214,21 @@ class TestBestExtension:
         before = eng.counter.passes
         best_extension(tree, tree.root, eng)
         assert eng.counter.passes - before == 2 * 3 + 1
+
+    def test_one_batched_evaluation_per_explored_leaf(self, monkeypatch):
+        calls = []
+        original = Calibration.evaluate_candidates
+
+        def counting(cal, decision, variables):
+            calls.append(tuple(variables))
+            return original(cal, decision, variables)
+
+        monkeypatch.setattr(Calibration, "evaluate_candidates", counting)
+        eng, tree = fresh(gen_random_id(GeneratorSpec(n=4, seed=0)))
+        name, _ = best_extension(tree, tree.root, eng)
+        assert calls == [("c1", "c2", "c3", "c4")]
+        extend(tree, tree.root, name, eng)
+        assert len(calls) == 1
 
 
 class TestApplyPolicy:

@@ -1,12 +1,13 @@
 """Exact inference over the compiled chance-only network.
 
 An influence diagram is compiled into a network of chance variables only:
-decisions not yet fixed by a policy become uniform root variables, fixed
-decisions keep their contingency tables, and the value node becomes a
-binary proxy variable whose true-probability is the utility normalized to
-[0, 1].  Queries are answered exactly by variable elimination: factors
-keep the axis order they are built with, and each elimination step is one
-``np.einsum`` over the factors that mention the eliminated variable.
+every decision becomes a uniform root variable, and the value node becomes
+a binary proxy variable whose true-probability is the utility normalized to
+[0, 1].  ChanceNetwork.fix_decision then fixes decisions last to first, each
+by swapping its one factor for its contingency table.  Queries are answered
+exactly by variable elimination: factors keep the axis order they are built
+with, and each elimination step is one ``np.einsum`` over the factors that
+mention the eliminated variable.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -15,9 +16,6 @@ independent of the elimination backend:
   calibration of a context, two per action/value query pair);
 * ``fine`` counts extracted posterior/value numbers; reads from an
   existing calibration are lookups and cost nothing.
-
-An action/value query pair is answered by one contraction, to a joint that
-keeps the decision and the proxy, but it is still counted as two passes.
 
 Exploring a context for a decision works from the context's *leaf joint*:
 the unnormalized joint over the decision's predecessors missing from the
@@ -33,7 +31,12 @@ which holds whenever one utility spans the missing predecessors; otherwise
 each candidate takes its own contraction.  The counters charge the same
 either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
-gather and the divisions run once per stack.
+gather and the divisions (_choose) run once per stack.
+
+An action/value query pair (best_action) is the candidate with no split: it
+reads the joint of decision and proxy, the leaf joint summed over its
+predecessor axes (or one contraction where the joint is refused), through
+the same _choose, and is counted as two passes.
 
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
@@ -43,7 +46,7 @@ concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -162,23 +165,36 @@ class ChanceNetwork:
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
 
+    def fix_decision(self, decision: str, policy: PolicyCpt) -> "ChanceNetwork":
+        """This network with the last unfixed decision acting by a policy.
 
-def compile_network(diagram: InfluenceDiagram,
-                    fixed_policies: Mapping[str, PolicyCpt] | None = None) -> ChanceNetwork:
-    """Compile a diagram, optionally fixing a trailing run of decisions.
+        The decision's uniform root factor is swapped for the policy's
+        contingency table, a CPT over the predecessors it uses; every other
+        factor, and the factors' order, is kept.  Decisions are fixed last
+        to first, so the fixed ones always cover a suffix of the decision
+        order.
+        """
+        order = self.diagram.decision_order
+        if order[:len(order) - len(self.fixed_policies)][-1:] != (decision,):
+            raise ValueError(f"{decision!r} is not the last unfixed decision: fixed "
+                             f"policies must cover a suffix of the decision order")
+        expected = tuple(self.doms[p] for p in policy.parents) + (self.doms[decision],)
+        if policy.table.shape != expected:
+            raise ValueError(f"contingency table for {decision!r} has shape "
+                             f"{policy.table.shape}, expected {expected}")
+        return replace(self, fixed_policies={**self.fixed_policies, decision: policy},
+                       factors={**self.factors,
+                                decision: _Factor(policy.parents + (decision,), policy.table)})
 
-    Unfixed decisions become uniform roots; fixed decisions get their
-    contingency table as a CPT over the predecessors they actually use.
-    The value node becomes a binary proxy with P(true) the utility scaled
-    to [0, 1]; a constant utility yields a degenerate network (flagged,
-    not an error) with P(true) = 0.5 everywhere.
+
+def compile_network(diagram: InfluenceDiagram) -> ChanceNetwork:
+    """Compile a diagram with every decision unfixed.
+
+    Decisions become uniform roots; ChanceNetwork.fix_decision fixes them,
+    last to first.  The value node becomes a binary proxy with P(true) the
+    utility scaled to [0, 1]; a constant utility yields a degenerate
+    network (flagged, not an error) with P(true) = 0.5 everywhere.
     """
-    fixed = dict(fixed_policies or {})
-    order = diagram.decision_order
-    suffix = order[len(order) - len(fixed):]
-    if set(suffix) != set(fixed):
-        raise ValueError("fixed policies must cover a suffix of the decision order")
-
     value = diagram.value_node
     proxy = value.name
     names = [n for n in diagram.nodes if n != proxy] + [proxy]
@@ -202,20 +218,12 @@ def compile_network(diagram: InfluenceDiagram,
         if isinstance(node, ChanceNode):
             factors[n] = _Factor(node.parents + (n,), node.cpt)
         elif isinstance(node, DecisionNode):
-            if n in fixed:
-                pol = fixed[n]
-                expected = tuple(doms[p] for p in pol.parents) + (doms[n],)
-                if pol.table.shape != expected:
-                    raise ValueError(f"contingency table for {n!r} has shape "
-                                     f"{pol.table.shape}, expected {expected}")
-                factors[n] = _Factor(pol.parents + (n,), pol.table)
-            else:
-                factors[n] = _Factor((n,), np.full(doms[n], 1.0 / doms[n]))
+            factors[n] = _Factor((n,), np.full(doms[n], 1.0 / doms[n]))
         else:
             vals = np.stack([1.0 - p_true, p_true], axis=-1)
             factors[n] = _Factor(node.parents + (proxy,), vals)
 
-    return ChanceNetwork(diagram, fixed, outcomes, doms, index, factors, proxy, u_min, u_max)
+    return ChanceNetwork(diagram, {}, outcomes, doms, index, factors, proxy, u_min, u_max)
 
 
 @dataclass(frozen=True)
@@ -262,25 +270,10 @@ class Engine:
     def best_action(self, decision: str, evidence: Mapping[str, str]) -> tuple[str, float]:
         """Maximizing action and its normalized value in the given context.
 
-        Ties break by action declaration order.  Counted as two passes (an
-        action-selection pass and a value pass), served by one contraction
-        to the joint of decision and proxy: the chosen action's row holds
-        its value.
+        Calibration.best_action on a fresh calibration of the context,
+        whose own pass is not counted: two passes in all.
         """
-        net = self.network
-        self._check_decision(decision)
-        ev = self._evidence_idx(evidence)
-        if decision in ev:
-            raise ValueError(f"evidence must not assign the decision {decision!r}")
-        self.counter.passes += 2
-        self.counter.fine += 2 * net.doms[decision]
-        joint = _query(net, net.factors.values(), ev, (decision, net.proxy))
-        if float(joint.sum()) < ZERO_PROB:
-            raise ZeroProbabilityError(f"context has probability zero: {dict(evidence)!r}")
-        a_idx = int(np.argmax(joint[:, 1]))
-        total = float(joint[a_idx].sum())
-        value = float(joint[a_idx, 1] / total) if total > 0.0 else 0.0
-        return net.outcomes[decision][a_idx], value
+        return Calibration(self, self._evidence_idx(evidence)).best_action(decision)
 
     def action_value(self, decision: str, action: str, evidence: Mapping[str, str]) -> float:
         """Normalized expected value of one fixed action in a context (one pass)."""
@@ -343,9 +336,11 @@ class Engine:
 class Calibration:
     """A context entered as findings; queries against it are lookups.
 
-    Created through Engine.calibrate (which counts the pass).  The factors
-    are restricted to the context on first use, so a calibration handed its
-    leaf joint restricts none.  A calibration explores one decision.
+    Created through Engine.calibrate, which counts the pass, or uncounted
+    by Engine.best_action and tree.init_tree, which read only
+    Calibration.best_action, itself counted.  The factors are restricted to
+    the context on first use, so a calibration handed its leaf joint
+    restricts none.  A calibration explores one decision.
     """
 
     def __init__(self, engine: Engine, evidence_idx: dict[str, int],
@@ -358,7 +353,6 @@ class Calibration:
         self._joint = joint
         self._halves: dict[tuple[int, int], np.ndarray] = {}
         self._posteriors: dict[str, np.ndarray] = {}
-        self._prob: float | None = None
 
     @property
     def _factors(self) -> list[_Factor]:
@@ -366,12 +360,6 @@ class Calibration:
             self._restricted = [_restrict(f, self._evidence)
                                 for f in self._engine.network.factors.values()]
         return self._restricted
-
-    def probability(self) -> float:
-        """P(context); computed lazily once."""
-        if self._prob is None:
-            self._prob = float(_query(self._engine.network, self._factors, {}, ()))
-        return self._prob
 
     def posterior(self, variable: str) -> np.ndarray:
         """P(variable | context) over declared outcomes."""
@@ -444,6 +432,30 @@ class Calibration:
         """evaluate_candidates for one variable."""
         return self.evaluate_candidates(decision, (variable,))[0]
 
+    def best_action(self, decision: str) -> tuple[str, float]:
+        """Maximizing action and its normalized value in this context.
+
+        Ties break by action declaration order.  Counted as two passes (an
+        action-selection pass and a value pass), served by the joint of
+        decision and proxy: the leaf joint summed over its predecessor
+        axes, or one contraction where there is none.  This is a candidate
+        with no split, one outcome that is the context itself.
+        """
+        eng = self._engine
+        net = eng.network
+        eng._check_decision(decision)
+        if decision in self._evidence:
+            raise ValueError(f"evidence must not assign the decision {decision!r}")
+        eng.counter.passes += 2
+        eng.counter.fine += 2 * net.doms[decision]
+        joint = self.leaf_joint(decision)
+        if joint is None:
+            joint = _query(net, self._factors, {}, (decision, net.proxy))
+        else:
+            joint = joint.sum(axis=tuple(range(joint.ndim - 2)))
+        best, _, values = _choose(joint[None, None])
+        return net.outcomes[decision][best[0, 0]], float(values[0, 0])
+
     def evaluate_candidates(self, decision: str,
                             variables: Sequence[str]) -> list[CandidateEvaluation]:
         """Best action and value for every outcome of each extension variable.
@@ -451,14 +463,10 @@ class Calibration:
         Each candidate is counted as two passes (an action-selection pass
         and a value pass with the decision following the selected
         per-outcome actions), served by its joint of variable, decision and
-        proxy.  The proxy = true slice gives the maximizing actions.  An
-        unfixed decision is a uniform root, so the slice at action a is the
-        joint with the decision forced to a, divided by the decision's
-        arity; the slices at the selected actions, times that arity, are
-        the joint under the per-outcome policy.
+        proxy (see _choose).
 
         Joints of equal shape and memory layout are stacked (np.stack keeps
-        a layout its inputs share), and each step runs once per stack.  The
+        a layout its inputs share), and _choose runs once per stack.  The
         layout decides the order in which a joint's total is summed, so
         every result is bit-identical to evaluating that candidate alone.
         A stack of one is a view.
@@ -479,23 +487,39 @@ class Calibration:
         groups: dict[tuple, list[int]] = {}
         for i, joint in enumerate(joints):
             groups.setdefault((joint.shape, joint.strides), []).append(i)
-        arity, labels = net.doms[decision], net.outcomes[decision]
+        labels = net.outcomes[decision]
         out: list[CandidateEvaluation] = [None] * len(variables)  # type: ignore[list-item]
         for group in groups.values():
             parts = [joints[i] for i in group]
-            stack = np.stack(parts) if len(parts) > 1 else parts[0][None]
-            context = stack.sum(axis=(1, 2, 3))
-            if min(context.tolist()) < ZERO_PROB:
-                raise ZeroProbabilityError("context has probability zero")
-            m, x = stack.shape[:2]
-            best = stack[..., 1].argmax(axis=2)  # (m, x)
-            rows = stack.reshape(m * x, arity, 2)[np.arange(m * x), best.ravel()]
-            chosen = rows.reshape(m, x, 2) * arity
-            totals = chosen.sum(axis=2)
-            probs = totals / context[:, None]
-            values = np.divide(chosen[..., 1], totals, out=np.zeros(totals.shape),
-                               where=totals > 0.0)
+            best, probs, values = _choose(np.stack(parts) if len(parts) > 1 else parts[0][None])
             for i, p, a, v in zip(group, probs, best.tolist(), values):
                 out[i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]], p,
                                              tuple(labels[k] for k in a), v)
         return out
+
+
+def _choose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The maximizing action per outcome, P(outcome | context) and that
+    action's normalized value, for a stack of unnormalized joints with axes
+    (candidate, outcome, decision, proxy); each result has axes
+    (candidate, outcome).
+
+    The proxy = true slice gives the maximizing actions, ties by action
+    declaration order.  An unfixed decision is a uniform root, so the slice
+    at action a is the joint with the decision forced to a, divided by the
+    decision's arity; the slices at the selected actions, times that
+    arity, are the joint under the per-outcome policy.  An outcome of
+    probability zero gets value 0.
+    """
+    context = stack.sum(axis=(1, 2, 3))
+    if min(context.tolist()) < ZERO_PROB:
+        raise ZeroProbabilityError("context has probability zero")
+    m, x, arity = stack.shape[:3]
+    best = stack[..., 1].argmax(axis=2)  # (m, x)
+    rows = stack.reshape(m * x, arity, 2)[np.arange(m * x), best.ravel()]
+    chosen = rows.reshape(m, x, 2) * arity
+    totals = chosen.sum(axis=2)
+    probs = totals / context[:, None]
+    values = np.divide(chosen[..., 1], totals, out=np.zeros(totals.shape),
+                       where=totals > 0.0)
+    return best, probs, values

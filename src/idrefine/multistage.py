@@ -1,12 +1,13 @@
 """Sweep-back over diagrams with several decisions.
 
-Decisions are processed last to first.  Each finished decision function is
-compiled into the network: the decision's uniform root is replaced by a
-chance node whose parents are exactly the predecessors the tree actually
-uses, with a contingency table that acts by the tree deterministically
-(uniform rows for contexts unreachable under pruning).  Decisions not yet
-processed stay uniform roots, which realizes the assumption that the
-decision maker acts randomly for any decision a context does not mention.
+Decisions are processed last to first.  The diagram is compiled once, and
+each finished decision function is fixed in the network
+(ChanceNetwork.fix_decision): the decision's uniform root factor is swapped
+for a contingency table over exactly the predecessors the tree actually
+uses, which acts by the tree deterministically (uniform rows for contexts
+unreachable under pruning).  Decisions not yet processed stay uniform
+roots, which realizes the assumption that the decision maker acts randomly
+for any decision a context does not mention.
 
 The anytime property is per decision only; the orchestrator takes a
 refinement configuration (optionally per decision) and returns one trace
@@ -72,17 +73,14 @@ def contingency_from_tree(tree: DecisionTree) -> PolicyCpt:
     return PolicyCpt(used, table)
 
 
-def compile_decision(diagram: InfluenceDiagram, net: ChanceNetwork,
-                     decision: str, tree: DecisionTree) -> ChanceNetwork:
-    """Fix one decision by its tree; returns a freshly compiled network."""
+def compile_decision(net: ChanceNetwork, decision: str, tree: DecisionTree) -> ChanceNetwork:
+    """Fix one decision by its tree (ChanceNetwork.fix_decision)."""
     pred_names = {v.name for v in tree.predecessors}
     for vertex in iter_internals(tree):
         if vertex.variable not in pred_names:
             raise ValueError(f"tree splits on {vertex.variable!r}, which is not an "
                              f"informational predecessor of {decision!r}")
-    fixed = dict(net.fixed_policies)
-    fixed[decision] = contingency_from_tree(tree)
-    return compile_network(diagram, fixed)
+    return net.fix_decision(decision, contingency_from_tree(tree))
 
 
 def sweep_back(diagram: InfluenceDiagram,
@@ -114,7 +112,7 @@ def sweep_back(diagram: InfluenceDiagram,
         hook = None if observer is None else (lambda ev, _d=d: observer(_d, ev))
         tree, trace = refine(engine, d, config_for(d), observer=hook)
         traces[d] = trace
-        net = compile_decision(diagram, net, d, tree)
+        net = compile_decision(net, d, tree)
         compiled[d] = CompiledPolicy(d, tree, net.fixed_policies[d])
 
     final = traces[order[0]].records[-1]

@@ -24,6 +24,7 @@ A fixed seed makes a run fully deterministic.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
@@ -55,6 +56,12 @@ class StoppingRule:
         bounds = (self.max_extensions, self.max_passes, self.min_evi)
         if not self.run_to_complete and all(b is None for b in bounds):
             raise ValueError("stopping rule needs at least one bound or run_to_complete")
+        for name, bound in (("max_extensions", self.max_extensions),
+                            ("max_passes", self.max_passes)):
+            if bound is not None and bound < 0:
+                raise ValueError(f"{name} must not be negative, got {bound}")
+        if self.min_evi is not None and math.isnan(self.min_evi):
+            raise ValueError("min_evi must be a number, got nan")
 
     def budget_reached(self, iterations: int, engine: Engine) -> bool:
         if self.max_extensions is not None and iterations >= self.max_extensions:
@@ -231,6 +238,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
 
     record(0)
     if engine.network.degenerate:
+        tree.root.joint = None  # any policy is optimal: nothing to explore
         return tree, trace
 
     selector = make_selector(config.leaf_strategy, tree, rng)

@@ -17,10 +17,11 @@ CandidateEvaluation of every candidate it has explored, the record of what
 the counters were already charged, so that a greedy exploration pays for
 queries once.  The candidates a leaf has not yet explored are evaluated
 together, in one Calibration.evaluate_candidates call.  A leaf also keeps
-its leaf joint (Calibration.leaf_joint) once one is known.  Extending the
-leaf hands each child that can still be extended a slice of that joint, a
-numpy view, and drops the leaf's own reference, so on a star topology only
-the root's joint is contracted.
+its leaf joint (Calibration.leaf_joint) once one is known.  The root's is
+contracted by init_tree, which reads the root's action from it.  Extending
+a leaf hands each child that can still be extended a slice of that joint,
+a numpy view, and drops the leaf's own reference, so on a star topology
+the root's joint is the one contraction of a run.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() grows it, so reading them costs no walk.  The value is held as
@@ -40,7 +41,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import CandidateEvaluation, Engine, ZERO_PROB
+from .engine import Calibration, CandidateEvaluation, Engine, ZERO_PROB
 
 Context = tuple[tuple[str, str], ...]
 
@@ -94,12 +95,18 @@ class DecisionTree:
 
 
 def init_tree(engine: Engine, decision: str) -> DecisionTree:
-    """Single-leaf tree holding the best unconditional action (two passes)."""
+    """Single-leaf tree holding the best unconditional action (two passes).
+
+    The action is read from the root's leaf joint (Calibration.best_action
+    on an uncounted calibration of the empty context), and the root keeps
+    that joint for its first exploration, unless it has no predecessors.
+    """
     net = engine.network
-    action, value = engine.best_action(decision, {})
+    cal = Calibration(engine, {})
+    action, value = cal.best_action(decision)
     preds = net.diagram.predecessors(decision)
-    return DecisionTree(decision, net.outcomes[decision], preds,
-                        net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
+    root = Leaf(action, value, 1.0, (), joint=cal.leaf_joint(decision) if preds else None)
+    return DecisionTree(decision, net.outcomes[decision], preds, net.u_min, net.u_max, root)
 
 
 def iter_vertices(root: Vertex) -> Iterator[Vertex]:

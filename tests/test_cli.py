@@ -121,6 +121,14 @@ class TestSolve:
             main(["solve", mini_file, "--ext", "random", "--min-evi", "0.1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-ext", "-1"], "max_extensions must not be negative, got -1"),
+        (["--max-passes", "-3"], "max_passes must not be negative, got -3"),
+        (["--min-evi", "nan"], "min_evi must be a number, got nan")])
+    def test_invalid_stopping_bound_exits_2(self, mini_file, capsys, flags, message):
+        assert main(["solve", mini_file, *flags]) == 2
+        assert message in capsys.readouterr().err
+
     def test_invalid_diagram_exits_1(self, tmp_path):
         doc = json.loads(MINI_WEATHER_JSON)
         doc["nodes"][0]["parents"] = ["R"]
@@ -167,6 +175,10 @@ class TestSweep:
 
     def test_unknown_budget_decision(self, two_stage_file):
         assert main(["sweep", two_stage_file, "--budget", "zz=1"]) == 2
+
+    def test_negative_budget_exits_2(self, two_stage_file, capsys):
+        assert main(["sweep", two_stage_file, "--budget", "d1=-1"]) == 2
+        assert "max_extensions must not be negative, got -1" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -9,7 +9,7 @@ from helpers import (enum_action_value, enum_best_action, enum_posterior,
                      enum_probability, loop_candidate, normalized)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
-from idrefine.engine import (Engine, ZeroProbabilityError, compile_network)
+from idrefine.engine import Engine, PolicyCpt, ZeroProbabilityError, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -43,13 +43,45 @@ class TestCompile:
         dist = mini_engine.posterior("D", {})
         assert dist == {"take": pytest.approx(0.5), "leave": pytest.approx(0.5)}
 
+
+class TestFixDecision:
+    """ChanceNetwork.fix_decision, the one way a decision gets a policy."""
+
+    GO = PolicyCpt((), np.array([1.0, 0.0]))
+    BUY = PolicyCpt(("m",), np.array([[1.0, 0.0], [0.0, 1.0]]))
+
     def test_fixed_policies_must_be_suffix(self):
-        d = gen_two_stage(0)
-        from idrefine.engine import PolicyCpt
-        table = np.zeros((2,))
-        table[0] = 1.0
+        net = compile_network(gen_two_stage(0))
         with pytest.raises(ValueError, match="suffix"):
-            compile_network(d, {"d1": PolicyCpt((), table)})
+            net.fix_decision("d1", self.GO)
+        with pytest.raises(ValueError, match="suffix"):
+            net.fix_decision("m", self.GO)
+        assert net.fixed_policies == {}
+
+    def test_fixed_twice_rejected(self):
+        net = compile_network(gen_two_stage(0)).fix_decision("d2", self.BUY)
+        with pytest.raises(ValueError, match="'d2' is not the last unfixed decision"):
+            net.fix_decision("d2", self.BUY)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 2), (2, 3), (2, 2, 2)])
+    def test_table_shape_checked(self, shape):
+        net = compile_network(gen_two_stage(0))
+        with pytest.raises(ValueError, match="has shape"):
+            net.fix_decision("d2", PolicyCpt(("m",), np.full(shape, 0.5)))
+
+    def test_swaps_one_factor_in_place(self):
+        fresh = compile_network(gen_two_stage(0))
+        net = fresh.fix_decision("d2", self.BUY).fix_decision("d1", self.GO)
+        assert list(net.factors) == list(fresh.factors)
+        assert list(net.fixed_policies) == ["d2", "d1"]
+        for name, factor in net.factors.items():
+            if name in ("d1", "d2"):
+                assert factor.vars == net.fixed_policies[name].parents + (name,)
+                assert factor.values is net.fixed_policies[name].table
+            else:
+                assert factor is fresh.factors[name]
+        assert fresh.fixed_policies == {}
+        assert Engine(net).posterior("d2", {"m": "n"}) == {"buy": 0.0, "skip": 1.0}
 
 
 class TestBestAction:
@@ -151,7 +183,6 @@ class TestCounterDiscipline:
         assert mini_engine.counter.snapshot() == (0, 1)
         cal.posterior("R")
         cal.posterior("W")
-        cal.probability()
         assert mini_engine.counter.snapshot() == (0, 1)
 
     def test_candidate_evaluation(self, mini_engine):
@@ -437,6 +468,19 @@ class TestExactness:
         query = next(p for p in preds if p not in evidence)
         assert eng.posterior(query, evidence) == pytest.approx(
             enum_posterior(diagram, query, evidence), abs=TOL)
+        action, value = eng.best_action("d", evidence)
+        ref_action, ref_raw = enum_best_action(diagram, "d", evidence)
+        assert action == ref_action
+        assert value == pytest.approx(normalized(diagram, ref_raw), abs=TOL)
+
+    @given(seed=st.integers(0, 10_000))
+    def test_best_action_where_leaf_joint_refused(self, seed):
+        rng = np.random.default_rng(seed)
+        diagram = mixed_arity_diagram(seed, every=False)
+        eng = Engine(compile_network(diagram))
+        known = [v for v in diagram.predecessors("d")[1:] if rng.integers(2)]
+        evidence = {v.name: v.outcomes[int(rng.integers(v.arity))] for v in known}
+        assert Engine(eng.network).calibrate(evidence).leaf_joint("d") is None
         action, value = eng.best_action("d", evidence)
         ref_action, ref_raw = enum_best_action(diagram, "d", evidence)
         assert action == ref_action

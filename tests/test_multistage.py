@@ -75,7 +75,7 @@ class TestCompileDecision:
     def test_network_reflects_policy(self):
         diagram = mini_weather()
         tree = complete_tree(diagram)
-        net = compile_decision(diagram, compile_network(diagram), "D", tree)
+        net = compile_decision(compile_network(diagram), "D", tree)
         assert list(net.fixed_policies) == ["D"]
         eng = Engine(net)
         # acting by the optimal policy: joint value equals the tree value
@@ -88,7 +88,7 @@ class TestCompileDecision:
         tree = complete_tree(d1)
         tree.predecessors = tuple()  # simulate a tree claiming no predecessors
         with pytest.raises(ValueError, match="not an informational predecessor"):
-            compile_decision(d1, compile_network(d1), "D", tree)
+            compile_decision(compile_network(d1), "D", tree)
 
 
 class TestSweepBack:
@@ -110,15 +110,17 @@ class TestSweepBack:
     def test_joint_value_consistent_with_final_network(self, seed):
         diagram = gen_two_stage(seed)
         policy, _ = sweep_back(diagram)
-        fixed = {p.decision: p.contingency for p in policy.policies}
-        final = Engine(compile_network(diagram, fixed))
+        net = compile_network(diagram)
+        for p in reversed(policy.policies):
+            net = net.fix_decision(p.decision, p.contingency)
+        final = Engine(net)
         assert final.network_value() == pytest.approx(policy.value_normalized, abs=TOL)
 
     def test_refining_a_compiled_decision_rejected(self):
         diagram = gen_two_stage(0)
         policy, _ = sweep_back(diagram)
         d2 = next(p for p in policy.policies if p.decision == "d2")
-        net = compile_network(diagram, {"d2": d2.contingency})
+        net = compile_network(diagram).fix_decision("d2", d2.contingency)
         with pytest.raises(ValueError, match="already fixed"):
             refine(Engine(net), "d2")
 

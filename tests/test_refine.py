@@ -1,14 +1,16 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from idrefine.diagram import DecisionNode, InfluenceDiagram, ValueNode, Variable
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
-from idrefine.generate import GeneratorSpec, gen_random_id
+from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.harness import greedy_query_bound
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import (CSV_HEADER, PosthocSelector, RandomLeafSelector,
@@ -30,6 +32,21 @@ class TestConfig:
     def test_stop_rule_needs_a_bound(self):
         with pytest.raises(ValueError, match="at least one bound"):
             StoppingRule()
+
+    @pytest.mark.parametrize("bounds, message", [
+        ({"max_extensions": -1}, "max_extensions must not be negative"),
+        ({"max_passes": -3, "run_to_complete": True}, "max_passes must not be negative"),
+        ({"min_evi": float("nan")}, "min_evi must be a number")])
+    def test_stop_rule_rejects_invalid_bounds(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            StoppingRule(**bounds)
+
+    def test_stop_rule_replace_is_checked(self):
+        with pytest.raises(ValueError, match="max_extensions must not be negative"):
+            replace(StoppingRule(run_to_complete=True), max_extensions=-1)
+
+    def test_stop_rule_zero_bounds_allowed(self):
+        StoppingRule(max_extensions=0, max_passes=0, min_evi=0.0)
 
     def test_min_evi_requires_greedy(self):
         with pytest.raises(ValueError, match="greedy"):
@@ -307,26 +324,44 @@ class TestLeafJointsReleased:
 
     @pytest.mark.parametrize("stop", [StoppingRule(max_extensions=60),
                                       StoppingRule(max_passes=400),
-                                      StoppingRule(min_evi=1e-3)])
+                                      StoppingRule(min_evi=1e-3),
+                                      StoppingRule(max_extensions=0)])
     def test_budgeted_greedy_run(self, stop):
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
         assert any(not l.pruned and len(l.context) < 12 for l in leaves)
         assert all(l.joint is None for l in leaves)
 
+    def test_degenerate_network(self):
+        _, tree, trace = run(constant_utility())
+        assert len(trace.records) == 1
+        assert isinstance(tree.root, Leaf) and tree.root.joint is None
+
+    def test_root_without_predecessors_keeps_none(self):
+        nodes = {"d": DecisionNode(Variable("d", ("a", "b")), ()),
+                 "v": ValueNode("v", ("d",), np.array([0.0, 1.0]))}
+        tree = init_tree(Engine(compile_network(InfluenceDiagram(nodes, ("d",)))), "d")
+        assert (tree.root.action, tree.root.value, tree.root.joint) == ("b", 1.0, None)
+
 
 class TestEngineQueries:
-    """A complete run on the star template contracts twice: the root's best
-    action and the root's leaf joint.  Every later evaluation slices it."""
+    """A complete run on the star template contracts once, to the root's
+    leaf joint: the root's action is read from it, and every later
+    evaluation slices it.  A two-stage sweep compiles its network once and
+    contracts once per decision."""
 
-    def queries(self, monkeypatch, n, **cfg):
-        engine = sys.modules["idrefine.engine"]
+    @staticmethod
+    def counting(monkeypatch, module, name):
         counted = []
 
-        def counting(*args, _original=engine._query):
+        def counter(*args, _original=getattr(module, name)):
             counted.append(1)
             return _original(*args)
-        monkeypatch.setattr(engine, "_query", counting)
+        monkeypatch.setattr(module, name, counter)
+        return counted
+
+    def queries(self, monkeypatch, n, **cfg):
+        counted = self.counting(monkeypatch, sys.modules["idrefine.engine"], "_query")
         _, _, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)), **cfg)
         monkeypatch.undo()
         assert trace.records[-1].internal_vertices == 2 ** n - 1
@@ -335,8 +370,17 @@ class TestEngineQueries:
     @pytest.mark.parametrize("leaf, extension", [("posthoc", "greedy"),
                                                  ("random", "random")])
     def test_query_count_independent_of_n(self, monkeypatch, leaf, extension):
-        assert self.queries(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension) == 2
-        assert self.queries(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension) == 2
+        assert self.queries(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension) == 1
+        assert self.queries(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_stage_sweep(self, monkeypatch, seed):
+        multistage = sys.modules["idrefine.multistage"]
+        queries = self.counting(monkeypatch, sys.modules["idrefine.engine"], "_query")
+        compiles = self.counting(monkeypatch, multistage, "compile_network")
+        multistage.sweep_back(gen_two_stage(seed))
+        monkeypatch.undo()
+        assert (len(queries), len(compiles)) == (2, 1)
 
 
 class TestTraceCsv:

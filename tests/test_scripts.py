@@ -28,8 +28,8 @@ def test_car_buyer_script_reports_missing_data(tmp_path):
 
 def test_check_pins_script():
     result = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "check_pins.py"),
-         "--limit", "4", "sweep_two_stage"],
+        [sys.executable, str(REPO / "scripts" / "check_pins.py"), "--limit", "1"],
         capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
-    assert "sweep_two_stage: 4 checked, 0 failed" in result.stdout
+    for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
+        assert f"{workload}: 1 checked, 0 failed" in result.stdout

@@ -11,11 +11,10 @@ import argparse
 import statistics
 from pathlib import Path
 
-from idrefine.engine import Engine, compile_network
 from idrefine.generate import GeneratorSpec, gen_random_id
+from idrefine.harness import run_profile
 from idrefine.oracle import oracle_optimal
-from idrefine.refine import RefinementConfig, refine
-from idrefine.tree import tree_value
+from idrefine.refine import RefinementConfig
 
 
 def main() -> None:
@@ -35,20 +34,20 @@ def main() -> None:
         diagram = gen_random_id(GeneratorSpec(n=args.n, seed=seed))
         oracle = oracle_optimal(diagram, "d")
 
-        eng = Engine(compile_network(diagram))
-        g_tree, g_trace = refine(eng, "d", RefinementConfig(seed=seed))
-        g_trace.write(outdir / f"greedy_n{args.n}_s{seed}.csv")
-        greedy_passes.append(eng.counter.passes)
+        greedy, _ = run_profile(diagram, "d", RefinementConfig(seed=seed),
+                                trace_path=outdir / f"greedy_n{args.n}_s{seed}.csv",
+                                with_oracle=False)
+        greedy_passes.append(greedy.total_passes)
 
-        eng = Engine(compile_network(diagram))
         cfg = RefinementConfig(leaf_strategy="random", extension_strategy="random",
                                seed=seed)
-        r_tree, r_trace = refine(eng, "d", cfg)
-        r_trace.write(outdir / f"random_n{args.n}_s{seed}.csv")
-        random_passes.append(eng.counter.passes)
+        rand, _ = run_profile(diagram, "d", cfg,
+                              trace_path=outdir / f"random_n{args.n}_s{seed}.csv",
+                              with_oracle=False)
+        random_passes.append(rand.total_passes)
 
-        print(f"{seed:>4} {oracle.value:>10.6f} {tree_value(g_tree):>10.6f} "
-              f"{greedy_passes[-1]:>9} {tree_value(r_tree):>10.6f} "
+        print(f"{seed:>4} {oracle.value:>10.6f} {greedy.final_value_normalized:>10.6f} "
+              f"{greedy_passes[-1]:>9} {rand.final_value_normalized:>10.6f} "
               f"{random_passes[-1]:>9}")
 
     mg = statistics.median(greedy_passes)

@@ -50,12 +50,6 @@ class Variable:
     def arity(self) -> int:
         return len(self.outcomes)
 
-    def index_of(self, outcome: str) -> int:
-        try:
-            return self.outcomes.index(outcome)
-        except ValueError:
-            raise DiagramError(f"variable {self.name!r} has no outcome {outcome!r}") from None
-
 
 @dataclass(eq=False)
 class ChanceNode:

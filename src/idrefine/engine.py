@@ -12,8 +12,8 @@ mention the eliminated variable.
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
 
-* ``passes`` counts evidence-conditioned propagation passes (one per
-  calibration of a context, two per action/value query pair);
+* ``passes`` counts evidence-conditioned propagation passes: one per
+  calibration of a context and one per value pass read from it;
 * ``fine`` counts extracted posterior/value numbers; reads from an
   existing calibration are lookups and cost nothing.
 
@@ -33,10 +33,11 @@ either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
 gather and the divisions (_choose) run once per stack.
 
-An action/value query pair (best_action) is the candidate with no split: it
-reads the joint of decision and proxy, the leaf joint summed over its
-predecessor axes (or one contraction where the joint is refused), through
-the same _choose, and is counted as two passes.
+Engine.calibrate, the one way into a context, resolves its evidence before
+it charges, and a call rejected for its arguments charges nothing.  An
+action/value pair (best_action) costs 2: the calibration and a value pass,
+the candidate with no split, which reads the joint of decision and proxy
+(the leaf joint summed over its predecessor axes) through the same _choose.
 
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
@@ -172,12 +173,17 @@ class ChanceNetwork:
         contingency table, a CPT over the predecessors it uses; every other
         factor, and the factors' order, is kept.  Decisions are fixed last
         to first, so the fixed ones always cover a suffix of the decision
-        order.
+        order.  The policy reads an ordered subsequence of the decision's
+        parents, as contingency_from_tree makes it.
         """
         order = self.diagram.decision_order
         if order[:len(order) - len(self.fixed_policies)][-1:] != (decision,):
             raise ValueError(f"{decision!r} is not the last unfixed decision: fixed "
                              f"policies must cover a suffix of the decision order")
+        remaining = iter(self.diagram.nodes[decision].parents)
+        if not all(p in remaining for p in policy.parents):
+            raise ValueError(f"a policy for {decision!r} must read an ordered subsequence "
+                             f"of its parents, not {policy.parents}")
         expected = tuple(self.doms[p] for p in policy.parents) + (self.doms[decision],)
         if policy.table.shape != expected:
             raise ValueError(f"contingency table for {decision!r} has shape "
@@ -258,35 +264,34 @@ class Engine:
                 raise DiagramError(f"variable {var!r} has no outcome {outcome!r}") from None
         return out
 
-    def _check_decision(self, decision: str) -> None:
+    def _check_decision(self, decision: str, evidence: Iterable[str] = ()) -> None:
         node = self.network.diagram.node(decision)
         if not isinstance(node, DecisionNode):
             raise DiagramError(f"{decision!r} is not a decision node")
         if decision in self.network.fixed_policies:
             raise ValueError(f"decision {decision!r} is already fixed in this network")
+        if decision in evidence:
+            raise ValueError(f"evidence must not assign the decision {decision!r}")
 
     # -- counted query operations ----------------------------------------
 
     def best_action(self, decision: str, evidence: Mapping[str, str]) -> tuple[str, float]:
         """Maximizing action and its normalized value in the given context.
 
-        Calibration.best_action on a fresh calibration of the context,
-        whose own pass is not counted: two passes in all.
+        Calibration.best_action on a calibration of the context: the
+        calibration and a value pass, two passes in all.
         """
-        return Calibration(self, self._evidence_idx(evidence)).best_action(decision)
+        self._check_decision(decision, evidence)
+        return self.calibrate(evidence).best_action(decision)
 
     def action_value(self, decision: str, action: str, evidence: Mapping[str, str]) -> float:
-        """Normalized expected value of one fixed action in a context (one pass)."""
+        """Normalized expected value of one fixed action in a context, read
+        from a calibration of the context plus the action (one pass)."""
         net = self.network
-        self._check_decision(decision)
-        ev = self._evidence_idx({**evidence, decision: action})
-        self.counter.passes += 1
+        self._check_decision(decision, evidence)
+        cal = self.calibrate({**evidence, decision: action})
         self.counter.fine += net.doms[decision]
-        vjoint = _query(net, net.factors.values(), ev, (net.proxy,))
-        total = float(vjoint.sum())
-        if total < ZERO_PROB:
-            raise ZeroProbabilityError(f"context has probability zero: {dict(evidence)!r}")
-        return float(vjoint[1] / total)
+        return float(cal.posterior(net.proxy)[1])
 
     def posterior(self, variable: str, evidence: Mapping[str, str]) -> dict[str, float]:
         """Exact P(variable | evidence) as an outcome-keyed mapping."""
@@ -296,6 +301,12 @@ class Engine:
                    evidence: Mapping[str, str]) -> dict[str, dict[str, float]]:
         """Posteriors for several variables under one context (a single pass)."""
         net = self.network
+        variables = list(variables)
+        for var in variables:
+            if var not in net.outcomes or var == net.proxy:
+                raise DiagramError(f"unknown variable {var!r}")
+            if var in evidence:
+                raise ValueError(f"{var!r} is assigned in the context")
         cal = self.calibrate(evidence)
         out: dict[str, dict[str, float]] = {}
         for var in variables:
@@ -312,8 +323,9 @@ class Engine:
         the calibration will explore (see Calibration.leaf_joint), e.g. a
         slice of the parent context's; only its shape is checked.
         """
+        evidence_idx = self._evidence_idx(evidence)
         self.counter.passes += 1
-        return Calibration(self, self._evidence_idx(evidence), joint)
+        return Calibration(self, evidence_idx, joint)
 
     # -- uncounted diagnostics -------------------------------------------
 
@@ -329,18 +341,14 @@ class Engine:
         joint = _query(net, net.factors.values(), {}, (net.proxy,))
         return float(joint[1] / joint.sum())
 
-    def denormalize(self, value: float) -> float:
-        return self.network.denormalize(value)
-
 
 class Calibration:
     """A context entered as findings; queries against it are lookups.
 
-    Created through Engine.calibrate, which counts the pass, or uncounted
-    by Engine.best_action and tree.init_tree, which read only
-    Calibration.best_action, itself counted.  The factors are restricted to
-    the context on first use, so a calibration handed its leaf joint
-    restricts none.  A calibration explores one decision.
+    Created only through Engine.calibrate, which counts the pass.  The
+    factors are restricted to the context on first use, so a calibration
+    handed its leaf joint restricts none.  A calibration explores one
+    decision.
     """
 
     def __init__(self, engine: Engine, evidence_idx: dict[str, int],
@@ -435,18 +443,16 @@ class Calibration:
     def best_action(self, decision: str) -> tuple[str, float]:
         """Maximizing action and its normalized value in this context.
 
-        Ties break by action declaration order.  Counted as two passes (an
-        action-selection pass and a value pass), served by the joint of
-        decision and proxy: the leaf joint summed over its predecessor
-        axes, or one contraction where there is none.  This is a candidate
-        with no split, one outcome that is the context itself.
+        Ties break by action declaration order.  Counted as the value pass
+        on this calibration, one pass, served by the joint of decision and
+        proxy: the leaf joint summed over its predecessor axes, or one
+        contraction where there is none.  This is a candidate with no
+        split, one outcome that is the context itself.
         """
         eng = self._engine
         net = eng.network
-        eng._check_decision(decision)
-        if decision in self._evidence:
-            raise ValueError(f"evidence must not assign the decision {decision!r}")
-        eng.counter.passes += 2
+        eng._check_decision(decision, self._evidence)
+        eng.counter.passes += 1
         eng.counter.fine += 2 * net.doms[decision]
         joint = self.leaf_joint(decision)
         if joint is None:
@@ -473,7 +479,7 @@ class Calibration:
         """
         eng = self._engine
         net = eng.network
-        eng._check_decision(decision)
+        eng._check_decision(decision, self._evidence)
         fine = 0
         for variable in variables:
             if variable in self._evidence or variable in (decision, net.proxy) \

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
@@ -43,8 +44,8 @@ class ProfileSummary:
     total_fine_queries: int
     total_passes: int
     baseline_states: int
-    query_bound: float
-    query_bound_held: bool
+    query_bound: float | None  # None without predecessors: no bound applies
+    query_bound_held: bool | None
     oracle_value_normalized: float | None = None
     oracle_value_raw: float | None = None
     oracle_gap: float | None = None
@@ -71,7 +72,7 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
 
     n = len(tree.predecessors)
     arities = [v.arity for v in tree.predecessors] + [len(tree.actions)]
-    bound = greedy_query_bound(n, max(arities)) if n > 0 else float("inf")
+    bound = greedy_query_bound(n, max(arities)) if n > 0 else None
     last = trace.records[-1]
     summary = ProfileSummary(
         decision=decision,
@@ -87,7 +88,7 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
         total_passes=engine.counter.passes,
         baseline_states=baseline_states(diagram, decision),
         query_bound=bound,
-        query_bound_held=engine.counter.fine < bound,
+        query_bound_held=None if bound is None else engine.counter.fine < bound,
     )
     if with_oracle:
         try:
@@ -130,10 +131,8 @@ class SweepSummary:
 def trace_path_for(template: str, decision: str) -> str:
     if "{decision}" in template:
         return template.format(decision=decision)
-    root, dot, ext = template.rpartition(".")
-    if dot:
-        return f"{root}.{decision}.{ext}"
-    return f"{template}.{decision}"
+    root, ext = os.path.splitext(template)
+    return f"{root}.{decision}{ext}"
 
 
 def run_sweep_profile(diagram: InfluenceDiagram,

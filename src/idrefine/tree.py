@@ -41,7 +41,7 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import Calibration, CandidateEvaluation, Engine, ZERO_PROB
+from .engine import CandidateEvaluation, Engine, ZERO_PROB
 
 Context = tuple[tuple[str, str], ...]
 
@@ -95,16 +95,17 @@ class DecisionTree:
 
 
 def init_tree(engine: Engine, decision: str) -> DecisionTree:
-    """Single-leaf tree holding the best unconditional action (two passes).
-
-    The action is read from the root's leaf joint (Calibration.best_action
-    on an uncounted calibration of the empty context), and the root keeps
-    that joint for its first exploration, unless it has no predecessors.
+    """Single-leaf tree holding the best unconditional action, two passes:
+    the calibration of the empty context and a value pass on it
+    (Calibration.best_action), which reads the root's leaf joint.  The root
+    keeps that joint for its first exploration, unless it has no
+    predecessors.
     """
     net = engine.network
-    cal = Calibration(engine, {})
-    action, value = cal.best_action(decision)
+    engine._check_decision(decision)  # before the calibration charges its pass
     preds = net.diagram.predecessors(decision)
+    cal = engine.calibrate({})
+    action, value = cal.best_action(decision)
     root = Leaf(action, value, 1.0, (), joint=cal.leaf_joint(decision) if preds else None)
     return DecisionTree(decision, net.outcomes[decision], preds, net.u_min, net.u_max, root)
 

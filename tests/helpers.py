@@ -41,7 +41,7 @@ def _weight(diagram, pos, config):
 
 def _consistent(diagram, pos, config, evidence):
     for var, outcome in evidence.items():
-        if config[pos[var]] != diagram.variable(var).index_of(outcome):
+        if config[pos[var]] != diagram.variable(var).outcomes.index(outcome):
             return False
     return True
 

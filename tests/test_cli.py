@@ -208,6 +208,21 @@ class TestGenProfile:
         assert doc["query_bound_held"] is True
         assert doc["total_fine_queries"] < doc["query_bound"]
 
+    def test_no_predecessors_is_standard_json(self, tmp_path, capsys):
+        doc = json.loads(MINI_WEATHER_JSON)
+        doc["nodes"][2]["parents"] = []
+        path, summary = tmp_path / "blind.json", tmp_path / "summary.json"
+        path.write_text(json.dumps(doc))
+        assert main(["profile", str(path), "--summary", str(summary)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for text in (capsys.readouterr().out, summary.read_text()):
+            out = json.loads(text, parse_constant=reject)
+            assert out["query_bound"] is None and out["query_bound_held"] is None
+            assert out["extensions"] == 0
+
     def test_gen_ternary(self, tmp_path):
         path = tmp_path / "t.json"
         assert main(["gen", "--n", "2", "--seed", "1", "--arity", "3",

@@ -9,10 +9,13 @@ from helpers import (enum_action_value, enum_best_action, enum_posterior,
                      enum_probability, loop_candidate, normalized)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
-from idrefine.engine import Engine, PolicyCpt, ZeroProbabilityError, compile_network
+from idrefine.engine import (Calibration, Engine, PolicyCpt, ZeroProbabilityError,
+                             compile_network)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
+from idrefine.multistage import sweep_back
+from idrefine.refine import RefinementConfig, refine
 from idrefine.tree import best_extension, extend, extensions, init_tree, iter_leaves
 
 TOL = 1e-9
@@ -68,6 +71,20 @@ class TestFixDecision:
         net = compile_network(gen_two_stage(0))
         with pytest.raises(ValueError, match="has shape"):
             net.fix_decision("d2", PolicyCpt(("m",), np.full(shape, 0.5)))
+
+    @pytest.mark.parametrize("parents", [("v",), ("c2",), ("m", "d1"), ("m", "m")],
+                             ids=["proxy", "unobserved", "reordered", "repeated"])
+    def test_policy_must_read_the_decisions_parents(self, parents):
+        net = compile_network(gen_two_stage(0))
+        with pytest.raises(ValueError, match="ordered subsequence"):
+            net.fix_decision("d2", PolicyCpt(parents, np.full((2,) * len(parents) + (2,), 0.5)))
+
+    @pytest.mark.parametrize("parents", [(), ("d1",), ("m",), ("d1", "m")])
+    def test_policy_over_a_subsequence_accepted(self, parents):
+        net = compile_network(gen_two_stage(0))
+        table = np.full((2,) * len(parents) + (2,), 0.5)
+        assert net.fix_decision("d2", PolicyCpt(parents, table)).fixed_policies["d2"].parents \
+            == parents
 
     def test_swaps_one_factor_in_place(self):
         fresh = compile_network(gen_two_stage(0))
@@ -193,6 +210,124 @@ class TestCounterDiscipline:
     def test_reset(self, mini_engine):
         mini_engine.best_action("D", {})
         mini_engine.counter.reset()
+        assert mini_engine.counter.snapshot() == (0, 0)
+
+
+class TestOneWayIn:
+    """Every Calibration comes from Engine.calibrate, which charges its pass."""
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        counts = {"made": 0, "calibrate": 0}
+        init, calibrate = Calibration.__init__, Engine.calibrate
+
+        def counting_init(self, *args, **kwargs):
+            counts["made"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_calibrate(self, *args, **kwargs):
+            counts["calibrate"] += 1
+            return calibrate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Calibration, "__init__", counting_init)
+        monkeypatch.setattr(Engine, "calibrate", counting_calibrate)
+        return counts
+
+    @staticmethod
+    def refine_complete(leaf, extension):
+        net = compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))
+        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf,
+                                                  extension_strategy=extension, seed=3))
+
+    @staticmethod
+    def engine_queries():
+        eng = Engine(compile_network(mini_weather()))
+        eng.best_action("D", {"R": "sunny"})
+        eng.action_value("D", "take", {"R": "rainy"})
+        eng.posteriors(["W", "R"], {})
+
+    SCENARIOS = {
+        "posthoc-greedy": lambda: TestOneWayIn.refine_complete("posthoc", "greedy"),
+        "random-random": lambda: TestOneWayIn.refine_complete("random", "random"),
+        "two-stage-sweep": lambda: [sweep_back(gen_two_stage(s)) for s in range(3)],
+        "engine-queries": lambda: TestOneWayIn.engine_queries(),
+    }
+
+    @pytest.mark.parametrize("scenario", list(SCENARIOS))
+    def test_every_calibration_is_counted(self, tally, scenario):
+        self.SCENARIOS[scenario]()
+        assert tally["made"] == tally["calibrate"] > 0
+
+    def test_action_value_calibrates_the_context_and_action(self, tally, mini_engine):
+        assert mini_engine.action_value("D", "take", {"R": "rainy"}) \
+            == pytest.approx(1820 / 3100, abs=TOL)
+        assert tally == {"made": 1, "calibrate": 1}
+
+
+class TestRejectedCallsChargeNothing:
+    """A call rejected for its arguments raises before it charges a pass or
+    a fine query, whatever the engine has already spent."""
+
+    METHODS = ("calibrate", "best_action", "action_value", "posterior", "posteriors")
+
+    @given(data=st.data())
+    def test_counters_unchanged(self, data):
+        eng = Engine(compile_network(mini_weather()))
+        eng.best_action("D", {})
+        method = data.draw(st.sampled_from(self.METHODS))
+        defects = ["unknown variable", "value node", "unknown outcome"]
+        if method in ("best_action", "action_value"):
+            defects += ["non-decision", "assigns decision"]
+        if method == "action_value":
+            defects += ["unknown action"]
+        if method in ("posterior", "posteriors"):
+            defects += ["assigned target", "unknown target", "value-node target"]
+        defect = data.draw(st.sampled_from(defects))
+        evidence = data.draw(st.sampled_from([{}, {"R": "sunny"}, {"W": "rain"}]))
+        decision, action = "D", data.draw(st.sampled_from(["take", "leave"]))
+        free = [v for v in ("W", "R", "D") if v not in evidence]
+        targets = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3))
+        if defect == "unknown variable":
+            evidence = {**evidence, "Q": "x"}
+        elif defect == "value node":
+            evidence = {**evidence, "V": data.draw(st.sampled_from(["false", "true"]))}
+        elif defect == "unknown outcome":
+            evidence = {**evidence, data.draw(st.sampled_from(["W", "R"])): "cloudy"}
+        elif defect == "non-decision":
+            decision = data.draw(st.sampled_from(["W", "R", "V", "Q"]))
+        elif defect == "assigns decision":
+            evidence = {**evidence, "D": data.draw(st.sampled_from(["take", "leave"]))}
+        elif defect == "unknown action":
+            action = "nope"
+        elif defect == "assigned target":
+            evidence = evidence or {"R": "sunny"}
+            targets = targets + [next(iter(evidence))]
+        else:
+            targets = targets + ["Q" if defect == "unknown target" else "V"]
+        call = {"calibrate": lambda: eng.calibrate(evidence),
+                "best_action": lambda: eng.best_action(decision, evidence),
+                "action_value": lambda: eng.action_value(decision, action, evidence),
+                "posterior": lambda: eng.posterior(targets[-1], evidence),
+                "posteriors": lambda: eng.posteriors(targets, evidence)}[method]
+        before = eng.counter.snapshot()
+        with pytest.raises(ValueError):  # DiagramError is a ValueError
+            call()
+        assert eng.counter.snapshot() == before
+
+    def test_init_tree_for_a_non_decision_or_a_fixed_one(self, mini_engine):
+        with pytest.raises(DiagramError, match="not a decision node"):
+            init_tree(mini_engine, "W")
+        assert mini_engine.counter.snapshot() == (0, 0)
+        eng = Engine(compile_network(gen_two_stage(0)).fix_decision(
+            "d2", PolicyCpt(("m",), np.array([[1.0, 0.0], [0.0, 1.0]]))))
+        with pytest.raises(ValueError, match="already fixed"):
+            init_tree(eng, "d2")
+        assert eng.counter.snapshot() == (0, 0)
+
+    def test_unknown_posterior_target_is_a_diagram_error(self, mini_engine):
+        for target in ("Q", "V"):
+            with pytest.raises(DiagramError, match=f"unknown variable '{target}'"):
+                mini_engine.posteriors([target], {})
         assert mini_engine.counter.snapshot() == (0, 0)
 
 
@@ -542,4 +677,4 @@ class TestDenormalization:
         assert raw == pytest.approx(v * (net.u_max - net.u_min) + net.u_min, abs=TOL)
 
     def test_mini_weather_raw(self, mini_engine):
-        assert mini_engine.denormalize(0.812) == pytest.approx(81.2, abs=TOL)
+        assert mini_engine.network.denormalize(0.812) == pytest.approx(81.2, abs=TOL)

@@ -115,3 +115,7 @@ class TestSweepProfile:
     def test_trace_template_substitution(self):
         assert trace_path_for("out.csv", "buy") == "out.buy.csv"
         assert trace_path_for("runs/{decision}.csv", "buy") == "runs/buy.csv"
+
+    def test_trace_template_dot_in_directory(self):
+        assert trace_path_for("runs.d/trace", "d1") == "runs.d/trace.d1"
+        assert trace_path_for("runs.d/out.csv", "d1") == "runs.d/out.d1.csv"

@@ -65,7 +65,7 @@ class TestContingency:
         cpt = contingency_from_tree(tree)
         for state in (dict(zip(("d1", "m"), combo))
                       for combo in [("go", "y"), ("go", "n"), ("wait", "y"), ("wait", "n")]):
-            idx = tuple(diagram.variable(p).index_of(state[p]) for p in cpt.parents)
+            idx = tuple(diagram.variable(p).outcomes.index(state[p]) for p in cpt.parents)
             row = cpt.table[idx]
             chosen = diagram.variable("d2").outcomes[int(np.argmax(row))]
             assert apply_policy(tree, state) == chosen

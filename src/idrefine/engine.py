@@ -7,7 +7,8 @@ a binary proxy variable whose true-probability is the utility normalized to
 by swapping its one factor for its contingency table.  Queries are answered
 exactly by variable elimination: factors keep the axis order they are built
 with, and each elimination step is one ``np.einsum`` over the factors that
-mention the eliminated variable.
+mention the eliminated variable.  The order is greedy min-size, searched
+over a per-variable index of the variables each shares a factor with.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -33,6 +34,15 @@ either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
 gather and the divisions (_choose) run once per stack.
 
+Sibling contexts, which differ only in the outcome of one variable, are
+evaluated together by evaluate_siblings: their leaf joints are stacked, the
+stack axis is kept through every sum, and each stack holds siblings x
+candidates rows.  That pass is uncounted; each sibling is charged when its
+calibration reads its results (Calibration.evaluate_candidates'
+``evaluated``), the same as evaluating it then, and every result is
+bit-identical to evaluating that sibling alone, because a single context
+goes through the same sums and _choose as a stack of one.
+
 Engine.calibrate, the one way into a context, resolves its evidence before
 it charges, and a call rejected for its arguments charges nothing.  An
 action/value pair (best_action) costs 2: the calibration and a value pass,
@@ -56,7 +66,7 @@ from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, V
 
 ZERO_PROB = 1e-12
 # Below about this many entries, a numpy call's fixed cost outweighs the
-# additions that halving a leaf joint saves (Calibration._marginal).
+# additions that halving a leaf joint saves (_marginal).
 _HALVING_MIN = 1024
 
 
@@ -117,29 +127,49 @@ def _contract(factors: list[_Factor], keep: tuple[str, ...]) -> np.ndarray:
     return np.einsum(*operands, [labels[v] for v in keep])
 
 
+def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ...],
+                       index: Mapping[str, int], doms: Mapping[str, int]) -> list[str]:
+    """Greedy min-size elimination order for factors over the given scopes:
+    each step eliminates the hidden variable whose elimination makes the
+    smallest factor (ties by network index).
+
+    Each variable keeps the set of variables it shares a factor with, and
+    each hidden one the size of the factor its elimination would make.
+    When one is eliminated, its set is merged into each hidden neighbour's,
+    whose size alone changes.
+    """
+    neighbours: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            neighbours.setdefault(v, set()).update(scope)
+    size = {v: math.prod(doms[u] for u in near if u != v)
+            for v, near in neighbours.items() if v not in targets}
+    order = []
+    while size:
+        var = min(size, key=lambda v: (size[v], index[v]))
+        del size[var]
+        near = neighbours[var]
+        for u in near:
+            if u in size:
+                merged = neighbours[u]
+                merged |= near
+                merged -= {u, var}
+                size[u] = math.prod(doms[w] for w in merged)
+        order.append(var)
+    return order
+
+
 def _query(net: "ChanceNetwork", factors: Iterable[_Factor], evidence: Mapping[str, int],
            targets: tuple[str, ...]) -> np.ndarray:
-    """Unnormalized joint P(targets, evidence), axes in target order.
-
-    Eliminates the hidden variables one at a time, each time the one whose
-    elimination makes the smallest factor (ties by network index).
-    """
-    index, doms = net.index, net.doms
+    """Unnormalized joint P(targets, evidence), axes in target order, by
+    eliminating the hidden variables in _elimination_order."""
+    index = net.index
     work = [_restrict(f, evidence) for f in factors]
-    hidden = sorted({v for f in work for v in f.vars} - set(targets), key=index.__getitem__)
-    while hidden:
-        best = None
-        for v in hidden:
-            scope = {u for f in work if v in f.vars for u in f.vars}
-            scope.discard(v)
-            key = (math.prod(doms[u] for u in scope), index[v])
-            if best is None or key < best[0]:
-                best = (key, v, scope)
-        _, var, scope = best
-        hidden.remove(var)
+    for var in _elimination_order([f.vars for f in work], targets, index, net.doms):
         related = [f for f in work if var in f.vars]
         work = [f for f in work if var not in f.vars]
-        kept = tuple(sorted(scope, key=index.__getitem__))
+        kept = tuple(sorted({u for f in related for u in f.vars if u != var},
+                            key=index.__getitem__))
         work.append(_Factor(kept, _contract(related, kept)))
     return _contract(work, targets)
 
@@ -408,33 +438,14 @@ class Calibration:
             raise ValueError(f"this calibration explores {self._decision!r}, not {decision!r}")
         return self._joint
 
-    def _marginal(self, k: int) -> np.ndarray:
-        """The leaf joint summed down to its k-th predecessor axis, the
-        decision and the proxy.
-
-        While the joint has more than _HALVING_MIN entries, its predecessor
-        axes are halved towards axis k, and each half is summed once and
-        kept: all m marginals of a joint of size N then cost about 2N
-        additions instead of m * N.  What is left is summed directly.
-        """
-        joint, lo, hi = self._joint, 0, self._joint.ndim - 2
-        while hi - lo > 1 and joint.size > _HALVING_MIN:
-            mid = (lo + hi) // 2
-            keep = (lo, mid) if k < mid else (mid, hi)
-            if keep not in self._halves:
-                drop = tuple(i - lo for i in range(lo, hi) if not keep[0] <= i < keep[1])
-                self._halves[keep] = joint.sum(axis=drop)
-            joint, (lo, hi) = self._halves[keep], keep
-        drop = tuple(i - lo for i in range(lo, hi) if i != k)
-        return joint.sum(axis=drop) if drop else joint
-
     def _candidate_joint(self, decision: str, variable: str) -> np.ndarray:
-        """The unnormalized joint of (variable, decision, proxy): a sum over
-        the leaf joint, or one contraction where there is none."""
+        """The unnormalized joint of (variable, decision, proxy), as a stack
+        of one: a sum over the leaf joint, or one contraction where there is
+        none."""
         if self._joint is not None and variable in self._axes[:-2]:
-            return self._marginal(self._axes.index(variable))
+            return _marginal(self._joint[None], self._axes.index(variable), self._halves)
         net = self._engine.network
-        return _query(net, self._factors, {}, (decision, variable, net.proxy)).swapaxes(0, 1)
+        return _query(net, self._factors, {}, (decision, variable, net.proxy)).swapaxes(0, 1)[None]
 
     def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
         """evaluate_candidates for one variable."""
@@ -462,20 +473,17 @@ class Calibration:
         best, _, values = _choose(joint[None, None])
         return net.outcomes[decision][best[0, 0]], float(values[0, 0])
 
-    def evaluate_candidates(self, decision: str,
-                            variables: Sequence[str]) -> list[CandidateEvaluation]:
+    def evaluate_candidates(self, decision: str, variables: Sequence[str],
+                            evaluated: Mapping[str, CandidateEvaluation] | None = None,
+                            ) -> list[CandidateEvaluation]:
         """Best action and value for every outcome of each extension variable.
 
         Each candidate is counted as two passes (an action-selection pass
         and a value pass with the decision following the selected
         per-outcome actions), served by its joint of variable, decision and
-        proxy (see _choose).
-
-        Joints of equal shape and memory layout are stacked (np.stack keeps
-        a layout its inputs share), and _choose runs once per stack.  The
-        layout decides the order in which a joint's total is summed, so
-        every result is bit-identical to evaluating that candidate alone.
-        A stack of one is a view.
+        proxy (see _choose).  ``evaluated``, if given, holds every candidate
+        of this context, computed uncounted by evaluate_siblings: the
+        requested ones are charged as above and read from it.
         """
         eng = self._engine
         net = eng.network
@@ -488,27 +496,89 @@ class Calibration:
             fine += net.doms[variable]
         eng.counter.passes += 2 * len(variables)
         eng.counter.fine += 2 * fine
+        if evaluated is not None:
+            return [evaluated[v] for v in variables]
         self.leaf_joint(decision)
         joints = [self._candidate_joint(decision, v) for v in variables]
-        groups: dict[tuple, list[int]] = {}
-        for i, joint in enumerate(joints):
-            groups.setdefault((joint.shape, joint.strides), []).append(i)
-        labels = net.outcomes[decision]
-        out: list[CandidateEvaluation] = [None] * len(variables)  # type: ignore[list-item]
-        for group in groups.values():
-            parts = [joints[i] for i in group]
-            best, probs, values = _choose(np.stack(parts) if len(parts) > 1 else parts[0][None])
-            for i, p, a, v in zip(group, probs, best.tolist(), values):
-                out[i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]], p,
-                                             tuple(labels[k] for k in a), v)
-        return out
+        return _evaluate(net, decision, variables, joints) if variables else []
+
+
+def evaluate_siblings(network: ChanceNetwork, decision: str, variables: Sequence[str],
+                      joints: Sequence[np.ndarray]) -> list[list[CandidateEvaluation]]:
+    """Every candidate of several sibling contexts in one stacked pass,
+    uncounted: one list per context, as Calibration.evaluate_candidates
+    gives it for that context alone, bit for bit.
+
+    The contexts differ only in the outcome of one variable, so their leaf
+    joints are slices of one joint and have one shape; ``variables`` names
+    their predecessor axes in order.  The joints are stacked and each
+    candidate's joint is summed over the stack at once, keeping the stack
+    axis.  Raises ZeroProbabilityError if any context has probability zero.
+    The results are charged when each context reads them
+    (Calibration.evaluate_candidates' ``evaluated``).
+    """
+    stack, halves, m = np.stack(joints), {}, len(variables)
+    flat = _evaluate(network, decision, variables,
+                     [_marginal(stack, k, halves) for k in range(m)])
+    return [flat[s:s + m] for s in range(0, len(flat), m)]
+
+
+def _marginal(stack: np.ndarray, k: int,
+              halves: dict[tuple[int, int], np.ndarray]) -> np.ndarray:
+    """Stacked leaf joints summed down to their k-th predecessor axis, the
+    decision and the proxy, keeping the stack axis (axis 0).
+
+    While one joint has more than _HALVING_MIN entries, the predecessor
+    axes are halved towards axis k, and each half is summed once and kept
+    in ``halves``: all m marginals of a joint of size N then cost about 2N
+    additions instead of m * N.  What is left is summed directly.  A stack
+    of one is halved, and summed, exactly as a stack of many.
+    """
+    joint, lo, hi = stack, 0, stack.ndim - 3
+    while hi - lo > 1 and joint.size > _HALVING_MIN * len(joint):
+        mid = (lo + hi) // 2
+        keep = (lo, mid) if k < mid else (mid, hi)
+        if keep not in halves:
+            drop = tuple(1 + i - lo for i in range(lo, hi) if not keep[0] <= i < keep[1])
+            halves[keep] = joint.sum(axis=drop)
+        joint, (lo, hi) = halves[keep], keep
+    drop = tuple(1 + i - lo for i in range(lo, hi) if i != k)
+    return joint.sum(axis=drop) if drop else joint
+
+
+def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[str],
+              joints: list[np.ndarray]) -> list[CandidateEvaluation]:
+    """Candidate evaluations from their joints, one per variable with axes
+    (context, outcome, decision, proxy), context by context: the one for
+    context s and variables[i] is at s * len(variables) + i.
+
+    Joints of equal shape and memory layout are stacked (np.concatenate
+    keeps a layout its inputs share), and _choose runs once per stack, on
+    every context's row of each candidate in it.  The layout decides the
+    order in which a row's total is summed, so every result is
+    bit-identical to evaluating that candidate alone, in that context
+    alone.  A stack of one joint is that joint.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, joint in enumerate(joints):
+        groups.setdefault((joint.shape, joint.strides), []).append(i)
+    labels, m, g = net.outcomes[decision], len(variables), len(joints[0])
+    out: list[CandidateEvaluation] = [None] * (g * m)  # type: ignore[list-item]
+    for group in groups.values():
+        parts = [joints[i] for i in group]
+        best, probs, values = _choose(np.concatenate(parts) if len(parts) > 1 else parts[0])
+        for row, (a, p, v) in enumerate(zip(best.tolist(), probs, values)):
+            i = group[row // g]
+            out[row % g * m + i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]],
+                                                       p, tuple(labels[k] for k in a), v)
+    return out
 
 
 def _choose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The maximizing action per outcome, P(outcome | context) and that
     action's normalized value, for a stack of unnormalized joints with axes
-    (candidate, outcome, decision, proxy); each result has axes
-    (candidate, outcome).
+    (row, outcome, decision, proxy), a row being one candidate in one
+    context; each result has axes (row, outcome).
 
     The proxy = true slice gives the maximizing actions, ties by action
     declaration order.  An unfixed decision is a uniform root, so the slice

@@ -15,7 +15,8 @@ Leaf choice and extension choice are orthogonal and pluggable:
   order: each extension splices the new vertex's extensible children in
   where the leaf it replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
-  evaluated and cached) or ``random`` (uniform over candidates, only the
+  evaluated and cached, a leaf's unexplored siblings evaluated with it and
+  charged when served) or ``random`` (uniform over candidates, only the
   chosen one evaluated).
 
 A fixed seed makes a run fully deterministic.
@@ -221,8 +222,9 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     The trace holds one record for the initial tree and one per extension;
     its value column is non-decreasing.  Budget bounds are checked between
     iterations, so an iteration in flight may overshoot them slightly.  A
-    run that stops with extensible leaves left drops their leaf joints, so
-    the returned tree does not keep the root's joint alive.
+    run that stops with extensible leaves left drops their leaf joints and
+    the sibling evaluations they were never charged for, so the returned
+    tree does not keep the root's joint alive.
     """
     config = config or RefinementConfig()
     rng = np.random.default_rng(config.seed)
@@ -260,8 +262,9 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             after = engine.counter.snapshot()
             observer(ExtensionEvent(iterations, context_size, variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
-    # stopped early: free the joints that extensible leaves still hold views of
+    # stopped early: free the joints that extensible leaves still hold views
+    # of, and the sibling results never charged
     for vertex in iter_vertices(tree.root):
         if isinstance(vertex, Leaf):
-            vertex.joint = None
+            vertex.joint = vertex.uncharged = None
     return tree, trace

@@ -23,6 +23,22 @@ a leaf hands each child that can still be extended a slice of that joint,
 a numpy view, and drops the leaf's own reference, so on a star topology
 the root's joint is the one contraction of a run.
 
+A tree maps each leaf below the root that can still be extended to its
+parent (DecisionTree.parents), so extend() and sibling evaluation find the
+parent without a walk, and a leaf of another tree, or one already
+replaced, is not in the map.  The links live in the tree, not in the
+vertices, so that no vertex refers back up and a dropped tree is freed at
+once, not by the cycle collector.
+
+Greedy exploration (best_extension) evaluates siblings together.  The
+first time it explores a leaf whose parent has two or more unexplored
+children holding joints, it evaluates every candidate of all of them in
+one stacked pass (engine.evaluate_siblings).  Each sibling keeps its
+results uncharged, apart from its cache, and is charged when it is
+explored, exactly as if it had been evaluated then: one calibration pass
+plus two passes per candidate.  A lone leaf is a group of one, evaluated
+by its own calibration; extend and evi never form a group.
+
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() grows it, so reading them costs no walk.  The value is held as
 Shewchuk partials (Shewchuk 1997, the algorithm behind math.fsum): the
@@ -41,7 +57,8 @@ from typing import Iterator, Mapping, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import CandidateEvaluation, Engine, ZERO_PROB
+from .engine import (CandidateEvaluation, Engine, ZERO_PROB, ZeroProbabilityError,
+                     evaluate_siblings)
 
 Context = tuple[tuple[str, str], ...]
 
@@ -55,6 +72,8 @@ class Leaf:
     pruned: bool = False
     cache: dict[str, CandidateEvaluation] = field(default_factory=dict, repr=False)
     joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
+    # this leaf's share of evaluate_siblings; an entry is charged once in cache
+    uncharged: dict[str, CandidateEvaluation] | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -79,13 +98,18 @@ class DecisionTree:
     internals: int = field(init=False)
     leaves: int = field(init=False)      # non-pruned
     partials: list[float] = field(init=False, repr=False)
+    parents: dict[Leaf, Internal] = field(init=False, repr=False)  # extensible leaves
 
     def __post_init__(self) -> None:
         self.internals = self.leaves = 0
         self.partials = []
+        self.parents = {}
+        depth = len(self.predecessors)
         for v in iter_vertices(self.root):
             if isinstance(v, Internal):
                 self.internals += 1
+                self.parents.update((c, v) for c in v.children.values() if isinstance(c, Leaf)
+                                    and not c.pruned and len(c.context) < depth)
             elif not v.pruned:
                 self.leaves += 1
                 _add_exact(self.partials, v.value * v.reach)
@@ -173,21 +197,6 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
     return v
 
 
-def _locate(tree: DecisionTree, leaf: Leaf) -> tuple[Internal | None, str | None]:
-    """Parent vertex and child key of a leaf, by walking its context."""
-    parent: Internal | None = None
-    key: str | None = None
-    v: Vertex = tree.root
-    for var, outcome in leaf.context:
-        if not isinstance(v, Internal) or v.variable != var:
-            raise ValueError("leaf does not belong to this tree")
-        parent, key = v, outcome
-        v = v.children[outcome]
-    if v is not leaf:
-        raise ValueError("leaf does not belong to this tree")
-    return parent, key
-
-
 def _require_extensible(tree: DecisionTree, leaf: Leaf,
                         variable: str | None = None) -> tuple[Variable, ...]:
     if leaf.pruned:
@@ -208,8 +217,32 @@ def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -
     missing = [name for name in names if name not in leaf.cache]
     if missing:
         cal = engine.calibrate(dict(leaf.context), leaf.joint)
-        leaf.cache.update(zip(missing, cal.evaluate_candidates(tree.decision, missing)))
+        leaf.cache.update(zip(missing, cal.evaluate_candidates(tree.decision, missing,
+                                                               leaf.uncharged)))
         leaf.joint = cal.leaf_joint(tree.decision)
+
+
+def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
+    """Evaluate the named candidates, every predecessor the leaf's context
+    lacks, of the leaf and of each unexplored sibling holding a joint, in
+    one stacked pass, and leave them uncharged on each.  Fewer than two
+    such leaves, or a context of probability zero among them, leave every
+    leaf to be evaluated alone when it is explored."""
+    parent = tree.parents.get(leaf)
+    if parent is None or leaf.joint is None or leaf.cache or leaf.uncharged is not None:
+        return
+    group = [c for c in parent.children.values()
+             if isinstance(c, Leaf) and c.joint is not None and not c.cache
+             and c.uncharged is None]
+    if len(group) < 2:
+        return
+    try:
+        evaluated = evaluate_siblings(engine.network, tree.decision, names,
+                                      [c.joint for c in group])
+    except ZeroProbabilityError:
+        return
+    for c, evs in zip(group, evaluated):
+        c.uncharged = dict(zip(names, evs))
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
@@ -239,10 +272,13 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
     Evaluates every candidate (ties break by declaration order) and caches
     each result on the leaf, so a following extend() issues no queries.
     Uncached exploration costs one calibration pass plus two passes per
-    candidate.
+    candidate.  The first exploration of a leaf evaluates its unexplored
+    siblings with it, uncharged (see the module docstring).
     """
     exts = _require_extensible(tree, leaf)
-    _explore(tree, leaf, [v.name for v in exts], engine)
+    names = [v.name for v in exts]
+    _evaluate_group(tree, leaf, names, engine)
+    _explore(tree, leaf, names, engine)
     best_name, best_gain = None, None
     for v in exts:
         g = _gain(leaf, leaf.cache[v.name])
@@ -262,7 +298,9 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     a view; the leaf's own reference to the joint is dropped.
     """
     exts = _require_extensible(tree, leaf, variable)
-    parent, key = _locate(tree, leaf)
+    parent = tree.parents.get(leaf)
+    if parent is None and leaf is not tree.root:
+        raise ValueError("leaf does not belong to this tree")
     _explore(tree, leaf, [variable], engine)
     ev = leaf.cache[variable]
     prefix = (slice(None),) * [v.name for v in exts].index(variable)  # axes before it
@@ -285,8 +323,11 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     if parent is None:
         tree.root = node
     else:
-        parent.children[key] = node
+        del tree.parents[leaf]
+        parent.children[leaf.context[-1][1]] = node
     kept = [c for c in children.values() if not c.pruned]
+    if len(exts) > 1:
+        tree.parents.update(dict.fromkeys(kept, node))
     tree.internals += 1
     tree.leaves += len(kept) - 1
     _add_exact(tree.partials, -(leaf.value * leaf.reach))

@@ -2,19 +2,23 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.  The two
-exceptions are bit-exact references for vectorized replacements:
+engine is checked against a genuinely separate code path.  The three
+exceptions are bit-exact references for faster replacements:
 ``loop_oracle`` is the oracle's former per-state loop over
-``state_action_values``, and ``loop_candidate`` is the former per-candidate
-arithmetic of ``Calibration.evaluate_candidate``.
+``state_action_values``, ``loop_candidate`` is the former per-candidate
+arithmetic of ``Calibration.evaluate_candidate``, and
+``loop_elimination_order`` is the former elimination-order search of
+``_query``.
 """
 
+import math
 from itertools import product
 
 import numpy as np
 
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
-from idrefine.engine import ZERO_PROB, CandidateEvaluation, ZeroProbabilityError, _query
+from idrefine.engine import (ZERO_PROB, CandidateEvaluation, ZeroProbabilityError,
+                             _marginal, _query)
 from idrefine.oracle import state_action_values
 
 
@@ -138,7 +142,7 @@ def loop_candidate(cal, decision, variable):
     net = cal._engine.network
     leaf = cal.leaf_joint(decision)
     if leaf is not None and variable in cal._axes[:-2]:
-        joint = cal._marginal(cal._axes.index(variable)).swapaxes(0, 1)
+        joint = _marginal(leaf[None], cal._axes.index(variable), cal._halves)[0].swapaxes(0, 1)
     else:
         joint = _query(net, cal._factors, {}, (decision, variable, net.proxy))
     context = float(joint.sum())
@@ -152,3 +156,26 @@ def loop_candidate(cal, decision, variable):
     values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
     actions = tuple(net.outcomes[decision][i] for i in action_idx)
     return CandidateEvaluation(variable, net.outcomes[variable], probs, actions, values)
+
+
+def loop_elimination_order(scopes, targets, index, doms):
+    """The order in which _query used to eliminate the hidden variables of
+    factors over the given scopes: each step rebuilds, for every hidden
+    variable, the scope of the factors that mention it, and eliminates the
+    one with the smallest (size, index)."""
+    work = [tuple(scope) for scope in scopes]
+    hidden = sorted({v for f in work for v in f} - set(targets), key=index.__getitem__)
+    order = []
+    while hidden:
+        best = None
+        for v in hidden:
+            scope = {u for f in work if v in f for u in f}
+            scope.discard(v)
+            key = (math.prod(doms[u] for u in scope), index[v])
+            if best is None or key < best[0]:
+                best = (key, v, scope)
+        _, var, scope = best
+        hidden.remove(var)
+        work = [f for f in work if var not in f] + [tuple(scope)]
+        order.append(var)
+    return order

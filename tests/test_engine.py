@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (enum_action_value, enum_best_action, enum_posterior,
-                     enum_probability, loop_candidate, normalized)
+                     enum_probability, loop_candidate, loop_elimination_order,
+                     normalized)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (Calibration, Engine, PolicyCpt, ZeroProbabilityError,
-                             compile_network)
+                             _HALVING_MIN, _elimination_order, compile_network)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, refine
-from idrefine.tree import best_extension, extend, extensions, init_tree, iter_leaves
+from idrefine.tree import best_extension, evi, extend, extensions, init_tree, iter_leaves
 
 TOL = 1e-9
 
@@ -561,6 +563,147 @@ class TestStackedCandidates:
             with pytest.raises(ValueError, match="not a possible extension"):
                 cal.evaluate_candidates("D", ["R", variable])
         assert mini_engine.counter.snapshot() == (0, 1)
+
+
+def assert_same_evaluation(ev, ref):
+    assert (ev.variable, ev.outcomes, ev.actions) == (ref.variable, ref.outcomes, ref.actions)
+    assert np.array_equal(ev.probs, ref.probs)
+    assert np.array_equal(ev.values, ref.values)
+
+
+class TestSiblingGroups:
+    """best_extension evaluates a leaf's unexplored siblings with it in one
+    stacked pass (evaluate_siblings) and charges each when it is explored,
+    as if it were evaluated then, alone."""
+
+    @pytest.mark.parametrize("mode", ["computed", "refused", "sliced"])
+    @given(seed=st.integers(0, 10_000))
+    def test_each_sibling_as_if_explored_alone(self, mode, seed):
+        """Explore breadth first, as posthoc serves leaves, and split each
+        leaf on a drawn variable (binary or ternary).  Every explored leaf's
+        results are bit for bit loop_candidate's on that leaf alone, and
+        the counters move as evaluating it alone moves them.  "computed"
+        explores the root and its children, "sliced" also the grandchildren
+        (slices of slices); "refused" is "sliced" where the root's joint is
+        refused."""
+        rng = np.random.default_rng(seed)
+        net = compile_network(mixed_arity_diagram(seed, every=mode != "refused"))
+        eng = Engine(net)
+        tree = init_tree(eng, "d")
+        frontier, grouped = [tree.root], 0
+        for _ in range(2 if mode == "computed" else 3):
+            children = []
+            for leaf in frontier:
+                names = [v.name for v in extensions(tree, leaf)]
+                if leaf.pruned or not names:
+                    continue
+                reference = Engine(net).calibrate(dict(leaf.context), leaf.joint)
+                expected = [loop_candidate(reference, "d", v) for v in names]
+                alone = Engine(net)
+                alone.calibrate(dict(leaf.context), leaf.joint).evaluate_candidates("d", names)
+                grouped += leaf.uncharged is not None
+                before = eng.counter.snapshot()
+                best_extension(tree, leaf, eng)
+                after = eng.counter.snapshot()
+                assert (after[0] - before[0], after[1] - before[1]) == alone.counter.snapshot()
+                for v, ref in zip(names, expected):
+                    assert_same_evaluation(leaf.cache[v], ref)
+                node = extend(tree, leaf, names[int(rng.integers(len(names)))], eng)
+                children += node.children.values()
+            frontier = children
+        assert grouped > 0 or mode == "refused"
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_halving_decided_per_joint(self, seed):
+        """Each child of an n = 9 star's root has a joint of _HALVING_MIN
+        entries, summed directly; the stack of both has twice as many and
+        must be summed directly too, or the results change in the last bits."""
+        eng, tree, children = self.split_root(seed, n=9, variable="c5")
+        assert children[0].joint.size == _HALVING_MIN
+        names = [v.name for v in extensions(tree, children[0])]
+        expected = [[loop_candidate(Engine(eng.network).calibrate(dict(c.context), c.joint),
+                                    "d", v) for v in names] for c in children]
+        for child, refs in zip(children, expected):
+            best_extension(tree, child, eng)
+            for v, ref in zip(names, refs):
+                assert_same_evaluation(child.cache[v], ref)
+        assert children[1].uncharged is not None
+
+    @staticmethod
+    def split_root(seed=2, n=4, variable="c2"):
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=n, seed=seed))))
+        tree = init_tree(eng, "d")
+        return eng, tree, list(extend(tree, tree.root, variable, eng).children.values())
+
+    def test_zero_probability_sibling_is_left_alone(self):
+        """A sibling whose row would raise ZeroProbabilityError (its joint
+        scaled below ZERO_PROB here) keeps the group from forming: the leaf
+        explored gets its own results, and the sibling raises only when it
+        is explored, as it does alone."""
+        eng, tree, (first, second) = self.split_root()
+        second.joint = second.joint * 1e-13
+        names = [v.name for v in extensions(tree, first)]
+        alone = Engine(eng.network).calibrate(dict(first.context), first.joint)
+        expected = alone.evaluate_candidates("d", names)
+        best_extension(tree, first, eng)
+        for v, ref in zip(names, expected):
+            assert_same_evaluation(first.cache[v], ref)
+        assert first.uncharged is None and second.uncharged is None
+        with pytest.raises(ZeroProbabilityError):
+            Engine(eng.network).calibrate(dict(second.context), second.joint) \
+                .evaluate_candidates("d", names)
+        with pytest.raises(ZeroProbabilityError):
+            best_extension(tree, second, eng)
+
+    def test_evi_on_an_uncharged_sibling_charges_as_before(self):
+        """evi on a leaf holding uncharged results costs a calibration and
+        one candidate, and a later best_extension the calibration and the
+        rest, exactly as on a tree where no group formed."""
+        eng, tree, (first, second) = self.split_root()
+        best_extension(tree, first, eng)
+        assert second.uncharged is not None and not second.cache
+        ref_eng, ref_tree, (_, ref_second) = self.split_root()
+        for call in (lambda t, leaf, e: evi(t, leaf, "c3", e), best_extension):
+            before, ref_before = eng.counter.snapshot(), ref_eng.counter.snapshot()
+            assert call(tree, second, eng) == call(ref_tree, ref_second, ref_eng)
+            delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
+            assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
+        assert delta == [2 * 2 * 2, 1 + 2 * 2]  # the two candidates evi did not read
+        for v, ev in second.cache.items():
+            assert_same_evaluation(ev, ref_second.cache[v])
+
+    @pytest.mark.parametrize("leaf, extension", [("random", "random"),
+                                                 ("posthoc", "random")])
+    def test_random_extension_forms_no_group(self, monkeypatch, leaf, extension):
+        tree_module = sys.modules["idrefine.tree"]
+        groups = []
+
+        def counting(*args, _original=tree_module.evaluate_siblings):
+            groups.append(1)
+            return _original(*args)
+        monkeypatch.setattr(tree_module, "evaluate_siblings", counting)
+        net = compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))
+        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf,
+                                                  extension_strategy=extension, seed=3))
+        assert groups == []
+        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf, seed=3))
+        assert groups
+
+
+class TestEliminationOrder:
+    @given(data=st.data())
+    def test_matches_reference_loop(self, data):
+        """The scope index picks the order the former per-step scope search
+        picked, on random factor scopes, targets, domains and indices."""
+        k = data.draw(st.integers(1, 12))
+        names = [f"x{i}" for i in range(k)]
+        index = dict(zip(names, data.draw(st.permutations(range(k)))))
+        doms = {v: data.draw(st.integers(1, 4)) for v in names}
+        scope = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
+        scopes = [tuple(s) for s in data.draw(st.lists(scope, min_size=1, max_size=16))]
+        targets = tuple(data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True)))
+        assert _elimination_order(scopes, targets, index, doms) \
+            == loop_elimination_order(scopes, targets, index, doms)
 
 
 class TestManyFactors:

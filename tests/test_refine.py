@@ -16,7 +16,7 @@ from idrefine.oracle import oracle_optimal
 from idrefine.refine import (CSV_HEADER, PosthocSelector, RandomLeafSelector,
                              RefinementConfig, StoppingRule, refine)
 from idrefine.tree import (Internal, Leaf, extend, extensions, init_tree,
-                           iter_leaves, tree_value)
+                           iter_internals, iter_leaves, tree_value)
 
 TOL = 1e-9
 
@@ -320,17 +320,30 @@ class TestTreeWalks:
 
 class TestLeafJointsReleased:
     """A run that stops with extensible leaves left keeps no leaf joint, so
-    the root joint they were sliced from can be freed."""
+    the root joint they were sliced from can be freed, and no sibling
+    results it was never charged for."""
 
     @pytest.mark.parametrize("stop", [StoppingRule(max_extensions=60),
                                       StoppingRule(max_passes=400),
                                       StoppingRule(min_evi=1e-3),
                                       StoppingRule(max_extensions=0)])
-    def test_budgeted_greedy_run(self, stop):
+    def test_budgeted_greedy_run(self, monkeypatch, stop):
+        tree_module = sys.modules["idrefine.tree"]
+        grouped = []
+
+        def recording(tree, leaf, names, engine, _original=tree_module._evaluate_group):
+            _original(tree, leaf, names, engine)
+            siblings = tree.parents[leaf].children.values() if leaf in tree.parents else ()
+            grouped.extend(c for c in siblings if isinstance(c, Leaf) and c.uncharged is not None)
+        monkeypatch.setattr(tree_module, "_evaluate_group", recording)
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
         assert any(not l.pruned and len(l.context) < 12 for l in leaves)
-        assert all(l.joint is None for l in leaves)
+        assert all(l.joint is None and l.uncharged is None for l in leaves)
+        never_charged = {l for l in grouped if not l.cache}
+        assert never_charged <= set(leaves)
+        # each of these stops lands between two siblings of one group
+        assert bool(never_charged) == (stop.max_extensions != 0)
 
     def test_degenerate_network(self):
         _, tree, trace = run(constant_utility())
@@ -347,8 +360,10 @@ class TestLeafJointsReleased:
 class TestEngineQueries:
     """A complete run on the star template contracts once, to the root's
     leaf joint: the root's action is read from it, and every later
-    evaluation slices it.  A two-stage sweep compiles its network once and
-    contracts once per decision."""
+    evaluation slices it.  A complete greedy run evaluates candidates in
+    one stacked pass per vertex whose children it explores, plus one for
+    the root.  A two-stage sweep compiles its network once and contracts
+    once per decision."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -372,6 +387,16 @@ class TestEngineQueries:
     def test_query_count_independent_of_n(self, monkeypatch, leaf, extension):
         assert self.queries(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension) == 1
         assert self.queries(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension) == 1
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_one_stacked_evaluation_per_sibling_group(self, monkeypatch, n):
+        stacks = self.counting(monkeypatch, sys.modules["idrefine.engine"], "_evaluate")
+        _, tree, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)))
+        monkeypatch.undo()
+        assert trace.records[-1].internal_vertices == 2 ** n - 1
+        explored_children = [v for v in iter_internals(tree)
+                             if any(isinstance(c, Internal) for c in v.children.values())]
+        assert len(stacks) == 1 + len(explored_children) == 2 ** (n - 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_stage_sweep(self, monkeypatch, seed):

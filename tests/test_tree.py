@@ -130,6 +130,35 @@ class TestExtend:
         with pytest.raises(ValueError, match="does not belong"):
             extend(tree, other.root, "R", eng)
 
+    def test_foreign_or_replaced_inner_leaf_rejected(self):
+        """The parent links tell a leaf of this tree from a leaf of another
+        tree or one already replaced, below the root too, and a rejected
+        extend changes nothing."""
+        eng, tree = fresh(mini_weather_coin(2))
+        other_eng, other = fresh(mini_weather_coin(2))
+        extend(tree, tree.root, "R", eng)
+        extend(other, other.root, "R", other_eng)
+        sunny = find_leaf(tree, (("R", "sunny"),))
+        extend(tree, sunny, "C1", eng)
+        before = (eng.counter.snapshot(), tree_counts(tree), tree_value(tree), dict(tree.parents))
+        for stranger in (find_leaf(other, (("R", "sunny"),)), sunny):
+            with pytest.raises(ValueError, match="does not belong"):
+                extend(tree, stranger, "C2", eng)
+        assert (eng.counter.snapshot(), tree_counts(tree), tree_value(tree),
+                tree.parents) == before
+
+    def test_deep_copy_extends_apart(self):
+        """A deep copy links its own vertices, so extending an inner leaf of
+        the copy leaves the original as it was."""
+        eng, tree = fresh(mini_weather_coin(2))
+        extend(tree, tree.root, "R", eng)
+        copied = copy.deepcopy(tree)
+        extend(copied, find_leaf(copied, (("R", "rainy"),)), "C1", eng)
+        assert isinstance(find_leaf(tree, (("R", "rainy"),)), Leaf)
+        assert_statistics(tree)
+        assert_statistics(copied)
+        assert tree_counts(copied) == (2, 3)
+
     def test_greedy_cache_makes_extend_free(self):
         eng, tree = fresh(mini_weather_coin())
         best_extension(tree, tree.root, eng)
@@ -219,9 +248,9 @@ class TestBestExtension:
         calls = []
         original = Calibration.evaluate_candidates
 
-        def counting(cal, decision, variables):
+        def counting(cal, decision, variables, *rest):
             calls.append(tuple(variables))
-            return original(cal, decision, variables)
+            return original(cal, decision, variables, *rest)
 
         monkeypatch.setattr(Calibration, "evaluate_candidates", counting)
         eng, tree = fresh(gen_random_id(GeneratorSpec(n=4, seed=0)))
@@ -346,9 +375,22 @@ def recount(vertex):
     return internals, leaves, products
 
 
+def parent_links(tree, vertex):
+    """Every leaf below vertex that can still be extended, mapped to its
+    parent, by a recursive walk."""
+    if isinstance(vertex, Leaf):
+        return {}
+    links = {c: vertex for c in vertex.children.values()
+             if isinstance(c, Leaf) and not c.pruned and extensions(tree, c)}
+    for child in vertex.children.values():
+        links.update(parent_links(tree, child))
+    return links
+
+
 def assert_statistics(tree):
     internals, leaves, products = recount(tree.root)
     assert tree_counts(tree) == (internals, leaves)
+    assert tree.parents == parent_links(tree, tree.root)
     assert tree_value(tree) == math.fsum(products)
     assert policy_json(tree)["value_normalized"] == tree_value(tree)
 

@@ -15,7 +15,8 @@ from .diagram import DiagramError, load_diagram, serialize_diagram
 from .generate import GeneratorSpec, gen_random_id
 from .harness import run_profile, run_sweep_profile
 from .oracle import oracle_optimal, oracle_optimal_multistage
-from .refine import RefinementConfig, StoppingRule
+from .refine import (EXTENSION_STRATEGIES, LEAF_STRATEGIES, RefinementConfig,
+                     StoppingRule)
 
 VALIDATION_FAILURE = 1
 RUNTIME_ERROR = 2
@@ -26,9 +27,9 @@ class _InvalidInput(Exception):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--leaf", choices=["posthoc", "random"], default="posthoc",
+    p.add_argument("--leaf", choices=LEAF_STRATEGIES, default="posthoc",
                    help="leaf selection strategy")
-    p.add_argument("--ext", choices=["greedy", "random"], default="greedy",
+    p.add_argument("--ext", choices=EXTENSION_STRATEGIES, default="greedy",
                    help="extension selection strategy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-ext", type=int, default=None,
@@ -43,9 +44,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", default=None, help="write the policy JSON here")
 
 
-def _stopping_rule(args, parser) -> StoppingRule:
-    if args.min_evi is not None and args.ext != "greedy":
-        parser.error("--min-evi requires --ext greedy")
+def _stopping_rule(args) -> StoppingRule:
     complete = args.complete
     if args.max_ext is None and args.max_passes is None and args.min_evi is None:
         complete = True
@@ -53,9 +52,9 @@ def _stopping_rule(args, parser) -> StoppingRule:
                         min_evi=args.min_evi, run_to_complete=complete)
 
 
-def _config(args, parser) -> RefinementConfig:
+def _config(args) -> RefinementConfig:
     return RefinementConfig(leaf_strategy=args.leaf, extension_strategy=args.ext,
-                            stop=_stopping_rule(args, parser), seed=args.seed)
+                            stop=_stopping_rule(args), seed=args.seed)
 
 
 def _load_valid(path) -> "InfluenceDiagram":
@@ -127,7 +126,7 @@ def _cmd_validate(args, parser) -> int:
 
 def _cmd_solve(args, parser) -> int:
     diagram = _load_valid(args.file)
-    summary, trace = run_profile(diagram, args.decision, _config(args, parser),
+    summary, trace = run_profile(diagram, args.decision, _config(args),
                                  trace_path=args.trace, policy_path=args.policy,
                                  with_oracle=False)
     # the last record, not the engine counter: a --min-evi stop spends
@@ -141,7 +140,7 @@ def _cmd_solve(args, parser) -> int:
 
 def _cmd_sweep(args, parser) -> int:
     diagram = _load_valid(args.file)
-    base = _config(args, parser)
+    base = _config(args)
     budgets = _budgets(args.budget, parser)
     for name in budgets:
         if name not in diagram.decisions:
@@ -191,7 +190,7 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_profile(args, parser) -> int:
     diagram = _load_valid(args.file)
-    summary, _ = run_profile(diagram, args.decision, _config(args, parser),
+    summary, _ = run_profile(diagram, args.decision, _config(args),
                              trace_path=args.trace, policy_path=args.policy,
                              summary_path=args.summary)
     print(json.dumps(summary.to_dict(), indent=2))

@@ -6,7 +6,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .diagram import InfluenceDiagram
 from .engine import Engine, compile_network
@@ -28,6 +28,21 @@ def greedy_query_bound(n: int, b: int) -> float:
     if b < 2:
         raise ValueError("arity bound must be at least 2")
     return 2 * b / (b - 1) ** 2 * float(b) ** (n + 1)
+
+
+def _oracle(solve, *args):
+    """The oracle's result, or None for a diagram past its state-space cap."""
+    try:
+        return solve(*args)
+    except StateSpaceCapError:
+        return None
+
+
+def _write(path, text: Callable[[], str]) -> None:
+    """Write text() to path, unless path is None."""
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text())
 
 
 @dataclass
@@ -90,24 +105,15 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
         query_bound=bound,
         query_bound_held=None if bound is None else engine.counter.fine < bound,
     )
-    if with_oracle:
-        try:
-            oracle = oracle_optimal(diagram, decision)
-        except StateSpaceCapError:
-            oracle = None
-        if oracle is not None:
-            summary.oracle_value_normalized = oracle.value
-            summary.oracle_value_raw = oracle.raw_value
-            summary.oracle_gap = oracle.value - last.value_normalized
+    oracle = _oracle(oracle_optimal, diagram, decision) if with_oracle else None
+    if oracle is not None:
+        summary.oracle_value_normalized = oracle.value
+        summary.oracle_value_raw = oracle.raw_value
+        summary.oracle_gap = oracle.value - last.value_normalized
 
-    if trace_path is not None:
-        trace.write(trace_path)
-    if policy_path is not None:
-        with open(policy_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_policy(tree))
-    if summary_path is not None:
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
+    _write(trace_path, trace.to_csv)
+    _write(policy_path, lambda: dumps_policy(tree))
+    _write(summary_path, lambda: json.dumps(summary.to_dict(), indent=2))
     return summary, trace
 
 
@@ -160,22 +166,14 @@ def run_sweep_profile(diagram: InfluenceDiagram,
             "baseline_states": states,
         }
         summary.baseline_states_total += states
-    if with_oracle:
-        try:
-            oracle = oracle_optimal_multistage(diagram)
-        except StateSpaceCapError:
-            oracle = None
-        if oracle is not None:
-            summary.oracle_value_normalized = oracle.value
-            summary.oracle_gap = oracle.value - policy.value_normalized
+    oracle = _oracle(oracle_optimal_multistage, diagram) if with_oracle else None
+    if oracle is not None:
+        summary.oracle_value_normalized = oracle.value
+        summary.oracle_gap = oracle.value - policy.value_normalized
 
     if trace_template is not None:
         for d, trace in traces.items():
-            trace.write(trace_path_for(trace_template, d))
-    if policy_path is not None:
-        with open(policy_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_multistage_policy(policy))
-    if summary_path is not None:
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
+            _write(trace_path_for(trace_template, d), trace.to_csv)
+    _write(policy_path, lambda: dumps_multistage_policy(policy))
+    _write(summary_path, lambda: json.dumps(summary.to_dict(), indent=2))
     return summary, policy, traces

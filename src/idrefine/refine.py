@@ -2,7 +2,7 @@
 
 Starting from a single-leaf tree, repeatedly choose a leaf, choose an
 extension variable for it, and extend, until a stopping rule fires or no
-extensible leaf remains.  Every intermediate tree is a usable policy; the
+open leaf remains.  Every intermediate tree is a usable policy; the
 trace records value and query cost after the initial tree and after each
 extension.
 
@@ -11,9 +11,9 @@ Leaf choice and extension choice are orthogonal and pluggable:
 * leaf strategies: ``posthoc`` (a max-gain priority queue over internal
   vertices; all leaves of the dequeued vertex are served before the queue
   is consulted again; ties break by seeded RNG) or ``random`` (uniform
-  over extensible, non-pruned leaves, drawn from a list kept in depth-first
-  order: each extension splices the new vertex's extensible children in
-  where the leaf it replaced stood, so no draw rescans the tree);
+  over the open leaves, drawn from a list kept in depth-first order: each
+  extension splices the new vertex's open children in where the leaf it
+  replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
   evaluated and cached, a leaf's unexplored siblings evaluated with it and
   charged when served) or ``random`` (uniform over candidates, only the
@@ -36,7 +36,7 @@ import numpy as np
 from .engine import Engine
 from .tree import (DecisionTree, Internal, Leaf, best_extension, extend,
                    extensions, init_tree, iter_internals, iter_leaves,
-                   iter_vertices, tree_counts, tree_value)
+                   tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -114,10 +114,6 @@ class AnytimeTrace:
                          f"{r.value_normalized!r},{r.value_raw!r}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass(frozen=True)
 class ExtensionEvent:
@@ -157,8 +153,7 @@ class PosthocSelector:
         while True:
             while self._pending:
                 leaf = self._pending.popleft()
-                if (isinstance(leaf, Leaf) and not leaf.pruned
-                        and len(leaf.context) < len(tree.predecessors)):
+                if leaf in tree.open:
                     return leaf
             if not self._heap:
                 return None
@@ -167,7 +162,7 @@ class PosthocSelector:
 
 
 class RandomLeafSelector:
-    """Uniform choice over extensible, non-pruned leaves.
+    """Uniform choice over the open leaves (DecisionTree.open).
 
     The candidates are kept in depth-first order, the order of
     iter_leaves, so a seeded draw picks the same leaf as an index into a
@@ -177,19 +172,16 @@ class RandomLeafSelector:
 
     def __init__(self, tree: DecisionTree, rng: np.random.Generator):
         self._rng = rng
-        self._depth = len(tree.predecessors)
-        self._leaves = [l for l in iter_leaves(tree) if self._extensible(l)]
+        self._open = tree.open
+        self._leaves = [l for l in iter_leaves(tree) if l in self._open]
         self._served: int | None = None
-
-    def _extensible(self, leaf: Leaf) -> bool:
-        return not leaf.pruned and len(leaf.context) < self._depth
 
     def notify_extended(self, vertex: Internal) -> None:
         i = self._served
         children = list(vertex.children.values())
         if i is None or self._leaves[i].context != children[0].context[:-1]:
             raise ValueError("vertex did not replace the leaf last served")
-        self._leaves[i:i + 1] = [c for c in children if self._extensible(c)]
+        self._leaves[i:i + 1] = [c for c in children if c in self._open]
         self._served = None
 
     def next_leaf(self, tree: DecisionTree) -> Leaf | None:
@@ -221,8 +213,8 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
 
     The trace holds one record for the initial tree and one per extension;
     its value column is non-decreasing.  Budget bounds are checked between
-    iterations, so an iteration in flight may overshoot them slightly.  A
-    run that stops with extensible leaves left drops their leaf joints and
+    iterations, so an iteration in flight may overshoot them slightly.
+    However the run stops, the leaves still open drop their leaf joints and
     the sibling evaluations they were never charged for, so the returned
     tree does not keep the root's joint alive.
     """
@@ -239,16 +231,13 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
                               internals, leaves, value, tree.denormalize(value)))
 
     record(0)
-    if engine.network.degenerate:
-        tree.root.joint = None  # any policy is optimal: nothing to explore
-        return tree, trace
-
+    degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
     selector = make_selector(config.leaf_strategy, tree, rng)
     iterations = 0
-    while not config.stop.budget_reached(iterations, engine):
+    while not (degenerate or config.stop.budget_reached(iterations, engine)):
         leaf = selector.next_leaf(tree)
         if leaf is None:
-            return tree, trace  # complete: extend() left no leaf a joint
+            break
         before = engine.counter.snapshot()
         variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine, rng)
         if config.stop.min_evi is not None and gain is not None and gain < config.stop.min_evi:
@@ -262,9 +251,6 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             after = engine.counter.snapshot()
             observer(ExtensionEvent(iterations, context_size, variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
-    # stopped early: free the joints that extensible leaves still hold views
-    # of, and the sibling results never charged
-    for vertex in iter_vertices(tree.root):
-        if isinstance(vertex, Leaf):
-            vertex.joint = vertex.uncharged = None
+    for leaf in tree.open:
+        leaf.joint = leaf.uncharged = None
     return tree, trace

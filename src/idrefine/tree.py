@@ -23,12 +23,13 @@ a leaf hands each child that can still be extended a slice of that joint,
 a numpy view, and drops the leaf's own reference, so on a star topology
 the root's joint is the one contraction of a run.
 
-A tree maps each leaf below the root that can still be extended to its
-parent (DecisionTree.parents), so extend() and sibling evaluation find the
-parent without a walk, and a leaf of another tree, or one already
-replaced, is not in the map.  The links live in the tree, not in the
-vertices, so that no vertex refers back up and a dropped tree is freed at
-once, not by the cycle collector.
+A tree maps its open leaves, those that can still be extended, to their
+parents, None for the root (DecisionTree.open).  Every test of whether a
+leaf can be extended reads it, so a leaf of another tree, or one already
+replaced, is not open.  Only open leaves hold a leaf joint or uncharged
+sibling results.  The links live in the tree, not in the vertices, so that
+no vertex refers back up and a dropped tree is freed at once, not by the
+cycle collector.
 
 Greedy exploration (best_extension) evaluates siblings together.  The
 first time it explores a leaf whose parent has two or more unexplored
@@ -98,21 +99,23 @@ class DecisionTree:
     internals: int = field(init=False)
     leaves: int = field(init=False)      # non-pruned
     partials: list[float] = field(init=False, repr=False)
-    parents: dict[Leaf, Internal] = field(init=False, repr=False)  # extensible leaves
+    open: dict[Leaf, Internal | None] = field(init=False, repr=False)  # leaf -> parent
 
     def __post_init__(self) -> None:
         self.internals = self.leaves = 0
         self.partials = []
-        self.parents = {}
+        self.open = {}
         depth = len(self.predecessors)
+        parent: dict[Vertex, Internal | None] = {self.root: None}
         for v in iter_vertices(self.root):
             if isinstance(v, Internal):
                 self.internals += 1
-                self.parents.update((c, v) for c in v.children.values() if isinstance(c, Leaf)
-                                    and not c.pruned and len(c.context) < depth)
+                parent.update(dict.fromkeys(v.children.values(), v))
             elif not v.pruned:
                 self.leaves += 1
                 _add_exact(self.partials, v.value * v.reach)
+                if len(v.context) < depth:
+                    self.open[v] = parent[v]
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -122,16 +125,17 @@ def init_tree(engine: Engine, decision: str) -> DecisionTree:
     """Single-leaf tree holding the best unconditional action, two passes:
     the calibration of the empty context and a value pass on it
     (Calibration.best_action), which reads the root's leaf joint.  The root
-    keeps that joint for its first exploration, unless it has no
-    predecessors.
+    keeps that joint for its first exploration if it is open.
     """
     net = engine.network
     engine._check_decision(decision)  # before the calibration charges its pass
-    preds = net.diagram.predecessors(decision)
     cal = engine.calibrate({})
     action, value = cal.best_action(decision)
-    root = Leaf(action, value, 1.0, (), joint=cal.leaf_joint(decision) if preds else None)
-    return DecisionTree(decision, net.outcomes[decision], preds, net.u_min, net.u_max, root)
+    tree = DecisionTree(decision, net.outcomes[decision], net.diagram.predecessors(decision),
+                        net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
+    if tree.root in tree.open:
+        tree.root.joint = cal.leaf_joint(decision)
+    return tree
 
 
 def iter_vertices(root: Vertex) -> Iterator[Vertex]:
@@ -197,13 +201,17 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
     return v
 
 
-def _require_extensible(tree: DecisionTree, leaf: Leaf,
-                        variable: str | None = None) -> tuple[Variable, ...]:
-    if leaf.pruned:
-        raise ValueError("a pruned leaf cannot be extended")
+def _require_open(tree: DecisionTree, leaf: Leaf,
+                  variable: str | None = None) -> tuple[Variable, ...]:
+    """The leaf's extensions; raises ValueError, before anything is charged,
+    unless the leaf is open and variable (if given) is one of them."""
+    if leaf not in tree.open:
+        if leaf.pruned:
+            raise ValueError("a pruned leaf cannot be extended")
+        if not extensions(tree, leaf):
+            raise ValueError("leaf context already contains every predecessor")
+        raise ValueError("leaf does not belong to this tree")
     exts = extensions(tree, leaf)
-    if not exts:
-        raise ValueError("leaf context already contains every predecessor")
     if variable is not None and all(v.name != variable for v in exts):
         raise ValueError(f"{variable!r} is not a possible extension of this leaf")
     return exts
@@ -228,11 +236,11 @@ def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: list[str], engine: En
     one stacked pass, and leave them uncharged on each.  Fewer than two
     such leaves, or a context of probability zero among them, leave every
     leaf to be evaluated alone when it is explored."""
-    parent = tree.parents.get(leaf)
+    parent = tree.open[leaf]
     if parent is None or leaf.joint is None or leaf.cache or leaf.uncharged is not None:
         return
     group = [c for c in parent.children.values()
-             if isinstance(c, Leaf) and c.joint is not None and not c.cache
+             if c in tree.open and c.joint is not None and not c.cache
              and c.uncharged is None]
     if len(group) < 2:
         return
@@ -261,7 +269,7 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     Leaves the tree unchanged; the result is reach-weighted so values are
     comparable across leaves, and is never below -1e-9.
     """
-    _require_extensible(tree, leaf, variable)
+    _require_open(tree, leaf, variable)
     _explore(tree, leaf, [variable], engine)
     return _gain(leaf, leaf.cache[variable])
 
@@ -275,7 +283,7 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
     candidate.  The first exploration of a leaf evaluates its unexplored
     siblings with it, uncharged (see the module docstring).
     """
-    exts = _require_extensible(tree, leaf)
+    exts = _require_open(tree, leaf)
     names = [v.name for v in exts]
     _evaluate_group(tree, leaf, names, engine)
     _explore(tree, leaf, names, engine)
@@ -288,46 +296,46 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
 
 
 def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Internal:
-    """Replace a leaf with an internal vertex over one extension variable.
+    """Replace an open leaf with an internal vertex over one extension variable.
 
     Children below the zero-probability threshold are marked pruned and
     inherit the parent leaf's action.  Reuses a cached evaluation when the
     leaf was explored before; otherwise costs one calibration pass plus
-    two passes for the chosen candidate.  Each child that is not pruned
-    and can still be extended gets the leaf's joint sliced at its outcome,
-    a view; the leaf's own reference to the joint is dropped.
+    two passes for the chosen candidate.  The children that are not pruned
+    and can still be extended become open, each with the leaf's joint
+    sliced at its outcome, a view; the leaf leaves tree.open and drops its
+    joint.  A call that raises leaves the tree as it was.
     """
-    exts = _require_extensible(tree, leaf, variable)
-    parent = tree.parents.get(leaf)
-    if parent is None and leaf is not tree.root:
-        raise ValueError("leaf does not belong to this tree")
+    exts = _require_open(tree, leaf, variable)
     _explore(tree, leaf, [variable], engine)
     ev = leaf.cache[variable]
-    prefix = (slice(None),) * [v.name for v in exts].index(variable)  # axes before it
 
     children: dict[str, Vertex] = {}
     for j, outcome in enumerate(ev.outcomes):
         reach = leaf.reach * float(ev.probs[j])
+        context = leaf.context + ((variable, outcome),)
         if reach < ZERO_PROB:
-            children[outcome] = Leaf(leaf.action, 0.0, reach,
-                                     leaf.context + ((variable, outcome),), pruned=True)
+            children[outcome] = Leaf(leaf.action, 0.0, reach, context, pruned=True)
         else:
-            joint = leaf.joint[prefix + (j,)] if leaf.joint is not None and len(exts) > 1 else None
-            children[outcome] = Leaf(ev.actions[j], float(ev.values[j]), reach,
-                                     leaf.context + ((variable, outcome),), joint=joint)
+            children[outcome] = Leaf(ev.actions[j], float(ev.values[j]), reach, context)
     gain = _gain(leaf, ev)
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-    leaf.joint = None
     node = Internal(variable, children, gain)
+    parent = tree.open.pop(leaf)
     if parent is None:
         tree.root = node
     else:
-        del tree.parents[leaf]
         parent.children[leaf.context[-1][1]] = node
     kept = [c for c in children.values() if not c.pruned]
     if len(exts) > 1:
-        tree.parents.update(dict.fromkeys(kept, node))
+        prefix = (slice(None),) * [v.name for v in exts].index(variable)  # axes before it
+        for j, c in enumerate(children.values()):
+            if not c.pruned:
+                tree.open[c] = node
+                if leaf.joint is not None:
+                    c.joint = leaf.joint[prefix + (j,)]
+    leaf.joint = leaf.uncharged = None
     tree.internals += 1
     tree.leaves += len(kept) - 1
     _add_exact(tree.partials, -(leaf.value * leaf.reach))

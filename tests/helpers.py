@@ -8,7 +8,8 @@ exceptions are bit-exact references for faster replacements:
 ``state_action_values``, ``loop_candidate`` is the former per-candidate
 arithmetic of ``Calibration.evaluate_candidate``, and
 ``loop_elimination_order`` is the former elimination-order search of
-``_query``.
+``_query``.  ``rescan_open`` recomputes a tree's open leaves by a walk,
+apart from the record extend() keeps.
 """
 
 import math
@@ -20,6 +21,7 @@ from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
 from idrefine.engine import (ZERO_PROB, CandidateEvaluation, ZeroProbabilityError,
                              _marginal, _query)
 from idrefine.oracle import state_action_values
+from idrefine.tree import Leaf
 
 
 def _frame(diagram):
@@ -179,3 +181,17 @@ def loop_elimination_order(scopes, targets, index, doms):
         work = [f for f in work if var not in f] + [tuple(scope)]
         order.append(var)
     return order
+
+
+def rescan_open(tree, vertex=None, parent=None):
+    """Every leaf under vertex (default: the root) that is not pruned and
+    whose context lacks a predecessor, mapped to its parent (None for the
+    root), by a recursive walk."""
+    vertex = tree.root if vertex is None else vertex
+    if isinstance(vertex, Leaf):
+        complete = len(vertex.context) == len(tree.predecessors)
+        return {} if vertex.pruned or complete else {vertex: parent}
+    links = {}
+    for child in vertex.children.values():
+        links.update(rescan_open(tree, child, vertex))
+    return links

@@ -116,10 +116,10 @@ class TestSolve:
     def test_unknown_decision(self, mini_file):
         assert main(["solve", mini_file, "--decision", "Q"]) == 2
 
-    def test_min_evi_requires_greedy(self, mini_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", mini_file, "--ext", "random", "--min-evi", "0.1"])
-        assert exc.value.code == 2
+    def test_min_evi_requires_greedy(self, mini_file, capsys):
+        assert main(["solve", mini_file, "--ext", "random", "--min-evi", "0.1"]) == 2
+        assert ("min_evi stopping applies to the greedy extension strategy only"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flags, message", [
         (["--max-ext", "-1"], "max_extensions must not be negative, got -1"),

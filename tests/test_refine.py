@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import rescan_open
 from idrefine.diagram import DecisionNode, InfluenceDiagram, ValueNode, Variable
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
@@ -13,8 +14,9 @@ from idrefine.fixtures import (constant_utility, deterministic_exclusion,
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.harness import greedy_query_bound
 from idrefine.oracle import oracle_optimal
-from idrefine.refine import (CSV_HEADER, PosthocSelector, RandomLeafSelector,
-                             RefinementConfig, StoppingRule, refine)
+from idrefine.refine import (CSV_HEADER, EXTENSION_STRATEGIES, LEAF_STRATEGIES,
+                             PosthocSelector, RandomLeafSelector, RefinementConfig,
+                             StoppingRule, choose_extension, make_selector, refine)
 from idrefine.tree import (Internal, Leaf, extend, extensions, init_tree,
                            iter_internals, iter_leaves, tree_value)
 
@@ -318,9 +320,32 @@ class TestTreeWalks:
         assert large == small
 
 
+class TestOpenLeaves:
+    """tree.open, kept by extend(), equals a rescan of the tree after every
+    extension, whichever strategies choose the leaf and the variable."""
+
+    @pytest.mark.parametrize("leaf", LEAF_STRATEGIES)
+    @pytest.mark.parametrize("extension", EXTENSION_STRATEGIES)
+    @given(seed=st.integers(0, 3_000), n=st.integers(2, 4), arity=st.integers(2, 3),
+           exclusion=st.booleans())
+    def test_open_matches_rescan(self, leaf, extension, seed, n, arity, exclusion):
+        diagram = deterministic_exclusion() if exclusion else gen_random_id(
+            GeneratorSpec(n=n, seed=seed, arity=arity))
+        engine = Engine(compile_network(diagram))
+        tree = init_tree(engine, diagram.decision_order[0])
+        rng = np.random.default_rng(seed)
+        selector = make_selector(leaf, tree, rng)
+        assert tree.open == rescan_open(tree) == {tree.root: None}
+        while (chosen := selector.next_leaf(tree)) is not None:
+            variable, _ = choose_extension(extension, tree, chosen, engine, rng)
+            selector.notify_extended(extend(tree, chosen, variable, engine))
+            assert tree.open == rescan_open(tree)
+        assert not tree.open
+
+
 class TestLeafJointsReleased:
-    """A run that stops with extensible leaves left keeps no leaf joint, so
-    the root joint they were sliced from can be freed, and no sibling
+    """However a run stops, it keeps no leaf joint, so the root joint the
+    open leaves' joints were sliced from can be freed, and no sibling
     results it was never charged for."""
 
     @pytest.mark.parametrize("stop", [StoppingRule(max_extensions=60),
@@ -333,22 +358,32 @@ class TestLeafJointsReleased:
 
         def recording(tree, leaf, names, engine, _original=tree_module._evaluate_group):
             _original(tree, leaf, names, engine)
-            siblings = tree.parents[leaf].children.values() if leaf in tree.parents else ()
+            parent = tree.open[leaf]
+            siblings = parent.children.values() if parent is not None else ()
             grouped.extend(c for c in siblings if isinstance(c, Leaf) and c.uncharged is not None)
         monkeypatch.setattr(tree_module, "_evaluate_group", recording)
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
-        assert any(not l.pruned and len(l.context) < 12 for l in leaves)
+        assert tree.open
         assert all(l.joint is None and l.uncharged is None for l in leaves)
         never_charged = {l for l in grouped if not l.cache}
         assert never_charged <= set(leaves)
         # each of these stops lands between two siblings of one group
         assert bool(never_charged) == (stop.max_extensions != 0)
 
+    @pytest.mark.parametrize("leaf", LEAF_STRATEGIES)
+    @pytest.mark.parametrize("extension", EXTENSION_STRATEGIES)
+    def test_complete_run(self, leaf, extension):
+        _, tree, _ = run(gen_random_id(GeneratorSpec(n=5, seed=2, arity=3)),
+                         leaf_strategy=leaf, extension_strategy=extension, seed=1)
+        assert not tree.open
+        assert all(l.joint is None and l.uncharged is None for l in iter_leaves(tree))
+
     def test_degenerate_network(self):
         _, tree, trace = run(constant_utility())
         assert len(trace.records) == 1
-        assert isinstance(tree.root, Leaf) and tree.root.joint is None
+        assert tree.open == {tree.root: None}
+        assert tree.root.joint is None and tree.root.uncharged is None
 
     def test_root_without_predecessors_keeps_none(self):
         nodes = {"d": DecisionNode(Variable("d", ("a", "b")), ()),

@@ -1,7 +1,11 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from idrefine.engine import Engine, compile_network
+from idrefine.fixtures import mini_weather
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -33,3 +37,21 @@ def test_check_pins_script():
     assert result.returncode == 0, result.stderr
     for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
         assert f"{workload}: 1 checked, 0 failed" in result.stdout
+
+
+def test_benchmark_tracing_targets_exist(monkeypatch):
+    """perfbench/tracing.py finds every function it wraps (it raises
+    LookupError for one the library no longer defines where it is looked
+    up), records spans through the wrappers and restores the originals on
+    exit.  The benchmark directory is imported read-only."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    originals = [vars(owner)[attr] for owner, attr, _ in tracing._targets()]
+    with tracing.traced(tracing.Tracer()) as tracer:
+        sys.modules["idrefine.refine"].refine(Engine(compile_network(mini_weather())), "D")
+    assert {"refine.refine", "tree.best_extension", "tree.extend",
+            "engine.calibrate"} <= set(tracer.totals())
+    assert [vars(owner)[attr] for owner, attr, _ in tracing._targets()] == originals

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import rescan_open
 from idrefine.engine import Calibration, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
@@ -130,22 +131,37 @@ class TestExtend:
         with pytest.raises(ValueError, match="does not belong"):
             extend(tree, other.root, "R", eng)
 
-    def test_foreign_or_replaced_inner_leaf_rejected(self):
-        """The parent links tell a leaf of this tree from a leaf of another
-        tree or one already replaced, below the root too, and a rejected
-        extend changes nothing."""
+    @staticmethod
+    def reject_strangers(call):
+        """call(tree, leaf, engine) on a leaf of another tree and on one
+        already replaced, below the root, raises and charges and changes
+        nothing."""
         eng, tree = fresh(mini_weather_coin(2))
         other_eng, other = fresh(mini_weather_coin(2))
         extend(tree, tree.root, "R", eng)
         extend(other, other.root, "R", other_eng)
         sunny = find_leaf(tree, (("R", "sunny"),))
         extend(tree, sunny, "C1", eng)
-        before = (eng.counter.snapshot(), tree_counts(tree), tree_value(tree), dict(tree.parents))
+        before = (eng.counter.snapshot(), tree_counts(tree), tree_value(tree), dict(tree.open))
         for stranger in (find_leaf(other, (("R", "sunny"),)), sunny):
+            cache = dict(stranger.cache)
             with pytest.raises(ValueError, match="does not belong"):
-                extend(tree, stranger, "C2", eng)
+                call(tree, stranger, eng)
+            assert stranger.cache == cache
         assert (eng.counter.snapshot(), tree_counts(tree), tree_value(tree),
-                tree.parents) == before
+                tree.open) == before
+
+    def test_foreign_or_replaced_inner_leaf_rejected(self):
+        """tree.open tells a leaf of this tree from a leaf of another tree
+        or one already replaced, below the root too."""
+        self.reject_strangers(lambda tree, leaf, eng: extend(tree, leaf, "C2", eng))
+
+    @pytest.mark.parametrize("call", [
+        lambda tree, leaf, eng: evi(tree, leaf, "C2", eng),
+        lambda tree, leaf, eng: best_extension(tree, leaf, eng)],
+        ids=["evi", "best_extension"])
+    def test_foreign_or_replaced_leaf_not_explored(self, call):
+        self.reject_strangers(call)
 
     def test_deep_copy_extends_apart(self):
         """A deep copy links its own vertices, so extending an inner leaf of
@@ -375,22 +391,10 @@ def recount(vertex):
     return internals, leaves, products
 
 
-def parent_links(tree, vertex):
-    """Every leaf below vertex that can still be extended, mapped to its
-    parent, by a recursive walk."""
-    if isinstance(vertex, Leaf):
-        return {}
-    links = {c: vertex for c in vertex.children.values()
-             if isinstance(c, Leaf) and not c.pruned and extensions(tree, c)}
-    for child in vertex.children.values():
-        links.update(parent_links(tree, child))
-    return links
-
-
 def assert_statistics(tree):
     internals, leaves, products = recount(tree.root)
     assert tree_counts(tree) == (internals, leaves)
-    assert tree.parents == parent_links(tree, tree.root)
+    assert tree.open == rescan_open(tree)
     assert tree_value(tree) == math.fsum(products)
     assert policy_json(tree)["value_normalized"] == tree_value(tree)
 

@@ -5,10 +5,15 @@ every decision becomes a uniform root variable, and the value node becomes
 a binary proxy variable whose true-probability is the utility normalized to
 [0, 1].  ChanceNetwork.fix_decision then fixes decisions last to first, each
 by swapping its one factor for its contingency table.  Queries are answered
-exactly by variable elimination: factors keep the axis order they are built
-with, and each elimination step is one ``np.einsum`` over the factors that
-mention the eliminated variable.  The order is greedy min-size, searched
-over a per-variable index of the variables each shares a factor with.
+exactly by variable elimination (Zhang & Poole 1994): factors keep the axis
+order they are built with, and the order is greedy min-size, searched over a
+per-variable index of the variables each shares a factor with.  A query's
+plan, the order plus each step's transposes and reshapes onto the step's
+axes, depends only on the restricted factors' scopes and shapes, the
+targets and the variables' indices, so it is built once and kept in a
+bounded process-wide cache.  A step multiplies the factors that mention the
+eliminated variable left to right, as broadcast numpy products, and sums
+the variable out into a C-contiguous array.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -102,29 +108,11 @@ class _Factor(NamedTuple):
     values: np.ndarray
 
 
-_MAX_OPERANDS = 32  # np.einsum's operand limit under numpy 1.x
-
-
 def _restrict(f: _Factor, evidence: Mapping[str, int]) -> _Factor:
     if not any(v in evidence for v in f.vars):
         return f
     slicer = tuple(evidence.get(v, slice(None)) for v in f.vars)
     return _Factor(tuple(v for v in f.vars if v not in evidence), f.values[slicer])
-
-
-def _contract(factors: list[_Factor], keep: tuple[str, ...]) -> np.ndarray:
-    """Product of the factors, multiplied left to right and summed down to
-    the variables in ``keep``, axes in that order."""
-    if len(factors) > _MAX_OPERANDS:
-        head = factors[:_MAX_OPERANDS]
-        union = tuple(dict.fromkeys(v for f in head for v in f.vars))
-        factors = [_Factor(union, _contract(head, union))] + factors[_MAX_OPERANDS:]
-        return _contract(factors, keep)
-    labels: dict[str, int] = {}
-    operands: list = []
-    for f in factors:
-        operands += [f.values, [labels.setdefault(v, len(labels)) for v in f.vars]]
-    return np.einsum(*operands, [labels[v] for v in keep])
 
 
 def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ...],
@@ -159,19 +147,108 @@ def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ..
     return order
 
 
+class _Step(NamedTuple):
+    """One step of a plan: the product of some factors, each transposed and
+    reshaped onto the step's axes, then, for an elimination step, a sum
+    over axis 0, the eliminated variable.  Factors are numbered in the
+    order they arise: the query's factors, then one per step."""
+
+    operands: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (factor, axes, shape)
+    inplace: int  # operands from this one on are multiplied into the product in place
+    reduce: bool
+
+
+# Plans are keyed by scopes, not by network: every pooled diagram and every
+# fix_decision builds a fresh network, and a two-stage sweep's queries
+# share two plans across diagrams.  Where leaf joints are refused, a leaf's
+# candidate queries share their plans with its siblings'; 128 covers leaves
+# of up to 128 candidates.
+_PLANS = 128
+
+
+def _step(scopes: list[tuple[str, ...]], take: Sequence[int], axes: tuple[str, ...],
+          doms: Mapping[str, int], reduce: bool) -> _Step:
+    """The product of the factors numbered ``take``, in that order, onto ``axes``."""
+    place = {v: a for a, v in enumerate(axes)}
+    operands, covered, inplace = [], set(), len(take)
+    for k, i in enumerate(take):
+        scope = scopes[i]
+        covered.update(scope)
+        operands.append((i, tuple(sorted(range(len(scope)), key=lambda a: place[scope[a]])),
+                         tuple(doms[v] if v in scope else 1 for v in axes)))
+        # the product is first allocated, with every axis, by operand k
+        if k and axes and inplace == len(take) and len(covered) == len(axes):
+            inplace = k + 1
+    return _Step(tuple(operands), inplace, reduce)
+
+
+@lru_cache(maxsize=_PLANS)
+def _plan(scopes: tuple[tuple[str, ...], ...], shapes: tuple[tuple[int, ...], ...],
+          targets: tuple[str, ...], ranks: tuple[int, ...]) -> tuple[_Step, ...]:
+    """The steps of _query for factors over the given scopes and shapes,
+    ``ranks`` being each scope variable's network index, scope by scope.
+
+    Each hidden variable, in _elimination_order, is summed out of the
+    product of the live factors that mention it, oldest first; the result,
+    axes in index order, is the newest factor.  The last step multiplies
+    the live factors, oldest first, onto the targets.
+    """
+    index = dict(zip((v for scope in scopes for v in scope), ranks))
+    doms = {v: n for scope, shape in zip(scopes, shapes) for v, n in zip(scope, shape)}
+    made, live, steps = list(scopes), set(range(len(scopes))), []
+    holders: dict[str, set[int]] = {}
+    for i, scope in enumerate(scopes):
+        for v in scope:
+            holders.setdefault(v, set()).add(i)
+    for var in _elimination_order(scopes, targets, index, doms):
+        take = sorted(holders.pop(var))
+        kept = tuple(sorted({u for i in take for u in made[i]} - {var}, key=index.__getitem__))
+        steps.append(_step(made, take, (var,) + kept, doms, True))
+        live.difference_update(take)
+        live.add(len(made))
+        for u in kept:
+            holders[u].difference_update(take)
+            holders[u].add(len(made))
+        made.append(kept)
+    steps.append(_step(made, sorted(live), targets, doms, False))
+    return tuple(steps)
+
+
+def _execute(plan: tuple[_Step, ...], factors: list[np.ndarray]) -> np.ndarray:
+    """Run a plan on a list of the factors' values, which it uses up.
+    Products are multiplied left to right, as the elementwise product of
+    the operands in order, and every step's result is C-contiguous: a
+    joint's layout decides the order in which later sums over it add
+    (_marginal, _choose) and how _evaluate groups joints."""
+    for operands, inplace, reduce in plan:
+        product = None
+        for k, (i, axes, shape) in enumerate(operands):
+            factor = factors[i].transpose(axes).reshape(shape)
+            factors[i] = None  # each factor is used once
+            if product is None:
+                product = factor
+            elif k < inplace:
+                product = np.multiply(product, factor, order="C")
+            else:
+                np.multiply(product, factor, out=product)
+        if reduce:
+            product = product.sum(axis=0)
+        # np.asarray keeps a 0-d result 0-d, where np.ascontiguousarray would not
+        factors.append(np.asarray(product, order="C"))
+    return factors[-1]
+
+
 def _query(net: "ChanceNetwork", factors: Iterable[_Factor], evidence: Mapping[str, int],
            targets: tuple[str, ...]) -> np.ndarray:
     """Unnormalized joint P(targets, evidence), axes in target order, by
-    eliminating the hidden variables in _elimination_order."""
+    eliminating the hidden variables in _elimination_order: the cached plan
+    for the restricted factors' scopes, shapes and indices, executed."""
     index = net.index
     work = [_restrict(f, evidence) for f in factors]
-    for var in _elimination_order([f.vars for f in work], targets, index, net.doms):
-        related = [f for f in work if var in f.vars]
-        work = [f for f in work if var not in f.vars]
-        kept = tuple(sorted({u for f in related for u in f.vars if u != var},
-                            key=index.__getitem__))
-        work.append(_Factor(kept, _contract(related, kept)))
-    return _contract(work, targets)
+    scopes = tuple(f.vars for f in work)
+    plan = _plan(scopes, tuple(f.values.shape for f in work), targets,
+                 tuple(index[v] for scope in scopes for v in scope))
+    return _execute(plan, [f.values for f in work])
 
 
 @dataclass(frozen=True, eq=False)

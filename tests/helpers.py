@@ -2,14 +2,15 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.  The three
+engine is checked against a genuinely separate code path.  The four
 exceptions are bit-exact references for faster replacements:
 ``loop_oracle`` is the oracle's former per-state loop over
 ``state_action_values``, ``loop_candidate`` is the former per-candidate
-arithmetic of ``Calibration.evaluate_candidate``, and
+arithmetic of ``Calibration.evaluate_candidate``,
 ``loop_elimination_order`` is the former elimination-order search of
-``_query``.  ``rescan_open`` recomputes a tree's open leaves by a walk,
-apart from the record extend() keeps.
+``_query``, and ``einsum_query`` is the former ``_query``, which ran each
+elimination step as one ``np.einsum``.  ``rescan_open`` recomputes a
+tree's open leaves by a walk, apart from the record extend() keeps.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
 from idrefine.engine import (ZERO_PROB, CandidateEvaluation, ZeroProbabilityError,
-                             _marginal, _query)
+                             _elimination_order, _Factor, _marginal, _query, _restrict)
 from idrefine.oracle import state_action_values
 from idrefine.tree import Leaf
 
@@ -181,6 +182,39 @@ def loop_elimination_order(scopes, targets, index, doms):
         work = [f for f in work if var not in f] + [tuple(scope)]
         order.append(var)
     return order
+
+
+_MAX_OPERANDS = 32  # np.einsum's operand limit under numpy 1.x
+
+
+def _contract(factors, keep):
+    """Product of the factors, multiplied left to right and summed down to
+    the variables in ``keep``, axes in that order."""
+    if len(factors) > _MAX_OPERANDS:
+        head = factors[:_MAX_OPERANDS]
+        union = tuple(dict.fromkeys(v for f in head for v in f.vars))
+        factors = [_Factor(union, _contract(head, union))] + factors[_MAX_OPERANDS:]
+        return _contract(factors, keep)
+    labels = {}
+    operands = []
+    for f in factors:
+        operands += [f.values, [labels.setdefault(v, len(labels)) for v in f.vars]]
+    return np.einsum(*operands, [labels[v] for v in keep])
+
+
+def einsum_query(net, factors, evidence, targets):
+    """Unnormalized joint P(targets, evidence), axes in target order, as
+    _query computed it before plans: each step one np.einsum over the
+    factors that mention the eliminated variable."""
+    index = net.index
+    work = [_restrict(f, evidence) for f in factors]
+    for var in _elimination_order([f.vars for f in work], targets, index, net.doms):
+        related = [f for f in work if var in f.vars]
+        work = [f for f in work if var not in f.vars]
+        kept = tuple(sorted({u for f in related for u in f.vars if u != var},
+                            key=index.__getitem__))
+        work.append(_Factor(kept, _contract(related, kept)))
+    return _contract(work, targets)
 
 
 def rescan_open(tree, vertex=None, parent=None):

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (enum_action_value, enum_best_action, enum_posterior,
+from helpers import (einsum_query, enum_action_value, enum_best_action, enum_posterior,
                      enum_probability, loop_candidate, loop_elimination_order,
                      normalized)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
-from idrefine.engine import (Calibration, Engine, PolicyCpt, ZeroProbabilityError,
-                             _HALVING_MIN, _elimination_order, compile_network)
+from idrefine.engine import (_PLANS, Calibration, Engine, PolicyCpt, ZeroProbabilityError,
+                             _HALVING_MIN, _elimination_order, _plan, _query,
+                             compile_network)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
-                               mini_weather)
+                               mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, refine
@@ -709,7 +710,8 @@ class TestEliminationOrder:
 class TestManyFactors:
     def test_more_factors_than_einsum_operands(self):
         """70 independent coins, one observed: after the hidden coins are
-        summed out, far more factors remain than np.einsum takes at once."""
+        summed out, the last product multiplies more factors than np.einsum
+        takes at once."""
         coins = [f"c{i}" for i in range(70)]
         nodes = [{"name": c, "kind": "chance", "outcomes": ["h", "t"], "parents": [],
                   "table": [0.25, 0.75]} for c in coins]
@@ -727,6 +729,133 @@ class TestManyFactors:
         assert ev.actions == ("a", "b")
         assert ev.probs == pytest.approx([0.25, 0.75], abs=TOL)
         assert ev.values == pytest.approx([0.5, 1.0], abs=TOL)
+
+
+def query_network(kind, seed):
+    """A compiled network of the given kind for TestPlannedQuery: a star
+    with 1 to 8 predecessors, a mixed-arity diagram, or a two-stage diagram,
+    with d2 fixed to a random deterministic policy or not."""
+    if kind == "star":
+        return compile_network(gen_random_id(GeneratorSpec(n=seed % 8 + 1, seed=seed)))
+    if kind.startswith("mixed"):
+        return compile_network(mixed_arity_diagram(seed, every=kind == "mixed every"))
+    net = compile_network(gen_two_stage(seed))
+    if kind == "two-stage fixed":
+        rng = np.random.default_rng(seed)
+        parents = tuple(p for p in ("d1", "m") if rng.integers(2))
+        net = net.fix_decision("d2", PolicyCpt(parents, np.eye(2)[rng.integers(
+            2, size=(2,) * len(parents))]))
+    return net
+
+
+class TestPlannedQuery:
+    @pytest.mark.parametrize("kind", ["star", "mixed every", "mixed", "two-stage",
+                                      "two-stage fixed"])
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_matches_einsum_reference(self, kind, seed, data):
+        """_query against einsum_query, the one-einsum-per-step executor it
+        replaced, on random evidence and targets (possibly none).  Half the
+        cases observe every variable of a factor, which restriction turns
+        into a numpy scalar.  Results are C-contiguous, within 1 ulp, and
+        bit-equal on stars and two-stage diagrams."""
+        net = query_network(kind, seed)
+        names = [v for v in net.index if v != net.proxy]
+        observed = set(data.draw(st.lists(st.sampled_from(names), unique=True)))
+        if data.draw(st.booleans()):
+            whole = [f.vars for f in net.factors.values() if net.proxy not in f.vars]
+            observed.update(data.draw(st.sampled_from(whole)))
+        evidence = {v: data.draw(st.integers(0, net.doms[v] - 1)) for v in sorted(observed)}
+        free = [v for v in net.index if v not in evidence]
+        targets = tuple(data.draw(st.lists(st.sampled_from(free), unique=True, max_size=4)))
+        got = _query(net, net.factors.values(), evidence, targets)
+        ref = einsum_query(net, net.factors.values(), evidence, targets)
+        assert got.shape == np.shape(ref)
+        assert got.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_max_ulp(got, ref, maxulp=1)
+        if not kind.startswith("mixed"):
+            assert np.array_equal(got, ref)
+
+    def test_last_factor_transposed_to_targets(self):
+        """Eliminating W and D from mini_weather leaves one factor, axes (R,
+        V) in index order; asked for (V, R), the result is still a C-contiguous
+        array, as einsum_query's is."""
+        net = compile_network(mini_weather())
+        got = _query(net, net.factors.values(), {}, ("V", "R"))
+        assert got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, einsum_query(net, net.factors.values(), {}, ("V", "R")))
+
+
+class TestPlanCache:
+    """A plan is shared by every network whose restricted factors have the
+    same scopes, shapes and variable indices, and by no other."""
+
+    @staticmethod
+    def roots(arity, first):
+        """Roots a (``arity`` outcomes) and b, the one named ``first``
+        declared first; d observes both and v reads a, b and d."""
+        rng = np.random.default_rng(arity)
+        nodes = {}
+        for name, k in sorted({"a": arity, "b": 2}.items(), key=lambda kv: kv[0] != first):
+            draws = rng.uniform(0.1, 1.0, size=(1, k))
+            prior = normalize_rows(draws / draws.sum())[0]
+            nodes[name] = ChanceNode(Variable(name, tuple(f"o{i}" for i in range(k))), (), prior)
+        nodes["d"] = DecisionNode(Variable("d", ("x", "y")), ("a", "b"))
+        nodes["v"] = ValueNode("v", ("a", "b", "d"), rng.random(size=(arity, 2, 2)))
+        return compile_network(InfluenceDiagram(nodes, ("d",)))
+
+    @staticmethod
+    def query(net, order, targets):
+        factors = [net.factors[n] for n in order]
+        got = _query(net, factors, {}, targets)
+        assert np.array_equal(got, einsum_query(net, factors, {}, targets))
+        return got
+
+    def test_arity_is_part_of_the_key(self):
+        _plan.cache_clear()
+        for arity in (2, 3):
+            got = self.query(self.roots(arity, "a"), "abdv", ("a", "v"))
+            assert got.shape == (arity, 2)
+        assert _plan.cache_info().misses == 2
+
+    def test_each_network_index_is_followed(self):
+        """The same scopes, in the same factor order, over networks that
+        declare a and b in either order: eliminating a or b first ties on
+        size, so each network's index decides, and so does the order of
+        the axes kept."""
+        _plan.cache_clear()
+        nets = [self.roots(2, first) for first in "ab"]
+        assert [net.index["a"] < net.index["b"] for net in nets] == [True, False]
+        for net in nets:
+            self.query(net, "abdv", ("v",))
+            self.query(net, "abdv", ("d", "v"))
+        assert _plan.cache_info().misses == 4
+
+    def test_two_stage_sweeps_share_plans(self):
+        _plan.cache_clear()
+        for seed in range(50):
+            sweep_back(gen_two_stage(seed))
+        assert _plan.cache_info().misses <= 2
+
+    def test_bounded(self):
+        for k in range(_PLANS + 10):
+            _plan(((f"x{k}",),), ((2,),), (), (0,))
+        assert _plan.cache_info().currsize == _PLANS
+
+
+class TestOneExecutor:
+    def test_no_einsum(self, monkeypatch):
+        """Every query runs through the planned executor: with np.einsum
+        raising, a complete refine, a two-stage sweep, context_probability
+        and the 70-coin diagram all run."""
+        def einsum(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+        monkeypatch.setattr(np, "einsum", einsum)
+        _, trace = refine(Engine(compile_network(mini_weather_coin(3))), "D", RefinementConfig())
+        assert trace.records[-1].internal_vertices == 2 ** 4 - 1
+        sweep_back(gen_two_stage(0))
+        assert Engine(compile_network(mini_weather())).context_probability(
+            {"W": "rain", "R": "rainy"}) == pytest.approx(0.3 * 0.8)
+        TestManyFactors().test_more_factors_than_einsum_operands()
 
 
 class TestExactness:

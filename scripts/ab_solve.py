@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Interleaved timing of two checkouts' solves on the benchmark's pooled diagrams.
+
+    python3 scripts/ab_solve.py BASE CHANGE [WORKLOAD ...] [--instances N] [--rounds R]
+
+BASE and CHANGE are checkouts of this repository.  Each one's src/idrefine
+is loaded as a package of its own (idrefine_base, idrefine_change), so both
+run in this one process.  For each of the first N pooled instances of each
+named workload (default: all four; perfbench/workloads.py of this checkout
+gives the JSON text and the settings, imported read-only), each side parses,
+validates and compiles the text untimed, then times the solve the benchmark
+times: refine on a fresh engine, or sweep_back for a multistage workload.
+Each side runs R times per instance, the side that runs first alternating,
+and keeps its fastest time.  Both sides' trace CSVs must be byte-equal on
+every instance; otherwise the script exits 1.  Per workload it prints the
+median CHANGE/BASE ratio of the per-instance times, with its quartiles.
+
+Timing the two sides seconds apart is the point: on a host whose speed
+drifts within minutes, separate benchmark runs of each side can differ by
+more than the change being measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import statistics
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import workloads as W  # noqa: E402
+
+
+def load(checkout: Path, name: str):
+    """The checkout's src/idrefine, imported as the package ``name``."""
+    init = checkout / "src" / "idrefine" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"error: no idrefine sources at {init.parent}")
+    spec = importlib.util.spec_from_file_location(name, init,
+                                                  submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return package
+
+
+class Side:
+    def __init__(self, checkout: Path, name: str):
+        self.package = load(checkout, name)
+        # the module, not the function the package re-exports under this name
+        self.refine = importlib.import_module(f"{name}.refine")
+
+    def prepare(self, wl, text: str):
+        pkg = self.package
+        diagram = pkg.parse_diagram(text)
+        report = pkg.validate(diagram)
+        if not report.ok:
+            raise SystemExit(f"error: invalid diagram: {report.violations}")
+        R = self.refine
+        stop = (R.StoppingRule(run_to_complete=True) if wl.complete
+                else R.StoppingRule(max_passes=wl.max_passes))
+        config = R.RefinementConfig(leaf_strategy=wl.leaf, extension_strategy=wl.ext,
+                                    stop=stop, seed=0)
+        return diagram, pkg.compile_network(diagram), config
+
+    def solve(self, wl, prepared) -> tuple[float, str]:
+        """(seconds, the trace CSVs of every refined decision)."""
+        diagram, network, config = prepared
+        t0 = time.perf_counter()
+        if wl.multistage:
+            traces = list(self.package.sweep_back(diagram, config)[1].values())
+        else:
+            traces = [self.refine.refine(self.package.Engine(network), "d", config)[1]]
+        seconds = time.perf_counter() - t0
+        return seconds, "".join(t.to_csv() for t in traces)
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
+    """Print one line for the workload; False if some trace differs."""
+    ratios, times = [], {base: [], change: []}
+    for index in range(min(instances, wl.pool)):
+        text = wl.text(index)
+        prepared = {side: side.prepare(wl, text) for side in (base, change)}
+        best = {base: float("inf"), change: float("inf")}
+        csv = {}
+        for r in range(rounds):
+            for side in ((base, change) if (index + r) % 2 == 0 else (change, base)):
+                seconds, csv[side] = side.solve(wl, prepared[side])
+                best[side] = min(best[side], seconds)
+        if csv[base] != csv[change]:
+            print(f"{wl.name} {index}: trace CSVs differ", file=sys.stderr)
+            return False
+        ratios.append(best[change] / best[base])
+        for side in best:
+            times[side].append(best[side])
+    q1, median, q3 = quartiles(ratios)
+    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces byte-equal; "
+          f"CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
+          f"median solve {statistics.median(times[base]):.6g} s -> "
+          f"{statistics.median(times[change]):.6g} s", flush=True)
+    return True
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, metavar="BASE")
+    ap.add_argument("change", type=Path, metavar="CHANGE")
+    ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
+                    help=f"any of {', '.join(W.WORKLOADS)} (default: all)")
+    ap.add_argument("--instances", type=int, default=16,
+                    help="pooled instances per workload, from the first (default 16)")
+    ap.add_argument("--rounds", type=int, default=3,
+                    help="timed solves per side and instance (default 3)")
+    args = ap.parse_args(argv)
+    for name in args.workloads:
+        if name not in W.WORKLOADS:
+            ap.error(f"unknown workload {name!r}")
+    if args.instances < 1 or args.rounds < 1:
+        ap.error("--instances and --rounds must be at least 1")
+    base, change = Side(args.base, "idrefine_base"), Side(args.change, "idrefine_change")
+    ok = all([compare(W.WORKLOADS[name], base, change, args.instances, args.rounds)
+              for name in args.workloads or W.WORKLOADS])
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,7 +37,7 @@ which holds whenever one utility spans the missing predecessors; otherwise
 each candidate takes its own contraction.  The counters charge the same
 either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
-gather and the divisions (_choose) run once per stack.
+gather and the divisions (_choose) run, and are read out, once per stack.
 
 Sibling contexts, which differ only in the outcome of one variable, are
 evaluated together by evaluate_siblings: their leaf joints are stacked, the
@@ -48,8 +48,8 @@ calibration reads its results (Calibration.evaluate_candidates'
 bit-identical to evaluating that sibling alone, because a single context
 goes through the same sums and _choose as a stack of one.
 
-Engine.calibrate, the one way into a context, resolves its evidence before
-it charges, and a call rejected for its arguments charges nothing.  An
+Engine.calibrate, the one way into a context, checks its findings (outcome
+labels or indices) before it charges; a rejected call charges nothing.  An
 action/value pair (best_action) costs 2: the calibration and a value pass,
 the candidate with no split, which reads the joint of decision and proxy
 (the leaf joint summed over its predecessor axes) through the same _choose.
@@ -61,6 +61,7 @@ concurrently.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -122,9 +123,9 @@ def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ..
     smallest factor (ties by network index).
 
     Each variable keeps the set of variables it shares a factor with, and
-    each hidden one the size of the factor its elimination would make.
-    When one is eliminated, its set is merged into each hidden neighbour's,
-    whose size alone changes.
+    each hidden one the size of the factor its elimination would make, kept
+    in a heap.  When one is eliminated, its set is merged into each hidden
+    neighbour's, whose size alone changes and is pushed anew.
     """
     neighbours: dict[str, set[str]] = {}
     for scope in scopes:
@@ -132,9 +133,13 @@ def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ..
             neighbours.setdefault(v, set()).update(scope)
     size = {v: math.prod(doms[u] for u in near if u != v)
             for v, near in neighbours.items() if v not in targets}
+    heap = [(n, index[v], v) for v, n in size.items()]
+    heapq.heapify(heap)
     order = []
-    while size:
-        var = min(size, key=lambda v: (size[v], index[v]))
+    while heap:
+        n, _, var = heapq.heappop(heap)
+        if size.get(var) != n:  # eliminated, or its size changed since the push
+            continue
         del size[var]
         near = neighbours[var]
         for u in near:
@@ -143,6 +148,7 @@ def _elimination_order(scopes: Iterable[tuple[str, ...]], targets: tuple[str, ..
                 merged |= near
                 merged -= {u, var}
                 size[u] = math.prod(doms[w] for w in merged)
+                heapq.heappush(heap, (size[u], index[u], u))
         order.append(var)
     return order
 
@@ -339,15 +345,19 @@ def compile_network(diagram: InfluenceDiagram) -> ChanceNetwork:
     return ChanceNetwork(diagram, {}, outcomes, doms, index, factors, proxy, u_min, u_max)
 
 
-@dataclass(frozen=True)
-class CandidateEvaluation:
+class CandidateEvaluation(NamedTuple):
     """Per-child results of exploring one extension variable in a context."""
 
     variable: str
     outcomes: tuple[str, ...]
-    probs: np.ndarray    # P(outcome | context)
-    actions: tuple[str, ...]  # maximizing action per outcome
-    values: np.ndarray   # normalized value of that action per outcome
+    probs: list[float]   # P(outcome | context)
+    best: list[int]      # index of the maximizing action per outcome
+    values: list[float]  # normalized value of that action per outcome
+    labels: tuple[str, ...]  # the decision's actions, which best indexes
+
+    @property
+    def actions(self) -> tuple[str, ...]:  # the maximizing action per outcome
+        return tuple(self.labels[k] for k in self.best)
 
 
 class Engine:
@@ -359,16 +369,17 @@ class Engine:
 
     # -- helpers ---------------------------------------------------------
 
-    def _evidence_idx(self, evidence: Mapping[str, str]) -> dict[str, int]:
-        net = self.network
+    def _evidence_idx(self, evidence: Mapping[str, str | int]) -> dict[str, int]:
+        outcomes, proxy = self.network.outcomes, self.network.proxy
         out: dict[str, int] = {}
         for var, outcome in evidence.items():
-            if var not in net.outcomes or var == net.proxy:
+            labels = outcomes.get(var)
+            if labels is None or var == proxy:
                 raise DiagramError(f"unknown variable {var!r} in evidence")
-            try:
-                out[var] = net.outcomes[var].index(outcome)
-            except ValueError:
-                raise DiagramError(f"variable {var!r} has no outcome {outcome!r}") from None
+            index = type(outcome) is int and 0 <= outcome < len(labels)
+            if not index and outcome not in labels:
+                raise DiagramError(f"variable {var!r} has no outcome {outcome!r}")
+            out[var] = outcome if index else labels.index(outcome)
         return out
 
     def _check_decision(self, decision: str, evidence: Iterable[str] = ()) -> None:
@@ -422,12 +433,13 @@ class Engine:
             out[var] = dict(zip(net.outcomes[var], dist.tolist()))
         return out
 
-    def calibrate(self, evidence: Mapping[str, str],
+    def calibrate(self, evidence: Mapping[str, str | int],
                   joint: np.ndarray | None = None) -> "Calibration":
         """Enter a context as findings (one pass); posteriors become lookups.
 
-        ``joint``, if given, is the context's leaf joint for the decision
-        the calibration will explore (see Calibration.leaf_joint), e.g. a
+        Each finding gives an outcome label or index, checked before the pass
+        is charged.  ``joint``, if given, is the context's leaf joint for the
+        decision the calibration will explore (Calibration.leaf_joint), e.g. a
         slice of the parent context's; only its shape is checked.
         """
         evidence_idx = self._evidence_idx(evidence)
@@ -591,8 +603,8 @@ def evaluate_siblings(network: ChanceNetwork, decision: str, variables: Sequence
     their predecessor axes in order.  The joints are stacked and each
     candidate's joint is summed over the stack at once, keeping the stack
     axis.  Raises ZeroProbabilityError if any context has probability zero.
-    The results are charged when each context reads them
-    (Calibration.evaluate_candidates' ``evaluated``).
+    The results stay uncharged until each context reads them through
+    Calibration.evaluate_candidates' ``evaluated``.
     """
     stack, halves, m = np.stack(joints), {}, len(variables)
     flat = _evaluate(network, decision, variables,
@@ -631,10 +643,10 @@ def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[str],
 
     Joints of equal shape and memory layout are stacked (np.concatenate
     keeps a layout its inputs share), and _choose runs once per stack, on
-    every context's row of each candidate in it.  The layout decides the
-    order in which a row's total is summed, so every result is
-    bit-identical to evaluating that candidate alone, in that context
-    alone.  A stack of one joint is that joint.
+    every context's row of each candidate in it, and its results are read
+    out once, as lists.  The layout decides the order in which a row's
+    total is summed, so every result is bit-identical to evaluating that
+    candidate alone, in that context alone.  A stack of one is that joint.
     """
     groups: dict[tuple, list[int]] = {}
     for i, joint in enumerate(joints):
@@ -644,10 +656,10 @@ def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[str],
     for group in groups.values():
         parts = [joints[i] for i in group]
         best, probs, values = _choose(np.concatenate(parts) if len(parts) > 1 else parts[0])
-        for row, (a, p, v) in enumerate(zip(best.tolist(), probs, values)):
+        for row, (a, p, v) in enumerate(zip(best.tolist(), probs.tolist(), values.tolist())):
             i = group[row // g]
             out[row % g * m + i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]],
-                                                       p, tuple(labels[k] for k in a), v)
+                                                       p, a, v, labels)
     return out
 
 

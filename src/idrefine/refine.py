@@ -15,7 +15,7 @@ Leaf choice and extension choice are orthogonal and pluggable:
   extension splices the new vertex's open children in where the leaf it
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
-  evaluated and cached, a leaf's unexplored siblings evaluated with it and
+  evaluated and recorded, a leaf's unexplored siblings evaluated with it and
   charged when served) or ``random`` (uniform over candidates, only the
   chosen one evaluated).
 
@@ -34,9 +34,8 @@ from typing import Callable
 import numpy as np
 
 from .engine import Engine
-from .tree import (DecisionTree, Internal, Leaf, best_extension, extend,
-                   extensions, init_tree, iter_internals, iter_leaves,
-                   tree_counts, tree_value)
+from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, init_tree,
+                   iter_internals, iter_leaves, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -202,7 +201,7 @@ def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf,
     """Pick the extension variable for a leaf; greedy returns its gain too."""
     if strategy == "greedy":
         return best_extension(tree, leaf, engine)
-    candidates = extensions(tree, leaf)
+    candidates = leaf.missing  # the leaf is open
     return candidates[int(rng.integers(len(candidates)))].name, None
 
 
@@ -215,8 +214,8 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     its value column is non-decreasing.  Budget bounds are checked between
     iterations, so an iteration in flight may overshoot them slightly.
     However the run stops, the leaves still open drop their leaf joints and
-    the sibling evaluations they were never charged for, so the returned
-    tree does not keep the root's joint alive.
+    their records of exploration, so the returned tree does not keep the
+    root's joint or any sibling results it was never charged for alive.
     """
     config = config or RefinementConfig()
     rng = np.random.default_rng(config.seed)
@@ -252,5 +251,5 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             observer(ExtensionEvent(iterations, context_size, variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
     for leaf in tree.open:
-        leaf.joint = leaf.uncharged = None
+        leaf.joint = leaf.explored = None
     return tree, trace

@@ -12,48 +12,45 @@ Leaves whose context has probability zero are marked pruned: they inherit
 the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
-Trees are single-owner mutable values.  A leaf caches the
-CandidateEvaluation of every candidate it has explored, the record of what
-the counters were already charged, so that a greedy exploration pays for
-queries once.  The candidates a leaf has not yet explored are evaluated
-together, in one Calibration.evaluate_candidates call.  A leaf also keeps
-its leaf joint (Calibration.leaf_joint) once one is known.  The root's is
-contracted by init_tree, which reads the root's action from it.  Extending
-a leaf hands each child that can still be extended a slice of that joint,
-a numpy view, and drops the leaf's own reference, so on a star topology
-the root's joint is the one contraction of a run.
+Trees are single-owner mutable values.  A tree maps its open leaves, those
+that can still be extended, to their parents, None for the root
+(DecisionTree.open).  Every test of whether a leaf can be extended reads
+it, so a leaf of another tree, or one already replaced, is not open.  The
+links live in the tree, not in the vertices, so that no vertex refers back
+up and a dropped tree is freed at once, not by the cycle collector.
 
-A tree maps its open leaves, those that can still be extended, to their
-parents, None for the root (DecisionTree.open).  Every test of whether a
-leaf can be extended reads it, so a leaf of another tree, or one already
-replaced, is not open.  Only open leaves hold a leaf joint or uncharged
-sibling results.  The links live in the tree, not in the vertices, so that
-no vertex refers back up and a dropped tree is freed at once, not by the
-cycle collector.
+An open leaf carries its missing predecessors and its context as findings,
+outcome indices that extend derives from its parent's, and its leaf joint
+(Calibration.leaf_joint) once one is known.  init_tree contracts the
+root's, and extend hands each child that stays open a slice of the leaf's,
+a numpy view, so on a star topology the root's joint is the one
+contraction of a run.
 
-Greedy exploration (best_extension) evaluates siblings together.  The
-first time it explores a leaf whose parent has two or more unexplored
-children holding joints, it evaluates every candidate of all of them in
-one stacked pass (engine.evaluate_siblings).  Each sibling keeps its
-results uncharged, apart from its cache, and is charged when it is
-explored, exactly as if it had been evaluated then: one calibration pass
-plus two passes per candidate.  A lone leaf is a group of one, evaluated
-by its own calibration; extend and evi never form a group.
+A leaf allocates nothing more until it is explored.  Then it keeps one
+record (Explored): every candidate evaluation known for it, and the gain of
+each candidate the counters were charged for.  A candidate is charged, and
+its gain computed, once, when first read; best_extension, evi and extend
+all read that gain.  Candidates not yet charged are charged together, in
+one Calibration.evaluate_candidates call.  The first time best_extension
+explores a leaf whose parent has two or more unexplored children holding
+joints, it evaluates every candidate of all of them in one stacked pass
+(engine.evaluate_siblings), and each records its results uncharged.  A
+lone leaf is a group of one; extend and evi never form a group.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
-as extend() grows it, so reading them costs no walk.  The value is held as
-Shewchuk partials (Shewchuk 1997, the algorithm behind math.fsum): the
-exact sum of every leaf's value * reach, read out correctly rounded, so it
-does not depend on the order in which the leaves were made.
+as extend() grows it, so reading them costs no walk.  The value is one
+exact integer, the sum of every leaf's value * reach scaled by 2**1074
+(every finite float is a multiple of 2**-1074), read out by one integer
+division, which Python rounds correctly: it equals math.fsum of the
+products, whatever the order in which the leaves were made.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -64,17 +61,25 @@ from .engine import (CandidateEvaluation, Engine, ZERO_PROB, ZeroProbabilityErro
 Context = tuple[tuple[str, str], ...]
 
 
-@dataclass(eq=False)
+class Explored(NamedTuple):
+    """A leaf's record: each candidate evaluated for it, and the gain of each
+    charged to the counters; a candidate is charged exactly when it has one."""
+    evaluations: dict[str, CandidateEvaluation]
+    gains: dict[str, float]
+
+
+@dataclass(eq=False, slots=True)
 class Leaf:
     action: str
     value: float   # normalized expected value of action in this context
     reach: float   # probability of the context
     context: Context
     pruned: bool = False
-    cache: dict[str, CandidateEvaluation] = field(default_factory=dict, repr=False)
     joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
-    # this leaf's share of evaluate_siblings; an entry is charged once in cache
-    uncharged: dict[str, CandidateEvaluation] | None = field(default=None, repr=False)
+    # kept by the tree: an open leaf's extensions() and findings, and its record
+    missing: tuple[Variable, ...] = field(default=(), init=False, repr=False)
+    evidence: dict[str, int | str] | None = field(default=None, init=False, repr=False)
+    explored: Explored | None = field(default=None, init=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -85,6 +90,13 @@ class Internal:
 
 
 Vertex = Union[Leaf, Internal]
+
+_SCALE = 2 ** 1074  # every finite float times this is an integer
+
+
+def _exact(x: float) -> int:
+    n, d = x.as_integer_ratio()  # x * 2**1074 exactly, as d = 2**k with k <= 1074
+    return n << (1075 - d.bit_length())
 
 
 @dataclass(eq=False)
@@ -98,12 +110,11 @@ class DecisionTree:
     # running statistics, kept current by extend(); see tree_counts/tree_value
     internals: int = field(init=False)
     leaves: int = field(init=False)      # non-pruned
-    partials: list[float] = field(init=False, repr=False)
+    exact: int = field(init=False, repr=False)  # the value times 2**1074
     open: dict[Leaf, Internal | None] = field(init=False, repr=False)  # leaf -> parent
 
     def __post_init__(self) -> None:
-        self.internals = self.leaves = 0
-        self.partials = []
+        self.internals = self.leaves = self.exact = 0
         self.open = {}
         depth = len(self.predecessors)
         parent: dict[Vertex, Internal | None] = {self.root: None}
@@ -113,9 +124,11 @@ class DecisionTree:
                 parent.update(dict.fromkeys(v.children.values(), v))
             elif not v.pruned:
                 self.leaves += 1
-                _add_exact(self.partials, v.value * v.reach)
+                self.exact += _exact(v.value * v.reach)
                 if len(v.context) < depth:
                     self.open[v] = parent[v]
+                    v.evidence = dict(v.context)
+                    v.missing = tuple(p for p in self.predecessors if p.name not in v.evidence)
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -157,33 +170,15 @@ def iter_internals(tree: DecisionTree) -> Iterator[Internal]:
     return (v for v in iter_vertices(tree.root) if isinstance(v, Internal))
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add x to non-overlapping partials without rounding (Shewchuk 1997)."""
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def tree_counts(tree: DecisionTree) -> tuple[int, int]:
     """(internal vertices, non-pruned leaves)."""
     return tree.internals, tree.leaves
 
 
 def tree_value(tree: DecisionTree) -> float:
-    """Expected value: sum over non-pruned leaves of value times reach.
-
-    The sum is correctly rounded (math.fsum of the exact partials kept as
-    the tree grew), so it is the same float whatever the extension order.
-    """
-    return math.fsum(tree.partials)
+    """Expected value: sum over non-pruned leaves of value times reach,
+    correctly rounded, so the same float whatever the extension order."""
+    return tree.exact / _SCALE
 
 
 def extensions(tree: DecisionTree, leaf: Leaf) -> tuple[Variable, ...]:
@@ -201,47 +196,51 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
     return v
 
 
-def _require_open(tree: DecisionTree, leaf: Leaf,
-                  variable: str | None = None) -> tuple[Variable, ...]:
-    """The leaf's extensions; raises ValueError, before anything is charged,
-    unless the leaf is open and variable (if given) is one of them."""
+def _require_open(tree: DecisionTree, leaf: Leaf, variable: str | None = None) -> list[str]:
+    """The names of the leaf's extensions; raises ValueError, before anything
+    is charged, unless the leaf is open and variable (if given) is one of them."""
     if leaf not in tree.open:
         if leaf.pruned:
             raise ValueError("a pruned leaf cannot be extended")
         if not extensions(tree, leaf):
             raise ValueError("leaf context already contains every predecessor")
         raise ValueError("leaf does not belong to this tree")
-    exts = extensions(tree, leaf)
-    if variable is not None and all(v.name != variable for v in exts):
+    names = [v.name for v in leaf.missing]
+    if variable is not None and variable not in names:
         raise ValueError(f"{variable!r} is not a possible extension of this leaf")
-    return exts
+    return names
 
 
-def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
-    """Evaluate and cache the named candidates not yet cached, in one
-    evaluate_candidates call: one calibration pass plus two passes per
-    candidate.  The calibration is handed the leaf's joint, and the leaf
-    keeps the one it ends with."""
-    missing = [name for name in names if name not in leaf.cache]
-    if missing:
-        cal = engine.calibrate(dict(leaf.context), leaf.joint)
-        leaf.cache.update(zip(missing, cal.evaluate_candidates(tree.decision, missing,
-                                                               leaf.uncharged)))
+def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> Explored:
+    """The leaf's record, with the named candidates charged.  Those not yet
+    charged are in one evaluate_candidates call on the leaf's joint, read
+    from a sibling group's evaluations if it made them; their gains recorded."""
+    record = leaf.explored or Explored({}, {})
+    todo = [name for name in names if name not in record.gains]
+    if todo:
+        known = record.evaluations
+        cal = engine.calibrate(leaf.evidence, leaf.joint)
+        # a sibling group evaluated every candidate; otherwise only the charged are known
+        evs = cal.evaluate_candidates(tree.decision, todo, known if todo[0] in known else None)
+        leaf.explored = record
+        for name, ev in zip(todo, evs):
+            known[name] = ev
+            record.gains[name] = _gain(leaf, ev)
         leaf.joint = cal.leaf_joint(tree.decision)
+    return record
 
 
 def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
     """Evaluate the named candidates, every predecessor the leaf's context
     lacks, of the leaf and of each unexplored sibling holding a joint, in
-    one stacked pass, and leave them uncharged on each.  Fewer than two
+    one stacked pass, and record them uncharged on each.  Fewer than two
     such leaves, or a context of probability zero among them, leave every
     leaf to be evaluated alone when it is explored."""
     parent = tree.open[leaf]
-    if parent is None or leaf.joint is None or leaf.cache or leaf.uncharged is not None:
+    if parent is None or leaf.joint is None or leaf.explored is not None:
         return
     group = [c for c in parent.children.values()
-             if c in tree.open and c.joint is not None and not c.cache
-             and c.uncharged is None]
+             if c in tree.open and c.joint is not None and c.explored is None]
     if len(group) < 2:
         return
     try:
@@ -250,16 +249,16 @@ def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: list[str], engine: En
     except ZeroProbabilityError:
         return
     for c, evs in zip(group, evaluated):
-        c.uncharged = dict(zip(names, evs))
+        c.explored = Explored(dict(zip(names, evs)), {})
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
     """Tree-value increase from swapping the leaf for this extension."""
     total = 0.0
-    for j in range(len(ev.outcomes)):
-        reach = leaf.reach * float(ev.probs[j])
+    for p, v in zip(ev.probs, ev.values):
+        reach = leaf.reach * p
         if reach >= ZERO_PROB:
-            total += float(ev.values[j]) * reach
+            total += v * reach
     return total - leaf.value * leaf.reach
 
 
@@ -270,77 +269,67 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     comparable across leaves, and is never below -1e-9.
     """
     _require_open(tree, leaf, variable)
-    _explore(tree, leaf, [variable], engine)
-    return _gain(leaf, leaf.cache[variable])
+    return _explore(tree, leaf, [variable], engine).gains[variable]
 
 
 def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
     """Greedy choice: the extension with the largest improvement.
 
-    Evaluates every candidate (ties break by declaration order) and caches
-    each result on the leaf, so a following extend() issues no queries.
-    Uncached exploration costs one calibration pass plus two passes per
-    candidate.  The first exploration of a leaf evaluates its unexplored
-    siblings with it, uncharged (see the module docstring).
+    Charges every candidate (ties break by declaration order), so a
+    following extend() issues no queries: one calibration pass plus two
+    passes per candidate not charged yet.  The first exploration of a leaf
+    evaluates its unexplored siblings with it (see the module docstring).
     """
-    exts = _require_open(tree, leaf)
-    names = [v.name for v in exts]
+    names = _require_open(tree, leaf)
     _evaluate_group(tree, leaf, names, engine)
-    _explore(tree, leaf, names, engine)
-    best_name, best_gain = None, None
-    for v in exts:
-        g = _gain(leaf, leaf.cache[v.name])
-        if best_gain is None or g > best_gain:
-            best_name, best_gain = v.name, g
-    return best_name, best_gain
+    gains = _explore(tree, leaf, names, engine).gains
+    best = max(names, key=gains.__getitem__)  # the first of equal maxima
+    return best, gains[best]
 
 
 def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Internal:
     """Replace an open leaf with an internal vertex over one extension variable.
 
     Children below the zero-probability threshold are marked pruned and
-    inherit the parent leaf's action.  Reuses a cached evaluation when the
-    leaf was explored before; otherwise costs one calibration pass plus
-    two passes for the chosen candidate.  The children that are not pruned
-    and can still be extended become open, each with the leaf's joint
-    sliced at its outcome, a view; the leaf leaves tree.open and drops its
-    joint.  A call that raises leaves the tree as it was.
+    inherit the parent leaf's action.  Reuses the leaf's record when the
+    candidate was charged before; otherwise costs one calibration pass plus
+    two passes for it.  The children that are not pruned and can still be
+    extended become open, each with the leaf's missing predecessors less the
+    variable, its evidence plus the child's outcome index, and the leaf's
+    joint sliced at that outcome, a view; the leaf leaves tree.open and
+    drops its joint.  A call that raises leaves the tree as it was.
     """
-    exts = _require_open(tree, leaf, variable)
-    _explore(tree, leaf, [variable], engine)
-    ev = leaf.cache[variable]
-
-    children: dict[str, Vertex] = {}
-    for j, outcome in enumerate(ev.outcomes):
-        reach = leaf.reach * float(ev.probs[j])
-        context = leaf.context + ((variable, outcome),)
-        if reach < ZERO_PROB:
-            children[outcome] = Leaf(leaf.action, 0.0, reach, context, pruned=True)
-        else:
-            children[outcome] = Leaf(ev.actions[j], float(ev.values[j]), reach, context)
-    gain = _gain(leaf, ev)
+    names = _require_open(tree, leaf, variable)
+    record = _explore(tree, leaf, [variable], engine)
+    gain = record.gains[variable]
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-    node = Internal(variable, children, gain)
+    ev, node = record.evaluations[variable], Internal(variable, {}, gain)
+    k = names.index(variable)
+    missing, prefix = leaf.missing[:k] + leaf.missing[k + 1:], (slice(None),) * k
+    tree.exact -= _exact(leaf.value * leaf.reach)
+    for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
+        reach = leaf.reach * p
+        context = leaf.context + ((variable, outcome),)
+        if reach < ZERO_PROB:
+            node.children[outcome] = Leaf(leaf.action, 0.0, reach, context, pruned=True)
+            continue
+        child = node.children[outcome] = Leaf(tree.actions[a], value, reach, context)
+        tree.leaves += 1
+        tree.exact += _exact(value * reach)
+        if missing:
+            tree.open[child] = node
+            child.missing, child.evidence = missing, {**leaf.evidence, variable: j}
+            if leaf.joint is not None:
+                child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
     parent = tree.open.pop(leaf)
     if parent is None:
         tree.root = node
     else:
         parent.children[leaf.context[-1][1]] = node
-    kept = [c for c in children.values() if not c.pruned]
-    if len(exts) > 1:
-        prefix = (slice(None),) * [v.name for v in exts].index(variable)  # axes before it
-        for j, c in enumerate(children.values()):
-            if not c.pruned:
-                tree.open[c] = node
-                if leaf.joint is not None:
-                    c.joint = leaf.joint[prefix + (j,)]
-    leaf.joint = leaf.uncharged = None
+    leaf.joint = None
     tree.internals += 1
-    tree.leaves += len(kept) - 1
-    _add_exact(tree.partials, -(leaf.value * leaf.reach))
-    for c in kept:
-        _add_exact(tree.partials, c.value * c.reach)
+    tree.leaves -= 1
     return node
 
 

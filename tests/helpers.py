@@ -2,15 +2,17 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.  The four
+engine is checked against a genuinely separate code path.  The five
 exceptions are bit-exact references for faster replacements:
 ``loop_oracle`` is the oracle's former per-state loop over
 ``state_action_values``, ``loop_candidate`` is the former per-candidate
 arithmetic of ``Calibration.evaluate_candidate``,
 ``loop_elimination_order`` is the former elimination-order search of
-``_query``, and ``einsum_query`` is the former ``_query``, which ran each
-elimination step as one ``np.einsum``.  ``rescan_open`` recomputes a
-tree's open leaves by a walk, apart from the record extend() keeps.
+``_query``, ``einsum_query`` is the former ``_query``, which ran each
+elimination step as one ``np.einsum``, and ``loop_gain`` is the former
+per-call gain of a leaf's extension.  ``rescan_open`` recomputes a tree's
+open leaves by a walk, apart from the record extend() keeps, and
+``charged`` and ``uncharged`` read a leaf's record of exploration.
 """
 
 import math
@@ -157,8 +159,32 @@ def loop_candidate(cal, decision, variable):
     probs = totals / context
     safe = np.where(totals > 0.0, totals, 1.0)
     values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
-    actions = tuple(net.outcomes[decision][i] for i in action_idx)
-    return CandidateEvaluation(variable, net.outcomes[variable], probs, actions, values)
+    return CandidateEvaluation(variable, net.outcomes[variable], probs, action_idx.tolist(),
+                               values, net.outcomes[decision])
+
+
+def loop_gain(leaf, ev):
+    """A leaf's gain from an extension as tree.py computed it before gains
+    were recorded: outcome by outcome, each probability and value read as a
+    float."""
+    total = 0.0
+    for j in range(len(ev.outcomes)):
+        reach = leaf.reach * float(ev.probs[j])
+        if reach >= ZERO_PROB:
+            total += float(ev.values[j]) * reach
+    return total - leaf.value * leaf.reach
+
+
+def charged(leaf):
+    """The evaluations a leaf has been charged for, by candidate name."""
+    record = leaf.explored
+    return {} if record is None else {n: record.evaluations[n] for n in record.gains}
+
+
+def uncharged(leaf):
+    """The names of the candidates a leaf holds evaluations of, uncharged."""
+    record = leaf.explored
+    return set() if record is None else set(record.evaluations) - set(record.gains)
 
 
 def loop_elimination_order(scopes, targets, index, doms):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (einsum_query, enum_action_value, enum_best_action, enum_posterior,
-                     enum_probability, loop_candidate, loop_elimination_order,
-                     normalized)
+from helpers import (charged, einsum_query, enum_action_value, enum_best_action,
+                     enum_posterior, enum_probability, loop_candidate,
+                     loop_elimination_order, normalized, uncharged)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (_PLANS, Calibration, Engine, PolicyCpt, ZeroProbabilityError,
@@ -334,6 +334,20 @@ class TestRejectedCallsChargeNothing:
         assert mini_engine.counter.snapshot() == (0, 0)
 
 
+class TestFindingsByIndex:
+    def test_index_or_label(self, mini_engine):
+        """A finding may give its outcome's index instead of its label; an
+        index out of range, a bool or a float is rejected before the pass
+        is charged."""
+        by_label = mini_engine.calibrate({"R": "rainy"}).posterior("W")
+        assert np.array_equal(mini_engine.calibrate({"R": 1}).posterior("W"), by_label)
+        before = mini_engine.counter.snapshot()
+        for outcome in (2, -1, True, 1.0):
+            with pytest.raises(DiagramError, match="has no outcome"):
+                mini_engine.calibrate({"R": outcome})
+        assert mini_engine.counter.snapshot() == before
+
+
 class TestCandidateEvaluation:
     def test_matches_per_child_queries(self, mini_engine):
         cal = mini_engine.calibrate({})
@@ -475,7 +489,7 @@ class TestLeafJoint:
             if extensions(tree, leaf):
                 best_extension(tree, leaf, eng)
         for leaf in iter_leaves(tree):
-            for ev in leaf.cache.values():
+            for ev in charged(leaf).values():
                 check_evaluation(diagram, "d", dict(leaf.context), ev)
 
 
@@ -602,13 +616,13 @@ class TestSiblingGroups:
                 expected = [loop_candidate(reference, "d", v) for v in names]
                 alone = Engine(net)
                 alone.calibrate(dict(leaf.context), leaf.joint).evaluate_candidates("d", names)
-                grouped += leaf.uncharged is not None
+                grouped += bool(uncharged(leaf))
                 before = eng.counter.snapshot()
                 best_extension(tree, leaf, eng)
                 after = eng.counter.snapshot()
                 assert (after[0] - before[0], after[1] - before[1]) == alone.counter.snapshot()
                 for v, ref in zip(names, expected):
-                    assert_same_evaluation(leaf.cache[v], ref)
+                    assert_same_evaluation(charged(leaf)[v], ref)
                 node = extend(tree, leaf, names[int(rng.integers(len(names)))], eng)
                 children += node.children.values()
             frontier = children
@@ -624,11 +638,12 @@ class TestSiblingGroups:
         names = [v.name for v in extensions(tree, children[0])]
         expected = [[loop_candidate(Engine(eng.network).calibrate(dict(c.context), c.joint),
                                     "d", v) for v in names] for c in children]
+        best_extension(tree, children[0], eng)
+        assert uncharged(children[1]) == set(names)  # evaluated in one group
+        best_extension(tree, children[1], eng)
         for child, refs in zip(children, expected):
-            best_extension(tree, child, eng)
             for v, ref in zip(names, refs):
-                assert_same_evaluation(child.cache[v], ref)
-        assert children[1].uncharged is not None
+                assert_same_evaluation(charged(child)[v], ref)
 
     @staticmethod
     def split_root(seed=2, n=4, variable="c2"):
@@ -648,8 +663,8 @@ class TestSiblingGroups:
         expected = alone.evaluate_candidates("d", names)
         best_extension(tree, first, eng)
         for v, ref in zip(names, expected):
-            assert_same_evaluation(first.cache[v], ref)
-        assert first.uncharged is None and second.uncharged is None
+            assert_same_evaluation(charged(first)[v], ref)
+        assert not uncharged(first) and second.explored is None
         with pytest.raises(ZeroProbabilityError):
             Engine(eng.network).calibrate(dict(second.context), second.joint) \
                 .evaluate_candidates("d", names)
@@ -662,7 +677,7 @@ class TestSiblingGroups:
         rest, exactly as on a tree where no group formed."""
         eng, tree, (first, second) = self.split_root()
         best_extension(tree, first, eng)
-        assert second.uncharged is not None and not second.cache
+        assert uncharged(second) and not charged(second)
         ref_eng, ref_tree, (_, ref_second) = self.split_root()
         for call in (lambda t, leaf, e: evi(t, leaf, "c3", e), best_extension):
             before, ref_before = eng.counter.snapshot(), ref_eng.counter.snapshot()
@@ -670,8 +685,47 @@ class TestSiblingGroups:
             delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
             assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
         assert delta == [2 * 2 * 2, 1 + 2 * 2]  # the two candidates evi did not read
-        for v, ev in second.cache.items():
-            assert_same_evaluation(ev, ref_second.cache[v])
+        for v, ev in charged(second).items():
+            assert_same_evaluation(ev, charged(ref_second)[v])
+
+    READS = {"evi": lambda tree, leaf, eng: evi(tree, leaf, "c3", eng),
+             "best_extension": best_extension,
+             "extend": lambda tree, leaf, eng: extend(tree, leaf, "c3", eng).gain}
+
+    @pytest.mark.parametrize("order", [("evi", "best_extension", "extend"),
+                                       ("best_extension", "evi", "extend"),
+                                       ("evi", "evi", "extend"),
+                                       ("extend",)])
+    def test_grouped_sibling_charged_once(self, monkeypatch, order):
+        """Whichever of evi, best_extension and extend reads a grouped
+        sibling first, each candidate is charged once, when first read: a
+        calibration pass for each read that charges, plus two passes and
+        twice its outcomes in fine queries per candidate.  The results come
+        from the group, with no evaluation, and equal those of a tree where
+        no group formed."""
+        eng, tree, (first, second) = self.split_root()
+        best_extension(tree, first, eng)
+        names = [v.name for v in extensions(tree, second)]
+        assert uncharged(second) == set(names) and not charged(second)
+        ref_eng, ref_tree, (_, ref_second) = self.split_root()
+        evaluations = []
+
+        def counting(*args, _original=sys.modules["idrefine.engine"]._evaluate):
+            evaluations.append(1)
+            return _original(*args)
+        monkeypatch.setattr(sys.modules["idrefine.engine"], "_evaluate", counting)
+        done, start, ref_start = set(), eng.counter.snapshot(), ref_eng.counter.snapshot()
+        for read in order:
+            new = (set(names) if read == "best_extension" else {"c3"}) - done
+            done |= new
+            expected = self.READS[read](ref_tree, ref_second, ref_eng)
+            before, calls = eng.counter.snapshot(), len(evaluations)
+            assert self.READS[read](tree, second, eng) == expected
+            assert len(evaluations) == calls
+            delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
+            assert delta == [2 * 2 * len(new), 1 + 2 * len(new) if new else 0]
+        spent = [a - b for a, b in zip(eng.counter.snapshot(), start)]
+        assert spent == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_start)]
 
     @pytest.mark.parametrize("leaf, extension", [("random", "random"),
                                                  ("posthoc", "random")])
@@ -703,6 +757,19 @@ class TestEliminationOrder:
         scope = st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)
         scopes = [tuple(s) for s in data.draw(st.lists(scope, min_size=1, max_size=16))]
         targets = tuple(data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True)))
+        assert _elimination_order(scopes, targets, index, doms) \
+            == loop_elimination_order(scopes, targets, index, doms)
+
+    def test_grid(self):
+        """The pairwise factors of a 15 x 15 grid, arities 2 and 3, shuffled
+        indices and two targets: sizes change at every step and tie often."""
+        k, rng = 15, np.random.default_rng(15)
+        names = [f"x{r}_{c}" for r in range(k) for c in range(k)]
+        index = dict(zip(names, rng.permutation(len(names)).tolist()))
+        doms = {v: 2 + i % 2 for i, v in enumerate(names)}
+        scopes = [(f"x{r}_{c}", f"x{r}_{c + 1}") for r in range(k) for c in range(k - 1)] \
+            + [(f"x{r}_{c}", f"x{r + 1}_{c}") for r in range(k - 1) for c in range(k)]
+        targets = ("x7_7", "x0_14")
         assert _elimination_order(scopes, targets, index, doms) \
             == loop_elimination_order(scopes, targets, index, doms)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import rescan_open
+from helpers import charged, rescan_open, uncharged
 from idrefine.diagram import DecisionNode, InfluenceDiagram, ValueNode, Variable
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
@@ -360,13 +360,13 @@ class TestLeafJointsReleased:
             _original(tree, leaf, names, engine)
             parent = tree.open[leaf]
             siblings = parent.children.values() if parent is not None else ()
-            grouped.extend(c for c in siblings if isinstance(c, Leaf) and c.uncharged is not None)
+            grouped.extend(c for c in siblings if isinstance(c, Leaf) and uncharged(c))
         monkeypatch.setattr(tree_module, "_evaluate_group", recording)
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
         assert tree.open
-        assert all(l.joint is None and l.uncharged is None for l in leaves)
-        never_charged = {l for l in grouped if not l.cache}
+        assert all(l.joint is None and not uncharged(l) for l in leaves)
+        never_charged = {l for l in grouped if not charged(l)}
         assert never_charged <= set(leaves)
         # each of these stops lands between two siblings of one group
         assert bool(never_charged) == (stop.max_extensions != 0)
@@ -377,13 +377,13 @@ class TestLeafJointsReleased:
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=5, seed=2, arity=3)),
                          leaf_strategy=leaf, extension_strategy=extension, seed=1)
         assert not tree.open
-        assert all(l.joint is None and l.uncharged is None for l in iter_leaves(tree))
+        assert all(l.joint is None and not uncharged(l) for l in iter_leaves(tree))
 
     def test_degenerate_network(self):
         _, tree, trace = run(constant_utility())
         assert len(trace.records) == 1
         assert tree.open == {tree.root: None}
-        assert tree.root.joint is None and tree.root.uncharged is None
+        assert tree.root.joint is None and tree.root.explored is None
 
     def test_root_without_predecessors_keeps_none(self):
         nodes = {"d": DecisionNode(Variable("d", ("a", "b")), ()),

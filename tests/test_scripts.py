@@ -55,3 +55,16 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
     assert {"refine.refine", "tree.best_extension", "tree.extend",
             "engine.calibrate"} <= set(tracer.totals())
     assert [vars(owner)[attr] for owner, attr, _ in tracing._targets()] == originals
+
+
+def test_ab_solve_script():
+    """Both sides this checkout, two instances of every workload: the trace
+    CSVs agree and a ratio is printed for each workload."""
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "ab_solve.py"), str(REPO), str(REPO),
+         "--instances", "2", "--rounds", "1"],
+        capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
+        assert f"{workload}: 2 instances x 1 rounds, traces byte-equal; CHANGE/BASE median" \
+            in result.stdout

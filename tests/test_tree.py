@@ -1,21 +1,23 @@
 import copy
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rescan_open
-from idrefine.engine import Calibration, Engine, compile_network
+from helpers import charged, loop_gain, rescan_open, uncharged
+from idrefine.engine import ZERO_PROB, Calibration, CandidateEvaluation, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
 from idrefine.generate import GeneratorSpec, gen_random_id
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import RefinementConfig, refine
-from idrefine.tree import (DecisionTree, Internal, Leaf, apply_policy,
-                           best_extension, evi, extend, extensions, find_leaf,
-                           init_tree, iter_leaves, policy_json, to_table,
+from idrefine.tree import (_SCALE, DecisionTree, Explored, Internal, Leaf, _exact, _gain,
+                           apply_policy, best_extension, evi, extend, extensions,
+                           find_leaf, init_tree, iter_leaves, policy_json, to_table,
                            tree_counts, tree_value, vertex_to_json)
 
 TOL = 1e-9
@@ -144,10 +146,10 @@ class TestExtend:
         extend(tree, sunny, "C1", eng)
         before = (eng.counter.snapshot(), tree_counts(tree), tree_value(tree), dict(tree.open))
         for stranger in (find_leaf(other, (("R", "sunny"),)), sunny):
-            cache = dict(stranger.cache)
+            record = charged(stranger), uncharged(stranger)
             with pytest.raises(ValueError, match="does not belong"):
                 call(tree, stranger, eng)
-            assert stranger.cache == cache
+            assert (charged(stranger), uncharged(stranger)) == record
         assert (eng.counter.snapshot(), tree_counts(tree), tree_value(tree),
                 tree.open) == before
 
@@ -276,6 +278,106 @@ class TestBestExtension:
         assert len(calls) == 1
 
 
+
+def evaluation(probs, values):
+    """A CandidateEvaluation over len(probs) outcomes, every action index 0."""
+    k = len(probs)
+    return CandidateEvaluation("x", tuple(f"v{j}" for j in range(k)), probs, [0] * k,
+                               values, ("a",))
+
+
+class TestGains:
+    """Each candidate's gain is computed once, when it is charged, and is bit
+    for bit the former per-call loop (helpers.loop_gain)."""
+
+    @given(arity=st.sampled_from([2, 3, 4, 9]), reach=st.floats(1e-9, 1.0),
+           value=st.floats(0.0, 1.0), data=st.data())
+    def test_matches_loop(self, arity, reach, value, data):
+        """Random probabilities and values, some probabilities putting the
+        child's reach just below, at or just above ZERO_PROB."""
+        edge = ZERO_PROB / reach
+        prob = st.one_of(st.floats(0.0, 1.0),
+                         st.sampled_from([math.nextafter(edge, 0.0), edge,
+                                          math.nextafter(edge, 1.0)]))
+        probs = data.draw(st.lists(prob, min_size=arity, max_size=arity))
+        values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=arity, max_size=arity))
+        leaf, ev = Leaf("a", value, reach, ()), evaluation(probs, values)
+        assert _gain(leaf, ev).hex() == loop_gain(leaf, ev).hex()
+
+    def test_outcome_order_at_arity_nine(self):
+        """At nine outcomes numpy's pairwise sum adds in another order and
+        differs in the last bit here; the gain adds in outcome order."""
+        rng = np.random.default_rng(1)
+        probs, values = rng.dirichlet(np.ones(9)).tolist(), rng.random(9).tolist()
+        leaf, ev = Leaf("a", 0.0, 0.3, ()), evaluation(probs, values)
+        pairwise = float(np.sum(np.array(values) * (0.3 * np.array(probs))))
+        assert _gain(leaf, ev) == loop_gain(leaf, ev) != pairwise
+
+    @given(seed=st.integers(0, 10_000), arity=st.sampled_from([2, 3, 4, 9]))
+    def test_recorded_gains_match_loop(self, seed, arity):
+        """best_extension records every candidate's gain on the leaf, and each
+        is loop_gain of that candidate's evaluation."""
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3 if arity < 9 else 2,
+                                                                 seed=seed, arity=arity))))
+        tree = init_tree(eng, "d")
+        name, gain = best_extension(tree, tree.root, eng)
+        record = tree.root.explored
+        assert set(record.gains) == set(record.evaluations) == {v.name for v in tree.predecessors}
+        for v, ev in record.evaluations.items():
+            assert record.gains[v].hex() == loop_gain(tree.root, ev).hex()
+        assert gain == record.gains[name] == max(record.gains.values())
+
+    def test_first_maximum_on_exact_ties(self):
+        """Equal gains go to the first candidate in declaration order, read
+        from the record without a query."""
+        eng, tree = fresh(mini_weather_coin(3))
+        names = [v.name for v in extensions(tree, tree.root)]
+        tree.root.explored = Explored({}, dict(zip(names, [0.25, 0.5, 0.5, 0.5])))
+        before = eng.counter.snapshot()
+        assert best_extension(tree, tree.root, eng) == (names[1], 0.5)
+        tree.root.explored.gains.update(dict.fromkeys(names, 0.0))
+        assert best_extension(tree, tree.root, eng) == (names[0], 0.0)
+        assert eng.counter.snapshot() == before
+
+    def test_extend_reuses_the_gain(self, monkeypatch):
+        eng, tree = fresh(mini_weather_coin(2))
+        name, gain = best_extension(tree, tree.root, eng)
+
+        def unused(*args):
+            raise AssertionError("gain computed twice")
+        monkeypatch.setattr(sys.modules["idrefine.tree"], "_gain", unused)
+        assert extend(tree, tree.root, name, eng).gain == gain
+
+
+finite = st.one_of(st.floats(-1e300, 1e300),
+                   st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324]))
+
+
+class TestExactValue:
+    """The tree value is one integer, the sum of _exact(value * reach) over
+    the leaves, read out by one division by _SCALE."""
+
+    @settings(max_examples=200)
+    @given(xs=st.lists(finite, max_size=30), data=st.data())
+    def test_readout_is_fsum(self, xs, data):
+        """Mixed signs, subnormals, signed zeros and exact cancellations:
+        the readout is math.fsum, whatever the order of the additions, and
+        adding then removing a term leaves it as it was."""
+        if xs:
+            xs = xs + [-x for x in data.draw(st.lists(st.sampled_from(xs), max_size=5))]
+        total = sum(_exact(x) for x in xs)
+        assert (total / _SCALE).hex() == math.fsum(xs).hex()
+        shuffled = data.draw(st.permutations(xs))
+        assert (sum(_exact(x) for x in shuffled) / _SCALE).hex() == (total / _SCALE).hex()
+        term = data.draw(finite)
+        assert ((total + _exact(term) - _exact(term)) / _SCALE).hex() == (total / _SCALE).hex()
+
+    @given(x=finite)
+    def test_exact_scaling(self, x):
+        n, d = x.as_integer_ratio()
+        assert _exact(x) * d == n * _SCALE
+
 class TestApplyPolicy:
     def test_complete_tree(self):
         eng, tree = fresh(mini_weather())
@@ -397,6 +499,11 @@ def assert_statistics(tree):
     assert tree.open == rescan_open(tree)
     assert tree_value(tree) == math.fsum(products)
     assert policy_json(tree)["value_normalized"] == tree_value(tree)
+    named = {v.name: v for v in tree.predecessors}
+    for leaf in tree.open:  # what extend derived equals what the context says
+        assert leaf.missing == extensions(tree, leaf)
+        assert {x: o if isinstance(o, str) else named[x].outcomes[o]
+                for x, o in leaf.evidence.items()} == dict(leaf.context)
 
 
 class TestRunningStatistics:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check pooled benchmark instances against their pins, without timing them.
 
-    python3 scripts/check_pins.py [--limit N] [WORKLOAD ...]
+    python3 scripts/check_pins.py [--limit N] [--expect FILE] [WORKLOAD ...]
 
 For each pooled instance of each named workload (default: all four), in pool
 order, it runs the benchmark's own pipeline (perfbench/workloads.py: set_up,
@@ -19,7 +19,10 @@ as float.hex, so equal digests mean bit-identical oracle values.  The trace
 digest covers every row of every refined decision's anytime trace (passes,
 fine_queries and value_normalized as float.hex), so equal digests mean the
 same cost and bit-identical values after every extension.  It exits 1
-on any failure.  It imports perfbench/ read-only and writes no files.
+on any failure.  With --expect FILE, a previous run's printed output, it
+also names every digest of a workload checked now that differs from the
+file's, or that the file lacks, and then exits 1.  It imports perfbench/
+read-only and writes no files.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import hashlib
 import importlib
 import json
+import re
 import sys
 import traceback
 from contextlib import contextmanager
@@ -109,25 +113,50 @@ def check_workload(name: str, limit: int | None) -> tuple[int, int, int, str, st
             oracles.hexdigest(), rows.hexdigest())
 
 
+DIGESTS = ("tree shapes", "policies", "oracle values", "trace rows")
+
+
+def read_digests(text: str) -> dict[str, dict[str, str]]:
+    """Each workload's digests, by name, from check_pins output: its
+    summary lines (a "moved from" line adds nothing, its word after
+    "sha256" not being hex)."""
+    found: dict[str, dict[str, str]] = {}
+    for line in text.splitlines():
+        name, sep, rest = line.partition(": ")
+        if sep and name in W.WORKLOADS:
+            found.setdefault(name, {}).update(
+                re.findall(rf"({'|'.join(DIGESTS)}) sha256 ([0-9a-f]+)", rest))
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--limit", type=int, default=None,
                     help="check only the first N instances of each pool")
+    ap.add_argument("--expect", type=Path, metavar="FILE",
+                    help="a previous run's output: exit 1, naming each digest that moved")
     ap.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                     help=f"any of {', '.join(W.WORKLOADS)} (default: all)")
     args = ap.parse_args(argv)
     for name in args.workloads:
         if name not in W.WORKLOADS:
             ap.error(f"unknown workload {name!r}")
-    total_failed = 0
+    expected = read_digests(args.expect.read_text()) if args.expect else None
+    total_failed = moved = 0
     for name in args.workloads or W.WORKLOADS:
-        checked, failed, equal, digest, policy, oracles, rows = check_workload(name, args.limit)
+        checked, failed, equal, *digests = check_workload(name, args.limit)
         total_failed += failed
         print(f"{name}: {checked} checked, {failed} failed, "
               f"{equal}/{checked} values bit-equal to their pin, "
-              f"tree shapes sha256 {digest}, policies sha256 {policy}, "
-              f"oracle values sha256 {oracles}, trace rows sha256 {rows}", flush=True)
-    return 1 if total_failed else 0
+              + ", ".join(f"{kind} sha256 {d}" for kind, d in zip(DIGESTS, digests)), flush=True)
+        if expected is None:
+            continue
+        for kind, d in zip(DIGESTS, digests):
+            was = expected.get(name, {}).get(kind)
+            if d != was:
+                moved += 1
+                print(f"{name}: {kind} sha256 moved from {was or 'nothing'} to {d}", flush=True)
+    return 1 if total_failed or moved else 0
 
 
 if __name__ == "__main__":

@@ -48,8 +48,18 @@ calibration reads its results (Calibration.evaluate_candidates'
 bit-identical to evaluating that sibling alone, because a single context
 goes through the same sums and _choose as a stack of one.
 
-Engine.calibrate, the one way into a context, checks its findings (outcome
-labels or indices) before it charges; a rejected call charges nothing.  An
+Engine.calibrate, the one way into a context, checks a caller's findings
+(outcome labels or indices) before it charges; a rejected call charges
+nothing.  Findings are checked once per context: Engine.context checks a
+caller's evidence and makes a CheckedContext, which holds the findings as
+outcome indices and the decision's missing predecessors, the leaf joint's
+axes before the decision's.  CheckedContext.child adds one finding on a
+missing predecessor, valid by construction, so a tree derives every
+context below its root without a check.  Engine.calibrate takes a checked
+context as it is; the type, not the findings' values, decides what is
+trusted.  A calibration of a Mapping gets its checked context from
+Engine.context when it first explores a decision, so every exploration
+takes its leaf-joint axes and its candidates from a checked context.  An
 action/value pair (best_action) costs 2: the calibration and a value pass,
 the candidate with no split, which reads the joint of decision and proxy
 (the leaf joint summed over its predecessor axes) through the same _choose.
@@ -360,6 +370,40 @@ class CandidateEvaluation(NamedTuple):
         return tuple(self.labels[k] for k in self.best)
 
 
+class CheckedContext:
+    """A context checked once, for exploring one decision of one network:
+    its findings as outcome indices, the decision's predecessors it lacks,
+    in declaration order, and the shape of its leaf joint, whose axes are
+    those predecessors, the decision and the proxy.
+
+    Made only by Engine.context, from a caller's evidence, and by child;
+    Engine.calibrate takes one without checking it again.
+    """
+
+    __slots__ = ("network", "decision", "findings", "missing", "shape")
+
+    def __init__(self, network: ChanceNetwork, decision: str, findings: dict[str, int],
+                 missing: tuple[str, ...], shape: tuple[int, ...]):
+        self.network = network
+        self.decision = decision
+        self.findings = findings  # shared with every calibration of it; never mutated
+        self.missing = missing
+        self.shape = shape
+
+    def __deepcopy__(self, memo: dict) -> "CheckedContext":
+        return self  # a value, checked against this network: a copy of a tree shares it
+
+    def child(self, variable: str, index: int) -> "CheckedContext":
+        """This context plus the finding that a missing predecessor takes its
+        index-th outcome; anything else raises ValueError."""
+        missing, shape = self.missing, self.shape
+        k = missing.index(variable) if variable in missing else None
+        if k is None or type(index) is not int or not 0 <= index < shape[k]:
+            raise ValueError(f"{variable!r} = {index!r} is not a finding this context lacks")
+        return CheckedContext(self.network, self.decision, {**self.findings, variable: index},
+                              missing[:k] + missing[k + 1:], shape[:k] + shape[k + 1:])
+
+
 class Engine:
     """Query session over a ChanceNetwork, with its own counters."""
 
@@ -382,7 +426,7 @@ class Engine:
             out[var] = outcome if index else labels.index(outcome)
         return out
 
-    def _check_decision(self, decision: str, evidence: Iterable[str] = ()) -> None:
+    def _check_decision(self, decision: str, evidence: Iterable[str]) -> None:
         node = self.network.diagram.node(decision)
         if not isinstance(node, DecisionNode):
             raise DiagramError(f"{decision!r} is not a decision node")
@@ -399,8 +443,7 @@ class Engine:
         Calibration.best_action on a calibration of the context: the
         calibration and a value pass, two passes in all.
         """
-        self._check_decision(decision, evidence)
-        return self.calibrate(evidence).best_action(decision)
+        return self.calibrate(self.context(decision, evidence)).best_action(decision)
 
     def action_value(self, decision: str, action: str, evidence: Mapping[str, str]) -> float:
         """Normalized expected value of one fixed action in a context, read
@@ -433,18 +476,37 @@ class Engine:
             out[var] = dict(zip(net.outcomes[var], dist.tolist()))
         return out
 
-    def calibrate(self, evidence: Mapping[str, str | int],
+    def context(self, decision: str, evidence: Mapping[str, str | int]) -> CheckedContext:
+        """The evidence as a checked context for exploring the decision.
+
+        Each finding gives an outcome label or index; the decision must be
+        unfixed and unassigned.  Checking charges nothing.
+        """
+        self._check_decision(decision, evidence)
+        net, findings = self.network, self._evidence_idx(evidence)
+        missing = tuple(p for p in net.diagram.nodes[decision].parents if p not in findings)
+        return CheckedContext(net, decision, findings, missing,
+                              tuple(net.doms[v] for v in missing) + (net.doms[decision], 2))
+
+    def calibrate(self, evidence: CheckedContext | Mapping[str, str | int],
                   joint: np.ndarray | None = None) -> "Calibration":
         """Enter a context as findings (one pass); posteriors become lookups.
 
-        Each finding gives an outcome label or index, checked before the pass
-        is charged.  ``joint``, if given, is the context's leaf joint for the
-        decision the calibration will explore (Calibration.leaf_joint), e.g. a
-        slice of the parent context's; only its shape is checked.
+        A checked context of this engine's network is taken as it is, and its
+        calibration explores the context's decision.  Otherwise each finding
+        gives an outcome label or index, checked before the pass is charged.
+        ``joint``, if given, is the context's leaf joint for the decision the
+        calibration will explore (Calibration.leaf_joint), e.g. a slice of the
+        parent context's; only its shape is checked.
         """
-        evidence_idx = self._evidence_idx(evidence)
+        if type(evidence) is CheckedContext:
+            if evidence.network is not self.network:
+                raise ValueError("the context was checked against another network")
+            context, findings = evidence, evidence.findings
+        else:
+            context, findings = None, self._evidence_idx(evidence)
         self.counter.passes += 1
-        return Calibration(self, evidence_idx, joint)
+        return Calibration(self, findings, joint, context)
 
     # -- uncounted diagnostics -------------------------------------------
 
@@ -467,16 +529,17 @@ class Calibration:
     Created only through Engine.calibrate, which counts the pass.  The
     factors are restricted to the context on first use, so a calibration
     handed its leaf joint restricts none.  A calibration explores one
-    decision.
+    decision: a checked context's, or else the first one it is asked for,
+    with the context Engine.context checks then.
     """
 
-    def __init__(self, engine: Engine, evidence_idx: dict[str, int],
-                 joint: np.ndarray | None = None):
+    def __init__(self, engine: Engine, findings: dict[str, int], joint: np.ndarray | None,
+                 context: CheckedContext | None):
         self._engine = engine
-        self._evidence = evidence_idx
+        self._evidence = findings
+        self._context = context
         self._restricted: list[_Factor] | None = None
-        self._decision: str | None = None
-        self._axes: tuple[str, ...] = ()
+        self._axes: tuple[str, ...] | None = None  # the leaf joint's, once it is asked for
         self._joint = joint
         self._halves: dict[tuple[int, int], np.ndarray] = {}
         self._posteriors: dict[str, np.ndarray] = {}
@@ -487,6 +550,16 @@ class Calibration:
             self._restricted = [_restrict(f, self._evidence)
                                 for f in self._engine.network.factors.values()]
         return self._restricted
+
+    def _check(self, decision: str) -> CheckedContext:
+        """The checked context for exploring the decision; raises, before
+        anything is charged, if this calibration cannot explore it."""
+        context = self._context
+        if context is None:
+            context = self._context = self._engine.context(decision, self._evidence)
+        elif decision != context.decision:
+            raise ValueError(f"this calibration explores {context.decision!r}, not {decision!r}")
+        return context
 
     def posterior(self, variable: str) -> np.ndarray:
         """P(variable | context) over declared outcomes."""
@@ -505,26 +578,23 @@ class Calibration:
         the context, in declaration order; the decision; the proxy), or None
         where it would be larger than the largest restricted factor.
 
-        Computed once, unless the calibration was handed it.  Slicing it at
-        one outcome of a missing predecessor gives the leaf joint of the
-        context extended by that outcome.
+        Computed once, unless the calibration was handed it; its axes and
+        shape are the checked context's.  Slicing it at one outcome of a
+        missing predecessor gives the leaf joint of the context extended by
+        that outcome.
         """
-        if self._decision is None:
-            net = self._engine.network
-            self._decision = decision
-            self._axes = tuple(p for p in net.diagram.nodes[decision].parents
-                               if p not in self._evidence) + (decision, net.proxy)
-            shape = tuple(net.doms[v] for v in self._axes)
+        context = self._check(decision)
+        if self._axes is None:
+            net, shape = self._engine.network, context.shape
+            if self._joint is not None and self._joint.shape != shape:
+                raise ValueError(f"a leaf joint for {decision!r} in this context has shape "
+                                 f"{shape}, not {self._joint.shape}")
+            self._axes = context.missing + (decision, net.proxy)
             if self._joint is None:
                 largest = max(math.prod(net.doms[v] for v in f.vars if v not in self._evidence)
                               for f in net.factors.values())
                 if math.prod(shape) <= largest:
                     self._joint = _query(net, self._factors, {}, self._axes)
-            elif self._joint.shape != shape:
-                raise ValueError(f"a leaf joint for {decision!r} in this context has shape "
-                                 f"{shape}, not {self._joint.shape}")
-        elif decision != self._decision:
-            raise ValueError(f"this calibration explores {self._decision!r}, not {decision!r}")
         return self._joint
 
     def _candidate_joint(self, decision: str, variable: str) -> np.ndarray:
@@ -551,10 +621,9 @@ class Calibration:
         """
         eng = self._engine
         net = eng.network
-        eng._check_decision(decision, self._evidence)
+        joint = self.leaf_joint(decision)  # checks the decision and a handed joint's shape
         eng.counter.passes += 1
         eng.counter.fine += 2 * net.doms[decision]
-        joint = self.leaf_joint(decision)
         if joint is None:
             joint = _query(net, self._factors, {}, (decision, net.proxy))
         else:
@@ -570,24 +639,24 @@ class Calibration:
         Each candidate is counted as two passes (an action-selection pass
         and a value pass with the decision following the selected
         per-outcome actions), served by its joint of variable, decision and
-        proxy (see _choose).  ``evaluated``, if given, holds every candidate
-        of this context, computed uncounted by evaluate_siblings: the
-        requested ones are charged as above and read from it.
+        proxy (see _choose).  The candidates are the checked context's
+        missing predecessors.  ``evaluated``, if given, holds every
+        candidate of this context, computed uncounted by evaluate_siblings:
+        the requested ones are charged as above and read from it.
         """
         eng = self._engine
         net = eng.network
-        eng._check_decision(decision, self._evidence)
-        fine = 0
-        for variable in variables:
-            if variable in self._evidence or variable in (decision, net.proxy) \
-                    or variable not in net.doms:
-                raise ValueError(f"{variable!r} is not a possible extension here")
-            fine += net.doms[variable]
+        missing = self._check(decision).missing
+        if not set(variables).issubset(missing):
+            bad = next(v for v in variables if v not in missing)
+            raise ValueError(f"{bad!r} is not a possible extension here: it is not a "
+                             f"missing predecessor of {decision!r}")
+        if evaluated is None:
+            self.leaf_joint(decision)  # rejects a handed joint of the wrong shape
         eng.counter.passes += 2 * len(variables)
-        eng.counter.fine += 2 * fine
+        eng.counter.fine += 2 * sum(map(net.doms.__getitem__, variables))
         if evaluated is not None:
             return [evaluated[v] for v in variables]
-        self.leaf_joint(decision)
         joints = [self._candidate_joint(decision, v) for v in variables]
         return _evaluate(net, decision, variables, joints) if variables else []
 

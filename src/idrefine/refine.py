@@ -35,7 +35,7 @@ import numpy as np
 
 from .engine import Engine
 from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, init_tree,
-                   iter_internals, iter_leaves, tree_counts, tree_value)
+                   iter_internals, iter_leaves, open_context, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -201,8 +201,8 @@ def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf,
     """Pick the extension variable for a leaf; greedy returns its gain too."""
     if strategy == "greedy":
         return best_extension(tree, leaf, engine)
-    candidates = leaf.missing  # the leaf is open
-    return candidates[int(rng.integers(len(candidates)))].name, None
+    candidates = open_context(tree, leaf, engine).missing
+    return candidates[int(rng.integers(len(candidates)))], None
 
 
 def refine(engine: Engine, decision: str, config: RefinementConfig | None = None,

@@ -19,12 +19,15 @@ it, so a leaf of another tree, or one already replaced, is not open.  The
 links live in the tree, not in the vertices, so that no vertex refers back
 up and a dropped tree is freed at once, not by the cycle collector.
 
-An open leaf carries its missing predecessors and its context as findings,
-outcome indices that extend derives from its parent's, and its leaf joint
-(Calibration.leaf_joint) once one is known.  init_tree contracts the
-root's, and extend hands each child that stays open a slice of the leaf's,
-a numpy view, so on a star topology the root's joint is the one
-contraction of a run.
+An open leaf carries its context checked once (engine.CheckedContext: its
+findings as outcome indices and its missing predecessors) and its leaf
+joint (Calibration.leaf_joint) once one is known.  init_tree has the engine
+check the root's context and contracts the root's joint; extend derives
+each open child's context from the leaf's (CheckedContext.child), and
+hands it a slice of the leaf's joint, a numpy view, so on a star topology
+the root's joint is the one contraction of a run and the root's findings
+the only ones checked.  A tree built around a given root has the engine
+check each open leaf's context when the leaf is first explored.
 
 A leaf allocates nothing more until it is explored.  Then it keeps one
 record (Explored): every candidate evaluation known for it, and the gain of
@@ -55,8 +58,8 @@ from typing import Iterator, Mapping, NamedTuple, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import (CandidateEvaluation, Engine, ZERO_PROB, ZeroProbabilityError,
-                     evaluate_siblings)
+from .engine import (CandidateEvaluation, CheckedContext, Engine, ZERO_PROB,
+                     ZeroProbabilityError, evaluate_siblings)
 
 Context = tuple[tuple[str, str], ...]
 
@@ -76,9 +79,8 @@ class Leaf:
     context: Context
     pruned: bool = False
     joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
-    # kept by the tree: an open leaf's extensions() and findings, and its record
-    missing: tuple[Variable, ...] = field(default=(), init=False, repr=False)
-    evidence: dict[str, int | str] | None = field(default=None, init=False, repr=False)
+    # kept by the tree: an open leaf's checked context (open_context), and its record
+    checked: CheckedContext | None = field(default=None, init=False, repr=False)
     explored: Explored | None = field(default=None, init=False, repr=False)
 
 
@@ -127,8 +129,6 @@ class DecisionTree:
                 self.exact += _exact(v.value * v.reach)
                 if len(v.context) < depth:
                     self.open[v] = parent[v]
-                    v.evidence = dict(v.context)
-                    v.missing = tuple(p for p in self.predecessors if p.name not in v.evidence)
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -141,13 +141,13 @@ def init_tree(engine: Engine, decision: str) -> DecisionTree:
     keeps that joint for its first exploration if it is open.
     """
     net = engine.network
-    engine._check_decision(decision)  # before the calibration charges its pass
-    cal = engine.calibrate({})
+    root = engine.context(decision, {})  # checks the decision before the calibration charges
+    cal = engine.calibrate(root)
     action, value = cal.best_action(decision)
     tree = DecisionTree(decision, net.outcomes[decision], net.diagram.predecessors(decision),
                         net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
     if tree.root in tree.open:
-        tree.root.joint = cal.leaf_joint(decision)
+        tree.root.checked, tree.root.joint = root, cal.leaf_joint(decision)
     return tree
 
 
@@ -196,41 +196,48 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
     return v
 
 
-def _require_open(tree: DecisionTree, leaf: Leaf, variable: str | None = None) -> list[str]:
-    """The names of the leaf's extensions; raises ValueError, before anything
-    is charged, unless the leaf is open and variable (if given) is one of them."""
+def open_context(tree: DecisionTree, leaf: Leaf, engine: Engine,
+                 variable: str | None = None) -> CheckedContext:
+    """The open leaf's checked context, whose ``missing`` names its
+    extensions in declaration order; raises ValueError, before anything is
+    charged, unless the leaf is open and variable (if given) is one of them."""
     if leaf not in tree.open:
         if leaf.pruned:
             raise ValueError("a pruned leaf cannot be extended")
         if not extensions(tree, leaf):
             raise ValueError("leaf context already contains every predecessor")
         raise ValueError("leaf does not belong to this tree")
-    names = [v.name for v in leaf.missing]
-    if variable is not None and variable not in names:
+    if leaf.checked is None:  # a leaf of a tree built around a given root
+        leaf.checked = engine.context(tree.decision, dict(leaf.context))
+    if variable is not None and variable not in leaf.checked.missing:
         raise ValueError(f"{variable!r} is not a possible extension of this leaf")
-    return names
+    return leaf.checked
 
 
-def _explore(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> Explored:
-    """The leaf's record, with the named candidates charged.  Those not yet
-    charged are in one evaluate_candidates call on the leaf's joint, read
+def _explore(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
+    """The open leaf's record, with the named candidates charged.  Those not
+    yet charged are in one evaluate_candidates call on the leaf's joint, read
     from a sibling group's evaluations if it made them; their gains recorded."""
     record = leaf.explored or Explored({}, {})
     todo = [name for name in names if name not in record.gains]
     if todo:
         known = record.evaluations
-        cal = engine.calibrate(leaf.evidence, leaf.joint)
-        # a sibling group evaluated every candidate; otherwise only the charged are known
-        evs = cal.evaluate_candidates(tree.decision, todo, known if todo[0] in known else None)
+        cal = engine.calibrate(leaf.checked, leaf.joint)
+        if todo[0] in known:  # a sibling group evaluated every candidate
+            evs = cal.evaluate_candidates(tree.decision, todo, known)
+        else:
+            evs = cal.evaluate_candidates(tree.decision, todo)
+            known.update(zip(todo, evs))
+            if leaf.joint is None:  # the calibration may have computed one
+                leaf.joint = cal.leaf_joint(tree.decision)
         leaf.explored = record
         for name, ev in zip(todo, evs):
-            known[name] = ev
             record.gains[name] = _gain(leaf, ev)
-        leaf.joint = cal.leaf_joint(tree.decision)
     return record
 
 
-def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: list[str], engine: Engine) -> None:
+def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...],
+                    engine: Engine) -> None:
     """Evaluate the named candidates, every predecessor the leaf's context
     lacks, of the leaf and of each unexplored sibling holding a joint, in
     one stacked pass, and record them uncharged on each.  Fewer than two
@@ -268,8 +275,8 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     Leaves the tree unchanged; the result is reach-weighted so values are
     comparable across leaves, and is never below -1e-9.
     """
-    _require_open(tree, leaf, variable)
-    return _explore(tree, leaf, [variable], engine).gains[variable]
+    open_context(tree, leaf, engine, variable)
+    return _explore(tree, leaf, (variable,), engine).gains[variable]
 
 
 def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
@@ -280,7 +287,7 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
     passes per candidate not charged yet.  The first exploration of a leaf
     evaluates its unexplored siblings with it (see the module docstring).
     """
-    names = _require_open(tree, leaf)
+    names = open_context(tree, leaf, engine).missing
     _evaluate_group(tree, leaf, names, engine)
     gains = _explore(tree, leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
@@ -294,19 +301,19 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     inherit the parent leaf's action.  Reuses the leaf's record when the
     candidate was charged before; otherwise costs one calibration pass plus
     two passes for it.  The children that are not pruned and can still be
-    extended become open, each with the leaf's missing predecessors less the
-    variable, its evidence plus the child's outcome index, and the leaf's
-    joint sliced at that outcome, a view; the leaf leaves tree.open and
-    drops its joint.  A call that raises leaves the tree as it was.
+    extended become open, each with the leaf's context plus the child's
+    outcome (CheckedContext.child) and the leaf's joint sliced at that
+    outcome, a view; the leaf leaves tree.open and drops its joint.  A call
+    that raises leaves the tree as it was.
     """
-    names = _require_open(tree, leaf, variable)
-    record = _explore(tree, leaf, [variable], engine)
+    checked = open_context(tree, leaf, engine, variable)
+    record = _explore(tree, leaf, (variable,), engine)
     gain = record.gains[variable]
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
     ev, node = record.evaluations[variable], Internal(variable, {}, gain)
-    k = names.index(variable)
-    missing, prefix = leaf.missing[:k] + leaf.missing[k + 1:], (slice(None),) * k
+    stays_open = len(checked.missing) > 1
+    prefix = (slice(None),) * checked.missing.index(variable)
     tree.exact -= _exact(leaf.value * leaf.reach)
     for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
         reach = leaf.reach * p
@@ -317,9 +324,9 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
         child = node.children[outcome] = Leaf(tree.actions[a], value, reach, context)
         tree.leaves += 1
         tree.exact += _exact(value * reach)
-        if missing:
+        if stays_open:
             tree.open[child] = node
-            child.missing, child.evidence = missing, {**leaf.evidence, variable: j}
+            child.checked = checked.child(variable, j)
             if leaf.joint is not None:
                 child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
     parent = tree.open.pop(leaf)

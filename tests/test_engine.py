@@ -18,7 +18,7 @@ from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
-from idrefine.refine import RefinementConfig, refine
+from idrefine.refine import RefinementConfig, StoppingRule, refine
 from idrefine.tree import best_extension, evi, extend, extensions, init_tree, iter_leaves
 
 TOL = 1e-9
@@ -252,6 +252,9 @@ class TestOneWayIn:
     SCENARIOS = {
         "posthoc-greedy": lambda: TestOneWayIn.refine_complete("posthoc", "greedy"),
         "random-random": lambda: TestOneWayIn.refine_complete("random", "random"),
+        "random-greedy": lambda: refine(
+            Engine(compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))), "d",
+            RefinementConfig(leaf_strategy="random", stop=StoppingRule(max_passes=200), seed=3)),
         "two-stage-sweep": lambda: [sweep_back(gen_two_stage(s)) for s in range(3)],
         "engine-queries": lambda: TestOneWayIn.engine_queries(),
     }
@@ -286,24 +289,29 @@ class TestRejectedCallsChargeNothing:
         if method in ("posterior", "posteriors"):
             defects += ["assigned target", "unknown target", "value-node target"]
         defect = data.draw(st.sampled_from(defects))
-        evidence = data.draw(st.sampled_from([{}, {"R": "sunny"}, {"W": "rain"}]))
+        by_index = data.draw(st.booleans())  # a caller's index findings are checked too
+        evidence = data.draw(st.sampled_from([{}, {"R": 0}, {"W": 1}] if by_index
+                                             else [{}, {"R": "sunny"}, {"W": "rain"}]))
         decision, action = "D", data.draw(st.sampled_from(["take", "leave"]))
         free = [v for v in ("W", "R", "D") if v not in evidence]
         targets = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3))
         if defect == "unknown variable":
-            evidence = {**evidence, "Q": "x"}
+            evidence = {**evidence, "Q": 0 if by_index else "x"}
         elif defect == "value node":
-            evidence = {**evidence, "V": data.draw(st.sampled_from(["false", "true"]))}
+            evidence = {**evidence, "V": data.draw(st.sampled_from(
+                [0, 1] if by_index else ["false", "true"]))}
         elif defect == "unknown outcome":
-            evidence = {**evidence, data.draw(st.sampled_from(["W", "R"])): "cloudy"}
+            outcome = data.draw(st.sampled_from([2, -1, True, 1.0])) if by_index else "cloudy"
+            evidence = {**evidence, data.draw(st.sampled_from(["W", "R"])): outcome}
         elif defect == "non-decision":
             decision = data.draw(st.sampled_from(["W", "R", "V", "Q"]))
         elif defect == "assigns decision":
-            evidence = {**evidence, "D": data.draw(st.sampled_from(["take", "leave"]))}
+            evidence = {**evidence, "D": data.draw(st.sampled_from(
+                [0, 1] if by_index else ["take", "leave"]))}
         elif defect == "unknown action":
             action = "nope"
         elif defect == "assigned target":
-            evidence = evidence or {"R": "sunny"}
+            evidence = evidence or ({"R": 0} if by_index else {"R": "sunny"})
             targets = targets + [next(iter(evidence))]
         else:
             targets = targets + ["Q" if defect == "unknown target" else "V"]
@@ -327,6 +335,20 @@ class TestRejectedCallsChargeNothing:
             init_tree(eng, "d2")
         assert eng.counter.snapshot() == (0, 0)
 
+    @pytest.mark.parametrize("read", [lambda cal: cal.evaluate_candidate("d", "c2"),
+                                      lambda cal: cal.best_action("d")])
+    def test_handed_joint_of_the_wrong_shape(self, read):
+        """Exploring a calibration handed a leaf joint of the wrong shape
+        raises before it charges: the calibration's own pass is all."""
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
+        joint = eng.calibrate({}).leaf_joint("d")
+        for context in ({"c1": "v0"}, eng.context("d", {"c1": "v0"})):
+            cal = eng.calibrate(context, joint)
+            before = eng.counter.snapshot()
+            with pytest.raises(ValueError, match="shape"):
+                read(cal)
+            assert eng.counter.snapshot() == before
+
     def test_unknown_posterior_target_is_a_diagram_error(self, mini_engine):
         for target in ("Q", "V"):
             with pytest.raises(DiagramError, match=f"unknown variable '{target}'"):
@@ -346,6 +368,121 @@ class TestFindingsByIndex:
             with pytest.raises(DiagramError, match="has no outcome"):
                 mini_engine.calibrate({"R": outcome})
         assert mini_engine.counter.snapshot() == before
+
+    def test_trust_comes_from_the_type(self, mini_engine):
+        """Engine.calibrate takes a checked context as it is, but a plain
+        dict of indices is checked, even one a checked context holds: an
+        unknown variable, the value node, an index out of range, a bool or
+        a float is rejected before anything is charged.  So is a context
+        checked against another network."""
+        checked = mini_engine.context("D", {"R": 1})
+        assert checked.findings == {"R": 1} and checked.missing == ()
+        by_index = mini_engine.calibrate(checked.findings).posterior("W")
+        assert np.array_equal(mini_engine.calibrate(checked).posterior("W"), by_index)
+        before = mini_engine.counter.snapshot()
+        for findings in ({"R": 1, "W": 2}, {"R": 1, "W": -1}, {"R": 1, "W": True},
+                         {"R": 1, "W": 0.0}, {"R": 1, "Q": 0}, {"R": 1, "V": 1}):
+            with pytest.raises(DiagramError):
+                mini_engine.calibrate(findings)
+        foreign = Engine(compile_network(mini_weather())).context("D", {"R": 1})
+        with pytest.raises(ValueError, match="another network"):
+            mini_engine.calibrate(foreign)
+        assert mini_engine.counter.snapshot() == before
+
+
+def fixed_two_stage(seed):
+    """gen_two_stage's network with d2 fixed by a seeded deterministic
+    policy over all its parents, so that d1 can be explored."""
+    net = compile_network(gen_two_stage(seed))
+    parents = net.diagram.nodes["d2"].parents
+    rng = np.random.default_rng(seed)
+    table = np.eye(2)[rng.integers(2, size=tuple(net.doms[p] for p in parents))]
+    return net.fix_decision("d2", PolicyCpt(parents, table))
+
+
+class TestCheckedContext:
+    """A checked context, made by Engine.context and child, calibrates as
+    its findings given as labels do, bit for bit and charge for charge."""
+
+    @staticmethod
+    def explore(eng, decision, evidence, candidates):
+        """(counter delta, leaf joint, best action, candidate evaluations),
+        or the exception raised in their place."""
+        before = eng.counter.snapshot()
+        try:
+            cal = eng.calibrate(evidence)
+            result = [cal.leaf_joint(decision), cal.best_action(decision),
+                      cal.evaluate_candidates(decision, candidates)]
+        except ZeroProbabilityError as err:
+            result = [type(err)]
+        after = eng.counter.snapshot()
+        return [(after[0] - before[0], after[1] - before[1])] + result
+
+    @given(data=st.data())
+    def test_same_as_labels(self, data):
+        kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage"]))
+        seed = data.draw(st.integers(0, 10_000))
+        if kind == "star":
+            net = compile_network(gen_random_id(GeneratorSpec(
+                n=data.draw(st.integers(1, 8)), seed=seed, arity=data.draw(st.integers(2, 3)))))
+            decision = "d"
+        elif kind == "mixed arity":
+            net = compile_network(mixed_arity_diagram(seed, every=data.draw(st.booleans())))
+            decision = "d"
+        else:
+            net, decision = fixed_two_stage(seed), "d1"
+        parents = net.diagram.nodes[decision].parents
+        chosen = data.draw(st.lists(st.sampled_from(parents), unique=True))
+        checked, labels = Engine(net).context(decision, {}), {}
+        for v in chosen:
+            j = data.draw(st.integers(0, net.doms[v] - 1))
+            checked, labels[v] = checked.child(v, j), net.outcomes[v][j]
+        missing = [p for p in parents if p not in labels]
+        assert checked.missing == tuple(missing)
+        by_context = self.explore(Engine(net), decision, checked, missing)
+        by_labels = self.explore(Engine(net), decision, labels, missing)
+        assert by_context[0] == by_labels[0]
+        if len(by_labels) == 2:
+            assert by_context == by_labels
+            return
+        (_, joint, action, evs), (_, ref_joint, ref_action, refs) = by_context, by_labels
+        assert (joint is None) == (ref_joint is None)
+        if joint is not None:
+            assert joint.shape == ref_joint.shape and joint.tobytes() == ref_joint.tobytes()
+        assert action == ref_action
+        assert len(evs) == len(refs)
+        assert evs == refs  # every field of every evaluation
+
+    @pytest.mark.parametrize("variable, index", [("R", 0), ("W", 5), ("D", 0), ("V", 1),
+                                                 ("Q", 0), ("C1", 2), ("C1", -1),
+                                                 ("C1", True), ("C1", 1.0)])
+    def test_child_adds_only_a_missing_finding(self, variable, index):
+        """child on anything but a missing predecessor and one of its
+        outcome indices raises, and charges nothing."""
+        eng = Engine(compile_network(mini_weather_coin(2)))
+        checked = eng.context("D", {"R": "sunny"})
+        assert checked.missing == ("C1", "C2")
+        with pytest.raises(ValueError, match="not a finding"):
+            checked.child(variable, index)
+        assert eng.counter.snapshot() == (0, 0)
+        assert checked.child("C1", 1).findings == {"R": 0, "C1": 1}
+        assert checked.findings == {"R": 0}
+
+    @pytest.mark.parametrize("checked", [True, False])
+    def test_candidates_are_missing_predecessors(self, checked):
+        """A context's candidates are its missing predecessors, whether it
+        came checked or as a Mapping; any other name is rejected before
+        anything is charged, as is another decision once one is explored."""
+        eng = Engine(compile_network(mini_weather_coin(2)))
+        cal = eng.calibrate(eng.context("D", {"C1": "h"}) if checked else {"C1": "h"})
+        cal.leaf_joint("D")
+        before = eng.counter.snapshot()
+        for variables in (["C1"], ["W"], ["R", "D"], ["Q"]):
+            with pytest.raises(ValueError, match="missing predecessor"):
+                cal.evaluate_candidates("D", variables)
+        with pytest.raises(ValueError, match="explores 'D'"):
+            cal.evaluate_candidates("W", ["R"])
+        assert eng.counter.snapshot() == before
 
 
 class TestCandidateEvaluation:

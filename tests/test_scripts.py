@@ -39,6 +39,31 @@ def test_check_pins_script():
         assert f"{workload}: 1 checked, 0 failed" in result.stdout
 
 
+def test_check_pins_expect(tmp_path):
+    """--expect passes against a run's own output, names each digest that
+    differs from a doctored copy of it, and reads only the summary lines of
+    an output that reported a move."""
+    script = [sys.executable, str(REPO / "scripts" / "check_pins.py"), "--limit", "2"]
+    first = subprocess.run(script, capture_output=True, text=True, check=False)
+    assert first.returncode == 0, first.stderr
+    expected = tmp_path / "pins.txt"
+    expected.write_text(first.stdout)
+    again = subprocess.run(script + ["--expect", str(expected)],
+                           capture_output=True, text=True, check=False)
+    assert (again.returncode, again.stdout) == (0, first.stdout), again.stderr
+    rows = first.stdout.splitlines()[1].rpartition("trace rows sha256 ")[2]
+    expected.write_text(first.stdout.replace(rows, "0" * len(rows)))
+    doctored = subprocess.run(script + ["--expect", str(expected)],
+                              capture_output=True, text=True, check=False)
+    assert doctored.returncode == 1
+    moved = [line for line in doctored.stdout.splitlines() if " moved from " in line]
+    assert moved == [f"random_complete: trace rows sha256 moved from {'0' * len(rows)} to {rows}"]
+    expected.write_text(doctored.stdout)  # its summary lines hold the digests of this run
+    again = subprocess.run(script + ["--expect", str(expected)],
+                           capture_output=True, text=True, check=False)
+    assert (again.returncode, again.stdout) == (0, first.stdout), again.stderr
+
+
 def test_benchmark_tracing_targets_exist(monkeypatch):
     """perfbench/tracing.py finds every function it wraps (it raises
     LookupError for one the library no longer defines where it is looked

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import charged, loop_gain, rescan_open, uncharged
+from idrefine.diagram import DiagramError
 from idrefine.engine import ZERO_PROB, Calibration, CandidateEvaluation, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
@@ -501,9 +502,10 @@ def assert_statistics(tree):
     assert policy_json(tree)["value_normalized"] == tree_value(tree)
     named = {v.name: v for v in tree.predecessors}
     for leaf in tree.open:  # what extend derived equals what the context says
-        assert leaf.missing == extensions(tree, leaf)
-        assert {x: o if isinstance(o, str) else named[x].outcomes[o]
-                for x, o in leaf.evidence.items()} == dict(leaf.context)
+        if leaf.checked is not None:  # None until a given root's leaf is explored
+            assert leaf.checked.missing == tuple(v.name for v in extensions(tree, leaf))
+            assert {x: named[x].outcomes[o]
+                    for x, o in leaf.checked.findings.items()} == dict(leaf.context)
 
 
 class TestRunningStatistics:
@@ -553,6 +555,43 @@ class TestRunningStatistics:
         assert_statistics(rebuilt)
         assert tree_counts(rebuilt) == tree_counts(grown)
         assert tree_value(rebuilt) == tree_value(grown)
+
+
+class TestGivenRoot:
+    """A tree built around a given root has the engine check each open
+    leaf's context when the leaf is first explored."""
+
+    @staticmethod
+    def split(outcomes):
+        eng, grown = fresh(mini_weather_coin())
+        extend(grown, grown.root, "R", eng)
+        leaves = {o: Leaf(c.action, c.value, c.reach, (("R", o),))
+                  for o, c in zip(outcomes, grown.root.children.values())}
+        tree = DecisionTree(grown.decision, grown.actions, grown.predecessors,
+                            grown.u_min, grown.u_max, Internal("R", leaves, 0.0))
+        return eng, grown, tree, leaves
+
+    @pytest.mark.parametrize("explore", [lambda t, leaf, e: best_extension(t, leaf, e)[1],
+                                         lambda t, leaf, e: extend(t, leaf, "C1", e).gain])
+    def test_checked_on_first_exploration(self, explore):
+        eng, grown, tree, leaves = self.split(("sunny", "rainy"))
+        leaf = leaves["rainy"]
+        assert leaf in tree.open and leaf.checked is None
+        given = Engine(eng.network)
+        gain = explore(tree, leaf, given)
+        assert (leaf.checked.findings, leaf.checked.missing) == ({"R": 1}, ("C1",))
+        assert given.counter.snapshot() == (2 * 2, 1 + 2)  # one binary candidate
+        reference = explore(grown, find_leaf(grown, (("R", "rainy"),)), Engine(eng.network))
+        assert gain == pytest.approx(reference, abs=TOL)
+        assert leaves["sunny"].checked is None
+
+    def test_unknown_outcome_rejected_before_a_charge(self):
+        eng, _, tree, leaves = self.split(("sunny", "cloudy"))
+        given = Engine(eng.network)
+        with pytest.raises(DiagramError, match="has no outcome 'cloudy'"):
+            best_extension(tree, leaves["cloudy"], given)
+        assert given.counter.snapshot() == (0, 0)
+        assert leaves["cloudy"].checked is None
 
 
 class TestSerialization:

@@ -39,14 +39,17 @@ either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
 gather and the divisions (_choose) run, and are read out, once per stack.
 
-Sibling contexts, which differ only in the outcome of one variable, are
-evaluated together by evaluate_siblings: their leaf joints are stacked, the
-stack axis is kept through every sum, and each stack holds siblings x
-candidates rows.  That pass is uncounted; each sibling is charged when its
-calibration reads its results (Calibration.evaluate_candidates'
-``evaluated``), the same as evaluating it then, and every result is
-bit-identical to evaluating that sibling alone, because a single context
-goes through the same sums and _choose as a stack of one.
+Contexts whose leaf joints have one shape, such as siblings, which differ
+only in the outcome of one variable, are evaluated together by
+evaluate_siblings: their leaf joints are stacked, the stack axis is kept
+through every sum, and each stack holds contexts x candidates rows.  The
+contexts may lack different predecessors, as many of them and of the same
+arities, so each context names its own candidates.  That pass is
+uncounted; each context is charged when its calibration reads its results
+(Calibration.evaluate_candidates' ``evaluated``), the same as evaluating it
+then, and every result is bit-identical to evaluating that context alone,
+because a single context goes through the same sums and _choose as a stack
+of one.
 
 Engine.calibrate, the one way into a context, checks a caller's findings
 (outcome labels or indices) before it charges; a rejected call charges
@@ -658,27 +661,37 @@ class Calibration:
         if evaluated is not None:
             return [evaluated[v] for v in variables]
         joints = [self._candidate_joint(decision, v) for v in variables]
-        return _evaluate(net, decision, variables, joints) if variables else []
+        return _evaluate(net, decision, (variables,), joints) if variables else []
 
 
-def evaluate_siblings(network: ChanceNetwork, decision: str, variables: Sequence[str],
-                      joints: Sequence[np.ndarray]) -> list[list[CandidateEvaluation]]:
-    """Every candidate of several sibling contexts in one stacked pass,
-    uncounted: one list per context, as Calibration.evaluate_candidates
-    gives it for that context alone, bit for bit.
+def evaluate_siblings(network: ChanceNetwork, decision: str,
+                      variables: Sequence[Sequence[str]], joints: Sequence[np.ndarray],
+                      ) -> list[list[CandidateEvaluation] | None]:
+    """Every candidate of several contexts in one stacked pass, uncounted:
+    one list per context, as Calibration.evaluate_candidates gives it for
+    that context alone, bit for bit, or None for a context of probability
+    zero, which raises ZeroProbabilityError alone and is left out here.
 
-    The contexts differ only in the outcome of one variable, so their leaf
-    joints are slices of one joint and have one shape; ``variables`` names
-    their predecessor axes in order.  The joints are stacked and each
+    The contexts' leaf joints have one shape; ``variables`` names each
+    context's predecessor axes in order.  The joints are stacked and each
     candidate's joint is summed over the stack at once, keeping the stack
-    axis.  Raises ZeroProbabilityError if any context has probability zero.
-    The results stay uncharged until each context reads them through
-    Calibration.evaluate_candidates' ``evaluated``.
+    axis.  The results stay uncharged until each context reads them
+    through Calibration.evaluate_candidates' ``evaluated``.
     """
-    stack, halves, m = np.stack(joints), {}, len(variables)
-    flat = _evaluate(network, decision, variables,
-                     [_marginal(stack, k, halves) for k in range(m)])
-    return [flat[s:s + m] for s in range(0, len(flat), m)]
+    stack, halves, keep = np.stack(joints), {}, range(len(joints))
+    marginals = [_marginal(stack, k, halves) for k in range(stack.ndim - 3)]
+    try:
+        flat = _evaluate(network, decision, variables, marginals)
+    except ZeroProbabilityError:  # leave out each context with a row _choose rejects
+        totals = np.min([j.sum(axis=(1, 2, 3)) for j in marginals], axis=0)
+        keep = np.flatnonzero(totals >= ZERO_PROB).tolist()
+        flat = _evaluate(network, decision, [variables[s] for s in keep],
+                         [j[keep] for j in marginals]) if keep else []
+    out: list[list[CandidateEvaluation] | None] = [None] * len(joints)
+    m = len(marginals)
+    for s, row in zip(keep, range(0, len(flat), m)):
+        out[s] = flat[row:row + m]
+    return out
 
 
 def _marginal(stack: np.ndarray, k: int,
@@ -704,11 +717,12 @@ def _marginal(stack: np.ndarray, k: int,
     return joint.sum(axis=drop) if drop else joint
 
 
-def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[str],
+def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[Sequence[str]],
               joints: list[np.ndarray]) -> list[CandidateEvaluation]:
-    """Candidate evaluations from their joints, one per variable with axes
-    (context, outcome, decision, proxy), context by context: the one for
-    context s and variables[i] is at s * len(variables) + i.
+    """Candidate evaluations from their joints, the i-th joint with axes
+    (context, outcome, decision, proxy) for each context's i-th candidate,
+    variables[s] naming context s's candidates in that order: the
+    evaluation of context s's i-th candidate is at s * len(joints) + i.
 
     Joints of equal shape and memory layout are stacked (np.concatenate
     keeps a layout its inputs share), and _choose runs once per stack, on
@@ -720,15 +734,15 @@ def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[str],
     groups: dict[tuple, list[int]] = {}
     for i, joint in enumerate(joints):
         groups.setdefault((joint.shape, joint.strides), []).append(i)
-    labels, m, g = net.outcomes[decision], len(variables), len(joints[0])
+    labels, m, g = net.outcomes[decision], len(joints), len(variables)
     out: list[CandidateEvaluation] = [None] * (g * m)  # type: ignore[list-item]
     for group in groups.values():
         parts = [joints[i] for i in group]
         best, probs, values = _choose(np.concatenate(parts) if len(parts) > 1 else parts[0])
         for row, (a, p, v) in enumerate(zip(best.tolist(), probs.tolist(), values.tolist())):
-            i = group[row // g]
-            out[row % g * m + i] = CandidateEvaluation(variables[i], net.outcomes[variables[i]],
-                                                       p, a, v, labels)
+            i, s = group[row // g], row % g
+            name = variables[s][i]
+            out[s * m + i] = CandidateEvaluation(name, net.outcomes[name], p, a, v, labels)
     return out
 
 

@@ -15,9 +15,12 @@ Leaf choice and extension choice are orthogonal and pluggable:
   extension splices the new vertex's open children in where the leaf it
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
-  evaluated and recorded, a leaf's unexplored siblings evaluated with it and
-  charged when served) or ``random`` (uniform over candidates, only the
-  chosen one evaluated).
+  evaluated and recorded; the first exploration of a leaf evaluates other
+  unexplored leaves with it in one stacked pass, each charged when served:
+  in a run with no bound, which explores every open leaf, all those whose
+  joints have the leaf's joint's shape, and otherwise only its siblings,
+  so that a stop strands little stacked work) or ``random`` (uniform over
+  candidates, only the chosen one evaluated).
 
 A fixed seed makes a run fully deterministic.
 """
@@ -29,7 +32,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,8 +90,7 @@ class RefinementConfig:
             raise ValueError("min_evi stopping applies to the greedy extension strategy only")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     iteration: int
     fine_queries: int
     passes: int
@@ -196,11 +198,14 @@ def make_selector(strategy: str, tree: DecisionTree, rng: np.random.Generator):
     return RandomLeafSelector(tree, rng)
 
 
-def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf,
-                     engine: Engine, rng: np.random.Generator) -> tuple[str, float | None]:
-    """Pick the extension variable for a leaf; greedy returns its gain too."""
+def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf, engine: Engine,
+                     rng: np.random.Generator, *, cohort: bool = False,
+                     ) -> tuple[str, float | None]:
+    """Pick the extension variable for a leaf; greedy returns its gain too.
+    ``cohort`` is best_extension's: only for a run that explores every open
+    leaf."""
     if strategy == "greedy":
-        return best_extension(tree, leaf, engine)
+        return best_extension(tree, leaf, engine, cohort=cohort)
     candidates = open_context(tree, leaf, engine).missing
     return candidates[int(rng.integers(len(candidates)))], None
 
@@ -231,15 +236,19 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
 
     record(0)
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
+    stop = config.stop
+    # with no bound, every open leaf is explored, so no stacked result goes uncharged
+    cohort = stop.max_extensions is None and stop.max_passes is None and stop.min_evi is None
     selector = make_selector(config.leaf_strategy, tree, rng)
     iterations = 0
-    while not (degenerate or config.stop.budget_reached(iterations, engine)):
+    while not (degenerate or stop.budget_reached(iterations, engine)):
         leaf = selector.next_leaf(tree)
         if leaf is None:
             break
         before = engine.counter.snapshot()
-        variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine, rng)
-        if config.stop.min_evi is not None and gain is not None and gain < config.stop.min_evi:
+        variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine, rng,
+                                          cohort=cohort)
+        if stop.min_evi is not None and gain is not None and gain < stop.min_evi:
             break
         context_size = len(leaf.context)
         node = extend(tree, leaf, variable, engine)

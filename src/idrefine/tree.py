@@ -35,10 +35,16 @@ each candidate the counters were charged for.  A candidate is charged, and
 its gain computed, once, when first read; best_extension, evi and extend
 all read that gain.  Candidates not yet charged are charged together, in
 one Calibration.evaluate_candidates call.  The first time best_extension
-explores a leaf whose parent has two or more unexplored children holding
-joints, it evaluates every candidate of all of them in one stacked pass
-(engine.evaluate_siblings), and each records its results uncharged.  A
-lone leaf is a group of one; extend and evi never form a group.
+explores a leaf holding a joint, it evaluates every candidate of a group of
+unexplored open leaves holding joints, the leaf among them, in one stacked
+pass (engine.evaluate_siblings), and each records its results uncharged.
+A stacked pass costs little more than a lone one, so in a run that will
+explore every open leaf (best_extension's ``cohort``) the group is the
+leaf's cohort, all those whose joints have the leaf's joint's shape.
+Otherwise it is the leaf's siblings: a run that may stop early would
+strand much of a cohort's work uncharged, which made such runs slower
+than sibling groups do.  A lone leaf is a group of one; extend and evi
+never form a group.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() grows it, so reading them costs no walk.  The value is one
@@ -58,8 +64,7 @@ from typing import Iterator, Mapping, NamedTuple, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import (CandidateEvaluation, CheckedContext, Engine, ZERO_PROB,
-                     ZeroProbabilityError, evaluate_siblings)
+from .engine import CandidateEvaluation, CheckedContext, Engine, ZERO_PROB, evaluate_siblings
 
 Context = tuple[tuple[str, str], ...]
 
@@ -236,27 +241,31 @@ def _explore(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...], engine: Eng
     return record
 
 
-def _evaluate_group(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...],
-                    engine: Engine) -> None:
-    """Evaluate the named candidates, every predecessor the leaf's context
-    lacks, of the leaf and of each unexplored sibling holding a joint, in
-    one stacked pass, and record them uncharged on each.  Fewer than two
-    such leaves, or a context of probability zero among them, leave every
-    leaf to be evaluated alone when it is explored."""
-    parent = tree.open[leaf]
-    if parent is None or leaf.joint is None or leaf.explored is not None:
+def _evaluate_group(tree: DecisionTree, leaf: Leaf, engine: Engine, cohort: bool) -> None:
+    """Evaluate every candidate of the unexplored leaf and of the other
+    unexplored open leaves holding checked contexts and joints, either all
+    those whose joints have its joint's shape (its cohort) or its siblings,
+    in one stacked pass, and record them uncharged on each.  A leaf of
+    probability zero among them is left out, to be evaluated alone when it
+    is explored, as is every leaf when there is no other to stack."""
+    if leaf.joint is None or leaf.explored is not None:
         return
-    group = [c for c in parent.children.values()
-             if c in tree.open and c.joint is not None and c.explored is None]
+    if cohort:
+        shape = leaf.joint.shape
+        group = [c for c in tree.open if c.explored is None and c.joint is not None
+                 and c.joint.shape == shape and c.checked is not None]
+    else:
+        parent = tree.open[leaf]
+        group = [] if parent is None else [
+            c for c in parent.children.values() if c in tree.open and c.explored is None
+            and c.joint is not None and c.checked is not None]
     if len(group) < 2:
         return
-    try:
-        evaluated = evaluate_siblings(engine.network, tree.decision, names,
-                                      [c.joint for c in group])
-    except ZeroProbabilityError:
-        return
-    for c, evs in zip(group, evaluated):
-        c.explored = Explored(dict(zip(names, evs)), {})
+    names = [c.checked.missing for c in group]
+    evaluated = evaluate_siblings(engine.network, tree.decision, names, [c.joint for c in group])
+    for c, missing, evs in zip(group, names, evaluated):
+        if evs is not None:
+            c.explored = Explored(dict(zip(missing, evs)), {})
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
@@ -279,16 +288,20 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     return _explore(tree, leaf, (variable,), engine).gains[variable]
 
 
-def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
+def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine, *,
+                   cohort: bool = False) -> tuple[str, float]:
     """Greedy choice: the extension with the largest improvement.
 
     Charges every candidate (ties break by declaration order), so a
     following extend() issues no queries: one calibration pass plus two
     passes per candidate not charged yet.  The first exploration of a leaf
-    evaluates its unexplored siblings with it (see the module docstring).
+    evaluates other unexplored leaves with it (see the module docstring):
+    with ``cohort``, every open one whose joint has the leaf's joint's
+    shape, which only a caller that will explore every open leaf should
+    ask for; otherwise its siblings.
     """
     names = open_context(tree, leaf, engine).missing
-    _evaluate_group(tree, leaf, names, engine)
+    _evaluate_group(tree, leaf, engine, cohort)
     gains = _explore(tree, leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
     return best, gains[best]

@@ -882,6 +882,90 @@ class TestSiblingGroups:
         assert groups
 
 
+class TestCohorts:
+    """In a run with no bound, best_extension stacks a leaf's cohort, every
+    unexplored open leaf whose joint has the leaf's joint's shape, whatever
+    its parent: each leaf is stacked at most once, each result is bit for
+    bit that of evaluating the leaf alone, and every stacked result is
+    charged by the time the run ends."""
+
+    @staticmethod
+    def recording(mp):
+        """Patch the tree's evaluate_siblings to record each stack's leaf
+        joints, and _evaluate_group to check each leaf it records against
+        a lone evaluate_candidates; returns (the stacks, the recorded leaves)."""
+        tree_module = sys.modules["idrefine.tree"]
+        stacks, recorded = [], []
+
+        def stacking(network, decision, variables, joints,
+                     _original=tree_module.evaluate_siblings):
+            stacks.append([id(j) for j in joints])
+            return _original(network, decision, variables, joints)
+
+        def checking(tree, leaf, engine, cohort, _original=tree_module._evaluate_group):
+            before = [c for c in tree.open if c.explored is None]
+            _original(tree, leaf, engine, cohort)
+            for c in before:
+                if c.explored is None:
+                    continue
+                recorded.append(c)
+                names = c.checked.missing
+                alone = Engine(engine.network).calibrate(c.checked, c.joint)
+                for v, ref in zip(names, alone.evaluate_candidates(tree.decision, names)):
+                    assert_same_evaluation(c.explored.evaluations[v], ref)
+        mp.setattr(tree_module, "evaluate_siblings", stacking)
+        mp.setattr(tree_module, "_evaluate_group", checking)
+        return stacks, recorded
+
+    @given(data=st.data())
+    def test_complete_run(self, data):
+        kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage"]))
+        seed = data.draw(st.integers(0, 10_000))
+        with pytest.MonkeyPatch.context() as mp:
+            stacks, recorded = self.recording(mp)
+            if kind == "star":
+                n = data.draw(st.integers(1, 8))
+                arity = data.draw(st.integers(2, 3))
+                _, trace = refine(Engine(compile_network(gen_random_id(
+                    GeneratorSpec(n=n, seed=seed, arity=arity)))), "d")
+                assert trace.records[-1].internal_vertices == (arity ** n - 1) // (arity - 1)
+            elif kind == "mixed arity":
+                refine(Engine(compile_network(mixed_arity_diagram(seed, every=True))), "d")
+            else:
+                sweep_back(gen_two_stage(seed))
+        assert len(recorded) == len(set(recorded)) == sum(map(len, stacks))
+        assert all(not uncharged(c) for c in recorded)  # zero waste
+        if kind == "star" and n >= 3:  # a cohort spans more than one sibling group
+            assert any(len(stack) > arity for stack in stacks)
+
+    def test_zero_probability_member_left_out(self):
+        """A cohort member whose rows would raise ZeroProbabilityError (its
+        joint scaled below ZERO_PROB) is left out of the stack; the other
+        members are stacked once, with the results they get alone, and it
+        raises only when it is explored, as it does alone."""
+        eng, tree, _ = TestSiblingGroups.split_root()
+        for child in list(tree.open):
+            extend(tree, child, "c3", eng)
+        leaves = list(tree.open)
+        assert len(leaves) == 4 and len({l.context[0] for l in leaves}) == 2
+        zero = leaves[2]
+        zero.joint = zero.joint * 1e-13
+        with pytest.MonkeyPatch.context() as mp:
+            stacks, recorded = self.recording(mp)
+            for leaf in leaves:
+                if leaf is not zero:
+                    best_extension(tree, leaf, eng, cohort=True)
+        assert stacks == [[id(l.joint) for l in leaves]]
+        assert recorded == [l for l in leaves if l is not zero]
+        assert zero.explored is None
+        names = zero.checked.missing
+        with pytest.raises(ZeroProbabilityError):
+            Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(
+                "d", names)
+        with pytest.raises(ZeroProbabilityError):
+            best_extension(tree, zero, eng, cohort=True)
+
+
 class TestEliminationOrder:
     @given(data=st.data())
     def test_matches_reference_loop(self, data):

@@ -356,8 +356,8 @@ class TestLeafJointsReleased:
         tree_module = sys.modules["idrefine.tree"]
         grouped = []
 
-        def recording(tree, leaf, names, engine, _original=tree_module._evaluate_group):
-            _original(tree, leaf, names, engine)
+        def recording(tree, leaf, engine, cohort, _original=tree_module._evaluate_group):
+            _original(tree, leaf, engine, cohort)
             parent = tree.open[leaf]
             siblings = parent.children.values() if parent is not None else ()
             grouped.extend(c for c in siblings if isinstance(c, Leaf) and uncharged(c))
@@ -395,9 +395,9 @@ class TestLeafJointsReleased:
 class TestEngineQueries:
     """A complete run on the star template contracts once, to the root's
     leaf joint: the root's action is read from it, and every later
-    evaluation slices it.  A complete greedy run evaluates candidates in
-    one stacked pass per vertex whose children it explores, plus one for
-    the root.  A two-stage sweep compiles its network once and contracts
+    evaluation slices it.  A complete greedy run evaluates each leaf it
+    explores once, in stacked passes no more numerous than its sibling
+    groups.  A two-stage sweep compiles its network once and contracts
     once per decision."""
 
     @staticmethod
@@ -424,14 +424,22 @@ class TestEngineQueries:
         assert self.queries(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension) == 1
 
     @pytest.mark.parametrize("n", [4, 7])
-    def test_one_stacked_evaluation_per_sibling_group(self, monkeypatch, n):
-        stacks = self.counting(monkeypatch, sys.modules["idrefine.engine"], "_evaluate")
+    def test_each_explored_leaf_stacked_once(self, monkeypatch, n):
+        """Each leaf the run explores is one row of one stacked pass, and
+        there are at most as many passes as there were sibling groups: one
+        per vertex whose children are explored, plus one for the root."""
+        engine = sys.modules["idrefine.engine"]
+        rows = []
+
+        def counting(net, decision, variables, joints, _original=engine._evaluate):
+            rows.append(len(variables))  # the contexts stacked
+            return _original(net, decision, variables, joints)
+        monkeypatch.setattr(engine, "_evaluate", counting)
         _, tree, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)))
         monkeypatch.undo()
         assert trace.records[-1].internal_vertices == 2 ** n - 1
-        explored_children = [v for v in iter_internals(tree)
-                             if any(isinstance(c, Internal) for c in v.children.values())]
-        assert len(stacks) == 1 + len(explored_children) == 2 ** (n - 1)
+        assert sum(rows) == 2 ** n - 1
+        assert len(rows) <= 2 ** (n - 1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_stage_sweep(self, monkeypatch, seed):

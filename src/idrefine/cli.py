@@ -39,17 +39,16 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-evi", type=float, default=None,
                    help="stop when the best improvement falls below this (greedy only)")
     p.add_argument("--complete", action="store_true",
-                   help="refine until the tree is complete")
+                   help="refine until the tree is complete: the default when no bound "
+                        "is given; a bound overrides it")
     p.add_argument("--trace", default=None, help="write the anytime trace CSV here")
     p.add_argument("--policy", default=None, help="write the policy JSON here")
 
 
 def _stopping_rule(args) -> StoppingRule:
-    complete = args.complete
-    if args.max_ext is None and args.max_passes is None and args.min_evi is None:
-        complete = True
+    # with no bound the run is complete; with one, run_to_complete changes nothing
     return StoppingRule(max_extensions=args.max_ext, max_passes=args.max_passes,
-                        min_evi=args.min_evi, run_to_complete=complete)
+                        min_evi=args.min_evi, run_to_complete=True)
 
 
 def _config(args) -> RefinementConfig:

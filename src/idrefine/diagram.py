@@ -117,6 +117,13 @@ class InfluenceDiagram:
     def decisions(self) -> tuple[str, ...]:
         return tuple(n for n, nd in self.nodes.items() if isinstance(nd, DecisionNode))
 
+    def resolve_decision(self, decision: str | None) -> str:
+        """The decision named, or, with none named, the diagram's only one."""
+        n = len(self.decisions)
+        if decision is None and n != 1:
+            raise DiagramError(f"decision must be named: the diagram has {n} decisions")
+        return self.decisions[0] if decision is None else decision
+
     def predecessors(self, decision: str) -> tuple[Variable, ...]:
         node = self.node(decision)
         if not isinstance(node, DecisionNode):

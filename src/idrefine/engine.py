@@ -19,9 +19,10 @@ Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
 
 * ``passes`` counts evidence-conditioned propagation passes: one per
-  calibration of a context and one per value pass read from it;
-* ``fine`` counts extracted posterior/value numbers; reads from an
-  existing calibration are lookups and cost nothing.
+  calibration of a context and one per value pass read from it, and one
+  per call of Engine.posteriors or Engine.action_value;
+* ``fine`` counts extracted posterior/value numbers; a calibration's leaf
+  joint is a lookup and costs nothing.
 
 Exploring a context for a decision works from the context's *leaf joint*:
 the unnormalized joint over the decision's predecessors missing from the
@@ -44,28 +45,29 @@ only in the outcome of one variable, are evaluated together by
 evaluate_siblings: their leaf joints are stacked, the stack axis is kept
 through every sum, and each stack holds contexts x candidates rows.  The
 contexts may lack different predecessors, as many of them and of the same
-arities, so each context names its own candidates.  That pass is
+arities, so each checked context gives its own candidates.  That pass is
 uncounted; each context is charged when its calibration reads its results
 (Calibration.evaluate_candidates' ``evaluated``), the same as evaluating it
 then, and every result is bit-identical to evaluating that context alone,
 because a single context goes through the same sums and _choose as a stack
 of one.
 
-Engine.calibrate, the one way into a context, checks a caller's findings
-(outcome labels or indices) before it charges; a rejected call charges
-nothing.  Findings are checked once per context: Engine.context checks a
-caller's evidence and makes a CheckedContext, which holds the findings as
-outcome indices and the decision's missing predecessors, the leaf joint's
-axes before the decision's.  CheckedContext.child adds one finding on a
-missing predecessor, valid by construction, so a tree derives every
-context below its root without a check.  Engine.calibrate takes a checked
-context as it is; the type, not the findings' values, decides what is
-trusted.  A calibration of a Mapping gets its checked context from
-Engine.context when it first explores a decision, so every exploration
-takes its leaf-joint axes and its candidates from a checked context.  An
-action/value pair (best_action) costs 2: the calibration and a value pass,
-the candidate with no split, which reads the joint of decision and proxy
-(the leaf joint summed over its predecessor axes) through the same _choose.
+Findings are outcome labels, checked once per context: Engine.context
+checks a caller's evidence for exploring one decision, charging nothing,
+and makes a CheckedContext, which holds the findings as outcome indices
+and the decision's missing predecessors, the leaf joint's axes before the
+decision's.  CheckedContext.child adds one finding on a missing
+predecessor, valid by construction, so a tree derives every context below
+its root without a check.  Engine.calibrate, the one way into exploring a
+context, takes only a CheckedContext checked against its engine's network,
+as it is: the type, not the findings' values, decides what is trusted, and
+anything else raises before the pass is charged.  A calibration explores
+its context's decision.  An action/value pair (best_action) costs 2: the
+calibration and a value pass, the candidate with no split, which reads the
+joint of decision and proxy (the leaf joint summed over its predecessor
+axes) through the same _choose.  Engine.posteriors and Engine.action_value
+answer a caller's findings directly: each checks them, charges its one
+pass and reads each posterior from its own contraction.
 
 A ChanceNetwork is immutable; per-run query state (counters) lives in an
 Engine, which is single-owner.  Distinct engines over one network may run
@@ -416,17 +418,16 @@ class Engine:
 
     # -- helpers ---------------------------------------------------------
 
-    def _evidence_idx(self, evidence: Mapping[str, str | int]) -> dict[str, int]:
+    def _evidence_idx(self, evidence: Mapping[str, str]) -> dict[str, int]:
         outcomes, proxy = self.network.outcomes, self.network.proxy
         out: dict[str, int] = {}
         for var, outcome in evidence.items():
             labels = outcomes.get(var)
             if labels is None or var == proxy:
                 raise DiagramError(f"unknown variable {var!r} in evidence")
-            index = type(outcome) is int and 0 <= outcome < len(labels)
-            if not index and outcome not in labels:
+            if outcome not in labels:
                 raise DiagramError(f"variable {var!r} has no outcome {outcome!r}")
-            out[var] = outcome if index else labels.index(outcome)
+            out[var] = labels.index(outcome)
         return out
 
     def _check_decision(self, decision: str, evidence: Iterable[str]) -> None:
@@ -438,6 +439,15 @@ class Engine:
         if decision in evidence:
             raise ValueError(f"evidence must not assign the decision {decision!r}")
 
+    def _posterior(self, findings: dict[str, int], variable: str) -> np.ndarray:
+        """P(variable | findings) over declared outcomes, uncounted."""
+        net = self.network
+        joint = _query(net, net.factors.values(), findings, (variable,))
+        total = joint.sum()
+        if total < ZERO_PROB:
+            raise ZeroProbabilityError("context has probability zero")
+        return joint / total
+
     # -- counted query operations ----------------------------------------
 
     def best_action(self, decision: str, evidence: Mapping[str, str]) -> tuple[str, float]:
@@ -446,16 +456,17 @@ class Engine:
         Calibration.best_action on a calibration of the context: the
         calibration and a value pass, two passes in all.
         """
-        return self.calibrate(self.context(decision, evidence)).best_action(decision)
+        return self.calibrate(self.context(decision, evidence)).best_action()
 
     def action_value(self, decision: str, action: str, evidence: Mapping[str, str]) -> float:
-        """Normalized expected value of one fixed action in a context, read
-        from a calibration of the context plus the action (one pass)."""
+        """Normalized expected value of one fixed action in a context: one
+        pass over the context plus the action."""
         net = self.network
         self._check_decision(decision, evidence)
-        cal = self.calibrate({**evidence, decision: action})
+        findings = self._evidence_idx({**evidence, decision: action})
+        self.counter.passes += 1
         self.counter.fine += net.doms[decision]
-        return float(cal.posterior(net.proxy)[1])
+        return float(self._posterior(findings, net.proxy)[1])
 
     def posterior(self, variable: str, evidence: Mapping[str, str]) -> dict[str, float]:
         """Exact P(variable | evidence) as an outcome-keyed mapping."""
@@ -471,19 +482,20 @@ class Engine:
                 raise DiagramError(f"unknown variable {var!r}")
             if var in evidence:
                 raise ValueError(f"{var!r} is assigned in the context")
-        cal = self.calibrate(evidence)
+        findings = self._evidence_idx(evidence)
+        self.counter.passes += 1
         out: dict[str, dict[str, float]] = {}
         for var in variables:
-            dist = cal.posterior(var)
+            dist = self._posterior(findings, var)
             self.counter.fine += net.doms[var]
             out[var] = dict(zip(net.outcomes[var], dist.tolist()))
         return out
 
-    def context(self, decision: str, evidence: Mapping[str, str | int]) -> CheckedContext:
+    def context(self, decision: str, evidence: Mapping[str, str]) -> CheckedContext:
         """The evidence as a checked context for exploring the decision.
 
-        Each finding gives an outcome label or index; the decision must be
-        unfixed and unassigned.  Checking charges nothing.
+        Each finding gives an outcome label; the decision must be unfixed
+        and unassigned.  Checking charges nothing.
         """
         self._check_decision(decision, evidence)
         net, findings = self.network, self._evidence_idx(evidence)
@@ -491,25 +503,23 @@ class Engine:
         return CheckedContext(net, decision, findings, missing,
                               tuple(net.doms[v] for v in missing) + (net.doms[decision], 2))
 
-    def calibrate(self, evidence: CheckedContext | Mapping[str, str | int],
+    def calibrate(self, context: CheckedContext,
                   joint: np.ndarray | None = None) -> "Calibration":
-        """Enter a context as findings (one pass); posteriors become lookups.
+        """Enter a checked context for exploring its decision (one pass).
 
-        A checked context of this engine's network is taken as it is, and its
-        calibration explores the context's decision.  Otherwise each finding
-        gives an outcome label or index, checked before the pass is charged.
-        ``joint``, if given, is the context's leaf joint for the decision the
-        calibration will explore (Calibration.leaf_joint), e.g. a slice of the
-        parent context's; only its shape is checked.
+        The context must come from this engine's network (Engine.context or
+        CheckedContext.child); anything else raises before the pass is
+        charged.  ``joint``, if given, is the context's leaf joint
+        (Calibration.leaf_joint), e.g. a slice of the parent context's; only
+        its shape is checked.
         """
-        if type(evidence) is CheckedContext:
-            if evidence.network is not self.network:
-                raise ValueError("the context was checked against another network")
-            context, findings = evidence, evidence.findings
-        else:
-            context, findings = None, self._evidence_idx(evidence)
+        if type(context) is not CheckedContext:
+            raise ValueError(f"calibrate takes a CheckedContext (Engine.context), "
+                             f"not {type(context).__name__}")
+        if context.network is not self.network:
+            raise ValueError("the context was checked against another network")
         self.counter.passes += 1
-        return Calibration(self, findings, joint, context)
+        return Calibration(self, context, joint)
 
     # -- uncounted diagnostics -------------------------------------------
 
@@ -527,56 +537,29 @@ class Engine:
 
 
 class Calibration:
-    """A context entered as findings; queries against it are lookups.
+    """A checked context being explored for its decision.
 
     Created only through Engine.calibrate, which counts the pass.  The
     factors are restricted to the context on first use, so a calibration
-    handed its leaf joint restricts none.  A calibration explores one
-    decision: a checked context's, or else the first one it is asked for,
-    with the context Engine.context checks then.
+    handed its leaf joint restricts none.
     """
 
-    def __init__(self, engine: Engine, findings: dict[str, int], joint: np.ndarray | None,
-                 context: CheckedContext | None):
+    def __init__(self, engine: Engine, context: CheckedContext, joint: np.ndarray | None):
         self._engine = engine
-        self._evidence = findings
         self._context = context
         self._restricted: list[_Factor] | None = None
         self._axes: tuple[str, ...] | None = None  # the leaf joint's, once it is asked for
         self._joint = joint
         self._halves: dict[tuple[int, int], np.ndarray] = {}
-        self._posteriors: dict[str, np.ndarray] = {}
 
     @property
     def _factors(self) -> list[_Factor]:
         if self._restricted is None:
-            self._restricted = [_restrict(f, self._evidence)
+            self._restricted = [_restrict(f, self._context.findings)
                                 for f in self._engine.network.factors.values()]
         return self._restricted
 
-    def _check(self, decision: str) -> CheckedContext:
-        """The checked context for exploring the decision; raises, before
-        anything is charged, if this calibration cannot explore it."""
-        context = self._context
-        if context is None:
-            context = self._context = self._engine.context(decision, self._evidence)
-        elif decision != context.decision:
-            raise ValueError(f"this calibration explores {context.decision!r}, not {decision!r}")
-        return context
-
-    def posterior(self, variable: str) -> np.ndarray:
-        """P(variable | context) over declared outcomes."""
-        if variable in self._evidence:
-            raise ValueError(f"{variable!r} is assigned in the context")
-        if variable not in self._posteriors:
-            joint = _query(self._engine.network, self._factors, {}, (variable,))
-            total = joint.sum()
-            if total < ZERO_PROB:
-                raise ZeroProbabilityError("context has probability zero")
-            self._posteriors[variable] = joint / total
-        return self._posteriors[variable]
-
-    def leaf_joint(self, decision: str) -> np.ndarray | None:
+    def leaf_joint(self) -> np.ndarray | None:
         """Unnormalized joint over (the decision's predecessors missing from
         the context, in declaration order; the decision; the proxy), or None
         where it would be larger than the largest restricted factor.
@@ -586,34 +569,35 @@ class Calibration:
         missing predecessor gives the leaf joint of the context extended by
         that outcome.
         """
-        context = self._check(decision)
+        context = self._context
         if self._axes is None:
             net, shape = self._engine.network, context.shape
             if self._joint is not None and self._joint.shape != shape:
-                raise ValueError(f"a leaf joint for {decision!r} in this context has shape "
-                                 f"{shape}, not {self._joint.shape}")
-            self._axes = context.missing + (decision, net.proxy)
+                raise ValueError(f"a leaf joint for {context.decision!r} in this context has "
+                                 f"shape {shape}, not {self._joint.shape}")
+            self._axes = context.missing + (context.decision, net.proxy)
             if self._joint is None:
-                largest = max(math.prod(net.doms[v] for v in f.vars if v not in self._evidence)
+                largest = max(math.prod(net.doms[v] for v in f.vars if v not in context.findings)
                               for f in net.factors.values())
                 if math.prod(shape) <= largest:
                     self._joint = _query(net, self._factors, {}, self._axes)
         return self._joint
 
-    def _candidate_joint(self, decision: str, variable: str) -> np.ndarray:
+    def _candidate_joint(self, variable: str) -> np.ndarray:
         """The unnormalized joint of (variable, decision, proxy), as a stack
         of one: a sum over the leaf joint, or one contraction where there is
         none."""
         if self._joint is not None and variable in self._axes[:-2]:
             return _marginal(self._joint[None], self._axes.index(variable), self._halves)
         net = self._engine.network
-        return _query(net, self._factors, {}, (decision, variable, net.proxy)).swapaxes(0, 1)[None]
+        targets = (self._context.decision, variable, net.proxy)
+        return _query(net, self._factors, {}, targets).swapaxes(0, 1)[None]
 
-    def evaluate_candidate(self, decision: str, variable: str) -> CandidateEvaluation:
+    def evaluate_candidate(self, variable: str) -> CandidateEvaluation:
         """evaluate_candidates for one variable."""
-        return self.evaluate_candidates(decision, (variable,))[0]
+        return self.evaluate_candidates((variable,))[0]
 
-    def best_action(self, decision: str) -> tuple[str, float]:
+    def best_action(self) -> tuple[str, float]:
         """Maximizing action and its normalized value in this context.
 
         Ties break by action declaration order.  Counted as the value pass
@@ -622,9 +606,9 @@ class Calibration:
         contraction where there is none.  This is a candidate with no
         split, one outcome that is the context itself.
         """
-        eng = self._engine
+        eng, decision = self._engine, self._context.decision
         net = eng.network
-        joint = self.leaf_joint(decision)  # checks the decision and a handed joint's shape
+        joint = self.leaf_joint()  # checks a handed joint's shape
         eng.counter.passes += 1
         eng.counter.fine += 2 * net.doms[decision]
         if joint is None:
@@ -634,7 +618,7 @@ class Calibration:
         best, _, values = _choose(joint[None, None])
         return net.outcomes[decision][best[0, 0]], float(values[0, 0])
 
-    def evaluate_candidates(self, decision: str, variables: Sequence[str],
+    def evaluate_candidates(self, variables: Sequence[str],
                             evaluated: Mapping[str, CandidateEvaluation] | None = None,
                             ) -> list[CandidateEvaluation]:
         """Best action and value for every outcome of each extension variable.
@@ -647,37 +631,39 @@ class Calibration:
         candidate of this context, computed uncounted by evaluate_siblings:
         the requested ones are charged as above and read from it.
         """
-        eng = self._engine
-        net = eng.network
-        missing = self._check(decision).missing
+        eng, context = self._engine, self._context
+        net, missing = eng.network, context.missing
         if not set(variables).issubset(missing):
             bad = next(v for v in variables if v not in missing)
             raise ValueError(f"{bad!r} is not a possible extension here: it is not a "
-                             f"missing predecessor of {decision!r}")
+                             f"missing predecessor of {context.decision!r}")
         if evaluated is None:
-            self.leaf_joint(decision)  # rejects a handed joint of the wrong shape
+            self.leaf_joint()  # rejects a handed joint of the wrong shape
         eng.counter.passes += 2 * len(variables)
         eng.counter.fine += 2 * sum(map(net.doms.__getitem__, variables))
         if evaluated is not None:
             return [evaluated[v] for v in variables]
-        joints = [self._candidate_joint(decision, v) for v in variables]
-        return _evaluate(net, decision, (variables,), joints) if variables else []
+        joints = [self._candidate_joint(v) for v in variables]
+        return _evaluate(net, context.decision, (variables,), joints) if variables else []
 
 
-def evaluate_siblings(network: ChanceNetwork, decision: str,
-                      variables: Sequence[Sequence[str]], joints: Sequence[np.ndarray],
+def evaluate_siblings(contexts: Sequence[CheckedContext], joints: Sequence[np.ndarray],
                       ) -> list[list[CandidateEvaluation] | None]:
-    """Every candidate of several contexts in one stacked pass, uncounted:
-    one list per context, as Calibration.evaluate_candidates gives it for
-    that context alone, bit for bit, or None for a context of probability
-    zero, which raises ZeroProbabilityError alone and is left out here.
+    """Every candidate of several checked contexts in one stacked pass,
+    uncounted: one list per context, as Calibration.evaluate_candidates
+    gives it for that context alone, bit for bit, or None for a context of
+    probability zero, which raises ZeroProbabilityError alone and is left
+    out here.
 
-    The contexts' leaf joints have one shape; ``variables`` names each
-    context's predecessor axes in order.  The joints are stacked and each
-    candidate's joint is summed over the stack at once, keeping the stack
-    axis.  The results stay uncharged until each context reads them
-    through Calibration.evaluate_candidates' ``evaluated``.
+    The contexts explore one decision of one network, and their leaf
+    joints, one per context, have one shape; each context's missing
+    predecessors name its joint's predecessor axes.  The joints are stacked
+    and each candidate's joint is summed over the stack at once, keeping
+    the stack axis.  The results stay uncharged until each context reads
+    them through Calibration.evaluate_candidates' ``evaluated``.
     """
+    network, decision = contexts[0].network, contexts[0].decision
+    variables = [c.missing for c in contexts]
     stack, halves, keep = np.stack(joints), {}, range(len(joints))
     marginals = [_marginal(stack, k, halves) for k in range(stack.ndim - 3)]
     try:

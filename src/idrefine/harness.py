@@ -74,14 +74,11 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
                 summary_path=None, with_oracle: bool = True,
                 ) -> tuple[ProfileSummary, AnytimeTrace]:
     """Refine one decision (other decisions stay uniform), write artifacts.
+    With no decision named, the diagram's only one (resolve_decision).
 
     Tree size and value are the trace's last record, taken of the final tree.
     """
-    if decision is None:
-        decisions = diagram.decisions
-        if len(decisions) != 1:
-            raise ValueError("decision must be named for a multi-decision diagram")
-        decision = decisions[0]
+    decision = diagram.resolve_decision(decision)
     engine = Engine(compile_network(diagram))
     tree, trace = refine(engine, decision, config)
 

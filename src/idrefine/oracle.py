@@ -171,16 +171,13 @@ def state_action_values(diagram: InfluenceDiagram, decision: str,
 
 def oracle_optimal(diagram: InfluenceDiagram, decision: str | None = None,
                    cap: int = DEFAULT_CAP) -> OracleResult:
-    """Exact optimal tabular decision function for one decision.
+    """Exact optimal tabular decision function for one decision, with none
+    named the diagram's only one (resolve_decision).
 
     Ties break by action declaration order; impossible states get the
     first action and a zero value contribution.
     """
-    if decision is None:
-        decisions = diagram.decisions
-        if len(decisions) != 1:
-            raise DiagramError("decision must be named for a multi-decision diagram")
-        decision = decisions[0]
+    decision = diagram.resolve_decision(decision)
     preds, num, den = state_action_values(diagram, decision, cap)
     u = diagram.value_node.utility
     u_min, u_max = float(u.min()), float(u.max())

@@ -48,7 +48,9 @@ EXTENSION_STRATEGIES = ("greedy", "random")
 
 @dataclass
 class StoppingRule:
-    """When to stop refining; at least one bound or run_to_complete."""
+    """When to stop refining: at the first bound reached, or, with no bound
+    (``unbounded``), when the tree is complete, which run_to_complete must
+    then ask for; with a bound, run_to_complete changes nothing."""
 
     max_extensions: int | None = None
     max_passes: int | None = None
@@ -56,8 +58,7 @@ class StoppingRule:
     run_to_complete: bool = False
 
     def __post_init__(self):
-        bounds = (self.max_extensions, self.max_passes, self.min_evi)
-        if not self.run_to_complete and all(b is None for b in bounds):
+        if not self.run_to_complete and self.unbounded:
             raise ValueError("stopping rule needs at least one bound or run_to_complete")
         for name, bound in (("max_extensions", self.max_extensions),
                             ("max_passes", self.max_passes)):
@@ -72,6 +73,11 @@ class StoppingRule:
         if self.max_passes is not None and engine.counter.passes >= self.max_passes:
             return True
         return False
+
+    @property
+    def unbounded(self) -> bool:
+        """True when no bound is set, so a run explores every open leaf."""
+        return self.max_extensions is None and self.max_passes is None and self.min_evi is None
 
 
 @dataclass
@@ -238,7 +244,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
     stop = config.stop
     # with no bound, every open leaf is explored, so no stacked result goes uncharged
-    cohort = stop.max_extensions is None and stop.max_passes is None and stop.min_evi is None
+    cohort = stop.unbounded
     selector = make_selector(config.leaf_strategy, tree, rng)
     iterations = 0
     while not (degenerate or stop.budget_reached(iterations, engine)):

@@ -21,13 +21,16 @@ up and a dropped tree is freed at once, not by the cycle collector.
 
 An open leaf carries its context checked once (engine.CheckedContext: its
 findings as outcome indices and its missing predecessors) and its leaf
-joint (Calibration.leaf_joint) once one is known.  init_tree has the engine
-check the root's context and contracts the root's joint; extend derives
-each open child's context from the leaf's (CheckedContext.child), and
-hands it a slice of the leaf's joint, a numpy view, so on a star topology
-the root's joint is the one contraction of a run and the root's findings
-the only ones checked.  A tree built around a given root has the engine
-check each open leaf's context when the leaf is first explored.
+joint (Calibration.leaf_joint) once one is known.  That checked context is
+what every exploration of the leaf calibrates (Engine.calibrate takes
+nothing else) and what a stacked pass reads the leaf's candidates from.
+init_tree has the engine check the root's context and contracts the
+root's joint; extend derives each open child's context from the leaf's
+(CheckedContext.child), and hands it a slice of the leaf's joint, a numpy
+view, so on a star topology the root's joint is the one contraction of a
+run and the root's findings the only ones checked.  A tree built around a
+given root has the engine check each open leaf's context when the leaf is
+first explored.
 
 A leaf allocates nothing more until it is explored.  Then it keeps one
 record (Explored): every candidate evaluation known for it, and the gain of
@@ -148,11 +151,11 @@ def init_tree(engine: Engine, decision: str) -> DecisionTree:
     net = engine.network
     root = engine.context(decision, {})  # checks the decision before the calibration charges
     cal = engine.calibrate(root)
-    action, value = cal.best_action(decision)
+    action, value = cal.best_action()
     tree = DecisionTree(decision, net.outcomes[decision], net.diagram.predecessors(decision),
                         net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
     if tree.root in tree.open:
-        tree.root.checked, tree.root.joint = root, cal.leaf_joint(decision)
+        tree.root.checked, tree.root.joint = root, cal.leaf_joint()
     return tree
 
 
@@ -229,19 +232,19 @@ def _explore(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...], engine: Eng
         known = record.evaluations
         cal = engine.calibrate(leaf.checked, leaf.joint)
         if todo[0] in known:  # a sibling group evaluated every candidate
-            evs = cal.evaluate_candidates(tree.decision, todo, known)
+            evs = cal.evaluate_candidates(todo, known)
         else:
-            evs = cal.evaluate_candidates(tree.decision, todo)
+            evs = cal.evaluate_candidates(todo)
             known.update(zip(todo, evs))
             if leaf.joint is None:  # the calibration may have computed one
-                leaf.joint = cal.leaf_joint(tree.decision)
+                leaf.joint = cal.leaf_joint()
         leaf.explored = record
         for name, ev in zip(todo, evs):
             record.gains[name] = _gain(leaf, ev)
     return record
 
 
-def _evaluate_group(tree: DecisionTree, leaf: Leaf, engine: Engine, cohort: bool) -> None:
+def _evaluate_group(tree: DecisionTree, leaf: Leaf, cohort: bool) -> None:
     """Evaluate every candidate of the unexplored leaf and of the other
     unexplored open leaves holding checked contexts and joints, either all
     those whose joints have its joint's shape (its cohort) or its siblings,
@@ -261,11 +264,10 @@ def _evaluate_group(tree: DecisionTree, leaf: Leaf, engine: Engine, cohort: bool
             and c.joint is not None and c.checked is not None]
     if len(group) < 2:
         return
-    names = [c.checked.missing for c in group]
-    evaluated = evaluate_siblings(engine.network, tree.decision, names, [c.joint for c in group])
-    for c, missing, evs in zip(group, names, evaluated):
+    evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
+    for c, evs in zip(group, evaluated):
         if evs is not None:
-            c.explored = Explored(dict(zip(missing, evs)), {})
+            c.explored = Explored(dict(zip(c.checked.missing, evs)), {})
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
@@ -301,7 +303,7 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine, *,
     ask for; otherwise its siblings.
     """
     names = open_context(tree, leaf, engine).missing
-    _evaluate_group(tree, leaf, engine, cohort)
+    _evaluate_group(tree, leaf, cohort)
     gains = _explore(tree, leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
     return best, gains[best]

@@ -11,8 +11,9 @@ arithmetic of ``Calibration.evaluate_candidate``,
 ``_query``, ``einsum_query`` is the former ``_query``, which ran each
 elimination step as one ``np.einsum``, and ``loop_gain`` is the former
 per-call gain of a leaf's extension.  ``rescan_open`` recomputes a tree's
-open leaves by a walk, apart from the record extend() keeps, and
-``charged`` and ``uncharged`` read a leaf's record of exploration.
+open leaves by a walk, apart from the record extend() keeps,
+``charged`` and ``uncharged`` read a leaf's record of exploration, and
+``calibrate`` calibrates a caller's findings, given as labels.
 """
 
 import math
@@ -145,7 +146,7 @@ def loop_candidate(cal, decision, variable):
     """One candidate evaluated on its own, as Calibration.evaluate_candidate
     did before the candidates of a leaf were stacked; it charges nothing."""
     net = cal._engine.network
-    leaf = cal.leaf_joint(decision)
+    leaf = cal.leaf_joint()
     if leaf is not None and variable in cal._axes[:-2]:
         joint = _marginal(leaf[None], cal._axes.index(variable), cal._halves)[0].swapaxes(0, 1)
     else:
@@ -161,6 +162,12 @@ def loop_candidate(cal, decision, variable):
     values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
     return CandidateEvaluation(variable, net.outcomes[variable], probs, action_idx.tolist(),
                                values, net.outcomes[decision])
+
+
+def calibrate(engine, decision, evidence, joint=None):
+    """engine.calibrate of the evidence checked by Engine.context for
+    exploring the decision, handed ``joint`` if given."""
+    return engine.calibrate(engine.context(decision, evidence), joint)
 
 
 def loop_gain(leaf, ev):

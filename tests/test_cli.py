@@ -109,6 +109,19 @@ class TestSolve:
         assert set(doc["tree"]) == {"var", "children"}
         assert "0.812" in capsys.readouterr().out
 
+    def test_complete_is_the_default(self, gen_file, tmp_path):
+        """--complete changes nothing: with a bound the bound stops the run,
+        and with none the run is complete anyway."""
+        traces = {}
+        for name, flags in (("bound", ["--max-ext", "2"]),
+                            ("complete_bound", ["--complete", "--max-ext", "2"]),
+                            ("none", []), ("complete", ["--complete"])):
+            traces[name] = tmp_path / f"{name}.csv"
+            assert main(["solve", gen_file, *flags, "--trace", str(traces[name])]) == 0
+        assert traces["bound"].read_bytes() == traces["complete_bound"].read_bytes()
+        assert len(traces["bound"].read_text().splitlines()) == 1 + 3
+        assert traces["none"].read_bytes() == traces["complete"].read_bytes()
+
     def test_missing_decision_is_runtime_error(self, two_stage_file, capsys):
         assert main(["solve", two_stage_file]) == 2
         assert "error" in capsys.readouterr().err

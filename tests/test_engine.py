@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (charged, einsum_query, enum_action_value, enum_best_action,
+from helpers import (calibrate, charged, einsum_query, enum_action_value, enum_best_action,
                      enum_posterior, enum_probability, loop_candidate,
                      loop_elimination_order, normalized, uncharged)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
@@ -198,16 +198,18 @@ class TestCounterDiscipline:
         mini_engine.action_value("D", "take", {})
         assert mini_engine.counter.snapshot() == (2, 1)
 
-    def test_calibration_reads_are_lookups(self, mini_engine):
-        cal = mini_engine.calibrate({})
-        assert mini_engine.counter.snapshot() == (0, 1)
-        cal.posterior("R")
-        cal.posterior("W")
-        assert mini_engine.counter.snapshot() == (0, 1)
+    def test_posteriors_share_one_pass(self, mini_engine):
+        """posteriors of two variables costs one pass, and each result
+        equals posterior of that variable alone, which costs one more."""
+        both = mini_engine.posteriors(["W", "D"], {"R": "rainy"})
+        assert mini_engine.counter.snapshot() == (4, 1)
+        for var in ("W", "D"):
+            assert mini_engine.posterior(var, {"R": "rainy"}) == both[var]
+        assert mini_engine.counter.snapshot() == (8, 3)
 
     def test_candidate_evaluation(self, mini_engine):
-        cal = mini_engine.calibrate({})
-        cal.evaluate_candidate("D", "R")
+        cal = calibrate(mini_engine, "D", {})
+        cal.evaluate_candidate("R")
         assert mini_engine.counter.snapshot() == (4, 3)
 
     def test_reset(self, mini_engine):
@@ -222,7 +224,7 @@ class TestOneWayIn:
     @pytest.fixture
     def tally(self, monkeypatch):
         counts = {"made": 0, "calibrate": 0}
-        init, calibrate = Calibration.__init__, Engine.calibrate
+        init, counted = Calibration.__init__, Engine.calibrate
 
         def counting_init(self, *args, **kwargs):
             counts["made"] += 1
@@ -230,7 +232,7 @@ class TestOneWayIn:
 
         def counting_calibrate(self, *args, **kwargs):
             counts["calibrate"] += 1
-            return calibrate(self, *args, **kwargs)
+            return counted(self, *args, **kwargs)
 
         monkeypatch.setattr(Calibration, "__init__", counting_init)
         monkeypatch.setattr(Engine, "calibrate", counting_calibrate)
@@ -265,57 +267,69 @@ class TestOneWayIn:
         assert tally["made"] == tally["calibrate"] > 0
 
     def test_action_value_calibrates_the_context_and_action(self, tally, mini_engine):
+        """action_value charges its own pass over the context plus the
+        action and makes no calibration."""
         assert mini_engine.action_value("D", "take", {"R": "rainy"}) \
             == pytest.approx(1820 / 3100, abs=TOL)
-        assert tally == {"made": 1, "calibrate": 1}
+        assert mini_engine.counter.snapshot() == (2, 1)
+        assert tally == {"made": 0, "calibrate": 0}
 
 
 class TestRejectedCallsChargeNothing:
     """A call rejected for its arguments raises before it charges a pass or
     a fine query, whatever the engine has already spent."""
 
-    METHODS = ("calibrate", "best_action", "action_value", "posterior", "posteriors")
+    METHODS = ("context", "calibrate", "best_action", "action_value", "posterior",
+               "posteriors")
 
     @given(data=st.data())
     def test_counters_unchanged(self, data):
+        """Findings are checked by Engine.context, best_action, action_value
+        and the posteriors; calibrate rejects a Mapping, whatever it holds,
+        and a context checked against another network."""
         eng = Engine(compile_network(mini_weather()))
         eng.best_action("D", {})
         method = data.draw(st.sampled_from(self.METHODS))
-        defects = ["unknown variable", "value node", "unknown outcome"]
-        if method in ("best_action", "action_value"):
+        evidence = data.draw(st.sampled_from([{}, {"R": "sunny"}, {"W": "rain"}]))
+        decision, action = "D", data.draw(st.sampled_from(["take", "leave"]))
+        free = [v for v in ("W", "R", "D") if v not in evidence]
+        targets = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3))
+        if method == "calibrate":
+            defects = ["mapping", "checked findings", "another network"]
+        else:
+            defects = ["unknown variable", "value node", "unknown outcome"]
+        if method in ("context", "best_action", "action_value"):
             defects += ["non-decision", "assigns decision"]
         if method == "action_value":
             defects += ["unknown action"]
         if method in ("posterior", "posteriors"):
             defects += ["assigned target", "unknown target", "value-node target"]
         defect = data.draw(st.sampled_from(defects))
-        by_index = data.draw(st.booleans())  # a caller's index findings are checked too
-        evidence = data.draw(st.sampled_from([{}, {"R": 0}, {"W": 1}] if by_index
-                                             else [{}, {"R": "sunny"}, {"W": "rain"}]))
-        decision, action = "D", data.draw(st.sampled_from(["take", "leave"]))
-        free = [v for v in ("W", "R", "D") if v not in evidence]
-        targets = data.draw(st.lists(st.sampled_from(free), min_size=1, max_size=3))
-        if defect == "unknown variable":
-            evidence = {**evidence, "Q": 0 if by_index else "x"}
+        context = evidence
+        if defect == "checked findings":  # outcome indices, as a checked context holds them
+            context = eng.context(decision, evidence).findings
+        elif defect == "another network":
+            context = Engine(compile_network(mini_weather())).context(decision, evidence)
+        elif defect == "unknown variable":
+            evidence = {**evidence, "Q": "x"}
         elif defect == "value node":
-            evidence = {**evidence, "V": data.draw(st.sampled_from(
-                [0, 1] if by_index else ["false", "true"]))}
-        elif defect == "unknown outcome":
-            outcome = data.draw(st.sampled_from([2, -1, True, 1.0])) if by_index else "cloudy"
+            evidence = {**evidence, "V": data.draw(st.sampled_from(["false", "true"]))}
+        elif defect == "unknown outcome":  # an outcome index is not a label
+            outcome = data.draw(st.sampled_from(["cloudy", 0, 1, 2, -1, True, 1.0]))
             evidence = {**evidence, data.draw(st.sampled_from(["W", "R"])): outcome}
         elif defect == "non-decision":
             decision = data.draw(st.sampled_from(["W", "R", "V", "Q"]))
         elif defect == "assigns decision":
-            evidence = {**evidence, "D": data.draw(st.sampled_from(
-                [0, 1] if by_index else ["take", "leave"]))}
+            evidence = {**evidence, "D": data.draw(st.sampled_from(["take", "leave"]))}
         elif defect == "unknown action":
             action = "nope"
         elif defect == "assigned target":
-            evidence = evidence or ({"R": 0} if by_index else {"R": "sunny"})
+            evidence = evidence or {"R": "sunny"}
             targets = targets + [next(iter(evidence))]
-        else:
+        elif defect != "mapping":
             targets = targets + ["Q" if defect == "unknown target" else "V"]
-        call = {"calibrate": lambda: eng.calibrate(evidence),
+        call = {"context": lambda: eng.context(decision, evidence),
+                "calibrate": lambda: eng.calibrate(context),
                 "best_action": lambda: eng.best_action(decision, evidence),
                 "action_value": lambda: eng.action_value(decision, action, evidence),
                 "posterior": lambda: eng.posterior(targets[-1], evidence),
@@ -335,14 +349,15 @@ class TestRejectedCallsChargeNothing:
             init_tree(eng, "d2")
         assert eng.counter.snapshot() == (0, 0)
 
-    @pytest.mark.parametrize("read", [lambda cal: cal.evaluate_candidate("d", "c2"),
-                                      lambda cal: cal.best_action("d")])
+    @pytest.mark.parametrize("read", [lambda cal: cal.evaluate_candidate("c2"),
+                                      lambda cal: cal.best_action()])
     def test_handed_joint_of_the_wrong_shape(self, read):
         """Exploring a calibration handed a leaf joint of the wrong shape
         raises before it charges: the calibration's own pass is all."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
-        joint = eng.calibrate({}).leaf_joint("d")
-        for context in ({"c1": "v0"}, eng.context("d", {"c1": "v0"})):
+        root = eng.context("d", {})
+        joint = eng.calibrate(root).leaf_joint()
+        for context in (eng.context("d", {"c1": "v0"}), root.child("c1", 0)):
             cal = eng.calibrate(context, joint)
             before = eng.counter.snapshot()
             with pytest.raises(ValueError, match="shape"):
@@ -357,37 +372,35 @@ class TestRejectedCallsChargeNothing:
 
 
 class TestFindingsByIndex:
-    def test_index_or_label(self, mini_engine):
-        """A finding may give its outcome's index instead of its label; an
-        index out of range, a bool or a float is rejected before the pass
-        is charged."""
-        by_label = mini_engine.calibrate({"R": "rainy"}).posterior("W")
-        assert np.array_equal(mini_engine.calibrate({"R": 1}).posterior("W"), by_label)
-        before = mini_engine.counter.snapshot()
-        for outcome in (2, -1, True, 1.0):
-            with pytest.raises(DiagramError, match="has no outcome"):
-                mini_engine.calibrate({"R": outcome})
-        assert mini_engine.counter.snapshot() == before
+    """Findings are outcome labels; only a checked context holds indices."""
+
+    def test_indices_are_unknown_outcomes(self, mini_engine):
+        """{"R": 1} and {"R": True} name no outcome of R: Engine.context,
+        posteriors and action_value reject them before anything is charged."""
+        for evidence in ({"R": 1}, {"R": True}):
+            for call in (lambda: mini_engine.context("D", evidence),
+                         lambda: mini_engine.posteriors(["W"], evidence),
+                         lambda: mini_engine.action_value("D", "take", evidence)):
+                with pytest.raises(DiagramError, match="variable 'R' has no outcome"):
+                    call()
+        assert mini_engine.counter.snapshot() == (0, 0)
 
     def test_trust_comes_from_the_type(self, mini_engine):
-        """Engine.calibrate takes a checked context as it is, but a plain
-        dict of indices is checked, even one a checked context holds: an
-        unknown variable, the value node, an index out of range, a bool or
-        a float is rejected before anything is charged.  So is a context
-        checked against another network."""
-        checked = mini_engine.context("D", {"R": 1})
+        """Engine.calibrate takes a checked context as it is, and nothing
+        else: a plain dict, of labels or of the very indices a checked
+        context holds, is rejected before anything is charged, and so is a
+        context checked against another network."""
+        checked = mini_engine.context("D", {"R": "rainy"})
         assert checked.findings == {"R": 1} and checked.missing == ()
-        by_index = mini_engine.calibrate(checked.findings).posterior("W")
-        assert np.array_equal(mini_engine.calibrate(checked).posterior("W"), by_index)
-        before = mini_engine.counter.snapshot()
-        for findings in ({"R": 1, "W": 2}, {"R": 1, "W": -1}, {"R": 1, "W": True},
-                         {"R": 1, "W": 0.0}, {"R": 1, "Q": 0}, {"R": 1, "V": 1}):
-            with pytest.raises(DiagramError):
-                mini_engine.calibrate(findings)
-        foreign = Engine(compile_network(mini_weather())).context("D", {"R": 1})
+        for evidence in ({}, {"R": "rainy"}, checked.findings):
+            with pytest.raises(ValueError, match="takes a CheckedContext"):
+                mini_engine.calibrate(evidence)
+        foreign = Engine(compile_network(mini_weather())).context("D", {"R": "rainy"})
         with pytest.raises(ValueError, match="another network"):
             mini_engine.calibrate(foreign)
-        assert mini_engine.counter.snapshot() == before
+        assert mini_engine.counter.snapshot() == (0, 0)
+        assert mini_engine.calibrate(checked).best_action() \
+            == mini_engine.best_action("D", {"R": "rainy"})
 
 
 def fixed_two_stage(seed):
@@ -401,18 +414,19 @@ def fixed_two_stage(seed):
 
 
 class TestCheckedContext:
-    """A checked context, made by Engine.context and child, calibrates as
-    its findings given as labels do, bit for bit and charge for charge."""
+    """A context reached by CheckedContext.child calibrates as the same
+    context made by Engine.context from labels does, bit for bit and charge
+    for charge."""
 
     @staticmethod
-    def explore(eng, decision, evidence, candidates):
+    def explore(eng, context):
         """(counter delta, leaf joint, best action, candidate evaluations),
         or the exception raised in their place."""
         before = eng.counter.snapshot()
         try:
-            cal = eng.calibrate(evidence)
-            result = [cal.leaf_joint(decision), cal.best_action(decision),
-                      cal.evaluate_candidates(decision, candidates)]
+            cal = eng.calibrate(context)
+            result = [cal.leaf_joint(), cal.best_action(),
+                      cal.evaluate_candidates(context.missing)]
         except ZeroProbabilityError as err:
             result = [type(err)]
         after = eng.counter.snapshot()
@@ -433,19 +447,22 @@ class TestCheckedContext:
             net, decision = fixed_two_stage(seed), "d1"
         parents = net.diagram.nodes[decision].parents
         chosen = data.draw(st.lists(st.sampled_from(parents), unique=True))
-        checked, labels = Engine(net).context(decision, {}), {}
+        by_child, labels = Engine(net).context(decision, {}), {}
         for v in chosen:
             j = data.draw(st.integers(0, net.doms[v] - 1))
-            checked, labels[v] = checked.child(v, j), net.outcomes[v][j]
-        missing = [p for p in parents if p not in labels]
-        assert checked.missing == tuple(missing)
-        by_context = self.explore(Engine(net), decision, checked, missing)
-        by_labels = self.explore(Engine(net), decision, labels, missing)
-        assert by_context[0] == by_labels[0]
-        if len(by_labels) == 2:
-            assert by_context == by_labels
+            by_child, labels[v] = by_child.child(v, j), net.outcomes[v][j]
+        by_labels = Engine(net).context(decision, labels)
+        assert by_child.findings == by_labels.findings
+        assert by_child.missing == by_labels.missing == tuple(p for p in parents
+                                                              if p not in labels)
+        assert by_child.shape == by_labels.shape
+        got = self.explore(Engine(net), by_child)
+        ref = self.explore(Engine(net), by_labels)
+        assert got[0] == ref[0]
+        if len(ref) == 2:
+            assert got == ref
             return
-        (_, joint, action, evs), (_, ref_joint, ref_action, refs) = by_context, by_labels
+        (_, joint, action, evs), (_, ref_joint, ref_action, refs) = got, ref
         assert (joint is None) == (ref_joint is None)
         if joint is not None:
             assert joint.shape == ref_joint.shape and joint.tobytes() == ref_joint.tobytes()
@@ -468,27 +485,28 @@ class TestCheckedContext:
         assert checked.child("C1", 1).findings == {"R": 0, "C1": 1}
         assert checked.findings == {"R": 0}
 
-    @pytest.mark.parametrize("checked", [True, False])
-    def test_candidates_are_missing_predecessors(self, checked):
-        """A context's candidates are its missing predecessors, whether it
-        came checked or as a Mapping; any other name is rejected before
-        anything is charged, as is another decision once one is explored."""
+    @pytest.mark.parametrize("by_child", [True, False])
+    def test_candidates_are_missing_predecessors(self, by_child):
+        """A context's candidates are its missing predecessors, whether
+        CheckedContext.child derived it or Engine.context made it; any other
+        name is rejected before anything is charged."""
         eng = Engine(compile_network(mini_weather_coin(2)))
-        cal = eng.calibrate(eng.context("D", {"C1": "h"}) if checked else {"C1": "h"})
-        cal.leaf_joint("D")
+        root = eng.context("D", {})
+        context = root.child("C1", 0) if by_child else eng.context("D", {"C1": "h"})
+        assert context.findings == {"C1": 0} and context.missing == ("R", "C2")
+        cal = eng.calibrate(context)
+        cal.leaf_joint()
         before = eng.counter.snapshot()
         for variables in (["C1"], ["W"], ["R", "D"], ["Q"]):
             with pytest.raises(ValueError, match="missing predecessor"):
-                cal.evaluate_candidates("D", variables)
-        with pytest.raises(ValueError, match="explores 'D'"):
-            cal.evaluate_candidates("W", ["R"])
+                cal.evaluate_candidates(variables)
         assert eng.counter.snapshot() == before
 
 
 class TestCandidateEvaluation:
     def test_matches_per_child_queries(self, mini_engine):
-        cal = mini_engine.calibrate({})
-        ev = cal.evaluate_candidate("D", "R")
+        cal = calibrate(mini_engine, "D", {})
+        ev = cal.evaluate_candidate("R")
         assert ev.outcomes == ("sunny", "rainy")
         assert ev.actions == ("leave", "take")
         assert ev.probs[0] == pytest.approx(0.69, abs=TOL)
@@ -497,16 +515,16 @@ class TestCandidateEvaluation:
 
     def test_impossible_child_gets_zero_prob(self):
         eng = Engine(compile_network(deterministic_exclusion()))
-        cal = eng.calibrate({"A": "a0"})
-        ev = cal.evaluate_candidate("D", "B")
+        cal = calibrate(eng, "D", {"A": "a0"})
+        ev = cal.evaluate_candidate("B")
         assert ev.probs[1] == 0.0
         assert ev.values[1] == 0.0
 
 
 def check_candidate(diagram, decision, context, variable):
     """evaluate_candidate against the enumeration, outcome by outcome."""
-    cal = Engine(compile_network(diagram)).calibrate(context)
-    check_evaluation(diagram, decision, context, cal.evaluate_candidate(decision, variable))
+    cal = calibrate(Engine(compile_network(diagram)), decision, context)
+    check_evaluation(diagram, decision, context, cal.evaluate_candidate(variable))
 
 
 def check_evaluation(diagram, decision, context, ev):
@@ -569,24 +587,26 @@ class TestLeafJoint:
         """The joint is computed only where it is no larger than the
         largest restricted factor, here the utility."""
         diagram = gen_random_id(GeneratorSpec(n=3, seed=1))
-        assert Engine(compile_network(diagram)).calibrate({}).leaf_joint("d").shape == (2,) * 5
+        assert calibrate(Engine(compile_network(diagram)), "d", {}).leaf_joint().shape \
+            == (2,) * 5
         diagram.nodes["v"] = ValueNode("v", ("c1", "d"), np.array([[0.0, 1.0], [1.0, 0.5]]))
         eng = Engine(compile_network(diagram))
-        assert eng.calibrate({}).leaf_joint("d") is None
-        assert eng.calibrate({"c2": "v0", "c3": "v1"}).leaf_joint("d").shape == (2, 2, 2)
+        assert calibrate(eng, "d", {}).leaf_joint() is None
+        assert calibrate(eng, "d", {"c2": "v0", "c3": "v1"}).leaf_joint().shape == (2, 2, 2)
 
     def test_halved_sums_match_child_queries(self):
         """Joints of more than 1,024 entries are summed by halving their
         axes; every candidate still matches separate queries in the child
         contexts, at the root and on a slice of the root's joint."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=10, seed=3))))
-        root = eng.calibrate({})
-        joint = root.leaf_joint("d")
+        root = calibrate(eng, "d", {})
+        joint = root.leaf_joint()
         assert joint.size == 2 ** 12
-        for context, cal in (({}, root), ({"c1": "v1"}, eng.calibrate({"c1": "v1"}, joint[1]))):
+        for context, cal in (({}, root), ({"c1": "v1"}, calibrate(eng, "d", {"c1": "v1"},
+                                                                  joint[1]))):
             reach = eng.context_probability(context)
             for var in (f"c{k}" for k in range(1, 11) if f"c{k}" not in context):
-                ev = cal.evaluate_candidate("d", var)
+                ev = cal.evaluate_candidate(var)
                 for j, outcome in enumerate(ev.outcomes):
                     child = {**context, var: outcome}
                     action, value = eng.best_action("d", child)
@@ -597,11 +617,11 @@ class TestLeafJoint:
 
     def test_handed_joint_of_wrong_shape_rejected(self):
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
-        joint = eng.calibrate({}).leaf_joint("d")
+        joint = calibrate(eng, "d", {}).leaf_joint()
         with pytest.raises(ValueError, match="shape"):
-            eng.calibrate({"c1": "v0"}, joint).evaluate_candidate("d", "c2")
-        sliced = eng.calibrate({"c1": "v0"}, joint[0]).evaluate_candidate("d", "c2")
-        fresh = eng.calibrate({"c1": "v0"}).evaluate_candidate("d", "c2")
+            calibrate(eng, "d", {"c1": "v0"}, joint).evaluate_candidate("c2")
+        sliced = calibrate(eng, "d", {"c1": "v0"}, joint[0]).evaluate_candidate("c2")
+        fresh = calibrate(eng, "d", {"c1": "v0"}).evaluate_candidate("c2")
         assert sliced.actions == fresh.actions
         assert sliced.probs == pytest.approx(fresh.probs, abs=TOL)
         assert sliced.values == pytest.approx(fresh.values, abs=TOL)
@@ -661,12 +681,12 @@ class TestStackedCandidates:
     @staticmethod
     def assert_identical(net, decision, context, joint, variables):
         eng, single = Engine(net), Engine(net)
-        evs = eng.calibrate(context, joint).evaluate_candidates(decision, variables)
-        cal = single.calibrate(context, joint)
+        evs = calibrate(eng, decision, context, joint).evaluate_candidates(variables)
+        cal = calibrate(single, decision, context, joint)
         for v in variables:
-            cal.evaluate_candidate(decision, v)
+            cal.evaluate_candidate(v)
         assert eng.counter.snapshot() == single.counter.snapshot()
-        reference = Engine(net).calibrate(context, joint)
+        reference = calibrate(Engine(net), decision, context, joint)
         assert [ev.variable for ev in evs] == list(variables)
         for ev in evs:
             ref = loop_candidate(reference, decision, ev.variable)
@@ -686,13 +706,13 @@ class TestStackedCandidates:
         context = {n: net.outcomes[n][int(rng.integers(net.doms[n]))] for n in known}
         joint = None
         if mode == "sliced":
-            joint = Engine(net).calibrate(context).leaf_joint("d")
+            joint = calibrate(Engine(net), "d", context).leaf_joint()
             missing = [n for n in names if n not in context]
             k = int(rng.integers(len(missing)))
             j = int(rng.integers(net.doms[missing[k]]))
             context[missing[k]] = net.outcomes[missing[k]][j]
             joint = joint[(slice(None),) * k + (j,)]
-        leaf = Engine(net).calibrate(context, joint).leaf_joint("d")
+        leaf = calibrate(Engine(net), "d", context, joint).leaf_joint()
         assert (leaf is None) == (mode == "refused")
         variables = [str(n) for n in rng.permutation([n for n in names if n not in context])]
         self.assert_identical(net, "d", context, joint, variables)
@@ -705,15 +725,15 @@ class TestStackedCandidates:
     def test_impossible_context(self):
         eng = Engine(compile_network(deterministic_exclusion()))
         with pytest.raises(ZeroProbabilityError):
-            eng.calibrate({"A": "a0", "B": "b1"}).evaluate_candidates("D", ["C"])
+            calibrate(eng, "D", {"A": "a0", "B": "b1"}).evaluate_candidates(["C"])
         with pytest.raises(ZeroProbabilityError):
-            loop_candidate(Engine(eng.network).calibrate({"A": "a0", "B": "b1"}), "D", "C")
+            loop_candidate(calibrate(Engine(eng.network), "D", {"A": "a0", "B": "b1"}), "D", "C")
 
     def test_rejects_non_candidates(self, mini_engine):
-        cal = mini_engine.calibrate({})
+        cal = calibrate(mini_engine, "D", {})
         for variable in ("D", "V", "nope"):
             with pytest.raises(ValueError, match="not a possible extension"):
-                cal.evaluate_candidates("D", ["R", variable])
+                cal.evaluate_candidates(["R", variable])
         assert mini_engine.counter.snapshot() == (0, 1)
 
 
@@ -749,10 +769,10 @@ class TestSiblingGroups:
                 names = [v.name for v in extensions(tree, leaf)]
                 if leaf.pruned or not names:
                     continue
-                reference = Engine(net).calibrate(dict(leaf.context), leaf.joint)
+                reference = calibrate(Engine(net), "d", dict(leaf.context), leaf.joint)
                 expected = [loop_candidate(reference, "d", v) for v in names]
                 alone = Engine(net)
-                alone.calibrate(dict(leaf.context), leaf.joint).evaluate_candidates("d", names)
+                calibrate(alone, "d", dict(leaf.context), leaf.joint).evaluate_candidates(names)
                 grouped += bool(uncharged(leaf))
                 before = eng.counter.snapshot()
                 best_extension(tree, leaf, eng)
@@ -773,7 +793,7 @@ class TestSiblingGroups:
         eng, tree, children = self.split_root(seed, n=9, variable="c5")
         assert children[0].joint.size == _HALVING_MIN
         names = [v.name for v in extensions(tree, children[0])]
-        expected = [[loop_candidate(Engine(eng.network).calibrate(dict(c.context), c.joint),
+        expected = [[loop_candidate(calibrate(Engine(eng.network), "d", dict(c.context), c.joint),
                                     "d", v) for v in names] for c in children]
         best_extension(tree, children[0], eng)
         assert uncharged(children[1]) == set(names)  # evaluated in one group
@@ -789,22 +809,22 @@ class TestSiblingGroups:
         return eng, tree, list(extend(tree, tree.root, variable, eng).children.values())
 
     def test_zero_probability_sibling_is_left_alone(self):
-        """A sibling whose row would raise ZeroProbabilityError (its joint
-        scaled below ZERO_PROB here) keeps the group from forming: the leaf
-        explored gets its own results, and the sibling raises only when it
-        is explored, as it does alone."""
+        """A sibling whose rows would raise ZeroProbabilityError (its joint
+        scaled below ZERO_PROB here) is left out of the group: the leaf
+        explored gets the results it gets alone, and the sibling, never
+        recorded, raises only when it is explored, as it does alone."""
         eng, tree, (first, second) = self.split_root()
         second.joint = second.joint * 1e-13
         names = [v.name for v in extensions(tree, first)]
-        alone = Engine(eng.network).calibrate(dict(first.context), first.joint)
-        expected = alone.evaluate_candidates("d", names)
+        alone = calibrate(Engine(eng.network), "d", dict(first.context), first.joint)
+        expected = alone.evaluate_candidates(names)
         best_extension(tree, first, eng)
         for v, ref in zip(names, expected):
             assert_same_evaluation(charged(first)[v], ref)
         assert not uncharged(first) and second.explored is None
         with pytest.raises(ZeroProbabilityError):
-            Engine(eng.network).calibrate(dict(second.context), second.joint) \
-                .evaluate_candidates("d", names)
+            calibrate(Engine(eng.network), "d", dict(second.context), second.joint) \
+                .evaluate_candidates(names)
         with pytest.raises(ZeroProbabilityError):
             best_extension(tree, second, eng)
 
@@ -897,21 +917,20 @@ class TestCohorts:
         tree_module = sys.modules["idrefine.tree"]
         stacks, recorded = [], []
 
-        def stacking(network, decision, variables, joints,
-                     _original=tree_module.evaluate_siblings):
+        def stacking(contexts, joints, _original=tree_module.evaluate_siblings):
             stacks.append([id(j) for j in joints])
-            return _original(network, decision, variables, joints)
+            return _original(contexts, joints)
 
-        def checking(tree, leaf, engine, cohort, _original=tree_module._evaluate_group):
+        def checking(tree, leaf, cohort, _original=tree_module._evaluate_group):
             before = [c for c in tree.open if c.explored is None]
-            _original(tree, leaf, engine, cohort)
+            _original(tree, leaf, cohort)
             for c in before:
                 if c.explored is None:
                     continue
                 recorded.append(c)
                 names = c.checked.missing
-                alone = Engine(engine.network).calibrate(c.checked, c.joint)
-                for v, ref in zip(names, alone.evaluate_candidates(tree.decision, names)):
+                alone = Engine(c.checked.network).calibrate(c.checked, c.joint)
+                for v, ref in zip(names, alone.evaluate_candidates(names)):
                     assert_same_evaluation(c.explored.evaluations[v], ref)
         mp.setattr(tree_module, "evaluate_siblings", stacking)
         mp.setattr(tree_module, "_evaluate_group", checking)
@@ -960,8 +979,7 @@ class TestCohorts:
         assert zero.explored is None
         names = zero.checked.missing
         with pytest.raises(ZeroProbabilityError):
-            Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(
-                "d", names)
+            Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(names)
         with pytest.raises(ZeroProbabilityError):
             best_extension(tree, zero, eng, cohort=True)
 
@@ -1013,7 +1031,7 @@ class TestManyFactors:
         action, value = eng.best_action("d", {})
         assert action == "b"
         assert value == pytest.approx(0.75, abs=TOL)
-        ev = eng.calibrate({}).evaluate_candidate("d", "c0")
+        ev = calibrate(eng, "d", {}).evaluate_candidate("c0")
         assert ev.actions == ("a", "b")
         assert ev.probs == pytest.approx([0.25, 0.75], abs=TOL)
         assert ev.values == pytest.approx([0.5, 1.0], abs=TOL)
@@ -1175,7 +1193,7 @@ class TestExactness:
         eng = Engine(compile_network(diagram))
         known = [v for v in diagram.predecessors("d")[1:] if rng.integers(2)]
         evidence = {v.name: v.outcomes[int(rng.integers(v.arity))] for v in known}
-        assert Engine(eng.network).calibrate(evidence).leaf_joint("d") is None
+        assert calibrate(Engine(eng.network), "d", evidence).leaf_joint() is None
         action, value = eng.best_action("d", evidence)
         ref_action, ref_raw = enum_best_action(diagram, "d", evidence)
         assert action == ref_action

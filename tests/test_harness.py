@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from idrefine.diagram import DiagramError
 from idrefine.fixtures import mini_weather, mini_weather_coin
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.harness import (baseline_states, greedy_query_bound,
                               run_profile, run_sweep_profile, trace_path_for)
 from idrefine.multistage import used_predecessors
+from idrefine.oracle import oracle_optimal
 from idrefine.refine import CSV_HEADER, RefinementConfig, StoppingRule
 
 
@@ -32,6 +34,21 @@ class TestBounds:
 
 
 class TestRunProfile:
+    def test_unnamed_decision_error_shared_with_the_oracle(self):
+        """With no decision named, run_profile and oracle_optimal take a
+        diagram's only decision, and on a two-decision diagram both raise
+        the one DiagramError."""
+        diagram = gen_two_stage(0)
+        errors = []
+        for solve in (lambda: run_profile(diagram, None, RefinementConfig(), with_oracle=False),
+                      lambda: oracle_optimal(diagram)):
+            with pytest.raises(DiagramError, match="decision must be named") as err:
+                solve()
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        summary, _ = run_profile(mini_weather(), None, RefinementConfig(), with_oracle=False)
+        assert summary.decision == oracle_optimal(mini_weather()).decision == "D"
+
     def test_mini_weather_artifacts(self, tmp_path):
         trace = tmp_path / "t.csv"
         policy = tmp_path / "p.json"

@@ -50,6 +50,13 @@ class TestConfig:
     def test_stop_rule_zero_bounds_allowed(self):
         StoppingRule(max_extensions=0, max_passes=0, min_evi=0.0)
 
+    @pytest.mark.parametrize("bound", ["max_extensions", "max_passes", "min_evi"])
+    def test_stop_rule_unbounded(self, bound):
+        """Any one bound makes a rule bounded, with or without run_to_complete."""
+        assert StoppingRule(run_to_complete=True).unbounded
+        for complete in (False, True):
+            assert not StoppingRule(**{bound: 0}, run_to_complete=complete).unbounded
+
     def test_min_evi_requires_greedy(self):
         with pytest.raises(ValueError, match="greedy"):
             RefinementConfig(extension_strategy="random",
@@ -356,8 +363,8 @@ class TestLeafJointsReleased:
         tree_module = sys.modules["idrefine.tree"]
         grouped = []
 
-        def recording(tree, leaf, engine, cohort, _original=tree_module._evaluate_group):
-            _original(tree, leaf, engine, cohort)
+        def recording(tree, leaf, cohort, _original=tree_module._evaluate_group):
+            _original(tree, leaf, cohort)
             parent = tree.open[leaf]
             siblings = parent.children.values() if parent is not None else ()
             grouped.extend(c for c in siblings if isinstance(c, Leaf) and uncharged(c))

@@ -267,9 +267,9 @@ class TestBestExtension:
         calls = []
         original = Calibration.evaluate_candidates
 
-        def counting(cal, decision, variables, *rest):
+        def counting(cal, variables, *rest):
             calls.append(tuple(variables))
-            return original(cal, decision, variables, *rest)
+            return original(cal, variables, *rest)
 
         monkeypatch.setattr(Calibration, "evaluate_candidates", counting)
         eng, tree = fresh(gen_random_id(GeneratorSpec(n=4, seed=0)))

@@ -11,8 +11,9 @@ gives the JSON text and the settings, imported read-only), each side parses,
 validates and compiles the text untimed, then times the solve the benchmark
 times: refine on a fresh engine, or sweep_back for a multistage workload.
 Each side runs R times per instance, the side that runs first alternating,
-and keeps its fastest time.  Both sides' trace CSVs must be byte-equal on
-every instance; otherwise the script exits 1.  Per workload it prints the
+and keeps its fastest time.  Both sides' trace CSVs, and the policy JSON
+(tree.dumps_policy) of every refined tree, must be byte-equal on every
+instance; otherwise the script exits 1.  Per workload it prints the
 median CHANGE/BASE ratio of the per-instance times, with its quartiles.
 
 Timing the two sides seconds apart is the point: on a host whose speed
@@ -55,6 +56,7 @@ class Side:
         self.package = load(checkout, name)
         # the module, not the function the package re-exports under this name
         self.refine = importlib.import_module(f"{name}.refine")
+        self.dumps_policy = importlib.import_module(f"{name}.tree").dumps_policy
 
     def prepare(self, wl, text: str):
         pkg = self.package
@@ -69,16 +71,19 @@ class Side:
                                     stop=stop, seed=0)
         return diagram, pkg.compile_network(diagram), config
 
-    def solve(self, wl, prepared) -> tuple[float, str]:
-        """(seconds, the trace CSVs of every refined decision)."""
+    def solve(self, wl, prepared) -> tuple[float, str, str]:
+        """(seconds, the trace CSVs and the policy JSON of every refined decision)."""
         diagram, network, config = prepared
         t0 = time.perf_counter()
         if wl.multistage:
-            traces = list(self.package.sweep_back(diagram, config)[1].values())
+            policy, by_decision = self.package.sweep_back(diagram, config)
+            trees, traces = [p.tree for p in policy.policies], list(by_decision.values())
         else:
-            traces = [self.refine.refine(self.package.Engine(network), "d", config)[1]]
+            tree, trace = self.refine.refine(self.package.Engine(network), "d", config)
+            trees, traces = [tree], [trace]
         seconds = time.perf_counter() - t0
-        return seconds, "".join(t.to_csv() for t in traces)
+        return (seconds, "".join(t.to_csv() for t in traces),
+                "".join(map(self.dumps_policy, trees)))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -89,26 +94,27 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
-    """Print one line for the workload; False if some trace differs."""
+    """Print one line for the workload; False if some trace or policy differs."""
     ratios, times = [], {base: [], change: []}
     for index in range(min(instances, wl.pool)):
         text = wl.text(index)
         prepared = {side: side.prepare(wl, text) for side in (base, change)}
         best = {base: float("inf"), change: float("inf")}
-        csv = {}
+        csv, policies = {}, {}
         for r in range(rounds):
             for side in ((base, change) if (index + r) % 2 == 0 else (change, base)):
-                seconds, csv[side] = side.solve(wl, prepared[side])
+                seconds, csv[side], policies[side] = side.solve(wl, prepared[side])
                 best[side] = min(best[side], seconds)
-        if csv[base] != csv[change]:
-            print(f"{wl.name} {index}: trace CSVs differ", file=sys.stderr)
-            return False
+        for what, out in (("trace CSVs", csv), ("policies", policies)):
+            if out[base] != out[change]:
+                print(f"{wl.name} {index}: {what} differ", file=sys.stderr)
+                return False
         ratios.append(best[change] / best[base])
         for side in best:
             times[side].append(best[side])
     q1, median, q3 = quartiles(ratios)
-    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces byte-equal; "
-          f"CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
+    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces and policies "
+          f"byte-equal; CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
           f"median solve {statistics.median(times[base]):.6g} s -> "
           f"{statistics.median(times[change]):.6g} s", flush=True)
     return True

@@ -15,12 +15,13 @@ Leaf choice and extension choice are orthogonal and pluggable:
   extension splices the new vertex's open children in where the leaf it
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
-  evaluated and recorded; the first exploration of a leaf evaluates other
-  unexplored leaves with it in one stacked pass, each charged when served:
-  in a run with no bound, which explores every open leaf, all those whose
-  joints have the leaf's joint's shape, and otherwise only its siblings,
-  so that a stop strands little stacked work) or ``random`` (uniform over
-  candidates, only the chosen one evaluated).
+  charged and recorded) or ``random`` (uniform over candidates, only the
+  drawn one charged).  In a run with no bound, which explores every open
+  leaf, the first exploration of a leaf under either strategy evaluates
+  every candidate of all unexplored open leaves whose joints have the
+  leaf's joint's shape in one stacked pass, each result charged only when
+  read; a bounded greedy run stacks only the leaf's siblings, so that a
+  stop strands little stacked work, and a bounded random run stacks none.
 
 A fixed seed makes a run fully deterministic.
 """
@@ -38,7 +39,7 @@ import numpy as np
 
 from .engine import Engine
 from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, init_tree,
-                   iter_internals, iter_leaves, open_context, tree_counts, tree_value)
+                   iter_internals, iter_leaves, random_extension, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -207,13 +208,12 @@ def make_selector(strategy: str, tree: DecisionTree, rng: np.random.Generator):
 def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf, engine: Engine,
                      rng: np.random.Generator, *, cohort: bool = False,
                      ) -> tuple[str, float | None]:
-    """Pick the extension variable for a leaf; greedy returns its gain too.
-    ``cohort`` is best_extension's: only for a run that explores every open
-    leaf."""
+    """Pick the extension variable for a leaf by best_extension or
+    random_extension; greedy returns its gain too.  ``cohort`` is theirs:
+    only for a run that explores every open leaf."""
     if strategy == "greedy":
         return best_extension(tree, leaf, engine, cohort=cohort)
-    candidates = open_context(tree, leaf, engine).missing
-    return candidates[int(rng.integers(len(candidates)))], None
+    return random_extension(tree, leaf, engine, rng, cohort=cohort), None
 
 
 def refine(engine: Engine, decision: str, config: RefinementConfig | None = None,
@@ -243,7 +243,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     record(0)
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
     stop = config.stop
-    # with no bound, every open leaf is explored, so no stacked result goes uncharged
+    # with no bound, every open leaf is explored, so every stacked leaf is read
     cohort = stop.unbounded
     selector = make_selector(config.leaf_strategy, tree, rng)
     iterations = 0

@@ -37,17 +37,19 @@ record (Explored): every candidate evaluation known for it, and the gain of
 each candidate the counters were charged for.  A candidate is charged, and
 its gain computed, once, when first read; best_extension, evi and extend
 all read that gain.  Candidates not yet charged are charged together, in
-one Calibration.evaluate_candidates call.  The first time best_extension
-explores a leaf holding a joint, it evaluates every candidate of a group of
-unexplored open leaves holding joints, the leaf among them, in one stacked
-pass (engine.evaluate_siblings), and each records its results uncharged.
-A stacked pass costs little more than a lone one, so in a run that will
-explore every open leaf (best_extension's ``cohort``) the group is the
+one Calibration.evaluate_candidates call.  The first time an extension rule
+explores a leaf holding a joint, it may evaluate every candidate of a group
+of unexplored open leaves holding joints, the leaf among them, in one
+stacked pass (engine.evaluate_siblings), and each records its results
+uncharged.  A stacked pass costs little more than a lone one, so in a run
+that will explore every open leaf (the rules' ``cohort``) the group is the
 leaf's cohort, all those whose joints have the leaf's joint's shape.
-Otherwise it is the leaf's siblings: a run that may stop early would
-strand much of a cohort's work uncharged, which made such runs slower
-than sibling groups do.  A lone leaf is a group of one; extend and evi
-never form a group.
+Otherwise best_extension groups the leaf's siblings, since a run that may
+stop early would strand much of a cohort's work uncharged, which made such
+runs slower than sibling groups do; random_extension groups none, since it
+charges one candidate per leaf and so strands k - 1 of a leaf's k stacked
+results even when the run explores the leaf.  A lone leaf is a group of
+one; extend and evi never form a group.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() grows it, so reading them costs no walk.  The value is one
@@ -250,7 +252,10 @@ def _evaluate_group(tree: DecisionTree, leaf: Leaf, cohort: bool) -> None:
     those whose joints have its joint's shape (its cohort) or its siblings,
     in one stacked pass, and record them uncharged on each.  A leaf of
     probability zero among them is left out, to be evaluated alone when it
-    is explored, as is every leaf when there is no other to stack."""
+    is explored, as is every leaf when there is no other to stack.  Greedy
+    extension charges every recorded result once the run explores its leaf;
+    random extension charges only the one it draws, and the others cost
+    wall time but never the counters."""
     if leaf.joint is None or leaf.explored is not None:
         return
     if cohort:
@@ -307,6 +312,22 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine, *,
     gains = _explore(tree, leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
     return best, gains[best]
+
+
+def random_extension(tree: DecisionTree, leaf: Leaf, engine: Engine,
+                     rng: np.random.Generator, *, cohort: bool = False) -> str:
+    """Random choice: an extension drawn uniformly, in declaration order.
+
+    Charges nothing; the extend() that follows charges one calibration pass
+    plus two passes for the drawn candidate.  With ``cohort`` (only for a
+    caller that will explore every open leaf), the leaf's cohort is first
+    evaluated in one stacked pass (see the module docstring), and extend
+    reads the drawn candidate from it; the draw is the same either way.
+    """
+    names = open_context(tree, leaf, engine).missing
+    if cohort:
+        _evaluate_group(tree, leaf, True)
+    return names[int(rng.integers(len(names)))]
 
 
 def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Internal:

@@ -19,7 +19,8 @@ from idrefine.fixtures import (constant_utility, deterministic_exclusion,
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
-from idrefine.tree import best_extension, evi, extend, extensions, init_tree, iter_leaves
+from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, init_tree,
+                          iter_leaves)
 
 TOL = 1e-9
 
@@ -884,30 +885,41 @@ class TestSiblingGroups:
         spent = [a - b for a, b in zip(eng.counter.snapshot(), start)]
         assert spent == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_start)]
 
-    @pytest.mark.parametrize("leaf, extension", [("random", "random"),
-                                                 ("posthoc", "random")])
-    def test_random_extension_forms_no_group(self, monkeypatch, leaf, extension):
+    @pytest.mark.parametrize("leaf", ["random", "posthoc"])
+    def test_random_extension_stacks_only_complete_runs(self, monkeypatch, leaf):
+        """A bounded random-extension run forms no group.  A complete one
+        stacks cohorts, beyond one leaf's siblings, and charges each
+        extension only the drawn candidate: a calibration pass plus two
+        passes, and twice its outcomes in fine queries."""
         tree_module = sys.modules["idrefine.tree"]
-        groups = []
+        stacks = []
 
-        def counting(*args, _original=tree_module.evaluate_siblings):
-            groups.append(1)
-            return _original(*args)
+        def counting(contexts, joints, _original=tree_module.evaluate_siblings):
+            stacks.append(len(joints))
+            return _original(contexts, joints)
         monkeypatch.setattr(tree_module, "evaluate_siblings", counting)
         net = compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))
-        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf,
-                                                  extension_strategy=extension, seed=3))
-        assert groups == []
-        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf, seed=3))
-        assert groups
+        for stop in (StoppingRule(max_extensions=40), StoppingRule(max_passes=120)):
+            _, trace = refine(Engine(net), "d", RefinementConfig(
+                leaf_strategy=leaf, extension_strategy="random", stop=stop, seed=3))
+            assert trace.records[-1].internal_vertices >= 30
+        assert stacks == []
+        events = []
+        refine(Engine(net), "d", RefinementConfig(leaf_strategy=leaf, extension_strategy="random",
+                                                  seed=3), observer=events.append)
+        assert max(stacks) > 2  # binary predecessors: more than one leaf's siblings
+        assert len(events) == 2 ** 6 - 1
+        assert all((ev.passes_delta, ev.fine_delta) == (3, 2 * 2) for ev in events)
 
 
 class TestCohorts:
-    """In a run with no bound, best_extension stacks a leaf's cohort, every
-    unexplored open leaf whose joint has the leaf's joint's shape, whatever
-    its parent: each leaf is stacked at most once, each result is bit for
-    bit that of evaluating the leaf alone, and every stacked result is
-    charged by the time the run ends."""
+    """In a run with no bound, best_extension and random_extension stack a
+    leaf's cohort, every unexplored open leaf whose joint has the leaf's
+    joint's shape, whatever its parent: each leaf is stacked at most once,
+    and each result is bit for bit that of evaluating the leaf alone.
+    Under greedy extension every stacked result is charged by the time the
+    run ends; under random extension only the drawn candidate of each leaf
+    is, and the other results cost wall time but never the counters."""
 
     @staticmethod
     def recording(mp):
@@ -922,6 +934,8 @@ class TestCohorts:
             return _original(contexts, joints)
 
         def checking(tree, leaf, cohort, _original=tree_module._evaluate_group):
+            if leaf.explored is not None:  # records nothing; spares the scan below
+                return _original(tree, leaf, cohort)
             before = [c for c in tree.open if c.explored is None]
             _original(tree, leaf, cohort)
             for c in before:
@@ -956,6 +970,34 @@ class TestCohorts:
         assert all(not uncharged(c) for c in recorded)  # zero waste
         if kind == "star" and n >= 3:  # a cohort spans more than one sibling group
             assert any(len(stack) > arity for stack in stacks)
+
+    @given(data=st.data())
+    def test_random_extension_as_if_alone(self, data):
+        """A complete random-extension run, under either leaf strategy,
+        writes the trace CSV and the policy JSON of the same run with no
+        stacking (_evaluate_group a no-op) byte for byte."""
+        leaf = data.draw(st.sampled_from(["random", "posthoc"]))
+        seed = data.draw(st.integers(0, 10_000))
+        star = data.draw(st.booleans())
+        if star:
+            n, arity = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3))
+            diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+        else:
+            diagram = mixed_arity_diagram(seed, every=True)
+        net = compile_network(diagram)
+        config = RefinementConfig(leaf_strategy=leaf, extension_strategy="random", seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            stacks, recorded = self.recording(mp)
+            tree, trace = refine(Engine(net), "d", config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["idrefine.tree"], "_evaluate_group", lambda *args: None)
+            lone_tree, lone_trace = refine(Engine(net), "d", config)
+        # as lines, so that a failure names the first row that differs without a long diff
+        assert trace.to_csv().splitlines() == lone_trace.to_csv().splitlines()
+        assert dumps_policy(tree).splitlines() == dumps_policy(lone_tree).splitlines()
+        assert len(recorded) == len(set(recorded)) == sum(map(len, stacks))
+        if star and n >= 2:  # the root's children at least form a cohort
+            assert stacks
 
     def test_zero_probability_member_left_out(self):
         """A cohort member whose rows would raise ZeroProbabilityError (its

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -82,14 +83,28 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
     assert [vars(owner)[attr] for owner, attr, _ in tracing._targets()] == originals
 
 
-def test_ab_solve_script():
+def test_ab_solve_script(tmp_path):
     """Both sides this checkout, two instances of every workload: the trace
-    CSVs agree and a ratio is printed for each workload."""
-    result = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "ab_solve.py"), str(REPO), str(REPO),
-         "--instances", "2", "--rounds", "1"],
-        capture_output=True, text=True, check=False)
+    CSVs and policies agree and a ratio is printed for each workload.
+    Against a checkout whose policy JSON differs but whose traces do not,
+    it names the policies and exits 1, on a single-decision workload and on
+    a multistage one."""
+    script = str(REPO / "scripts" / "ab_solve.py")
+    result = subprocess.run([sys.executable, script, str(REPO), str(REPO),
+                             "--instances", "2", "--rounds", "1"],
+                            capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
     for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
-        assert f"{workload}: 2 instances x 1 rounds, traces byte-equal; CHANGE/BASE median" \
-            in result.stdout
+        assert (f"{workload}: 2 instances x 1 rounds, traces and policies byte-equal; "
+                "CHANGE/BASE median") in result.stdout
+    shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
+    tree_py = tmp_path / "src" / "idrefine" / "tree.py"
+    tree_py.write_text(tree_py.read_text().replace(
+        "return json.dumps(policy_json(tree), indent=2)",
+        "return json.dumps(policy_json(tree), indent=1)"))
+    for workload in ("greedy_complete", "sweep_two_stage"):
+        result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
+                                 "--instances", "1", "--rounds", "1"],
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 1
+        assert f"{workload} 0: policies differ" in result.stderr

@@ -13,8 +13,11 @@ times: refine on a fresh engine, or sweep_back for a multistage workload.
 Each side runs R times per instance, the side that runs first alternating,
 and keeps its fastest time.  Both sides' trace CSVs, and the policy JSON
 (tree.dumps_policy) of every refined tree, must be byte-equal on every
-instance; otherwise the script exits 1.  Per workload it prints the
-median CHANGE/BASE ratio of the per-instance times, with its quartiles.
+instance; otherwise the script exits 1.  After its timed rounds, each
+side solves each instance once more, untimed, under tracemalloc, the side
+that runs first alternating too.  Per workload it prints the median
+CHANGE/BASE ratio of the per-instance times, and of the per-instance peak
+memory that tracemalloc traced, each with its quartiles.
 
 Timing the two sides seconds apart is the point: on a host whose speed
 drifts within minutes, separate benchmark runs of each side can differ by
@@ -29,6 +32,7 @@ import importlib.util
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -93,9 +97,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def peak_bytes(side: Side, wl, prepared) -> int:
+    """The peak of the memory tracemalloc traces during one solve."""
+    tracemalloc.start()
+    try:
+        side.solve(wl, prepared)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
     """Print one line for the workload; False if some trace or policy differs."""
-    ratios, times = [], {base: [], change: []}
+    ratios, memory = [], []
+    times, peaks = {base: [], change: []}, {base: [], change: []}
     for index in range(min(instances, wl.pool)):
         text = wl.text(index)
         prepared = {side: side.prepare(wl, text) for side in (base, change)}
@@ -109,14 +124,22 @@ def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
             if out[base] != out[change]:
                 print(f"{wl.name} {index}: {what} differ", file=sys.stderr)
                 return False
+        peak = {side: peak_bytes(side, wl, prepared[side])
+                for side in ((base, change) if index % 2 == 0 else (change, base))}
         ratios.append(best[change] / best[base])
+        memory.append(peak[change] / peak[base])
         for side in best:
             times[side].append(best[side])
+            peaks[side].append(peak[side] / 2 ** 20)
     q1, median, q3 = quartiles(ratios)
+    m1, memory_median, m3 = quartiles(memory)
     print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces and policies "
           f"byte-equal; CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
           f"median solve {statistics.median(times[base]):.6g} s -> "
-          f"{statistics.median(times[change]):.6g} s", flush=True)
+          f"{statistics.median(times[change]):.6g} s; peak memory CHANGE/BASE median "
+          f"{memory_median:.4f} [q1 {m1:.4f}, q3 {m3:.4f}]; median peak "
+          f"{statistics.median(peaks[base]):.4g} MiB -> "
+          f"{statistics.median(peaks[change]):.4g} MiB", flush=True)
     return True
 
 

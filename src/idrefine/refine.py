@@ -16,12 +16,24 @@ Leaf choice and extension choice are orthogonal and pluggable:
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
   charged and recorded) or ``random`` (uniform over candidates, only the
-  drawn one charged).  In a run with no bound, which explores every open
-  leaf, the first exploration of a leaf under either strategy evaluates
-  every candidate of all unexplored open leaves whose joints have the
-  leaf's joint's shape in one stacked pass, each result charged only when
-  read; a bounded greedy run stacks only the leaf's siblings, so that a
-  stop strands little stacked work, and a bounded random run stacks none.
+  drawn one charged).  A bounded greedy run evaluates a leaf's unexplored
+  siblings with it in one stacked pass, each result charged only when
+  read, so that a stop strands little stacked work; a bounded random run
+  stacks none.  In a run with no bound, which explores every open leaf,
+  random extension stacks every unexplored open leaf whose joint has the
+  leaf's joint's shape instead.
+
+A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
+split depends only on the leaf's own context, so tree.grow first decides
+every split, level by level, one stacked pass per level and joint shape;
+then the loop serves the leaves in the leaf strategy's order, and
+tree.reveal puts each grown vertex in place with what its exploration
+charged.  The trace, the tree, the counters and the observer's events are
+those of extending leaf by leaf, but every query is made before the first
+event reaches the observer, and an error a query raises (a context of
+probability zero, a split that lowers the value) is raised before it too.
+A bounded run would compute splits past its stop, and random extension's
+draws interleave with the leaf strategy's, so neither grows.
 
 A fixed seed makes a run fully deterministic.
 """
@@ -37,9 +49,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .engine import Engine
-from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, init_tree,
-                   iter_internals, iter_leaves, random_extension, tree_counts, tree_value)
+from .engine import Engine, QueryCounter
+from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, grow, init_tree,
+                   iter_internals, iter_leaves, random_extension, reveal, tree_counts,
+                   tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -209,10 +222,10 @@ def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf, engine: Engi
                      rng: np.random.Generator, *, cohort: bool = False,
                      ) -> tuple[str, float | None]:
     """Pick the extension variable for a leaf by best_extension or
-    random_extension; greedy returns its gain too.  ``cohort`` is theirs:
-    only for a run that explores every open leaf."""
+    random_extension; greedy returns its gain too.  ``cohort`` is
+    random_extension's: only for a run that explores every open leaf."""
     if strategy == "greedy":
-        return best_extension(tree, leaf, engine, cohort=cohort)
+        return best_extension(tree, leaf, engine)
     return random_extension(tree, leaf, engine, rng, cohort=cohort), None
 
 
@@ -227,17 +240,19 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     However the run stops, the leaves still open drop their leaf joints and
     their records of exploration, so the returned tree does not keep the
     root's joint or any sibling results it was never charged for alive.
+    A greedy run with no bound is grown first (see the module docstring).
     """
     config = config or RefinementConfig()
     rng = np.random.default_rng(config.seed)
     trace = AnytimeTrace()
 
     tree = init_tree(engine, decision)
+    counter = engine.counter  # as the trace reads it
 
     def record(iteration: int) -> None:
         internals, leaves = tree_counts(tree)
         value = tree_value(tree)
-        trace.add(TraceRecord(iteration, engine.counter.fine, engine.counter.passes,
+        trace.add(TraceRecord(iteration, counter.fine, counter.passes,
                               internals, leaves, value, tree.denormalize(value)))
 
     record(0)
@@ -245,25 +260,34 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     stop = config.stop
     # with no bound, every open leaf is explored, so every stacked leaf is read
     cohort = stop.unbounded
+    grown = None
+    if cohort and config.extension_strategy == "greedy" and not degenerate:
+        counter = QueryCounter(*counter.snapshot())  # replays the charges grow makes
+        grown = grow(tree, engine)
     selector = make_selector(config.leaf_strategy, tree, rng)
     iterations = 0
     while not (degenerate or stop.budget_reached(iterations, engine)):
         leaf = selector.next_leaf(tree)
         if leaf is None:
             break
-        before = engine.counter.snapshot()
-        variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine, rng,
-                                          cohort=cohort)
-        if stop.min_evi is not None and gain is not None and gain < stop.min_evi:
-            break
+        before = counter.snapshot()
         context_size = len(leaf.context)
-        node = extend(tree, leaf, variable, engine)
+        if grown is None:
+            variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine,
+                                              rng, cohort=cohort)
+            if stop.min_evi is not None and gain is not None and gain < stop.min_evi:
+                break
+            node = extend(tree, leaf, variable, engine)
+        else:
+            node, fine, passes = reveal(tree, leaf, grown)
+            counter.fine += fine
+            counter.passes += passes
         selector.notify_extended(node)
         iterations += 1
         record(iterations)
         if observer is not None:
-            after = engine.counter.snapshot()
-            observer(ExtensionEvent(iterations, context_size, variable, node.gain,
+            after = counter.snapshot()
+            observer(ExtensionEvent(iterations, context_size, node.variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
     for leaf in tree.open:
         leaf.joint = leaf.explored = None

@@ -41,22 +41,31 @@ one Calibration.evaluate_candidates call.  The first time an extension rule
 explores a leaf holding a joint, it may evaluate every candidate of a group
 of unexplored open leaves holding joints, the leaf among them, in one
 stacked pass (engine.evaluate_siblings), and each records its results
-uncharged.  A stacked pass costs little more than a lone one, so in a run
-that will explore every open leaf (the rules' ``cohort``) the group is the
-leaf's cohort, all those whose joints have the leaf's joint's shape.
-Otherwise best_extension groups the leaf's siblings, since a run that may
-stop early would strand much of a cohort's work uncharged, which made such
-runs slower than sibling groups do; random_extension groups none, since it
-charges one candidate per leaf and so strands k - 1 of a leaf's k stacked
-results even when the run explores the leaf.  A lone leaf is a group of
-one; extend and evi never form a group.
+uncharged.  best_extension groups the leaf's siblings, since a run that may
+stop early would strand a larger group's work uncharged.  random_extension
+groups the leaf's cohort, all those whose joints have the leaf's joint's
+shape, in a run that will explore every open leaf (its ``cohort``), and
+otherwise none, since it charges one candidate per leaf and so strands
+k - 1 of a leaf's k stacked results even when the run explores the leaf.
+A lone leaf is a group of one; extend and evi never form a group.
+
+A greedy run that will explore every open leaf need not go leaf by leaf:
+a leaf's greedy split depends only on its own context, so the order in
+which the leaves are served changes the trace, not the tree.  grow decides
+every split first, breadth-first: each level's open leaves are evaluated
+in one stacked pass per joint shape, each leaf is charged as
+best_extension charges it and split as extend splits it, and a level's
+joints, checked contexts and evaluations are dropped once its leaves are
+decided.  The tree does not change until reveal puts a grown vertex in its
+leaf's place, as extend would have, and hands back what exploring the
+leaf charged, so that a caller can replay any order of service (refine).
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
-as extend() grows it, so reading them costs no walk.  The value is one
-exact integer, the sum of every leaf's value * reach scaled by 2**1074
-(every finite float is a multiple of 2**-1074), read out by one integer
-division, which Python rounds correctly: it equals math.fsum of the
-products, whatever the order in which the leaves were made.
+as extend() and reveal() grow it, so reading them costs no walk.  The
+value is one exact integer, the sum of every leaf's value * reach scaled
+by 2**1074 (every finite float is a multiple of 2**-1074), read out by one
+integer division, which Python rounds correctly: it equals math.fsum of
+the products, whatever the order in which the leaves were made.
 """
 
 from __future__ import annotations
@@ -119,7 +128,7 @@ class DecisionTree:
     u_min: float
     u_max: float
     root: Vertex
-    # running statistics, kept current by extend(); see tree_counts/tree_value
+    # running statistics, kept current by extend() and reveal(); see tree_value
     internals: int = field(init=False)
     leaves: int = field(init=False)      # non-pruned
     exact: int = field(init=False, repr=False)  # the value times 2**1074
@@ -253,9 +262,10 @@ def _evaluate_group(tree: DecisionTree, leaf: Leaf, cohort: bool) -> None:
     in one stacked pass, and record them uncharged on each.  A leaf of
     probability zero among them is left out, to be evaluated alone when it
     is explored, as is every leaf when there is no other to stack.  Greedy
-    extension charges every recorded result once the run explores its leaf;
-    random extension charges only the one it draws, and the others cost
-    wall time but never the counters."""
+    extension groups siblings and charges each recorded result once the
+    run explores its leaf; random extension groups cohorts and charges only
+    the one it draws, and the others cost wall time but never the
+    counters."""
     if leaf.joint is None or leaf.explored is not None:
         return
     if cohort:
@@ -295,20 +305,16 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     return _explore(tree, leaf, (variable,), engine).gains[variable]
 
 
-def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine, *,
-                   cohort: bool = False) -> tuple[str, float]:
+def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
     """Greedy choice: the extension with the largest improvement.
 
     Charges every candidate (ties break by declaration order), so a
     following extend() issues no queries: one calibration pass plus two
     passes per candidate not charged yet.  The first exploration of a leaf
-    evaluates other unexplored leaves with it (see the module docstring):
-    with ``cohort``, every open one whose joint has the leaf's joint's
-    shape, which only a caller that will explore every open leaf should
-    ask for; otherwise its siblings.
+    evaluates its unexplored siblings with it (see the module docstring).
     """
     names = open_context(tree, leaf, engine).missing
-    _evaluate_group(tree, leaf, cohort)
+    _evaluate_group(tree, leaf, False)
     gains = _explore(tree, leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
     return best, gains[best]
@@ -374,6 +380,114 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     tree.internals += 1
     tree.leaves -= 1
     return node
+
+
+def _split(tree: DecisionTree, leaf: Leaf, checked: CheckedContext,
+           ev: CandidateEvaluation, gain: float) -> Internal:
+    """The internal vertex grow makes for the open leaf: its children built
+    from the evaluated extension as extend builds them, but not put in the
+    tree (reveal does that); raises RuntimeError if the gain is negative.
+    extend builds them in the loop that also updates the tree, which takes
+    less time per extension than building and then linking would."""
+    if gain < -1e-9:
+        raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
+    variable = ev.variable
+    node = Internal(variable, {}, gain)
+    stays_open = len(checked.missing) > 1
+    prefix = (slice(None),) * checked.missing.index(variable)
+    for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
+        reach = leaf.reach * p
+        context = leaf.context + ((variable, outcome),)
+        if reach < ZERO_PROB:
+            node.children[outcome] = Leaf(leaf.action, 0.0, reach, context, pruned=True)
+            continue
+        child = node.children[outcome] = Leaf(tree.actions[a], value, reach, context)
+        if stays_open:
+            child.checked = checked.child(variable, j)
+            if leaf.joint is not None:
+                child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
+    return node
+
+
+class Grown(NamedTuple):
+    """The vertex grow made for an open leaf, and what exploring the leaf
+    charged the counters."""
+    node: Internal
+    fine: int
+    passes: int
+
+
+def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
+    """The greedy split of every open leaf, and of every leaf below it that
+    would be open, decided breadth-first; no vertex is put in the tree.
+
+    Each level's leaves are evaluated in one stacked pass per joint shape
+    (evaluate_siblings); a leaf with no joint, alone in its shape, or of
+    probability zero is evaluated alone, where the last raises
+    ZeroProbabilityError.  Each leaf is charged as best_extension charges
+    it, one calibration pass plus two passes per candidate, and split as
+    extend splits it, on the first of its equal maximum gains; a negative
+    gain raises RuntimeError.  A level's joints, checked contexts and
+    evaluations are dropped once its leaves are decided, so the open leaves
+    keep neither.  reveal puts each vertex in the tree.
+    """
+    grown: dict[Leaf, Grown] = {}
+    counter, level = engine.counter, list(tree.open)
+    for leaf in level:
+        open_context(tree, leaf, engine)
+    while level:
+        shapes: dict[tuple[int, ...], list[Leaf]] = {}
+        for leaf in level:
+            if leaf.joint is not None:
+                shapes.setdefault(leaf.joint.shape, []).append(leaf)
+        stacked = {}
+        for group in shapes.values():
+            if len(group) > 1:
+                evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
+                stacked.update((c, evs) for c, evs in zip(group, evaluated) if evs is not None)
+        below = []
+        for leaf in level:
+            checked, evs = leaf.checked, stacked.get(leaf)
+            names, fine, passes = checked.missing, counter.fine, counter.passes
+            cal = engine.calibrate(checked, leaf.joint)
+            if evs is None:
+                evs = cal.evaluate_candidates(names)
+                leaf.joint = cal.leaf_joint()  # the calibration may have computed one
+            else:
+                cal.evaluate_candidates(names, dict(zip(names, evs)))
+            gains = [_gain(leaf, ev) for ev in evs]
+            k = max(range(len(names)), key=gains.__getitem__)  # the first of equal maxima
+            node = _split(tree, leaf, checked, evs[k], gains[k])
+            grown[leaf] = Grown(node, counter.fine - fine, counter.passes - passes)
+            leaf.joint = leaf.checked = None
+            below.extend(c for c in node.children.values() if c.checked is not None)
+        level = below
+    return grown
+
+
+def reveal(tree: DecisionTree, leaf: Leaf, grown: dict[Leaf, Grown]) -> Grown:
+    """Put the vertex grow made for the open leaf in its place, as extend
+    would have put it, bringing the tree's open leaves, counts and value up
+    to date, and return it with what exploring the leaf charged.  The
+    leaves it opens carry no checked context or joint: grow has decided
+    them already."""
+    vertex = grown.pop(leaf)
+    node, stays_open = vertex.node, len(leaf.context) + 1 < len(tree.predecessors)
+    tree.exact -= _exact(leaf.value * leaf.reach)
+    for child in node.children.values():
+        if not child.pruned:
+            tree.leaves += 1
+            tree.exact += _exact(child.value * child.reach)
+            if stays_open:
+                tree.open[child] = node
+    parent = tree.open.pop(leaf)
+    if parent is None:
+        tree.root = node
+    else:
+        parent.children[leaf.context[-1][1]] = node
+    tree.internals += 1
+    tree.leaves -= 1
+    return vertex
 
 
 def apply_policy(tree: DecisionTree, state: dict[str, str]) -> str:

@@ -1,4 +1,5 @@
 import json
+import operator
 import sys
 
 import numpy as np
@@ -19,8 +20,8 @@ from idrefine.fixtures import (constant_utility, deterministic_exclusion,
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
-from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, init_tree,
-                          iter_leaves)
+from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, grow,
+                          init_tree, iter_leaves)
 
 TOL = 1e-9
 
@@ -913,13 +914,14 @@ class TestSiblingGroups:
 
 
 class TestCohorts:
-    """In a run with no bound, best_extension and random_extension stack a
-    leaf's cohort, every unexplored open leaf whose joint has the leaf's
-    joint's shape, whatever its parent: each leaf is stacked at most once,
-    and each result is bit for bit that of evaluating the leaf alone.
-    Under greedy extension every stacked result is charged by the time the
-    run ends; under random extension only the drawn candidate of each leaf
-    is, and the other results cost wall time but never the counters."""
+    """In a run with no bound, random_extension stacks a leaf's cohort,
+    every unexplored open leaf whose joint has the leaf's joint's shape,
+    whatever its parent, and a greedy run is grown (tree.grow), each
+    level's open leaves stacked by joint shape.  Each leaf is stacked at
+    most once, and each result is bit for bit that of evaluating the leaf
+    alone.  A grown run charges every stacked result; random extension
+    charges only the drawn candidate of each leaf, and the other results
+    cost wall time but never the counters."""
 
     @staticmethod
     def recording(mp):
@@ -950,26 +952,70 @@ class TestCohorts:
         mp.setattr(tree_module, "_evaluate_group", checking)
         return stacks, recorded
 
+    @staticmethod
+    def stacking(mp):
+        """Patch the tree's evaluate_siblings to record each stack as
+        (checked contexts, leaf joints, results); returns the records."""
+        tree_module = sys.modules["idrefine.tree"]
+        stacks = []
+
+        def recording(contexts, joints, _original=tree_module.evaluate_siblings):
+            results = _original(contexts, joints)
+            stacks.append((list(contexts), list(joints), results))
+            return results
+        mp.setattr(tree_module, "evaluate_siblings", recording)
+        return stacks
+
+    @staticmethod
+    def assert_as_if_alone(stacks):
+        """Every stacked result is bit for bit a lone evaluate_candidates."""
+        for contexts, joints, results in stacks:
+            for c, joint, evs in zip(contexts, joints, results):
+                if evs is not None:
+                    alone = Engine(c.network).calibrate(c, joint).evaluate_candidates(c.missing)
+                    for ev, ref in zip(evs, alone, strict=True):
+                        assert_same_evaluation(ev, ref)
+
     @given(data=st.data())
     def test_complete_run(self, data):
+        """A complete greedy run, under either leaf strategy: every stacked
+        result is as if evaluated alone, each leaf is stacked at most once
+        and charged exactly once, each stacked leaf by reading its stack,
+        and on stars with n >= 3 some stack spans more than one sibling
+        group."""
         kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage"]))
         seed = data.draw(st.integers(0, 10_000))
+        config = RefinementConfig(leaf_strategy=data.draw(st.sampled_from(["posthoc", "random"])),
+                                  seed=seed)
+        charges = []
+
+        def charging(cal, variables, evaluated=None, _original=Calibration.evaluate_candidates):
+            charges.append((cal._context, evaluated is not None))
+            return _original(cal, variables, evaluated)
         with pytest.MonkeyPatch.context() as mp:
-            stacks, recorded = self.recording(mp)
+            stacks = self.stacking(mp)
+            mp.setattr(Calibration, "evaluate_candidates", charging)
             if kind == "star":
                 n = data.draw(st.integers(1, 8))
                 arity = data.draw(st.integers(2, 3))
-                _, trace = refine(Engine(compile_network(gen_random_id(
-                    GeneratorSpec(n=n, seed=seed, arity=arity)))), "d")
-                assert trace.records[-1].internal_vertices == (arity ** n - 1) // (arity - 1)
+                tree, _ = refine(Engine(compile_network(gen_random_id(
+                    GeneratorSpec(n=n, seed=seed, arity=arity)))), "d", config)
+                trees = [tree]
+                assert tree.internals == (arity ** n - 1) // (arity - 1)
             elif kind == "mixed arity":
-                refine(Engine(compile_network(mixed_arity_diagram(seed, every=True))), "d")
+                diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+                trees = [refine(Engine(compile_network(diagram)), "d", config)[0]]
             else:
-                sweep_back(gen_two_stage(seed))
-        assert len(recorded) == len(set(recorded)) == sum(map(len, stacks))
-        assert all(not uncharged(c) for c in recorded)  # zero waste
-        if kind == "star" and n >= 3:  # a cohort spans more than one sibling group
-            assert any(len(stack) > arity for stack in stacks)
+                trees = [p.tree for p in sweep_back(gen_two_stage(seed), config)[0].policies]
+        self.assert_as_if_alone(stacks)
+        stacked = [id(c) for contexts, _, results in stacks
+                   for c, evs in zip(contexts, results) if evs is not None]
+        charged_ids = [id(c) for c, _ in charges]
+        assert len(stacked) == len(set(stacked))
+        assert len(charged_ids) == len(set(charged_ids)) == sum(t.internals for t in trees)
+        assert {id(c) for c, read in charges if read} == set(stacked)  # zero waste
+        if kind == "star" and n >= 3:  # a level's stack spans more than one sibling group
+            assert any(len(contexts) > arity for contexts, _, _ in stacks)
 
     @given(data=st.data())
     def test_random_extension_as_if_alone(self, data):
@@ -1000,10 +1046,11 @@ class TestCohorts:
             assert stacks
 
     def test_zero_probability_member_left_out(self):
-        """A cohort member whose rows would raise ZeroProbabilityError (its
-        joint scaled below ZERO_PROB) is left out of the stack; the other
-        members are stacked once, with the results they get alone, and it
-        raises only when it is explored, as it does alone."""
+        """A level member whose rows would raise ZeroProbabilityError (its
+        joint scaled below ZERO_PROB) is left out of the level's stack; the
+        other members are stacked once, with the results they get alone,
+        and grow raises when it evaluates that member alone, as evaluating
+        it alone does, before the tree changes."""
         eng, tree, _ = TestSiblingGroups.split_root()
         for child in list(tree.open):
             extend(tree, child, "c3", eng)
@@ -1011,19 +1058,77 @@ class TestCohorts:
         assert len(leaves) == 4 and len({l.context[0] for l in leaves}) == 2
         zero = leaves[2]
         zero.joint = zero.joint * 1e-13
-        with pytest.MonkeyPatch.context() as mp:
-            stacks, recorded = self.recording(mp)
-            for leaf in leaves:
-                if leaf is not zero:
-                    best_extension(tree, leaf, eng, cohort=True)
-        assert stacks == [[id(l.joint) for l in leaves]]
-        assert recorded == [l for l in leaves if l is not zero]
-        assert zero.explored is None
+        contexts, joints = [l.checked for l in leaves], [l.joint for l in leaves]
         names = zero.checked.missing
         with pytest.raises(ZeroProbabilityError):
             Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(names)
-        with pytest.raises(ZeroProbabilityError):
-            best_extension(tree, zero, eng, cohort=True)
+        internals, value = tree.internals, tree.exact
+        with pytest.MonkeyPatch.context() as mp:
+            stacks = self.stacking(mp)
+            with pytest.raises(ZeroProbabilityError):
+                grow(tree, eng)
+        [(stacked, stacked_joints, results)] = stacks
+        assert stacked == contexts and all(map(operator.is_, stacked_joints, joints))
+        assert [evs is None for evs in results] == [l is zero for l in leaves]
+        self.assert_as_if_alone(stacks)
+        assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
+
+
+class TestGrowth:
+    """A complete greedy run is grown and replayed (tree.grow, tree.reveal);
+    the same run bounded only by max_extensions=10**9 extends leaf by leaf.
+    Both write the same trace CSV bytes, policy JSON bytes, observer events
+    and counters."""
+
+    @given(data=st.data())
+    def test_same_as_extending_leaf_by_leaf(self, data):
+        kind = data.draw(st.sampled_from(["star", "mixed arity", "exclusion", "coins",
+                                          "two-stage"]))
+        leaf = data.draw(st.sampled_from(["posthoc", "random"]))
+        seed = data.draw(st.integers(0, 10_000))
+        if kind == "star":
+            n, arity = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3))
+            diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+        elif kind == "mixed arity":
+            diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+        elif kind == "exclusion":
+            diagram = deterministic_exclusion()
+        elif kind == "coins":  # the root's joint is refused, its children's computed
+            diagram = mini_weather_coin(3)
+        else:
+            diagram = gen_two_stage(seed)
+        refine_module = sys.modules["idrefine.refine"]
+        runs = []
+        for stop in (StoppingRule(run_to_complete=True), StoppingRule(max_extensions=10 ** 9)):
+            config = RefinementConfig(leaf_strategy=leaf, stop=stop, seed=seed)
+            events, grown = [], []
+            with pytest.MonkeyPatch.context() as mp:
+                def growing(tree, engine, _original=refine_module.grow):
+                    grown.append(tree.decision)
+                    return _original(tree, engine)
+                mp.setattr(refine_module, "grow", growing)
+                if kind == "two-stage":
+                    policy, traces = sweep_back(diagram, config,
+                                                observer=lambda d, ev: events.append((d, ev)))
+                    trees, traces = [p.tree for p in policy.policies], list(traces.values())
+                    counters = None  # each decision's engine is sweep_back's; its trace has them
+                else:
+                    engine = Engine(compile_network(diagram))
+                    tree, trace = refine(engine, diagram.decision_order[0], config,
+                                         observer=events.append)
+                    trees, traces, counters = [tree], [trace], engine.counter.snapshot()
+                    assert counters == (trace.records[-1].fine_queries,
+                                        trace.records[-1].passes)
+            # as lines, so that a failure names the first row that differs without a long diff
+            runs.append(([line for t in traces for line in t.to_csv().splitlines()],
+                         [line for t in trees for line in dumps_policy(t).splitlines()],
+                         events, counters, len(grown)))
+        (csv, policies, events, counters, grown), reference = runs
+        assert csv == reference[0]
+        assert policies == reference[1]
+        assert events == reference[2]
+        assert counters == reference[3]
+        assert (grown, reference[4]) == (len(traces), 0)
 
 
 class TestEliminationOrder:

@@ -403,9 +403,8 @@ class TestEngineQueries:
     """A complete run on the star template contracts once, to the root's
     leaf joint: the root's action is read from it, and every later
     evaluation slices it.  A complete greedy run evaluates each leaf it
-    explores once, in stacked passes no more numerous than its sibling
-    groups.  A two-stage sweep compiles its network once and contracts
-    once per decision."""
+    explores once, in one stacked pass per level of the tree.  A two-stage
+    sweep compiles its network once and contracts once per decision."""
 
     @staticmethod
     def counting(monkeypatch, module, name):
@@ -433,8 +432,8 @@ class TestEngineQueries:
     @pytest.mark.parametrize("n", [4, 7])
     def test_each_explored_leaf_stacked_once(self, monkeypatch, n):
         """Each leaf the run explores is one row of one stacked pass, and
-        there are at most as many passes as there were sibling groups: one
-        per vertex whose children are explored, plus one for the root."""
+        there is one pass per level: the root alone, then all of each
+        level's leaves, whose joints have one shape on a star."""
         engine = sys.modules["idrefine.engine"]
         rows = []
 
@@ -445,8 +444,7 @@ class TestEngineQueries:
         _, tree, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)))
         monkeypatch.undo()
         assert trace.records[-1].internal_vertices == 2 ** n - 1
-        assert sum(rows) == 2 ** n - 1
-        assert len(rows) <= 2 ** (n - 1)
+        assert rows == [2 ** k for k in range(n)]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_stage_sweep(self, monkeypatch, seed):

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -76,8 +77,11 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     originals = [vars(owner)[attr] for owner, attr, _ in tracing._targets()]
+    refine = sys.modules["idrefine.refine"]
+    # bounded, so that the run extends leaf by leaf through the wrapped functions
+    config = refine.RefinementConfig(stop=refine.StoppingRule(max_extensions=2))
     with tracing.traced(tracing.Tracer()) as tracer:
-        sys.modules["idrefine.refine"].refine(Engine(compile_network(mini_weather())), "D")
+        refine.refine(Engine(compile_network(mini_weather())), "D", config)
     assert {"refine.refine", "tree.best_extension", "tree.extend",
             "engine.calibrate"} <= set(tracer.totals())
     assert [vars(owner)[attr] for owner, attr, _ in tracing._targets()] == originals
@@ -85,7 +89,8 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
 
 def test_ab_solve_script(tmp_path):
     """Both sides this checkout, two instances of every workload: the trace
-    CSVs and policies agree and a ratio is printed for each workload.
+    CSVs and policies agree, and a time ratio and a peak-memory ratio are
+    printed for each workload.
     Against a checkout whose policy JSON differs but whose traces do not,
     it names the policies and exits 1, on a single-decision workload and on
     a multistage one."""
@@ -95,8 +100,11 @@ def test_ab_solve_script(tmp_path):
                             capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
     for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
-        assert (f"{workload}: 2 instances x 1 rounds, traces and policies byte-equal; "
-                "CHANGE/BASE median") in result.stdout
+        line = next(l for l in result.stdout.splitlines() if l.startswith(f"{workload}: "))
+        assert line.startswith(f"{workload}: 2 instances x 1 rounds, traces and policies "
+                               "byte-equal; CHANGE/BASE median")
+        assert re.search(r"; peak memory CHANGE/BASE median \d+\.\d{4} \[q1 \d+\.\d{4}, "
+                         r"q3 \d+\.\d{4}\]; median peak \S+ MiB -> \S+ MiB$", line), line
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
     tree_py = tmp_path / "src" / "idrefine" / "tree.py"
     tree_py.write_text(tree_py.read_text().replace(

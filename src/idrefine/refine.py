@@ -1,10 +1,10 @@
 """The anytime refinement loop.
 
-Starting from a single-leaf tree, repeatedly choose a leaf, choose an
-extension variable for it, and extend, until a stopping rule fires or no
-open leaf remains.  Every intermediate tree is a usable policy; the
-trace records value and query cost after the initial tree and after each
-extension.
+Starting from a single-leaf tree (tree.init_tree, where every tree
+starts), repeatedly choose a leaf, choose an extension variable for it,
+and extend, until a stopping rule fires or no open leaf remains.  Every
+intermediate tree is a usable policy; the trace records value and query
+cost after the initial tree and after each extension.
 
 Leaf choice and extension choice are orthogonal and pluggable:
 
@@ -16,16 +16,16 @@ Leaf choice and extension choice are orthogonal and pluggable:
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
   charged and recorded) or ``random`` (uniform over candidates, only the
-  drawn one charged).  A bounded greedy run evaluates a leaf's unexplored
-  siblings with it in one stacked pass, each result charged only when
-  read, so that a stop strands little stacked work; a bounded random run
-  stacks none.  In a run with no bound, which explores every open leaf,
-  random extension stacks every unexplored open leaf whose joint has the
-  leaf's joint's shape instead.
+  drawn one charged).  Each run stacks the leaves it will read, one pass
+  per joint shape (tree._stack).  A bounded greedy run stacks a leaf's
+  unexplored siblings with it, so that a stop strands little stacked
+  work; a bounded random run stacks none.  In a run with no bound, which
+  explores every open leaf, random extension stacks the leaf's cohort
+  instead, and a greedy run each whole level (below).
 
 A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
 split depends only on the leaf's own context, so tree.grow first decides
-every split, level by level, one stacked pass per level and joint shape;
+every split, level by level, charging each leaf as best_extension would;
 then the loop serves the leaves in the leaf strategy's order, and
 tree.reveal puts each grown vertex in place with what its exploration
 charged.  The trace, the tree, the counters and the observer's events are
@@ -51,8 +51,7 @@ import numpy as np
 
 from .engine import Engine, QueryCounter
 from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, grow, init_tree,
-                   iter_internals, iter_leaves, random_extension, reveal, tree_counts,
-                   tree_value)
+                   iter_leaves, random_extension, reveal, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -160,12 +159,7 @@ class PosthocSelector:
         self._rng = rng
         self._seq = count()
         self._heap: list[tuple[float, float, int, Internal]] = []
-        self._pending: deque = deque()
-        if isinstance(tree.root, Leaf):
-            self._pending.append(tree.root)
-        else:
-            for vertex in iter_internals(tree):
-                self.notify_extended(vertex)
+        self._pending: deque = deque([tree.root])
 
     def notify_extended(self, vertex: Internal) -> None:
         heapq.heappush(self._heap, (-vertex.gain, self._rng.random(), next(self._seq), vertex))

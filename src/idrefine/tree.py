@@ -12,53 +12,53 @@ Leaves whose context has probability zero are marked pruned: they inherit
 the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
-Trees are single-owner mutable values.  A tree maps its open leaves, those
-that can still be extended, to their parents, None for the root
-(DecisionTree.open).  Every test of whether a leaf can be extended reads
-it, so a leaf of another tree, or one already replaced, is not open.  The
-links live in the tree, not in the vertices, so that no vertex refers back
-up and a dropped tree is freed at once, not by the cycle collector.
+Trees are single-owner mutable values.  A tree starts as one leaf
+(init_tree) and grows by extend, or by grow and reveal.  It maps its open
+leaves, those that can still be extended, to their parents, None for the
+root (DecisionTree.open).  Every test of whether a leaf can be extended
+reads it, so a leaf of another tree, or one already replaced, is not open.
+The links live in the tree, not in the vertices, so that no vertex refers
+back up and a dropped tree is freed at once, not by the cycle collector.
 
-An open leaf carries its context checked once (engine.CheckedContext: its
-findings as outcome indices and its missing predecessors) and its leaf
-joint (Calibration.leaf_joint) once one is known.  That checked context is
-what every exploration of the leaf calibrates (Engine.calibrate takes
-nothing else) and what a stacked pass reads the leaf's candidates from.
-init_tree has the engine check the root's context and contracts the
-root's joint; extend derives each open child's context from the leaf's
-(CheckedContext.child), and hands it a slice of the leaf's joint, a numpy
-view, so on a star topology the root's joint is the one contraction of a
-run and the root's findings the only ones checked.  A tree built around a
-given root has the engine check each open leaf's context when the leaf is
-first explored.
+An open leaf, unless reveal opened it, carries its context checked once
+(engine.CheckedContext: its findings as outcome indices and its missing
+predecessors) and its leaf joint (Calibration.leaf_joint) once one is
+known.  That checked context is what every exploration of the leaf
+calibrates (Engine.calibrate takes nothing else) and what a stacked pass
+reads the leaf's candidates from.  init_tree has the engine check the
+root's context and contracts the root's joint; extend derives each open
+child's context from the leaf's (CheckedContext.child), and hands it a
+slice of the leaf's joint, a numpy view, so on a star topology the root's
+joint is the one contraction of a run and the root's findings the only
+ones checked.
 
 A leaf allocates nothing more until it is explored.  Then it keeps one
 record (Explored): every candidate evaluation known for it, and the gain of
 each candidate the counters were charged for.  A candidate is charged, and
-its gain computed, once, when first read; best_extension, evi and extend
-all read that gain.  Candidates not yet charged are charged together, in
-one Calibration.evaluate_candidates call.  The first time an extension rule
-explores a leaf holding a joint, it may evaluate every candidate of a group
-of unexplored open leaves holding joints, the leaf among them, in one
-stacked pass (engine.evaluate_siblings), and each records its results
-uncharged.  best_extension groups the leaf's siblings, since a run that may
-stop early would strand a larger group's work uncharged.  random_extension
-groups the leaf's cohort, all those whose joints have the leaf's joint's
-shape, in a run that will explore every open leaf (its ``cohort``), and
-otherwise none, since it charges one candidate per leaf and so strands
-k - 1 of a leaf's k stacked results even when the run explores the leaf.
-A lone leaf is a group of one; extend and evi never form a group.
+its gain computed, once, when first read (_explore, the one charging
+path); best_extension, evi, extend and grow all read that gain.
+Candidates not yet charged are charged together, in one
+Calibration.evaluate_candidates call.  One helper, _stack, evaluates every
+candidate of a group of unexplored leaves holding joints in one stacked
+pass per joint shape (engine.evaluate_siblings), each leaf recording its
+results uncharged.  Each caller names its group by what its run will read.
+best_extension, on a leaf's first exploration, groups its siblings, since
+a run that may stop early would strand a larger group's work uncharged.
+random_extension groups the leaf's cohort, every open leaf whose joint has
+the leaf's joint's shape, in a run that will explore every open leaf (its
+``cohort``), and otherwise none: it charges one candidate per leaf, so it
+strands k - 1 of a leaf's k stacked results even when the run explores the
+leaf.  grow groups a whole level, all of which it charges.  extend and evi
+never form a group.
 
 A greedy run that will explore every open leaf need not go leaf by leaf:
 a leaf's greedy split depends only on its own context, so the order in
 which the leaves are served changes the trace, not the tree.  grow decides
-every split first, breadth-first: each level's open leaves are evaluated
-in one stacked pass per joint shape, each leaf is charged as
-best_extension charges it and split as extend splits it, and a level's
-joints, checked contexts and evaluations are dropped once its leaves are
-decided.  The tree does not change until reveal puts a grown vertex in its
-leaf's place, as extend would have, and hands back what exploring the
-leaf charged, so that a caller can replay any order of service (refine).
+every split first, breadth-first, stacking each level and charging and
+splitting each leaf as best_extension and extend would.  The tree does
+not change until reveal puts a grown vertex in its leaf's place, as
+extend would have (_place), and hands back what exploring the leaf
+charged, so that a caller can replay any order of service (refine).
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and reveal() grow it, so reading them costs no walk.  The
@@ -73,7 +73,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Mapping, NamedTuple, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -98,7 +98,7 @@ class Leaf:
     context: Context
     pruned: bool = False
     joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
-    # kept by the tree: an open leaf's checked context (open_context), and its record
+    # kept by the tree: an open leaf's checked context, and its record
     checked: CheckedContext | None = field(default=None, init=False, repr=False)
     explored: Explored | None = field(default=None, init=False, repr=False)
 
@@ -135,19 +135,11 @@ class DecisionTree:
     open: dict[Leaf, Internal | None] = field(init=False, repr=False)  # leaf -> parent
 
     def __post_init__(self) -> None:
-        self.internals = self.leaves = self.exact = 0
-        self.open = {}
-        depth = len(self.predecessors)
-        parent: dict[Vertex, Internal | None] = {self.root: None}
-        for v in iter_vertices(self.root):
-            if isinstance(v, Internal):
-                self.internals += 1
-                parent.update(dict.fromkeys(v.children.values(), v))
-            elif not v.pruned:
-                self.leaves += 1
-                self.exact += _exact(v.value * v.reach)
-                if len(v.context) < depth:
-                    self.open[v] = parent[v]
+        if not isinstance(self.root, Leaf):
+            raise TypeError(f"a tree starts as a Leaf (init_tree), not {type(self.root).__name__}")
+        self.internals, self.leaves = 0, 1
+        self.exact = _exact(self.root.value * self.root.reach)
+        self.open = {self.root: None} if self.predecessors else {}
 
     def denormalize(self, value: float) -> float:
         return value * (self.u_max - self.u_min) + self.u_min
@@ -215,34 +207,33 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
     return v
 
 
-def open_context(tree: DecisionTree, leaf: Leaf, engine: Engine,
-                 variable: str | None = None) -> CheckedContext:
+def open_context(tree: DecisionTree, leaf: Leaf, variable: str | None = None) -> CheckedContext:
     """The open leaf's checked context, whose ``missing`` names its
     extensions in declaration order; raises ValueError, before anything is
-    charged, unless the leaf is open and variable (if given) is one of them."""
+    charged, unless the leaf is open, not grown, and has variable (if given)."""
     if leaf not in tree.open:
         if leaf.pruned:
             raise ValueError("a pruned leaf cannot be extended")
         if not extensions(tree, leaf):
             raise ValueError("leaf context already contains every predecessor")
         raise ValueError("leaf does not belong to this tree")
-    if leaf.checked is None:  # a leaf of a tree built around a given root
-        leaf.checked = engine.context(tree.decision, dict(leaf.context))
+    if leaf.checked is None:  # opened by reveal: grow decided it and dropped its context
+        raise ValueError("a grown leaf is put in place by reveal, not explored")
     if variable is not None and variable not in leaf.checked.missing:
         raise ValueError(f"{variable!r} is not a possible extension of this leaf")
     return leaf.checked
 
 
-def _explore(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
+def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
     """The open leaf's record, with the named candidates charged.  Those not
     yet charged are in one evaluate_candidates call on the leaf's joint, read
-    from a sibling group's evaluations if it made them; their gains recorded."""
+    from a stacked pass's evaluations if one made them; their gains recorded."""
     record = leaf.explored or Explored({}, {})
-    todo = [name for name in names if name not in record.gains]
+    todo = [name for name in names if name not in record.gains] if record.gains else names
     if todo:
         known = record.evaluations
         cal = engine.calibrate(leaf.checked, leaf.joint)
-        if todo[0] in known:  # a sibling group evaluated every candidate
+        if todo[0] in known:  # a stacked pass evaluated every candidate
             evs = cal.evaluate_candidates(todo, known)
         else:
             evs = cal.evaluate_candidates(todo)
@@ -255,34 +246,20 @@ def _explore(tree: DecisionTree, leaf: Leaf, names: tuple[str, ...], engine: Eng
     return record
 
 
-def _evaluate_group(tree: DecisionTree, leaf: Leaf, cohort: bool) -> None:
-    """Evaluate every candidate of the unexplored leaf and of the other
-    unexplored open leaves holding checked contexts and joints, either all
-    those whose joints have its joint's shape (its cohort) or its siblings,
-    in one stacked pass, and record them uncharged on each.  A leaf of
-    probability zero among them is left out, to be evaluated alone when it
-    is explored, as is every leaf when there is no other to stack.  Greedy
-    extension groups siblings and charges each recorded result once the
-    run explores its leaf; random extension groups cohorts and charges only
-    the one it draws, and the others cost wall time but never the
-    counters."""
-    if leaf.joint is None or leaf.explored is not None:
-        return
-    if cohort:
-        shape = leaf.joint.shape
-        group = [c for c in tree.open if c.explored is None and c.joint is not None
-                 and c.joint.shape == shape and c.checked is not None]
-    else:
-        parent = tree.open[leaf]
-        group = [] if parent is None else [
-            c for c in parent.children.values() if c in tree.open and c.explored is None
-            and c.joint is not None and c.checked is not None]
-    if len(group) < 2:
-        return
-    evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
-    for c, evs in zip(group, evaluated):
-        if evs is not None:
-            c.explored = Explored(dict(zip(c.checked.missing, evs)), {})
+def _stack(leaves: Iterable[Leaf]) -> None:
+    """Evaluate every candidate of the given unexplored leaves holding joints,
+    one stacked pass per joint shape, and record them uncharged on each; a
+    leaf of probability zero, or alone in its shape, is left to be explored alone."""
+    shapes: dict[tuple[int, ...], list[Leaf]] = {}
+    for leaf in leaves:
+        if leaf.explored is None and leaf.joint is not None:
+            shapes.setdefault(leaf.joint.shape, []).append(leaf)
+    for group in shapes.values():
+        if len(group) > 1:
+            evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
+            for c, evs in zip(group, evaluated):
+                if evs is not None:
+                    c.explored = Explored(dict(zip(c.checked.missing, evs)), {})
 
 
 def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
@@ -301,8 +278,8 @@ def evi(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> float:
     Leaves the tree unchanged; the result is reach-weighted so values are
     comparable across leaves, and is never below -1e-9.
     """
-    open_context(tree, leaf, engine, variable)
-    return _explore(tree, leaf, (variable,), engine).gains[variable]
+    open_context(tree, leaf, variable)
+    return _explore(leaf, (variable,), engine).gains[variable]
 
 
 def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str, float]:
@@ -313,9 +290,11 @@ def best_extension(tree: DecisionTree, leaf: Leaf, engine: Engine) -> tuple[str,
     passes per candidate not charged yet.  The first exploration of a leaf
     evaluates its unexplored siblings with it (see the module docstring).
     """
-    names = open_context(tree, leaf, engine).missing
-    _evaluate_group(tree, leaf, False)
-    gains = _explore(tree, leaf, names, engine).gains
+    names = open_context(tree, leaf).missing
+    parent = tree.open[leaf]
+    if leaf.explored is None and parent is not None:
+        _stack([c for c in parent.children.values() if c in tree.open])
+    gains = _explore(leaf, names, engine).gains
     best = max(names, key=gains.__getitem__)  # the first of equal maxima
     return best, gains[best]
 
@@ -330,9 +309,11 @@ def random_extension(tree: DecisionTree, leaf: Leaf, engine: Engine,
     evaluated in one stacked pass (see the module docstring), and extend
     reads the drawn candidate from it; the draw is the same either way.
     """
-    names = open_context(tree, leaf, engine).missing
-    if cohort:
-        _evaluate_group(tree, leaf, True)
+    names = open_context(tree, leaf).missing
+    if cohort and leaf.explored is None and leaf.joint is not None:
+        shape = leaf.joint.shape  # explored is tested first: most open leaves are
+        _stack([c for c in tree.open if c.explored is None and c.joint is not None
+                and c.joint.shape == shape])
     return names[int(rng.integers(len(names)))]
 
 
@@ -348,15 +329,14 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     outcome, a view; the leaf leaves tree.open and drops its joint.  A call
     that raises leaves the tree as it was.
     """
-    checked = open_context(tree, leaf, engine, variable)
-    record = _explore(tree, leaf, (variable,), engine)
+    checked = open_context(tree, leaf, variable)
+    record = _explore(leaf, (variable,), engine)
     gain = record.gains[variable]
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
     ev, node = record.evaluations[variable], Internal(variable, {}, gain)
     stays_open = len(checked.missing) > 1
     prefix = (slice(None),) * checked.missing.index(variable)
-    tree.exact -= _exact(leaf.value * leaf.reach)
     for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
         reach = leaf.reach * p
         context = leaf.context + ((variable, outcome),)
@@ -371,27 +351,35 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
             child.checked = checked.child(variable, j)
             if leaf.joint is not None:
                 child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
+    _place(tree, leaf, node)
+    return node
+
+
+def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
+    """Put the vertex, its children counted, in the open leaf's place; the
+    leaf leaves tree.open, the counts and the value, and drops its joint."""
     parent = tree.open.pop(leaf)
     if parent is None:
         tree.root = node
     else:
         parent.children[leaf.context[-1][1]] = node
     leaf.joint = None
+    tree.exact -= _exact(leaf.value * leaf.reach)
     tree.internals += 1
     tree.leaves -= 1
-    return node
 
 
-def _split(tree: DecisionTree, leaf: Leaf, checked: CheckedContext,
-           ev: CandidateEvaluation, gain: float) -> Internal:
+def _split(tree: DecisionTree, leaf: Leaf, ev: CandidateEvaluation, gain: float) -> Internal:
     """The internal vertex grow makes for the open leaf: its children built
     from the evaluated extension as extend builds them, but not put in the
     tree (reveal does that); raises RuntimeError if the gain is negative.
-    extend builds them in the loop that also updates the tree, which takes
-    less time per extension than building and then linking would."""
+    extend keeps its own loop, which also updates the tree: an extend made
+    of _split and reveal was never measured faster on random_complete
+    (scripts/ab_solve.py, 16 instances x 3 rounds: 1.006-1.071 times as
+    long), and one that carried the split as a record read 1.089-1.101."""
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-    variable = ev.variable
+    variable, checked = ev.variable, leaf.checked
     node = Internal(variable, {}, gain)
     stays_open = len(checked.missing) > 1
     prefix = (slice(None),) * checked.missing.index(variable)
@@ -410,8 +398,7 @@ def _split(tree: DecisionTree, leaf: Leaf, checked: CheckedContext,
 
 
 class Grown(NamedTuple):
-    """The vertex grow made for an open leaf, and what exploring the leaf
-    charged the counters."""
+    """The vertex grow made for an open leaf, and what exploring it charged."""
     node: Internal
     fine: int
     passes: int
@@ -421,45 +408,29 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
     """The greedy split of every open leaf, and of every leaf below it that
     would be open, decided breadth-first; no vertex is put in the tree.
 
-    Each level's leaves are evaluated in one stacked pass per joint shape
-    (evaluate_siblings); a leaf with no joint, alone in its shape, or of
-    probability zero is evaluated alone, where the last raises
-    ZeroProbabilityError.  Each leaf is charged as best_extension charges
-    it, one calibration pass plus two passes per candidate, and split as
-    extend splits it, on the first of its equal maximum gains; a negative
-    gain raises RuntimeError.  A level's joints, checked contexts and
-    evaluations are dropped once its leaves are decided, so the open leaves
-    keep neither.  reveal puts each vertex in the tree.
+    Each level is stacked (_stack); a leaf of probability zero raises
+    ZeroProbabilityError when evaluated alone.  Each leaf is charged as
+    best_extension charges it (_explore) and split as extend splits it, on
+    the first of its equal maximum gains; a negative gain raises
+    RuntimeError.  A decided leaf drops its record, and one grow made its
+    joint and checked context too: the tree's own open leaves keep theirs,
+    so that after a raise extend finds them as they were.  reveal puts each
+    vertex in the tree.
     """
     grown: dict[Leaf, Grown] = {}
     counter, level = engine.counter, list(tree.open)
-    for leaf in level:
-        open_context(tree, leaf, engine)
     while level:
-        shapes: dict[tuple[int, ...], list[Leaf]] = {}
-        for leaf in level:
-            if leaf.joint is not None:
-                shapes.setdefault(leaf.joint.shape, []).append(leaf)
-        stacked = {}
-        for group in shapes.values():
-            if len(group) > 1:
-                evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
-                stacked.update((c, evs) for c, evs in zip(group, evaluated) if evs is not None)
+        _stack(level)
         below = []
         for leaf in level:
-            checked, evs = leaf.checked, stacked.get(leaf)
-            names, fine, passes = checked.missing, counter.fine, counter.passes
-            cal = engine.calibrate(checked, leaf.joint)
-            if evs is None:
-                evs = cal.evaluate_candidates(names)
-                leaf.joint = cal.leaf_joint()  # the calibration may have computed one
-            else:
-                cal.evaluate_candidates(names, dict(zip(names, evs)))
-            gains = [_gain(leaf, ev) for ev in evs]
-            k = max(range(len(names)), key=gains.__getitem__)  # the first of equal maxima
-            node = _split(tree, leaf, checked, evs[k], gains[k])
+            names, fine, passes = leaf.checked.missing, counter.fine, counter.passes
+            record = _explore(leaf, names, engine)
+            best = max(names, key=record.gains.__getitem__)  # the first of equal maxima
+            node = _split(tree, leaf, record.evaluations[best], record.gains[best])
             grown[leaf] = Grown(node, counter.fine - fine, counter.passes - passes)
-            leaf.joint = leaf.checked = None
+            leaf.explored = None
+            if leaf not in tree.open:
+                leaf.joint = leaf.checked = None
             below.extend(c for c in node.children.values() if c.checked is not None)
         level = below
     return grown
@@ -470,23 +441,16 @@ def reveal(tree: DecisionTree, leaf: Leaf, grown: dict[Leaf, Grown]) -> Grown:
     would have put it, bringing the tree's open leaves, counts and value up
     to date, and return it with what exploring the leaf charged.  The
     leaves it opens carry no checked context or joint: grow has decided
-    them already."""
+    them, and exploring one raises ValueError."""
     vertex = grown.pop(leaf)
     node, stays_open = vertex.node, len(leaf.context) + 1 < len(tree.predecessors)
-    tree.exact -= _exact(leaf.value * leaf.reach)
     for child in node.children.values():
         if not child.pruned:
             tree.leaves += 1
             tree.exact += _exact(child.value * child.reach)
             if stays_open:
                 tree.open[child] = node
-    parent = tree.open.pop(leaf)
-    if parent is None:
-        tree.root = node
-    else:
-        parent.children[leaf.context[-1][1]] = node
-    tree.internals += 1
-    tree.leaves -= 1
+    _place(tree, leaf, node)
     return vertex
 
 

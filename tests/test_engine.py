@@ -21,7 +21,7 @@ from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
 from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, grow,
-                          init_tree, iter_leaves)
+                          init_tree, iter_leaves, reveal)
 
 TOL = 1e-9
 
@@ -926,8 +926,8 @@ class TestCohorts:
     @staticmethod
     def recording(mp):
         """Patch the tree's evaluate_siblings to record each stack's leaf
-        joints, and _evaluate_group to check each leaf it records against
-        a lone evaluate_candidates; returns (the stacks, the recorded leaves)."""
+        joints, and _stack to check each leaf it records against a lone
+        evaluate_candidates; returns (the stacks, the recorded leaves)."""
         tree_module = sys.modules["idrefine.tree"]
         stacks, recorded = [], []
 
@@ -935,11 +935,9 @@ class TestCohorts:
             stacks.append([id(j) for j in joints])
             return _original(contexts, joints)
 
-        def checking(tree, leaf, cohort, _original=tree_module._evaluate_group):
-            if leaf.explored is not None:  # records nothing; spares the scan below
-                return _original(tree, leaf, cohort)
-            before = [c for c in tree.open if c.explored is None]
-            _original(tree, leaf, cohort)
+        def checking(leaves, _original=tree_module._stack):
+            before = [c for c in leaves if c.explored is None]
+            _original(before)
             for c in before:
                 if c.explored is None:
                     continue
@@ -949,7 +947,7 @@ class TestCohorts:
                 for v, ref in zip(names, alone.evaluate_candidates(names)):
                     assert_same_evaluation(c.explored.evaluations[v], ref)
         mp.setattr(tree_module, "evaluate_siblings", stacking)
-        mp.setattr(tree_module, "_evaluate_group", checking)
+        mp.setattr(tree_module, "_stack", checking)
         return stacks, recorded
 
     @staticmethod
@@ -1021,7 +1019,7 @@ class TestCohorts:
     def test_random_extension_as_if_alone(self, data):
         """A complete random-extension run, under either leaf strategy,
         writes the trace CSV and the policy JSON of the same run with no
-        stacking (_evaluate_group a no-op) byte for byte."""
+        stacking (_stack a no-op) byte for byte."""
         leaf = data.draw(st.sampled_from(["random", "posthoc"]))
         seed = data.draw(st.integers(0, 10_000))
         star = data.draw(st.booleans())
@@ -1036,7 +1034,7 @@ class TestCohorts:
             stacks, recorded = self.recording(mp)
             tree, trace = refine(Engine(net), "d", config)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sys.modules["idrefine.tree"], "_evaluate_group", lambda *args: None)
+            mp.setattr(sys.modules["idrefine.tree"], "_stack", lambda *args: None)
             lone_tree, lone_trace = refine(Engine(net), "d", config)
         # as lines, so that a failure names the first row that differs without a long diff
         assert trace.to_csv().splitlines() == lone_trace.to_csv().splitlines()
@@ -1050,7 +1048,9 @@ class TestCohorts:
         joint scaled below ZERO_PROB) is left out of the level's stack; the
         other members are stacked once, with the results they get alone,
         and grow raises when it evaluates that member alone, as evaluating
-        it alone does, before the tree changes."""
+        it alone does, before the tree changes.  The tree's open leaves keep
+        their checked contexts, and each other member, decided or only
+        stacked, extends to the vertex, at the charges, of a fresh tree."""
         eng, tree, _ = TestSiblingGroups.split_root()
         for child in list(tree.open):
             extend(tree, child, "c3", eng)
@@ -1072,6 +1072,20 @@ class TestCohorts:
         assert [evs is None for evs in results] == [l is zero for l in leaves]
         self.assert_as_if_alone(stacks)
         assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
+        assert all(l.checked is not None for l in tree.open)
+        ref_eng, ref_tree, _ = TestSiblingGroups.split_root()
+        for child in list(ref_tree.open):
+            extend(ref_tree, child, "c3", ref_eng)
+        for leaf, ref in zip(leaves, list(ref_tree.open)):
+            if leaf is zero:
+                continue
+            variable = leaf.checked.missing[0]
+            before, ref_before = eng.counter.snapshot(), ref_eng.counter.snapshot()
+            assert extend(tree, leaf, variable, eng).gain == \
+                extend(ref_tree, ref, variable, ref_eng).gain
+            delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
+            assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
+        assert dumps_policy(tree).splitlines() == dumps_policy(ref_tree).splitlines()
 
 
 class TestGrowth:
@@ -1129,6 +1143,26 @@ class TestGrowth:
         assert events == reference[2]
         assert counters == reference[3]
         assert (grown, reference[4]) == (len(traces), 0)
+
+    @pytest.mark.parametrize("explore", [
+        lambda tree, leaf, eng: extend(tree, leaf, extensions(tree, leaf)[0].name, eng),
+        lambda tree, leaf, eng: evi(tree, leaf, extensions(tree, leaf)[0].name, eng),
+        best_extension], ids=["extend", "evi", "best_extension"])
+    def test_grown_leaf_not_explored(self, explore):
+        """A leaf reveal opened holds no checked context, since grow has
+        decided it: exploring it raises ValueError and charges nothing."""
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
+        tree = init_tree(eng, "d")
+        grown = grow(tree, eng)
+        reveal(tree, tree.root, grown)
+        before = eng.counter.snapshot()
+        for leaf in list(tree.open):
+            with pytest.raises(ValueError, match="grown leaf"):
+                explore(tree, leaf, eng)
+        assert eng.counter.snapshot() == before
+        for leaf in list(tree.open):  # reveal still puts each vertex in place
+            reveal(tree, leaf, grown)
+        assert tree.internals == 3
 
 
 class TestEliminationOrder:

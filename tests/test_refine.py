@@ -17,8 +17,8 @@ from idrefine.oracle import oracle_optimal
 from idrefine.refine import (CSV_HEADER, EXTENSION_STRATEGIES, LEAF_STRATEGIES,
                              PosthocSelector, RandomLeafSelector, RefinementConfig,
                              StoppingRule, choose_extension, make_selector, refine)
-from idrefine.tree import (Internal, Leaf, extend, extensions, init_tree,
-                           iter_internals, iter_leaves, tree_value)
+from idrefine.tree import (Internal, Leaf, extend, extensions, init_tree, iter_leaves,
+                           tree_value)
 
 TOL = 1e-9
 
@@ -173,23 +173,18 @@ class TestPosthocSelector:
         assert second is vertex.children["rainy"]
 
     def test_higher_gain_vertex_served_before_lower(self):
-        # hand-built tree: selectors only need the structure, not an engine
-        from idrefine.diagram import Variable
-        from idrefine.tree import DecisionTree
-
-        x, y, z = (Variable(n, ("0", "1")) for n in "xyz")
-
-        def leaf(ctx):
-            return Leaf("a", 0.5, 0.25, ctx)
-
-        high = Internal("x", {"0": leaf((("z", "0"), ("x", "0"))),
-                              "1": leaf((("z", "0"), ("x", "1")))}, 0.3)
-        low = Internal("y", {"0": leaf((("z", "1"), ("y", "0"))),
-                             "1": leaf((("z", "1"), ("y", "1")))}, 0.1)
-        root = Internal("z", {"0": high, "1": low}, 0.05)
-        tree = DecisionTree("d", ("a", "b"), (x, y, z), 0.0, 1.0, root)
-
+        """Split the root, then both its children; whichever of the two
+        vertices is notified first, the one that gained more is served
+        first, all its leaves before any of the other's."""
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
+        tree = init_tree(eng, "d")
         sel = PosthocSelector(tree, np.random.default_rng(0))
+        sel.notify_extended(extend(tree, sel.next_leaf(tree), "c1", eng))
+        low, high = sorted((extend(tree, sel.next_leaf(tree), "c2", eng) for _ in range(2)),
+                           key=lambda vertex: vertex.gain)
+        assert low.gain < high.gain
+        sel.notify_extended(low)
+        sel.notify_extended(high)
         served = [sel.next_leaf(tree) for _ in range(4)]
         assert served == (list(high.children.values()) + list(low.children.values()))
         assert sel.next_leaf(tree) is None
@@ -305,8 +300,7 @@ class TestTreeWalks:
         counted = []
         # sys.modules: the package re-exports the function refine as idrefine.refine
         targets = [(sys.modules["idrefine.tree"], "iter_vertices"),
-                   (sys.modules["idrefine.refine"], "iter_leaves"),
-                   (sys.modules["idrefine.refine"], "iter_internals")]
+                   (sys.modules["idrefine.refine"], "iter_leaves")]
         for module, name in targets:
             def counting(*args, _original=getattr(module, name), _name=name):
                 counted.append(_name)
@@ -321,9 +315,12 @@ class TestTreeWalks:
                                                  ("random", "random"),
                                                  ("random", "greedy")])
     def test_walk_count_independent_of_iterations(self, monkeypatch, leaf, extension):
+        """A new tree is one leaf, counted with no walk, so posthoc never
+        walks; the random selector walks once, when it lists the open
+        leaves (iter_leaves over iter_vertices: two counted calls)."""
         small = self.walks(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension)
         large = self.walks(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension)
-        assert 1 <= small <= 4
+        assert small == (0 if leaf == "posthoc" else 2)
         assert large == small
 
 
@@ -363,12 +360,10 @@ class TestLeafJointsReleased:
         tree_module = sys.modules["idrefine.tree"]
         grouped = []
 
-        def recording(tree, leaf, cohort, _original=tree_module._evaluate_group):
-            _original(tree, leaf, cohort)
-            parent = tree.open[leaf]
-            siblings = parent.children.values() if parent is not None else ()
-            grouped.extend(c for c in siblings if isinstance(c, Leaf) and uncharged(c))
-        monkeypatch.setattr(tree_module, "_evaluate_group", recording)
+        def recording(leaves, _original=tree_module._stack):
+            _original(leaves)
+            grouped.extend(c for c in leaves if uncharged(c))
+        monkeypatch.setattr(tree_module, "_stack", recording)
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
         assert tree.open

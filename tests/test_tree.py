@@ -9,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import charged, loop_gain, rescan_open, uncharged
-from idrefine.diagram import DiagramError
 from idrefine.engine import ZERO_PROB, Calibration, CandidateEvaluation, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
 from idrefine.generate import GeneratorSpec, gen_random_id
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import RefinementConfig, refine
-from idrefine.tree import (_SCALE, DecisionTree, Explored, Internal, Leaf, _exact, _gain,
+from idrefine.tree import (_SCALE, DecisionTree, Explored, Leaf, _exact, _gain,
                            apply_policy, best_extension, evi, extend, extensions,
                            find_leaf, init_tree, iter_leaves, policy_json, to_table,
                            tree_counts, tree_value, vertex_to_json)
@@ -42,6 +41,21 @@ class TestInitTree:
         eng, tree = fresh(constant_utility())
         assert tree.root.action == "take"
         assert tree.root.value == pytest.approx(0.5)
+
+    def test_tree_starts_only_as_one_leaf(self):
+        """A tree is made around one leaf, as init_tree makes it; a grown
+        vertex, or anything else, is refused with a TypeError before any
+        statistic is read from it."""
+        eng, tree = fresh(mini_weather_coin())
+        node = extend(tree, tree.root, "R", eng)
+        fields = (tree.decision, tree.actions, tree.predecessors, tree.u_min, tree.u_max)
+        for root in (node, None, "leave"):
+            with pytest.raises(TypeError, match="starts as a Leaf .*, not "
+                                                + type(root).__name__):
+                DecisionTree(*fields, root)
+        made = DecisionTree(*fields, Leaf("leave", 0.7, 1.0, ()))
+        assert (made.internals, made.leaves, tree_value(made)) == (0, 1, 0.7)
+        assert made.open == {made.root: None}
 
     def test_two_passes_everywhere(self):
         for diagram in (mini_weather(), weather3(), deterministic_exclusion(),
@@ -502,10 +516,9 @@ def assert_statistics(tree):
     assert policy_json(tree)["value_normalized"] == tree_value(tree)
     named = {v.name: v for v in tree.predecessors}
     for leaf in tree.open:  # what extend derived equals what the context says
-        if leaf.checked is not None:  # None until a given root's leaf is explored
-            assert leaf.checked.missing == tuple(v.name for v in extensions(tree, leaf))
-            assert {x: named[x].outcomes[o]
-                    for x, o in leaf.checked.findings.items()} == dict(leaf.context)
+        assert leaf.checked.missing == tuple(v.name for v in extensions(tree, leaf))
+        assert {x: named[x].outcomes[o]
+                for x, o in leaf.checked.findings.items()} == dict(leaf.context)
 
 
 class TestRunningStatistics:
@@ -543,55 +556,6 @@ class TestRunningStatistics:
         tree = self.grow(deterministic_exclusion(), data, 5,
                          first=[((), "A"), ((("A", "a0"),), "B")])
         assert find_leaf(tree, (("A", "a0"), ("B", "b1"))).pruned
-
-    @given(seed=st.integers(0, 3_000), n=st.integers(2, 4), arity=st.integers(2, 3),
-           steps=st.integers(1, 20), data=st.data())
-    def test_tree_built_from_extended_root(self, seed, n, arity, steps, data):
-        grown = self.grow(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)),
-                          data, steps)
-        rebuilt = DecisionTree(grown.decision, grown.actions, grown.predecessors,
-                               grown.u_min, grown.u_max, grown.root)
-        assert isinstance(rebuilt.root, Internal)
-        assert_statistics(rebuilt)
-        assert tree_counts(rebuilt) == tree_counts(grown)
-        assert tree_value(rebuilt) == tree_value(grown)
-
-
-class TestGivenRoot:
-    """A tree built around a given root has the engine check each open
-    leaf's context when the leaf is first explored."""
-
-    @staticmethod
-    def split(outcomes):
-        eng, grown = fresh(mini_weather_coin())
-        extend(grown, grown.root, "R", eng)
-        leaves = {o: Leaf(c.action, c.value, c.reach, (("R", o),))
-                  for o, c in zip(outcomes, grown.root.children.values())}
-        tree = DecisionTree(grown.decision, grown.actions, grown.predecessors,
-                            grown.u_min, grown.u_max, Internal("R", leaves, 0.0))
-        return eng, grown, tree, leaves
-
-    @pytest.mark.parametrize("explore", [lambda t, leaf, e: best_extension(t, leaf, e)[1],
-                                         lambda t, leaf, e: extend(t, leaf, "C1", e).gain])
-    def test_checked_on_first_exploration(self, explore):
-        eng, grown, tree, leaves = self.split(("sunny", "rainy"))
-        leaf = leaves["rainy"]
-        assert leaf in tree.open and leaf.checked is None
-        given = Engine(eng.network)
-        gain = explore(tree, leaf, given)
-        assert (leaf.checked.findings, leaf.checked.missing) == ({"R": 1}, ("C1",))
-        assert given.counter.snapshot() == (2 * 2, 1 + 2)  # one binary candidate
-        reference = explore(grown, find_leaf(grown, (("R", "rainy"),)), Engine(eng.network))
-        assert gain == pytest.approx(reference, abs=TOL)
-        assert leaves["sunny"].checked is None
-
-    def test_unknown_outcome_rejected_before_a_charge(self):
-        eng, _, tree, leaves = self.split(("sunny", "cloudy"))
-        given = Engine(eng.network)
-        with pytest.raises(DiagramError, match="has no outcome 'cloudy'"):
-            best_extension(tree, leaves["cloudy"], given)
-        assert given.counter.snapshot() == (0, 0)
-        assert leaves["cloudy"].checked is None
 
 
 class TestSerialization:

@@ -11,11 +11,14 @@ gives the JSON text and the settings, imported read-only), each side parses,
 validates and compiles the text untimed, then times the solve the benchmark
 times: refine on a fresh engine, or sweep_back for a multistage workload.
 Each side runs R times per instance, the side that runs first alternating,
-and keeps its fastest time.  Both sides' trace CSVs, and the policy JSON
-(tree.dumps_policy) of every refined tree, must be byte-equal on every
-instance; otherwise the script exits 1.  After its timed rounds, each
-side solves each instance once more, untimed, under tracemalloc, the side
-that runs first alternating too.  Per workload it prints the median
+and keeps its fastest time.  Both sides' trace CSVs, the policy JSON
+(tree.dumps_policy) of every refined tree, and every refined tree's
+internal-vertex gains (repr, depth-first; a gain sets the posthoc order
+and ExtensionEvent.gain, and is in neither file), must be byte-equal on
+every instance; otherwise the script exits 1 naming the instance.  After
+its timed rounds, each side solves each instance once more, untimed,
+under tracemalloc, after a garbage collection, the side that runs first
+alternating too.  Per workload it prints the median
 CHANGE/BASE ratio of the per-instance times, and of the per-instance peak
 memory that tracemalloc traced, each with its quartiles.
 
@@ -27,6 +30,7 @@ more than the change being measured.
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import importlib.util
 import statistics
@@ -60,7 +64,7 @@ class Side:
         self.package = load(checkout, name)
         # the module, not the function the package re-exports under this name
         self.refine = importlib.import_module(f"{name}.refine")
-        self.dumps_policy = importlib.import_module(f"{name}.tree").dumps_policy
+        self.tree = importlib.import_module(f"{name}.tree")
 
     def prepare(self, wl, text: str):
         pkg = self.package
@@ -75,8 +79,9 @@ class Side:
                                     stop=stop, seed=0)
         return diagram, pkg.compile_network(diagram), config
 
-    def solve(self, wl, prepared) -> tuple[float, str, str]:
-        """(seconds, the trace CSVs and the policy JSON of every refined decision)."""
+    def solve(self, wl, prepared) -> tuple[float, str, str, str]:
+        """(seconds, the trace CSVs, the policy JSON and the internal-vertex
+        gains of every refined decision); only the solve is timed."""
         diagram, network, config = prepared
         t0 = time.perf_counter()
         if wl.multistage:
@@ -86,8 +91,9 @@ class Side:
             tree, trace = self.refine.refine(self.package.Engine(network), "d", config)
             trees, traces = [tree], [trace]
         seconds = time.perf_counter() - t0
+        gains = " ".join(repr(v.gain) for t in trees for v in self.tree.iter_internals(t))
         return (seconds, "".join(t.to_csv() for t in traces),
-                "".join(map(self.dumps_policy, trees)))
+                "".join(map(self.tree.dumps_policy, trees)), gains)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,7 +104,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def peak_bytes(side: Side, wl, prepared) -> int:
-    """The peak of the memory tracemalloc traces during one solve."""
+    """The peak of the memory tracemalloc traces during one solve.  A full
+    garbage collection first also empties the interpreter's free lists, so
+    that every allocation of the solve is traced and repeated runs of the
+    same code read the same peak."""
+    gc.collect()
     tracemalloc.start()
     try:
         side.solve(wl, prepared)
@@ -108,19 +118,19 @@ def peak_bytes(side: Side, wl, prepared) -> int:
 
 
 def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
-    """Print one line for the workload; False if some trace or policy differs."""
+    """Print one line for the workload; False if some trace, policy or gain differs."""
     ratios, memory = [], []
     times, peaks = {base: [], change: []}, {base: [], change: []}
     for index in range(min(instances, wl.pool)):
         text = wl.text(index)
         prepared = {side: side.prepare(wl, text) for side in (base, change)}
         best = {base: float("inf"), change: float("inf")}
-        csv, policies = {}, {}
+        csv, policies, gains = {}, {}, {}
         for r in range(rounds):
             for side in ((base, change) if (index + r) % 2 == 0 else (change, base)):
-                seconds, csv[side], policies[side] = side.solve(wl, prepared[side])
+                seconds, csv[side], policies[side], gains[side] = side.solve(wl, prepared[side])
                 best[side] = min(best[side], seconds)
-        for what, out in (("trace CSVs", csv), ("policies", policies)):
+        for what, out in (("trace CSVs", csv), ("policies", policies), ("gains", gains)):
             if out[base] != out[change]:
                 print(f"{wl.name} {index}: {what} differ", file=sys.stderr)
                 return False
@@ -133,8 +143,8 @@ def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
             peaks[side].append(peak[side] / 2 ** 20)
     q1, median, q3 = quartiles(ratios)
     m1, memory_median, m3 = quartiles(memory)
-    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces and policies "
-          f"byte-equal; CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
+    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces, policies and "
+          f"gains byte-equal; CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
           f"median solve {statistics.median(times[base]):.6g} s -> "
           f"{statistics.median(times[change]):.6g} s; peak memory CHANGE/BASE median "
           f"{memory_median:.4f} [q1 {m1:.4f}, q3 {m3:.4f}]; median peak "

@@ -41,16 +41,15 @@ their joints are stacked by shape and memory layout, and the argmax, the
 gather and the divisions (_choose) run, and are read out, once per stack.
 
 Contexts whose leaf joints have one shape, such as siblings, which differ
-only in the outcome of one variable, are evaluated together by
-evaluate_siblings: their leaf joints are stacked, the stack axis is kept
-through every sum, and each stack holds contexts x candidates rows.  The
-contexts may lack different predecessors, as many of them and of the same
-arities, so each checked context gives its own candidates.  That pass is
-uncounted; each context is charged when its calibration reads its results
-(Calibration.evaluate_candidates' ``evaluated``), the same as evaluating it
-then, and every result is bit-identical to evaluating that context alone,
-because a single context goes through the same sums and _choose as a stack
-of one.
+only in the outcome of one variable, are evaluated together by stack_rows:
+their leaf joints are stacked, the stack axis is kept through every sum,
+and each stack's contexts x candidates rows are read out as plain lists
+(evaluate_siblings wraps them as CandidateEvaluations).  The contexts may
+lack different predecessors, as many and of the same arities.  That pass
+is uncounted; each context is charged when its calibration reads its rows
+(Calibration.rows), the same as evaluating it then, and every row is
+bit-identical to evaluating that context alone, because a single context
+goes through the same sums and _choose as a stack of one.
 
 Findings are outcome labels, checked once per context: Engine.context
 checks a caller's evidence for exploring one decision, charging nothing,
@@ -87,6 +86,7 @@ import numpy as np
 from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, ValueNode
 
 ZERO_PROB = 1e-12
+Row = tuple[list[int], list[float], list[float]]  # per outcome: action, P(outcome), value
 # Below about this many entries, a numpy call's fixed cost outweighs the
 # additions that halving a leaf joint saves (_marginal).
 _HALVING_MIN = 1024
@@ -618,18 +618,13 @@ class Calibration:
         best, _, values = _choose(joint[None, None])
         return net.outcomes[decision][best[0, 0]], float(values[0, 0])
 
-    def evaluate_candidates(self, variables: Sequence[str],
-                            evaluated: Mapping[str, CandidateEvaluation] | None = None,
-                            ) -> list[CandidateEvaluation]:
-        """Best action and value for every outcome of each extension variable.
-
-        Each candidate is counted as two passes (an action-selection pass
-        and a value pass with the decision following the selected
-        per-outcome actions), served by its joint of variable, decision and
-        proxy (see _choose).  The candidates are the checked context's
-        missing predecessors.  ``evaluated``, if given, holds every
-        candidate of this context, computed uncounted by evaluate_siblings:
-        the requested ones are charged as above and read from it.
+    def rows(self, variables: Sequence[str], stacked: list | None = None) -> list:
+        """Each extension variable's Row, counted as two passes (action
+        selection, then a value pass following the selected per-outcome
+        actions), served by its joint of variable, decision and proxy (see
+        _choose).  The candidates are the checked context's missing
+        predecessors.  ``stacked``, if given, holds their results, in order,
+        from an uncounted stacked pass: they are charged and returned as given.
         """
         eng, context = self._engine, self._context
         net, missing = eng.network, context.missing
@@ -637,46 +632,50 @@ class Calibration:
             bad = next(v for v in variables if v not in missing)
             raise ValueError(f"{bad!r} is not a possible extension here: it is not a "
                              f"missing predecessor of {context.decision!r}")
-        if evaluated is None:
+        if stacked is None:
             self.leaf_joint()  # rejects a handed joint of the wrong shape
         eng.counter.passes += 2 * len(variables)
         eng.counter.fine += 2 * sum(map(net.doms.__getitem__, variables))
-        if evaluated is not None:
-            return [evaluated[v] for v in variables]
-        joints = [self._candidate_joint(v) for v in variables]
-        return _evaluate(net, context.decision, (variables,), joints) if variables else []
+        if stacked is None and variables:
+            stacked = _evaluate([self._candidate_joint(v) for v in variables])
+        return stacked or []
+
+    def evaluate_candidates(self, variables: Sequence[str]) -> list[CandidateEvaluation]:
+        """rows, computed here, as CandidateEvaluations."""
+        rows = self.rows(variables)
+        _evaluate_rows(self._engine.network, self._context.decision, [(variables, rows)])
+        return rows
+
+
+def stack_rows(joints: Sequence[np.ndarray]) -> list[list[Row] | None]:
+    """Every candidate's rows for contexts of one decision whose leaf joints
+    have one shape, in one stacked pass, uncounted: per context, the list
+    Calibration.rows gives for it alone, bit for bit, or None where it has
+    probability zero (alone, it raises ZeroProbabilityError).  A context's
+    candidates are its joint's predecessor axes, in order; each context is
+    charged when it reads its rows (Calibration.rows' ``stacked``)."""
+    stack, halves, keep = np.stack(joints), {}, range(len(joints))
+    marginals = [_marginal(stack, k, halves) for k in range(stack.ndim - 3)]
+    try:
+        flat = _evaluate(marginals)
+    except ZeroProbabilityError:  # leave out each context with a row _choose rejects
+        totals = np.min([j.sum(axis=(1, 2, 3)) for j in marginals], axis=0)
+        keep = np.flatnonzero(totals >= ZERO_PROB).tolist()
+        flat = _evaluate([j[keep] for j in marginals]) if keep else []
+    out: list[list[Row] | None] = [None] * len(joints)
+    m = len(marginals)
+    for s, row in zip(keep, range(0, len(flat), m)):
+        out[s] = flat[row:row + m]
+    return out
 
 
 def evaluate_siblings(contexts: Sequence[CheckedContext], joints: Sequence[np.ndarray],
                       ) -> list[list[CandidateEvaluation] | None]:
-    """Every candidate of several checked contexts in one stacked pass,
-    uncounted: one list per context, as Calibration.evaluate_candidates
-    gives it for that context alone, bit for bit, or None for a context of
-    probability zero, which raises ZeroProbabilityError alone and is left
-    out here.
-
-    The contexts explore one decision of one network, and their leaf
-    joints, one per context, have one shape; each context's missing
-    predecessors name its joint's predecessor axes.  The joints are stacked
-    and each candidate's joint is summed over the stack at once, keeping
-    the stack axis.  The results stay uncharged until each context reads
-    them through Calibration.evaluate_candidates' ``evaluated``.
-    """
-    network, decision = contexts[0].network, contexts[0].decision
-    variables = [c.missing for c in contexts]
-    stack, halves, keep = np.stack(joints), {}, range(len(joints))
-    marginals = [_marginal(stack, k, halves) for k in range(stack.ndim - 3)]
-    try:
-        flat = _evaluate(network, decision, variables, marginals)
-    except ZeroProbabilityError:  # leave out each context with a row _choose rejects
-        totals = np.min([j.sum(axis=(1, 2, 3)) for j in marginals], axis=0)
-        keep = np.flatnonzero(totals >= ZERO_PROB).tolist()
-        flat = _evaluate(network, decision, [variables[s] for s in keep],
-                         [j[keep] for j in marginals]) if keep else []
-    out: list[list[CandidateEvaluation] | None] = [None] * len(joints)
-    m = len(marginals)
-    for s, row in zip(keep, range(0, len(flat), m)):
-        out[s] = flat[row:row + m]
+    """stack_rows as the checked contexts' CandidateEvaluations, each read
+    through Calibration.rows' ``stacked``."""
+    out = stack_rows(joints)
+    _evaluate_rows(contexts[0].network, contexts[0].decision,
+                   zip([c.missing for c in contexts], out))
     return out
 
 
@@ -703,33 +702,37 @@ def _marginal(stack: np.ndarray, k: int,
     return joint.sum(axis=drop) if drop else joint
 
 
-def _evaluate(net: ChanceNetwork, decision: str, variables: Sequence[Sequence[str]],
-              joints: list[np.ndarray]) -> list[CandidateEvaluation]:
-    """Candidate evaluations from their joints, the i-th joint with axes
-    (context, outcome, decision, proxy) for each context's i-th candidate,
-    variables[s] naming context s's candidates in that order: the
-    evaluation of context s's i-th candidate is at s * len(joints) + i.
-
-    Joints of equal shape and memory layout are stacked (np.concatenate
-    keeps a layout its inputs share), and _choose runs once per stack, on
-    every context's row of each candidate in it, and its results are read
-    out once, as lists.  The layout decides the order in which a row's
-    total is summed, so every result is bit-identical to evaluating that
-    candidate alone, in that context alone.  A stack of one is that joint.
-    """
+def _evaluate(joints: list[np.ndarray]) -> list[Row]:
+    """Candidate rows from their joints, the i-th joint with axes (context,
+    outcome, decision, proxy) for each context's i-th candidate: the row of
+    context s's i-th candidate is at s * len(joints) + i.  Joints of equal
+    shape and memory layout are stacked (np.concatenate keeps a layout its
+    inputs share), and _choose runs, and is read out as lists, once per
+    stack.  The layout decides the order in which a row's total is summed,
+    so every row is bit-identical to evaluating that candidate alone, in
+    that context alone.  A stack of one is that joint."""
     groups: dict[tuple, list[int]] = {}
     for i, joint in enumerate(joints):
         groups.setdefault((joint.shape, joint.strides), []).append(i)
-    labels, m, g = net.outcomes[decision], len(joints), len(variables)
-    out: list[CandidateEvaluation] = [None] * (g * m)  # type: ignore[list-item]
+    m, g = len(joints), len(joints[0])
+    out: list[Row] = [None] * (g * m)  # type: ignore[list-item]
     for group in groups.values():
         parts = [joints[i] for i in group]
         best, probs, values = _choose(np.concatenate(parts) if len(parts) > 1 else parts[0])
-        for row, (a, p, v) in enumerate(zip(best.tolist(), probs.tolist(), values.tolist())):
-            i, s = group[row // g], row % g
-            name = variables[s][i]
-            out[s * m + i] = CandidateEvaluation(name, net.outcomes[name], p, a, v, labels)
+        for row, r in enumerate(zip(best.tolist(), probs.tolist(), values.tolist())):
+            out[row % g * m + group[row // g]] = r
     return out
+
+
+def _evaluate_rows(net: ChanceNetwork, decision: str, contexts: Iterable[tuple]) -> None:
+    """Each (candidates, rows) pair's list of rows, unless None, turned in
+    place into CandidateEvaluations, made as CandidateEvaluation.__new__
+    makes them, in one loop: it costs what building them in the pass did."""
+    outcomes, labels, new = net.outcomes, net.outcomes[decision], tuple.__new__
+    for variables, rows in contexts:
+        if rows is not None:
+            for i, (v, (a, p, value)) in enumerate(zip(variables, rows)):
+                rows[i] = new(CandidateEvaluation, (v, outcomes[v], p, a, value, labels))
 
 
 def _choose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,23 +17,23 @@ Leaf choice and extension choice are orthogonal and pluggable:
 * extension strategies: ``greedy`` (best improvement, all candidates
   charged and recorded) or ``random`` (uniform over candidates, only the
   drawn one charged).  Each run stacks the leaves it will read, one pass
-  per joint shape (tree._stack).  A bounded greedy run stacks a leaf's
-  unexplored siblings with it, so that a stop strands little stacked
-  work; a bounded random run stacks none.  In a run with no bound, which
-  explores every open leaf, random extension stacks the leaf's cohort
-  instead, and a greedy run each whole level (below).
+  per joint shape.  A bounded greedy run stacks a leaf's unexplored
+  siblings with it, so that a stop strands little stacked work; a bounded
+  random run stacks none.  In a run with no bound, which explores every
+  open leaf, random extension stacks the leaf's cohort, and a greedy run
+  each whole level (below).
 
 A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
 split depends only on the leaf's own context, so tree.grow first decides
-every split, level by level, charging each leaf as best_extension would;
-then the loop serves the leaves in the leaf strategy's order, and
-tree.reveal puts each grown vertex in place with what its exploration
-charged.  The trace, the tree, the counters and the observer's events are
-those of extending leaf by leaf, but every query is made before the first
-event reaches the observer, and an error a query raises (a context of
-probability zero, a split that lowers the value) is raised before it too.
-A bounded run would compute splits past its stop, and random extension's
-draws interleave with the leaf strategy's, so neither grows.
+every split, level by level, from each level's stacked rows, charging
+each leaf as best_extension would; then the loop serves the leaves in the
+leaf strategy's order, and tree.reveal puts each grown vertex in place
+with what its exploration charged.  The trace, the tree, the counters and
+the observer's events are those of extending leaf by leaf, but every
+query, and any error one raises (a context of probability zero, a split
+that lowers the value), comes before the first event reaches the
+observer.  A bounded run would compute splits past its stop, and random
+extension's draws interleave with the leaf strategy's, so neither grows.
 
 A fixed seed makes a run fully deterministic.
 """

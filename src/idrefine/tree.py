@@ -32,33 +32,27 @@ slice of the leaf's joint, a numpy view, so on a star topology the root's
 joint is the one contraction of a run and the root's findings the only
 ones checked.
 
-A leaf allocates nothing more until it is explored.  Then it keeps one
-record (Explored): every candidate evaluation known for it, and the gain of
-each candidate the counters were charged for.  A candidate is charged, and
-its gain computed, once, when first read (_explore, the one charging
-path); best_extension, evi, extend and grow all read that gain.
-Candidates not yet charged are charged together, in one
-Calibration.evaluate_candidates call.  One helper, _stack, evaluates every
-candidate of a group of unexplored leaves holding joints in one stacked
-pass per joint shape (engine.evaluate_siblings), each leaf recording its
-results uncharged.  Each caller names its group by what its run will read.
-best_extension, on a leaf's first exploration, groups its siblings, since
-a run that may stop early would strand a larger group's work uncharged.
-random_extension groups the leaf's cohort, every open leaf whose joint has
-the leaf's joint's shape, in a run that will explore every open leaf (its
-``cohort``), and otherwise none: it charges one candidate per leaf, so it
-strands k - 1 of a leaf's k stacked results even when the run explores the
-leaf.  grow groups a whole level, all of which it charges.  extend and evi
-never form a group.
+Leaf by leaf, a leaf allocates nothing more until it is explored.  Then it
+keeps one record (Explored): every candidate evaluation known for it, and
+the gain of each candidate the counters were charged for.  A candidate is
+charged, and its gain computed, once, when first read (_explore, shared by
+best_extension, evi and extend), with the others not yet charged, in one
+read on the leaf's calibration.  _stack evaluates every candidate of a
+group of unexplored leaves holding joints, one stacked pass per joint
+shape (engine.evaluate_siblings), recording the results uncharged.
+best_extension groups a leaf's siblings on its first exploration, since a
+run that may stop early would strand a larger group's work uncharged; in a
+run that will explore every open leaf, random_extension groups the leaf's
+cohort, every open leaf whose joint has its shape (``cohort``): it charges
+one candidate per leaf, so it strands k - 1 of k stacked results anyway.
 
 A greedy run that will explore every open leaf need not go leaf by leaf:
-a leaf's greedy split depends only on its own context, so the order in
-which the leaves are served changes the trace, not the tree.  grow decides
-every split first, breadth-first, stacking each level and charging and
-splitting each leaf as best_extension and extend would.  The tree does
-not change until reveal puts a grown vertex in its leaf's place, as
-extend would have (_place), and hands back what exploring the leaf
-charged, so that a caller can replay any order of service (refine).
+a leaf's greedy split depends only on its own context, so the serving
+order changes the trace, not the tree.  grow decides every split first,
+breadth-first, each level from its stacks' rows (engine.stack_rows) with
+no per-candidate record, charging and splitting each leaf as
+best_extension and extend would.  reveal puts each grown vertex in place
+(_place) with what exploring its leaf charged, for any order of service.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and reveal() grow it, so reading them costs no walk.  The
@@ -78,7 +72,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import CandidateEvaluation, CheckedContext, Engine, ZERO_PROB, evaluate_siblings
+from .engine import (CandidateEvaluation, CheckedContext, Engine, ZERO_PROB, evaluate_siblings,
+                     stack_rows)
 
 Context = tuple[tuple[str, str], ...]
 
@@ -225,16 +220,15 @@ def open_context(tree: DecisionTree, leaf: Leaf, variable: str | None = None) ->
 
 
 def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
-    """The open leaf's record, with the named candidates charged.  Those not
-    yet charged are in one evaluate_candidates call on the leaf's joint, read
-    from a stacked pass's evaluations if one made them; their gains recorded."""
+    """The open leaf's record, with the named candidates charged, and their
+    gains recorded.  Those not yet charged are charged in one read on the
+    leaf's calibration, of a stacked pass's evaluations if one made them."""
     record = leaf.explored or Explored({}, {})
     todo = [name for name in names if name not in record.gains] if record.gains else names
     if todo:
-        known = record.evaluations
-        cal = engine.calibrate(leaf.checked, leaf.joint)
+        known, cal = record.evaluations, engine.calibrate(leaf.checked, leaf.joint)
         if todo[0] in known:  # a stacked pass evaluated every candidate
-            evs = cal.evaluate_candidates(todo, known)
+            evs = cal.rows(todo, [known[name] for name in todo])
         else:
             evs = cal.evaluate_candidates(todo)
             known.update(zip(todo, evs))
@@ -327,8 +321,9 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     extended become open, each with the leaf's context plus the child's
     outcome (CheckedContext.child) and the leaf's joint sliced at that
     outcome, a view; the leaf leaves tree.open and drops its joint.  A call
-    that raises leaves the tree as it was.
-    """
+    that raises leaves the tree as it was.  One loop builds and links the
+    children: a build loop, as grow's, then a link loop, as reveal's, took
+    1.006-1.071 times as long on random_complete (scripts/ab_solve.py)."""
     checked = open_context(tree, leaf, variable)
     record = _explore(leaf, (variable,), engine)
     gain = record.gains[variable]
@@ -369,34 +364,6 @@ def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
     tree.leaves -= 1
 
 
-def _split(tree: DecisionTree, leaf: Leaf, ev: CandidateEvaluation, gain: float) -> Internal:
-    """The internal vertex grow makes for the open leaf: its children built
-    from the evaluated extension as extend builds them, but not put in the
-    tree (reveal does that); raises RuntimeError if the gain is negative.
-    extend keeps its own loop, which also updates the tree: an extend made
-    of _split and reveal was never measured faster on random_complete
-    (scripts/ab_solve.py, 16 instances x 3 rounds: 1.006-1.071 times as
-    long), and one that carried the split as a record read 1.089-1.101."""
-    if gain < -1e-9:
-        raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-    variable, checked = ev.variable, leaf.checked
-    node = Internal(variable, {}, gain)
-    stays_open = len(checked.missing) > 1
-    prefix = (slice(None),) * checked.missing.index(variable)
-    for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
-        reach = leaf.reach * p
-        context = leaf.context + ((variable, outcome),)
-        if reach < ZERO_PROB:
-            node.children[outcome] = Leaf(leaf.action, 0.0, reach, context, pruned=True)
-            continue
-        child = node.children[outcome] = Leaf(tree.actions[a], value, reach, context)
-        if stays_open:
-            child.checked = checked.child(variable, j)
-            if leaf.joint is not None:
-                child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
-    return node
-
-
 class Grown(NamedTuple):
     """The vertex grow made for an open leaf, and what exploring it charged."""
     node: Internal
@@ -408,30 +375,60 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
     """The greedy split of every open leaf, and of every leaf below it that
     would be open, decided breadth-first; no vertex is put in the tree.
 
-    Each level is stacked (_stack); a leaf of probability zero raises
-    ZeroProbabilityError when evaluated alone.  Each leaf is charged as
-    best_extension charges it (_explore) and split as extend splits it, on
-    the first of its equal maximum gains; a negative gain raises
-    RuntimeError.  A decided leaf drops its record, and one grow made its
-    joint and checked context too: the tree's own open leaves keep theirs,
-    so that after a raise extend finds them as they were.  reveal puts each
-    vertex in the tree.
+    A level is decided from its stacks' rows (stack_rows, one per joint
+    shape, a lone leaf a stack of one), with no per-candidate record; a
+    leaf with no joint, or left out for probability zero, reads its own
+    calibration's, which raises ZeroProbabilityError for the latter.  Each
+    leaf is charged for every candidate (engine.calibrate, Calibration.rows)
+    and split on the first of its equal maximum gains, computed as _gain
+    computes them; a negative gain raises RuntimeError.  The tree's open
+    leaves must be unexplored; they keep their joints and checked contexts,
+    for extend after a raise, and grow's own leaves drop both once decided.
     """
     grown: dict[Leaf, Grown] = {}
-    counter, level = engine.counter, list(tree.open)
+    counter, actions, level = engine.counter, tree.actions, list(tree.open)
     while level:
-        _stack(level)
+        shapes: dict[tuple[int, ...], list[Leaf]] = {}
+        for leaf in level:
+            if leaf.joint is not None:
+                shapes.setdefault(leaf.joint.shape, []).append(leaf)
+        stacked = {c: rows for group in shapes.values()
+                   for c, rows in zip(group, stack_rows([m.joint for m in group]))}
         below = []
         for leaf in level:
-            names, fine, passes = leaf.checked.missing, counter.fine, counter.passes
-            record = _explore(leaf, names, engine)
-            best = max(names, key=record.gains.__getitem__)  # the first of equal maxima
-            node = _split(tree, leaf, record.evaluations[best], record.gains[best])
+            checked, joint, reach = leaf.checked, leaf.joint, leaf.reach
+            names, fine, passes = checked.missing, counter.fine, counter.passes
+            rows = engine.calibrate(checked, joint).rows(names, stacked.pop(leaf, None))
+            base, k = leaf.value * reach, 0
+            for i, (_, probs, values) in enumerate(rows):
+                total = 0.0
+                for p, v in zip(probs, values):
+                    r = reach * p
+                    if r >= ZERO_PROB:
+                        total += v * r
+                total -= base
+                if not i or total > gain:  # the first of equal maxima
+                    k, gain = i, total
+            if gain < -1e-9:
+                raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
+            variable, (best, probs, values) = names[k], rows[k]
+            node, outcomes = Internal(variable, {}, gain), checked.network.outcomes[variable]
+            stays_open, prefix = len(names) > 1, (slice(None),) * k
+            for j, (outcome, p, a, value) in enumerate(zip(outcomes, probs, best, values)):
+                r = reach * p
+                context = leaf.context + ((variable, outcome),)
+                if r < ZERO_PROB:
+                    node.children[outcome] = Leaf(leaf.action, 0.0, r, context, pruned=True)
+                    continue
+                child = node.children[outcome] = Leaf(actions[a], value, r, context)
+                if stays_open:
+                    child.checked = checked.child(variable, j)
+                    if joint is not None:
+                        child.joint = joint[prefix + (j,)]  # prefix: axes before the variable
+                    below.append(child)
             grown[leaf] = Grown(node, counter.fine - fine, counter.passes - passes)
-            leaf.explored = None
             if leaf not in tree.open:
                 leaf.joint = leaf.checked = None
-            below.extend(c for c in node.children.values() if c.checked is not None)
         level = below
     return grown
 

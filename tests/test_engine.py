@@ -14,7 +14,7 @@ from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceD
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (_PLANS, Calibration, Engine, PolicyCpt, ZeroProbabilityError,
                              _HALVING_MIN, _elimination_order, _plan, _query,
-                             compile_network)
+                             compile_network, evaluate_siblings, stack_rows)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -676,6 +676,32 @@ def mixed_arity_diagram(seed, every):
     return InfluenceDiagram(nodes, ("d",))
 
 
+def decision_only_star(seed, n, arity):
+    """gen_random_id's star with a utility that reads every predecessor but
+    depends on the decision only: every split's gain is zero up to
+    rounding, so the split is decided by the gains' last bits."""
+    diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+    value = diagram.nodes["v"]
+    weights = np.random.default_rng(seed).random(arity)
+    utility = np.broadcast_to(weights, value.utility.shape).copy()
+    return InfluenceDiagram({**diagram.nodes, "v": ValueNode("v", value.parents, utility)},
+                            ("d",))
+
+
+def tied_star(n):
+    """A star of n ternary predecessors, identically distributed with dyadic
+    probabilities, and three actions, utility 1 where some predecessor's
+    outcome index is the action's: the predecessors are interchangeable and
+    the arithmetic exact, so every leaf's candidates have equal gains."""
+    outs, names = ("v0", "v1", "v2"), [f"c{k}" for k in range(1, n + 1)]
+    nodes = {c: ChanceNode(Variable(c, outs), (), np.array([0.5, 0.25, 0.25])) for c in names}
+    nodes["d"] = DecisionNode(Variable("d", ("a0", "a1", "a2")), tuple(names))
+    grid = np.indices((3,) * (n + 1))
+    utility = (grid[:-1] == grid[-1]).any(axis=0).astype(float)
+    nodes["v"] = ValueNode("v", tuple(names) + ("d",), utility)
+    return InfluenceDiagram(nodes, ("d",))
+
+
 class TestStackedCandidates:
     """evaluate_candidates bit for bit against loop_candidate in helpers.py,
     charged as one evaluate_candidate call per candidate."""
@@ -737,6 +763,57 @@ class TestStackedCandidates:
             with pytest.raises(ValueError, match="not a possible extension"):
                 cal.evaluate_candidates(["R", variable])
         assert mini_engine.counter.snapshot() == (0, 1)
+
+
+class TestStackRows:
+    """stack_rows, the one stacked pass, read out as rows: for every context
+    and candidate, the row evaluate_siblings wraps and the row a lone
+    calibration reads, bit for bit."""
+
+    @given(data=st.data())
+    def test_rows_as_evaluations(self, data):
+        """A level of contexts split alike from the root, some scaled below
+        ZERO_PROB: the rows are candidate-major per context, also where one
+        stack has several _choose groups (mixed arities), and a context of
+        probability zero is left out (None) while the others keep their
+        rows."""
+        seed = data.draw(st.integers(0, 10_000))
+        if data.draw(st.booleans()):
+            n, arity = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3))
+            net = compile_network(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)))
+        else:
+            net = compile_network(mixed_arity_diagram(seed, every=True))
+        root = Engine(net).context("d", {})
+        contexts, joints = [root], [Engine(net).calibrate(root).leaf_joint()]
+        for _ in range(data.draw(st.integers(0, min(len(root.missing) - 1, 4)))):
+            k = data.draw(st.integers(0, len(contexts[0].missing) - 1))
+            variable, prefix = contexts[0].missing[k], (slice(None),) * k
+            contexts, joints = [c.child(variable, j) for c in contexts
+                                for j in range(net.doms[variable])], \
+                [joint[prefix + (j,)] for joint in joints for j in range(net.doms[variable])]
+        scaled = data.draw(st.lists(st.booleans(), min_size=len(joints), max_size=len(joints)))
+        joints = [joint * 1e-13 if s else joint for joint, s in zip(joints, scaled)]
+        choices = []
+
+        def choosing(stack, _original=sys.modules["idrefine.engine"]._choose):
+            choices.append(1)
+            return _original(stack)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sys.modules["idrefine.engine"], "_choose", choosing)
+            stacked = stack_rows(joints)
+        if None not in stacked:  # no retry: one _choose group per candidate arity
+            assert len(choices) == len({net.doms[v] for v in contexts[0].missing})
+        evaluated = evaluate_siblings(contexts, joints)
+        for c, joint, rows, evs in zip(contexts, joints, stacked, evaluated, strict=True):
+            alone = Engine(net).calibrate(c, joint)
+            try:
+                expected = alone.rows(c.missing)
+            except ZeroProbabilityError:
+                assert rows is None and evs is None
+                continue
+            assert repr(rows) == repr(expected)
+            assert [ev.variable for ev in evs] == list(c.missing)
+            assert repr(rows) == repr([(ev.best, ev.probs, ev.values) for ev in evs])
 
 
 def assert_same_evaluation(ev, ref):
@@ -917,11 +994,11 @@ class TestCohorts:
     """In a run with no bound, random_extension stacks a leaf's cohort,
     every unexplored open leaf whose joint has the leaf's joint's shape,
     whatever its parent, and a greedy run is grown (tree.grow), each
-    level's open leaves stacked by joint shape.  Each leaf is stacked at
-    most once, and each result is bit for bit that of evaluating the leaf
-    alone.  A grown run charges every stacked result; random extension
-    charges only the drawn candidate of each leaf, and the other results
-    cost wall time but never the counters."""
+    level's open leaves stacked by joint shape (stack_rows).  Each leaf is
+    stacked at most once, and each result is bit for bit that of evaluating
+    the leaf alone.  A grown run charges every stacked result, through
+    Calibration.rows; random extension charges only the drawn candidate of
+    each leaf, and the other results cost wall time but never the counters."""
 
     @staticmethod
     def recording(mp):
@@ -952,47 +1029,48 @@ class TestCohorts:
 
     @staticmethod
     def stacking(mp):
-        """Patch the tree's evaluate_siblings to record each stack as
-        (checked contexts, leaf joints, results); returns the records."""
+        """Patch the tree's stack_rows to record each stack as (leaf joints,
+        rows), and Calibration.rows to record each read as (checked context,
+        leaf joint, the stacked rows it was handed or None); returns both."""
         tree_module = sys.modules["idrefine.tree"]
-        stacks = []
+        stacks, reads = [], []
 
-        def recording(contexts, joints, _original=tree_module.evaluate_siblings):
-            results = _original(contexts, joints)
-            stacks.append((list(contexts), list(joints), results))
+        def recording(joints, _original=tree_module.stack_rows):
+            results = _original(joints)
+            stacks.append((list(joints), results))
             return results
-        mp.setattr(tree_module, "evaluate_siblings", recording)
-        return stacks
+
+        def reading(cal, variables, stacked=None, _original=Calibration.rows):
+            reads.append((cal._context, cal._joint, stacked))
+            return _original(cal, variables, stacked)
+        mp.setattr(tree_module, "stack_rows", recording)
+        mp.setattr(Calibration, "rows", reading)
+        return stacks, reads
 
     @staticmethod
-    def assert_as_if_alone(stacks):
-        """Every stacked result is bit for bit a lone evaluate_candidates."""
-        for contexts, joints, results in stacks:
-            for c, joint, evs in zip(contexts, joints, results):
-                if evs is not None:
-                    alone = Engine(c.network).calibrate(c, joint).evaluate_candidates(c.missing)
-                    for ev, ref in zip(evs, alone, strict=True):
-                        assert_same_evaluation(ev, ref)
+    def assert_as_if_alone(results):
+        """Each (checked context, leaf joint, stacked rows) holds bit for bit
+        the rows a lone calibration of the context reads (repr tells -0.0
+        from 0.0), and so a lone evaluate_candidates."""
+        for c, joint, rows in results:
+            alone = Engine(c.network).calibrate(c, joint)
+            assert repr(rows) == repr(alone.rows(c.missing))
+            for (a, p, v), ev in zip(rows, alone.evaluate_candidates(c.missing), strict=True):
+                assert (a, p, v) == (ev.best, ev.probs, ev.values)
 
     @given(data=st.data())
     def test_complete_run(self, data):
         """A complete greedy run, under either leaf strategy: every stacked
         result is as if evaluated alone, each leaf is stacked at most once
-        and charged exactly once, each stacked leaf by reading its stack,
-        and on stars with n >= 3 some stack spans more than one sibling
-        group."""
+        and charged exactly once, each stacked leaf by reading its own
+        stack's rows, no stacked result goes unread, and on stars with
+        n >= 3 some stack spans more than one sibling group."""
         kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage"]))
         seed = data.draw(st.integers(0, 10_000))
         config = RefinementConfig(leaf_strategy=data.draw(st.sampled_from(["posthoc", "random"])),
                                   seed=seed)
-        charges = []
-
-        def charging(cal, variables, evaluated=None, _original=Calibration.evaluate_candidates):
-            charges.append((cal._context, evaluated is not None))
-            return _original(cal, variables, evaluated)
         with pytest.MonkeyPatch.context() as mp:
-            stacks = self.stacking(mp)
-            mp.setattr(Calibration, "evaluate_candidates", charging)
+            stacks, reads = self.stacking(mp)
             if kind == "star":
                 n = data.draw(st.integers(1, 8))
                 arity = data.draw(st.integers(2, 3))
@@ -1005,15 +1083,18 @@ class TestCohorts:
                 trees = [refine(Engine(compile_network(diagram)), "d", config)[0]]
             else:
                 trees = [p.tree for p in sweep_back(gen_two_stage(seed), config)[0].policies]
-        self.assert_as_if_alone(stacks)
-        stacked = [id(c) for contexts, _, results in stacks
-                   for c, evs in zip(contexts, results) if evs is not None]
-        charged_ids = [id(c) for c, _ in charges]
-        assert len(stacked) == len(set(stacked))
+        read = [(c, joint, rows) for c, joint, rows in reads if rows is not None]
+        self.assert_as_if_alone(read)
+        stacked_joints = [id(j) for joints, _ in stacks for j in joints]
+        assert len(stacked_joints) == len(set(stacked_joints))
+        charged_ids = [id(c) for c, _, _ in reads]
         assert len(charged_ids) == len(set(charged_ids)) == sum(t.internals for t in trees)
-        assert {id(c) for c, read in charges if read} == set(stacked)  # zero waste
+        stacked = {id(rows): j for joints, results in stacks
+                   for j, rows in zip(joints, results) if rows is not None}
+        assert sorted(stacked) == sorted(id(rows) for _, _, rows in read)  # zero waste
+        assert all(joint is stacked[id(rows)] for _, joint, rows in read)
         if kind == "star" and n >= 3:  # a level's stack spans more than one sibling group
-            assert any(len(contexts) > arity for contexts, _, _ in stacks)
+            assert any(len(joints) > arity for joints, _ in stacks)
 
     @given(data=st.data())
     def test_random_extension_as_if_alone(self, data):
@@ -1064,13 +1145,16 @@ class TestCohorts:
             Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(names)
         internals, value = tree.internals, tree.exact
         with pytest.MonkeyPatch.context() as mp:
-            stacks = self.stacking(mp)
+            stacks, reads = self.stacking(mp)
             with pytest.raises(ZeroProbabilityError):
                 grow(tree, eng)
-        [(stacked, stacked_joints, results)] = stacks
-        assert stacked == contexts and all(map(operator.is_, stacked_joints, joints))
-        assert [evs is None for evs in results] == [l is zero for l in leaves]
-        self.assert_as_if_alone(stacks)
+        [(stacked_joints, results)] = stacks
+        assert all(map(operator.is_, stacked_joints, joints))
+        assert [rows is None for rows in results] == [l is zero for l in leaves]
+        assert [(c, rows) for c, _, rows in reads] == list(zip(contexts, results))[:3]
+        assert all(map(operator.is_, (rows for _, _, rows in reads), results[:3]))
+        self.assert_as_if_alone([(l.checked, l.joint, rows)
+                                 for l, rows in zip(leaves, results) if rows is not None])
         assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
         assert all(l.checked is not None for l in tree.open)
         ref_eng, ref_tree, _ = TestSiblingGroups.split_root()
@@ -1097,7 +1181,7 @@ class TestGrowth:
     @given(data=st.data())
     def test_same_as_extending_leaf_by_leaf(self, data):
         kind = data.draw(st.sampled_from(["star", "mixed arity", "exclusion", "coins",
-                                          "two-stage"]))
+                                          "two-stage", "decision only", "ties"]))
         leaf = data.draw(st.sampled_from(["posthoc", "random"]))
         seed = data.draw(st.integers(0, 10_000))
         if kind == "star":
@@ -1109,6 +1193,14 @@ class TestGrowth:
             diagram = deterministic_exclusion()
         elif kind == "coins":  # the root's joint is refused, its children's computed
             diagram = mini_weather_coin(3)
+        elif kind == "decision only":
+            n, arity = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 3))
+            diagram = decision_only_star(seed, n, arity)
+        elif kind == "ties":
+            diagram = tied_star(data.draw(st.integers(2, 4)))
+            eng = Engine(compile_network(diagram))
+            tied = init_tree(eng, "d")
+            assert len({evi(tied, tied.root, c.name, eng) for c in tied.predecessors}) == 1
         else:
             diagram = gen_two_stage(seed)
         refine_module = sys.modules["idrefine.refine"]

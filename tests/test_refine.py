@@ -432,9 +432,9 @@ class TestEngineQueries:
         engine = sys.modules["idrefine.engine"]
         rows = []
 
-        def counting(net, decision, variables, joints, _original=engine._evaluate):
-            rows.append(len(variables))  # the contexts stacked
-            return _original(net, decision, variables, joints)
+        def counting(joints, _original=engine._evaluate):
+            rows.append(len(joints[0]))  # the contexts stacked
+            return _original(joints)
         monkeypatch.setattr(engine, "_evaluate", counting)
         _, tree, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)))
         monkeypatch.undo()

@@ -89,11 +89,13 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
 
 def test_ab_solve_script(tmp_path):
     """Both sides this checkout, two instances of every workload: the trace
-    CSVs and policies agree, and a time ratio and a peak-memory ratio are
-    printed for each workload.
+    CSVs, policies and gains agree, and a time ratio and a peak-memory ratio
+    are printed for each workload.
     Against a checkout whose policy JSON differs but whose traces do not,
     it names the policies and exits 1, on a single-decision workload and on
-    a multistage one."""
+    a multistage one; against one whose every split's gain is one ulp
+    larger, so that its traces and policies do not differ, it names the
+    gains and exits 1."""
     script = str(REPO / "scripts" / "ab_solve.py")
     result = subprocess.run([sys.executable, script, str(REPO), str(REPO),
                              "--instances", "2", "--rounds", "1"],
@@ -101,8 +103,8 @@ def test_ab_solve_script(tmp_path):
     assert result.returncode == 0, result.stderr
     for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
         line = next(l for l in result.stdout.splitlines() if l.startswith(f"{workload}: "))
-        assert line.startswith(f"{workload}: 2 instances x 1 rounds, traces and policies "
-                               "byte-equal; CHANGE/BASE median")
+        assert line.startswith(f"{workload}: 2 instances x 1 rounds, traces, policies and "
+                               "gains byte-equal; CHANGE/BASE median")
         assert re.search(r"; peak memory CHANGE/BASE median \d+\.\d{4} \[q1 \d+\.\d{4}, "
                          r"q3 \d+\.\d{4}\]; median peak \S+ MiB -> \S+ MiB$", line), line
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
@@ -116,3 +118,17 @@ def test_ab_solve_script(tmp_path):
                                 capture_output=True, text=True, check=False)
         assert result.returncode == 1
         assert f"{workload} 0: policies differ" in result.stderr
+    shutil.rmtree(tmp_path / "src")
+    shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
+    tree_py.write_text(tree_py.read_text().replace(
+        "    gain: float  # tree-value increase recorded when this vertex was created\n",
+        "    gain: float  # tree-value increase recorded when this vertex was created\n\n"
+        "    def __post_init__(self):\n"
+        "        self.gain = math.nextafter(self.gain, math.inf)\n").replace(
+        "import json\n", "import json\nimport math\n", 1))
+    for workload in ("greedy_complete", "sweep_two_stage"):
+        result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
+                                 "--instances", "1", "--rounds", "1"],
+                                capture_output=True, text=True, check=False)
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [f"{workload} 0: gains differ"]

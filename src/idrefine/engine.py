@@ -40,11 +40,13 @@ either way.  All of a context's candidates are evaluated in one call:
 their joints are stacked by shape and memory layout, and the argmax, the
 gather and the divisions (_choose) run, and are read out, once per stack.
 
-Contexts whose leaf joints have one shape, such as siblings, which differ
-only in the outcome of one variable, are evaluated together by stack_rows:
-their leaf joints are stacked, the stack axis is kept through every sum,
-and each stack's contexts x candidates rows are read out as plain lists
-(evaluate_siblings wraps them as CandidateEvaluations).  The contexts may
+A candidate's result is a Row: per outcome of the candidate, the index of
+the maximizing action, P(outcome | context) and that action's normalized
+value, as plain lists; it is the only form a result takes.  Contexts whose
+leaf joints have one shape, such as siblings, which differ only in the
+outcome of one variable, are evaluated together by stack_rows: their leaf
+joints are stacked, the stack axis is kept through every sum, and each
+stack's contexts x candidates rows are read out at once.  The contexts may
 lack different predecessors, as many and of the same arities.  That pass
 is uncounted; each context is charged when its calibration reads its rows
 (Calibration.rows), the same as evaluating it then, and every row is
@@ -360,21 +362,6 @@ def compile_network(diagram: InfluenceDiagram) -> ChanceNetwork:
     return ChanceNetwork(diagram, {}, outcomes, doms, index, factors, proxy, u_min, u_max)
 
 
-class CandidateEvaluation(NamedTuple):
-    """Per-child results of exploring one extension variable in a context."""
-
-    variable: str
-    outcomes: tuple[str, ...]
-    probs: list[float]   # P(outcome | context)
-    best: list[int]      # index of the maximizing action per outcome
-    values: list[float]  # normalized value of that action per outcome
-    labels: tuple[str, ...]  # the decision's actions, which best indexes
-
-    @property
-    def actions(self) -> tuple[str, ...]:  # the maximizing action per outcome
-        return tuple(self.labels[k] for k in self.best)
-
-
 class CheckedContext:
     """A context checked once, for exploring one decision of one network:
     its findings as outcome indices, the decision's predecessors it lacks,
@@ -402,8 +389,11 @@ class CheckedContext:
         """This context plus the finding that a missing predecessor takes its
         index-th outcome; anything else raises ValueError."""
         missing, shape = self.missing, self.shape
-        k = missing.index(variable) if variable in missing else None
-        if k is None or type(index) is not int or not 0 <= index < shape[k]:
+        try:
+            k = missing.index(variable)  # one scan of missing
+        except ValueError:
+            k = -1
+        if k < 0 or type(index) is not int or not 0 <= index < shape[k]:
             raise ValueError(f"{variable!r} = {index!r} is not a finding this context lacks")
         return CheckedContext(self.network, self.decision, {**self.findings, variable: index},
                               missing[:k] + missing[k + 1:], shape[:k] + shape[k + 1:])
@@ -593,9 +583,9 @@ class Calibration:
         targets = (self._context.decision, variable, net.proxy)
         return _query(net, self._factors, {}, targets).swapaxes(0, 1)[None]
 
-    def evaluate_candidate(self, variable: str) -> CandidateEvaluation:
-        """evaluate_candidates for one variable."""
-        return self.evaluate_candidates((variable,))[0]
+    def evaluate_candidate(self, variable: str) -> Row:
+        """rows for one variable."""
+        return self.rows((variable,))[0]
 
     def best_action(self) -> tuple[str, float]:
         """Maximizing action and its normalized value in this context.
@@ -618,7 +608,7 @@ class Calibration:
         best, _, values = _choose(joint[None, None])
         return net.outcomes[decision][best[0, 0]], float(values[0, 0])
 
-    def rows(self, variables: Sequence[str], stacked: list | None = None) -> list:
+    def rows(self, variables: Sequence[str], stacked: list[Row] | None = None) -> list[Row]:
         """Each extension variable's Row, counted as two passes (action
         selection, then a value pass following the selected per-outcome
         actions), served by its joint of variable, decision and proxy (see
@@ -640,12 +630,6 @@ class Calibration:
             stacked = _evaluate([self._candidate_joint(v) for v in variables])
         return stacked or []
 
-    def evaluate_candidates(self, variables: Sequence[str]) -> list[CandidateEvaluation]:
-        """rows, computed here, as CandidateEvaluations."""
-        rows = self.rows(variables)
-        _evaluate_rows(self._engine.network, self._context.decision, [(variables, rows)])
-        return rows
-
 
 def stack_rows(joints: Sequence[np.ndarray]) -> list[list[Row] | None]:
     """Every candidate's rows for contexts of one decision whose leaf joints
@@ -666,16 +650,6 @@ def stack_rows(joints: Sequence[np.ndarray]) -> list[list[Row] | None]:
     m = len(marginals)
     for s, row in zip(keep, range(0, len(flat), m)):
         out[s] = flat[row:row + m]
-    return out
-
-
-def evaluate_siblings(contexts: Sequence[CheckedContext], joints: Sequence[np.ndarray],
-                      ) -> list[list[CandidateEvaluation] | None]:
-    """stack_rows as the checked contexts' CandidateEvaluations, each read
-    through Calibration.rows' ``stacked``."""
-    out = stack_rows(joints)
-    _evaluate_rows(contexts[0].network, contexts[0].decision,
-                   zip([c.missing for c in contexts], out))
     return out
 
 
@@ -722,17 +696,6 @@ def _evaluate(joints: list[np.ndarray]) -> list[Row]:
         for row, r in enumerate(zip(best.tolist(), probs.tolist(), values.tolist())):
             out[row % g * m + group[row // g]] = r
     return out
-
-
-def _evaluate_rows(net: ChanceNetwork, decision: str, contexts: Iterable[tuple]) -> None:
-    """Each (candidates, rows) pair's list of rows, unless None, turned in
-    place into CandidateEvaluations, made as CandidateEvaluation.__new__
-    makes them, in one loop: it costs what building them in the pass did."""
-    outcomes, labels, new = net.outcomes, net.outcomes[decision], tuple.__new__
-    for variables, rows in contexts:
-        if rows is not None:
-            for i, (v, (a, p, value)) in enumerate(zip(variables, rows)):
-                rows[i] = new(CandidateEvaluation, (v, outcomes[v], p, a, value, labels))
 
 
 def _choose(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -17,11 +17,13 @@ Leaf choice and extension choice are orthogonal and pluggable:
 * extension strategies: ``greedy`` (best improvement, all candidates
   charged and recorded) or ``random`` (uniform over candidates, only the
   drawn one charged).  Each run stacks the leaves it will read, one pass
-  per joint shape.  A bounded greedy run stacks a leaf's unexplored
-  siblings with it, so that a stop strands little stacked work; a bounded
-  random run stacks none.  In a run with no bound, which explores every
-  open leaf, random extension stacks the leaf's cohort, and a greedy run
-  each whole level (below).
+  per joint shape (engine.stack_rows), and every path, leaf by leaf or
+  grown, reads a candidate's result as that pass's row, or as the same row
+  computed for the leaf alone.  A bounded greedy run stacks a leaf's
+  unexplored siblings with it, so that a stop strands little stacked work;
+  a bounded random run stacks none.  In a run with no bound, which
+  explores every open leaf, random extension stacks the leaf's cohort, and
+  a greedy run each whole level (below).
 
 A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
 split depends only on the leaf's own context, so tree.grow first decides
@@ -212,17 +214,6 @@ def make_selector(strategy: str, tree: DecisionTree, rng: np.random.Generator):
     return RandomLeafSelector(tree, rng)
 
 
-def choose_extension(strategy: str, tree: DecisionTree, leaf: Leaf, engine: Engine,
-                     rng: np.random.Generator, *, cohort: bool = False,
-                     ) -> tuple[str, float | None]:
-    """Pick the extension variable for a leaf by best_extension or
-    random_extension; greedy returns its gain too.  ``cohort`` is
-    random_extension's: only for a run that explores every open leaf."""
-    if strategy == "greedy":
-        return best_extension(tree, leaf, engine)
-    return random_extension(tree, leaf, engine, rng, cohort=cohort), None
-
-
 def refine(engine: Engine, decision: str, config: RefinementConfig | None = None,
            observer: Callable[[ExtensionEvent], None] | None = None,
            ) -> tuple[DecisionTree, AnytimeTrace]:
@@ -267,10 +258,12 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
         before = counter.snapshot()
         context_size = len(leaf.context)
         if grown is None:
-            variable, gain = choose_extension(config.extension_strategy, tree, leaf, engine,
-                                              rng, cohort=cohort)
-            if stop.min_evi is not None and gain is not None and gain < stop.min_evi:
-                break
+            if config.extension_strategy == "greedy":
+                variable, gain = best_extension(tree, leaf, engine)
+                if stop.min_evi is not None and gain < stop.min_evi:
+                    break
+            else:
+                variable = random_extension(tree, leaf, engine, rng, cohort=cohort)
             node = extend(tree, leaf, variable, engine)
         else:
             node, fine, passes = reveal(tree, leaf, grown)

@@ -33,26 +33,27 @@ joint is the one contraction of a run and the root's findings the only
 ones checked.
 
 Leaf by leaf, a leaf allocates nothing more until it is explored.  Then it
-keeps one record (Explored): every candidate evaluation known for it, and
-the gain of each candidate the counters were charged for.  A candidate is
-charged, and its gain computed, once, when first read (_explore, shared by
-best_extension, evi and extend), with the others not yet charged, in one
-read on the leaf's calibration.  _stack evaluates every candidate of a
-group of unexplored leaves holding joints, one stacked pass per joint
-shape (engine.evaluate_siblings), recording the results uncharged.
-best_extension groups a leaf's siblings on its first exploration, since a
-run that may stop early would strand a larger group's work uncharged; in a
-run that will explore every open leaf, random_extension groups the leaf's
-cohort, every open leaf whose joint has its shape (``cohort``): it charges
-one candidate per leaf, so it strands k - 1 of k stacked results anyway.
+keeps one record (Explored): the row (engine.Row) of every candidate known
+for it, and the gain of each candidate the counters were charged for.  A
+candidate is charged, and its gain computed, once, when first read
+(_explore, shared by best_extension, evi and extend), with the others not
+yet charged, in one read on the leaf's calibration (Calibration.rows).
+_stack evaluates every candidate of a group of unexplored leaves holding
+joints, one stacked pass per joint shape (engine.stack_rows), recording
+the rows uncharged.  best_extension groups a leaf's siblings on its first
+exploration, since a run that may stop early would strand a larger
+group's work uncharged; in a run that will explore every open leaf,
+random_extension groups the leaf's cohort, every open leaf whose joint has
+its shape (``cohort``): it charges one candidate per leaf, so it strands
+k - 1 of k stacked results anyway.
 
 A greedy run that will explore every open leaf need not go leaf by leaf:
 a leaf's greedy split depends only on its own context, so the serving
 order changes the trace, not the tree.  grow decides every split first,
-breadth-first, each level from its stacks' rows (engine.stack_rows) with
-no per-candidate record, charging and splitting each leaf as
-best_extension and extend would.  reveal puts each grown vertex in place
-(_place) with what exploring its leaf charged, for any order of service.
+breadth-first, each level from the same stacked rows, read as they come
+with no record kept, charging and splitting each leaf as best_extension
+and extend would.  reveal puts each grown vertex in place (_place) with
+what exploring its leaf charged, for any order of service.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and reveal() grow it, so reading them costs no walk.  The
@@ -72,16 +73,16 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 import numpy as np
 
 from .diagram import Variable
-from .engine import (CandidateEvaluation, CheckedContext, Engine, ZERO_PROB, evaluate_siblings,
-                     stack_rows)
+from .engine import ZERO_PROB, CheckedContext, Engine, Row, stack_rows
 
 Context = tuple[tuple[str, str], ...]
 
 
 class Explored(NamedTuple):
-    """A leaf's record: each candidate evaluated for it, and the gain of each
-    charged to the counters; a candidate is charged exactly when it has one."""
-    evaluations: dict[str, CandidateEvaluation]
+    """A leaf's record: the row of each candidate evaluated for it, and the
+    gain of each charged to the counters; a candidate is charged exactly
+    when it has one."""
+    evaluations: dict[str, Row]
     gains: dict[str, float]
 
 
@@ -222,21 +223,21 @@ def open_context(tree: DecisionTree, leaf: Leaf, variable: str | None = None) ->
 def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
     """The open leaf's record, with the named candidates charged, and their
     gains recorded.  Those not yet charged are charged in one read on the
-    leaf's calibration, of a stacked pass's evaluations if one made them."""
+    leaf's calibration, of a stacked pass's rows if one made them."""
     record = leaf.explored or Explored({}, {})
     todo = [name for name in names if name not in record.gains] if record.gains else names
     if todo:
         known, cal = record.evaluations, engine.calibrate(leaf.checked, leaf.joint)
-        if todo[0] in known:  # a stacked pass evaluated every candidate
-            evs = cal.rows(todo, [known[name] for name in todo])
-        else:
-            evs = cal.evaluate_candidates(todo)
-            known.update(zip(todo, evs))
+        # a stacked pass evaluated every candidate, or none
+        stacked = [known[name] for name in todo] if todo[0] in known else None
+        rows = cal.rows(todo, stacked)
+        if stacked is None:
+            known.update(zip(todo, rows))
             if leaf.joint is None:  # the calibration may have computed one
                 leaf.joint = cal.leaf_joint()
         leaf.explored = record
-        for name, ev in zip(todo, evs):
-            record.gains[name] = _gain(leaf, ev)
+        for name, row in zip(todo, rows):
+            record.gains[name] = _gain(leaf, row)
     return record
 
 
@@ -250,16 +251,15 @@ def _stack(leaves: Iterable[Leaf]) -> None:
             shapes.setdefault(leaf.joint.shape, []).append(leaf)
     for group in shapes.values():
         if len(group) > 1:
-            evaluated = evaluate_siblings([c.checked for c in group], [c.joint for c in group])
-            for c, evs in zip(group, evaluated):
-                if evs is not None:
-                    c.explored = Explored(dict(zip(c.checked.missing, evs)), {})
+            for c, rows in zip(group, stack_rows([c.joint for c in group])):
+                if rows is not None:
+                    c.explored = Explored(dict(zip(c.checked.missing, rows)), {})
 
 
-def _gain(leaf: Leaf, ev: CandidateEvaluation) -> float:
-    """Tree-value increase from swapping the leaf for this extension."""
+def _gain(leaf: Leaf, row: Row) -> float:
+    """Tree-value increase from swapping the leaf for the extension of this row."""
     total = 0.0
-    for p, v in zip(ev.probs, ev.values):
+    for p, v in zip(row[1], row[2]):
         reach = leaf.reach * p
         if reach >= ZERO_PROB:
             total += v * reach
@@ -329,10 +329,10 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     gain = record.gains[variable]
     if gain < -1e-9:
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-    ev, node = record.evaluations[variable], Internal(variable, {}, gain)
-    stays_open = len(checked.missing) > 1
+    (best, probs, values), node = record.evaluations[variable], Internal(variable, {}, gain)
+    outcomes, stays_open = checked.network.outcomes[variable], len(checked.missing) > 1
     prefix = (slice(None),) * checked.missing.index(variable)
-    for j, (outcome, p, a, value) in enumerate(zip(ev.outcomes, ev.probs, ev.best, ev.values)):
+    for j, (outcome, p, a, value) in enumerate(zip(outcomes, probs, best, values)):
         reach = leaf.reach * p
         context = leaf.context + ((variable, outcome),)
         if reach < ZERO_PROB:
@@ -376,7 +376,7 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
     would be open, decided breadth-first; no vertex is put in the tree.
 
     A level is decided from its stacks' rows (stack_rows, one per joint
-    shape, a lone leaf a stack of one), with no per-candidate record; a
+    shape, a lone leaf a stack of one), keeping no record (Explored); a
     leaf with no joint, or left out for probability zero, reads its own
     calibration's, which raises ZeroProbabilityError for the latter.  Each
     leaf is charged for every candidate (engine.calibrate, Calibration.rows)

@@ -6,7 +6,8 @@ engine is checked against a genuinely separate code path.  The five
 exceptions are bit-exact references for faster replacements:
 ``loop_oracle`` is the oracle's former per-state loop over
 ``state_action_values``, ``loop_candidate`` is the former per-candidate
-arithmetic of ``Calibration.evaluate_candidate``,
+arithmetic of ``Calibration.evaluate_candidate``, giving the candidate's
+row (per outcome: best action index, probability and value, as lists),
 ``loop_elimination_order`` is the former elimination-order search of
 ``_query``, ``einsum_query`` is the former ``_query``, which ran each
 elimination step as one ``np.einsum``, and ``loop_gain`` is the former
@@ -22,8 +23,8 @@ from itertools import product
 import numpy as np
 
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
-from idrefine.engine import (ZERO_PROB, CandidateEvaluation, ZeroProbabilityError,
-                             _elimination_order, _Factor, _marginal, _query, _restrict)
+from idrefine.engine import (ZERO_PROB, ZeroProbabilityError, _elimination_order, _Factor,
+                             _marginal, _query, _restrict)
 from idrefine.oracle import state_action_values
 from idrefine.tree import Leaf
 
@@ -143,8 +144,9 @@ def loop_oracle(diagram, decision):
 
 
 def loop_candidate(cal, decision, variable):
-    """One candidate evaluated on its own, as Calibration.evaluate_candidate
-    did before the candidates of a leaf were stacked; it charges nothing."""
+    """One candidate's row, (best, probs, values), evaluated on its own, as
+    Calibration.evaluate_candidate did before the candidates of a leaf were
+    stacked; it charges nothing."""
     net = cal._engine.network
     leaf = cal.leaf_joint()
     if leaf is not None and variable in cal._axes[:-2]:
@@ -160,8 +162,7 @@ def loop_candidate(cal, decision, variable):
     probs = totals / context
     safe = np.where(totals > 0.0, totals, 1.0)
     values = np.where(totals > 0.0, chosen[:, 1] / safe, 0.0)
-    return CandidateEvaluation(variable, net.outcomes[variable], probs, action_idx.tolist(),
-                               values, net.outcomes[decision])
+    return action_idx.tolist(), probs.tolist(), values.tolist()
 
 
 def calibrate(engine, decision, evidence, joint=None):
@@ -170,26 +171,27 @@ def calibrate(engine, decision, evidence, joint=None):
     return engine.calibrate(engine.context(decision, evidence), joint)
 
 
-def loop_gain(leaf, ev):
-    """A leaf's gain from an extension as tree.py computed it before gains
-    were recorded: outcome by outcome, each probability and value read as a
-    float."""
+def loop_gain(leaf, row):
+    """A leaf's gain from the extension of a row, (best, probs, values), as
+    tree.py computed it before gains were recorded: outcome by outcome,
+    each probability and value read as a float."""
+    _, probs, values = row
     total = 0.0
-    for j in range(len(ev.outcomes)):
-        reach = leaf.reach * float(ev.probs[j])
+    for j in range(len(probs)):
+        reach = leaf.reach * float(probs[j])
         if reach >= ZERO_PROB:
-            total += float(ev.values[j]) * reach
+            total += float(values[j]) * reach
     return total - leaf.value * leaf.reach
 
 
 def charged(leaf):
-    """The evaluations a leaf has been charged for, by candidate name."""
+    """The rows a leaf has been charged for, by candidate name."""
     record = leaf.explored
     return {} if record is None else {n: record.evaluations[n] for n in record.gains}
 
 
 def uncharged(leaf):
-    """The names of the candidates a leaf holds evaluations of, uncharged."""
+    """The names of the candidates a leaf holds rows of, uncharged."""
     record = leaf.explored
     return set() if record is None else set(record.evaluations) - set(record.gains)
 

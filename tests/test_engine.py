@@ -14,7 +14,7 @@ from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceD
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (_PLANS, Calibration, Engine, PolicyCpt, ZeroProbabilityError,
                              _HALVING_MIN, _elimination_order, _plan, _query,
-                             compile_network, evaluate_siblings, stack_rows)
+                             compile_network, stack_rows)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -422,13 +422,12 @@ class TestCheckedContext:
 
     @staticmethod
     def explore(eng, context):
-        """(counter delta, leaf joint, best action, candidate evaluations),
+        """(counter delta, leaf joint, best action, candidate rows),
         or the exception raised in their place."""
         before = eng.counter.snapshot()
         try:
             cal = eng.calibrate(context)
-            result = [cal.leaf_joint(), cal.best_action(),
-                      cal.evaluate_candidates(context.missing)]
+            result = [cal.leaf_joint(), cal.best_action(), cal.rows(context.missing)]
         except ZeroProbabilityError as err:
             result = [type(err)]
         after = eng.counter.snapshot()
@@ -470,7 +469,7 @@ class TestCheckedContext:
             assert joint.shape == ref_joint.shape and joint.tobytes() == ref_joint.tobytes()
         assert action == ref_action
         assert len(evs) == len(refs)
-        assert evs == refs  # every field of every evaluation
+        assert evs == refs  # every field of every row
 
     @pytest.mark.parametrize("variable, index", [("R", 0), ("W", 5), ("D", 0), ("V", 1),
                                                  ("Q", 0), ("C1", 2), ("C1", -1),
@@ -501,45 +500,50 @@ class TestCheckedContext:
         before = eng.counter.snapshot()
         for variables in (["C1"], ["W"], ["R", "D"], ["Q"]):
             with pytest.raises(ValueError, match="missing predecessor"):
-                cal.evaluate_candidates(variables)
+                cal.rows(variables)
         assert eng.counter.snapshot() == before
 
 
 class TestCandidateEvaluation:
     def test_matches_per_child_queries(self, mini_engine):
         cal = calibrate(mini_engine, "D", {})
-        ev = cal.evaluate_candidate("R")
-        assert ev.outcomes == ("sunny", "rainy")
-        assert ev.actions == ("leave", "take")
-        assert ev.probs[0] == pytest.approx(0.69, abs=TOL)
-        assert ev.values[0] == pytest.approx(2100 / 2300, abs=TOL)
-        assert ev.values[1] == pytest.approx(1820 / 3100, abs=TOL)
+        best, probs, values = cal.evaluate_candidate("R")
+        labels = mini_engine.network.outcomes["D"]
+        assert len(probs) == len(values) == 2  # sunny, rainy
+        assert [labels[a] for a in best] == ["leave", "take"]
+        assert probs[0] == pytest.approx(0.69, abs=TOL)
+        assert values[0] == pytest.approx(2100 / 2300, abs=TOL)
+        assert values[1] == pytest.approx(1820 / 3100, abs=TOL)
 
     def test_impossible_child_gets_zero_prob(self):
         eng = Engine(compile_network(deterministic_exclusion()))
         cal = calibrate(eng, "D", {"A": "a0"})
-        ev = cal.evaluate_candidate("B")
-        assert ev.probs[1] == 0.0
-        assert ev.values[1] == 0.0
+        _, probs, values = cal.evaluate_candidate("B")
+        assert probs[1] == 0.0
+        assert values[1] == 0.0
 
 
 def check_candidate(diagram, decision, context, variable):
     """evaluate_candidate against the enumeration, outcome by outcome."""
     cal = calibrate(Engine(compile_network(diagram)), decision, context)
-    check_evaluation(diagram, decision, context, cal.evaluate_candidate(variable))
+    check_evaluation(diagram, decision, context, variable, cal.evaluate_candidate(variable))
 
 
-def check_evaluation(diagram, decision, context, ev):
-    variable = ev.variable
+def check_evaluation(diagram, decision, context, variable, row):
+    """A candidate's row against the enumeration: per outcome of the
+    variable, the best action's label (of the decision's outcomes), the
+    outcome's probability and the action's normalized value."""
+    best, probs, values = row
     posterior = enum_posterior(diagram, variable, context)
-    assert ev.outcomes == diagram.variable(variable).outcomes
-    for j, outcome in enumerate(ev.outcomes):
+    outcomes, labels = diagram.variable(variable).outcomes, diagram.variable(decision).outcomes
+    assert len(best) == len(probs) == len(values) == len(outcomes)
+    for j, outcome in enumerate(outcomes):
         child = {**context, variable: outcome}
         action, _ = enum_best_action(diagram, decision, child)
-        assert ev.actions[j] == action
-        assert ev.probs[j] == pytest.approx(posterior[outcome], abs=TOL)
+        assert labels[best[j]] == action
+        assert probs[j] == pytest.approx(posterior[outcome], abs=TOL)
         raw = enum_action_value(diagram, decision, action, child)
-        assert ev.values[j] == pytest.approx(normalized(diagram, raw), abs=TOL)
+        assert values[j] == pytest.approx(normalized(diagram, raw), abs=TOL)
 
 
 class TestCandidateAgainstEnumeration:
@@ -607,14 +611,16 @@ class TestLeafJoint:
         for context, cal in (({}, root), ({"c1": "v1"}, calibrate(eng, "d", {"c1": "v1"},
                                                                   joint[1]))):
             reach = eng.context_probability(context)
+            labels = eng.network.outcomes["d"]
             for var in (f"c{k}" for k in range(1, 11) if f"c{k}" not in context):
-                ev = cal.evaluate_candidate(var)
-                for j, outcome in enumerate(ev.outcomes):
+                best, probs, values = cal.evaluate_candidate(var)
+                assert len(best) == len(eng.network.outcomes[var])
+                for j, outcome in enumerate(eng.network.outcomes[var]):
                     child = {**context, var: outcome}
                     action, value = eng.best_action("d", child)
-                    assert ev.actions[j] == action
-                    assert ev.values[j] == pytest.approx(value, abs=TOL)
-                    assert ev.probs[j] == pytest.approx(
+                    assert labels[best[j]] == action
+                    assert values[j] == pytest.approx(value, abs=TOL)
+                    assert probs[j] == pytest.approx(
                         eng.context_probability(child) / reach, abs=TOL)
 
     def test_handed_joint_of_wrong_shape_rejected(self):
@@ -624,9 +630,9 @@ class TestLeafJoint:
             calibrate(eng, "d", {"c1": "v0"}, joint).evaluate_candidate("c2")
         sliced = calibrate(eng, "d", {"c1": "v0"}, joint[0]).evaluate_candidate("c2")
         fresh = calibrate(eng, "d", {"c1": "v0"}).evaluate_candidate("c2")
-        assert sliced.actions == fresh.actions
-        assert sliced.probs == pytest.approx(fresh.probs, abs=TOL)
-        assert sliced.values == pytest.approx(fresh.values, abs=TOL)
+        assert sliced[0] == fresh[0]  # the best actions
+        assert sliced[1] == pytest.approx(fresh[1], abs=TOL)
+        assert sliced[2] == pytest.approx(fresh[2], abs=TOL)
 
     @given(seed=st.integers(0, 10_000))
     def test_greedy_tree_matches_enumeration(self, seed):
@@ -648,8 +654,8 @@ class TestLeafJoint:
             if extensions(tree, leaf):
                 best_extension(tree, leaf, eng)
         for leaf in iter_leaves(tree):
-            for ev in charged(leaf).values():
-                check_evaluation(diagram, "d", dict(leaf.context), ev)
+            for v, row in charged(leaf).items():
+                check_evaluation(diagram, "d", dict(leaf.context), v, row)
 
 
 def mixed_arity_diagram(seed, every):
@@ -703,26 +709,23 @@ def tied_star(n):
 
 
 class TestStackedCandidates:
-    """evaluate_candidates bit for bit against loop_candidate in helpers.py,
+    """Calibration.rows bit for bit against loop_candidate in helpers.py,
     charged as one evaluate_candidate call per candidate."""
 
     @staticmethod
     def assert_identical(net, decision, context, joint, variables):
         eng, single = Engine(net), Engine(net)
-        evs = calibrate(eng, decision, context, joint).evaluate_candidates(variables)
+        rows = calibrate(eng, decision, context, joint).rows(variables)
         cal = calibrate(single, decision, context, joint)
         for v in variables:
             cal.evaluate_candidate(v)
         assert eng.counter.snapshot() == single.counter.snapshot()
         reference = calibrate(Engine(net), decision, context, joint)
-        assert [ev.variable for ev in evs] == list(variables)
-        for ev in evs:
-            ref = loop_candidate(reference, decision, ev.variable)
-            assert ev.outcomes == ref.outcomes
-            assert ev.actions == ref.actions
-            assert np.array_equal(ev.probs, ref.probs)
-            assert np.array_equal(ev.values, ref.values)
-        return evs
+        assert len(rows) == len(variables)
+        for v, row in zip(variables, rows):
+            assert len(row[1]) == net.doms[v]  # one entry per outcome of the candidate
+            assert_same_evaluation(row, loop_candidate(reference, decision, v))
+        return rows
 
     @pytest.mark.parametrize("mode", ["computed", "refused", "sliced"])
     @given(seed=st.integers(0, 10_000))
@@ -747,13 +750,13 @@ class TestStackedCandidates:
 
     def test_impossible_child(self):
         net = compile_network(deterministic_exclusion())
-        evs = self.assert_identical(net, "D", {"A": "a0"}, None, ["B", "C"])
-        assert evs[0].probs[1] == 0.0 and evs[0].values[1] == 0.0
+        (_, probs, values), _ = self.assert_identical(net, "D", {"A": "a0"}, None, ["B", "C"])
+        assert probs[1] == 0.0 and values[1] == 0.0
 
     def test_impossible_context(self):
         eng = Engine(compile_network(deterministic_exclusion()))
         with pytest.raises(ZeroProbabilityError):
-            calibrate(eng, "D", {"A": "a0", "B": "b1"}).evaluate_candidates(["C"])
+            calibrate(eng, "D", {"A": "a0", "B": "b1"}).rows(["C"])
         with pytest.raises(ZeroProbabilityError):
             loop_candidate(calibrate(Engine(eng.network), "D", {"A": "a0", "B": "b1"}), "D", "C")
 
@@ -761,14 +764,13 @@ class TestStackedCandidates:
         cal = calibrate(mini_engine, "D", {})
         for variable in ("D", "V", "nope"):
             with pytest.raises(ValueError, match="not a possible extension"):
-                cal.evaluate_candidates(["R", variable])
+                cal.rows(["R", variable])
         assert mini_engine.counter.snapshot() == (0, 1)
 
 
 class TestStackRows:
     """stack_rows, the one stacked pass, read out as rows: for every context
-    and candidate, the row evaluate_siblings wraps and the row a lone
-    calibration reads, bit for bit."""
+    and candidate, the row a lone calibration reads, bit for bit."""
 
     @given(data=st.data())
     def test_rows_as_evaluations(self, data):
@@ -803,28 +805,24 @@ class TestStackRows:
             stacked = stack_rows(joints)
         if None not in stacked:  # no retry: one _choose group per candidate arity
             assert len(choices) == len({net.doms[v] for v in contexts[0].missing})
-        evaluated = evaluate_siblings(contexts, joints)
-        for c, joint, rows, evs in zip(contexts, joints, stacked, evaluated, strict=True):
+        for c, joint, rows in zip(contexts, joints, stacked, strict=True):
             alone = Engine(net).calibrate(c, joint)
             try:
                 expected = alone.rows(c.missing)
             except ZeroProbabilityError:
-                assert rows is None and evs is None
+                assert rows is None
                 continue
             assert repr(rows) == repr(expected)
-            assert [ev.variable for ev in evs] == list(c.missing)
-            assert repr(rows) == repr([(ev.best, ev.probs, ev.values) for ev in evs])
 
 
-def assert_same_evaluation(ev, ref):
-    assert (ev.variable, ev.outcomes, ev.actions) == (ref.variable, ref.outcomes, ref.actions)
-    assert np.array_equal(ev.probs, ref.probs)
-    assert np.array_equal(ev.values, ref.values)
+def assert_same_evaluation(row, ref):
+    """Two rows of one candidate, (best, probs, values), equal entry for entry."""
+    assert tuple(row) == tuple(ref)
 
 
 class TestSiblingGroups:
     """best_extension evaluates a leaf's unexplored siblings with it in one
-    stacked pass (evaluate_siblings) and charges each when it is explored,
+    stacked pass (stack_rows) and charges each when it is explored,
     as if it were evaluated then, alone."""
 
     @pytest.mark.parametrize("mode", ["computed", "refused", "sliced"])
@@ -851,7 +849,7 @@ class TestSiblingGroups:
                 reference = calibrate(Engine(net), "d", dict(leaf.context), leaf.joint)
                 expected = [loop_candidate(reference, "d", v) for v in names]
                 alone = Engine(net)
-                calibrate(alone, "d", dict(leaf.context), leaf.joint).evaluate_candidates(names)
+                calibrate(alone, "d", dict(leaf.context), leaf.joint).rows(names)
                 grouped += bool(uncharged(leaf))
                 before = eng.counter.snapshot()
                 best_extension(tree, leaf, eng)
@@ -896,14 +894,13 @@ class TestSiblingGroups:
         second.joint = second.joint * 1e-13
         names = [v.name for v in extensions(tree, first)]
         alone = calibrate(Engine(eng.network), "d", dict(first.context), first.joint)
-        expected = alone.evaluate_candidates(names)
+        expected = alone.rows(names)
         best_extension(tree, first, eng)
         for v, ref in zip(names, expected):
             assert_same_evaluation(charged(first)[v], ref)
         assert not uncharged(first) and second.explored is None
         with pytest.raises(ZeroProbabilityError):
-            calibrate(Engine(eng.network), "d", dict(second.context), second.joint) \
-                .evaluate_candidates(names)
+            calibrate(Engine(eng.network), "d", dict(second.context), second.joint).rows(names)
         with pytest.raises(ZeroProbabilityError):
             best_extension(tree, second, eng)
 
@@ -921,8 +918,8 @@ class TestSiblingGroups:
             delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
             assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
         assert delta == [2 * 2 * 2, 1 + 2 * 2]  # the two candidates evi did not read
-        for v, ev in charged(second).items():
-            assert_same_evaluation(ev, charged(ref_second)[v])
+        for v, row in charged(second).items():
+            assert_same_evaluation(row, charged(ref_second)[v])
 
     READS = {"evi": lambda tree, leaf, eng: evi(tree, leaf, "c3", eng),
              "best_extension": best_extension,
@@ -972,10 +969,10 @@ class TestSiblingGroups:
         tree_module = sys.modules["idrefine.tree"]
         stacks = []
 
-        def counting(contexts, joints, _original=tree_module.evaluate_siblings):
+        def counting(joints, _original=tree_module.stack_rows):
             stacks.append(len(joints))
-            return _original(contexts, joints)
-        monkeypatch.setattr(tree_module, "evaluate_siblings", counting)
+            return _original(joints)
+        monkeypatch.setattr(tree_module, "stack_rows", counting)
         net = compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))
         for stop in (StoppingRule(max_extensions=40), StoppingRule(max_passes=120)):
             _, trace = refine(Engine(net), "d", RefinementConfig(
@@ -1001,33 +998,6 @@ class TestCohorts:
     each leaf, and the other results cost wall time but never the counters."""
 
     @staticmethod
-    def recording(mp):
-        """Patch the tree's evaluate_siblings to record each stack's leaf
-        joints, and _stack to check each leaf it records against a lone
-        evaluate_candidates; returns (the stacks, the recorded leaves)."""
-        tree_module = sys.modules["idrefine.tree"]
-        stacks, recorded = [], []
-
-        def stacking(contexts, joints, _original=tree_module.evaluate_siblings):
-            stacks.append([id(j) for j in joints])
-            return _original(contexts, joints)
-
-        def checking(leaves, _original=tree_module._stack):
-            before = [c for c in leaves if c.explored is None]
-            _original(before)
-            for c in before:
-                if c.explored is None:
-                    continue
-                recorded.append(c)
-                names = c.checked.missing
-                alone = Engine(c.checked.network).calibrate(c.checked, c.joint)
-                for v, ref in zip(names, alone.evaluate_candidates(names)):
-                    assert_same_evaluation(c.explored.evaluations[v], ref)
-        mp.setattr(tree_module, "evaluate_siblings", stacking)
-        mp.setattr(tree_module, "_stack", checking)
-        return stacks, recorded
-
-    @staticmethod
     def stacking(mp):
         """Patch the tree's stack_rows to record each stack as (leaf joints,
         rows), and Calibration.rows to record each read as (checked context,
@@ -1051,12 +1021,10 @@ class TestCohorts:
     def assert_as_if_alone(results):
         """Each (checked context, leaf joint, stacked rows) holds bit for bit
         the rows a lone calibration of the context reads (repr tells -0.0
-        from 0.0), and so a lone evaluate_candidates."""
+        from 0.0)."""
         for c, joint, rows in results:
             alone = Engine(c.network).calibrate(c, joint)
             assert repr(rows) == repr(alone.rows(c.missing))
-            for (a, p, v), ev in zip(rows, alone.evaluate_candidates(c.missing), strict=True):
-                assert (a, p, v) == (ev.best, ev.probs, ev.values)
 
     @given(data=st.data())
     def test_complete_run(self, data):
@@ -1100,7 +1068,9 @@ class TestCohorts:
     def test_random_extension_as_if_alone(self, data):
         """A complete random-extension run, under either leaf strategy,
         writes the trace CSV and the policy JSON of the same run with no
-        stacking (_stack a no-op) byte for byte."""
+        stacking (_stack a no-op) byte for byte.  Each leaf is stacked at
+        most once, each stacked leaf reads its drawn candidate's row from
+        its stack, and every stacked row is as if evaluated alone."""
         leaf = data.draw(st.sampled_from(["random", "posthoc"]))
         seed = data.draw(st.integers(0, 10_000))
         star = data.draw(st.booleans())
@@ -1112,7 +1082,7 @@ class TestCohorts:
         net = compile_network(diagram)
         config = RefinementConfig(leaf_strategy=leaf, extension_strategy="random", seed=seed)
         with pytest.MonkeyPatch.context() as mp:
-            stacks, recorded = self.recording(mp)
+            stacks, reads = self.stacking(mp)
             tree, trace = refine(Engine(net), "d", config)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sys.modules["idrefine.tree"], "_stack", lambda *args: None)
@@ -1120,7 +1090,14 @@ class TestCohorts:
         # as lines, so that a failure names the first row that differs without a long diff
         assert trace.to_csv().splitlines() == lone_trace.to_csv().splitlines()
         assert dumps_policy(tree).splitlines() == dumps_policy(lone_tree).splitlines()
-        assert len(recorded) == len(set(recorded)) == sum(map(len, stacks))
+        # each stacked leaf is stacked once, and read once, for the drawn
+        # candidate, from its stack's rows, which are as if evaluated alone
+        members = {id(j): rows for joints, results in stacks for j, rows in zip(joints, results)}
+        assert len(members) == sum(len(joints) for joints, _ in stacks)
+        read = [(c, joint, rows) for c, joint, rows in reads if rows is not None]
+        assert sorted(id(joint) for _, joint, _ in read) == sorted(members)
+        assert all(any(row is rows[0] for row in members[id(joint)]) for _, joint, rows in read)
+        self.assert_as_if_alone([(c, joint, members[id(joint)]) for c, joint, _ in read])
         if star and n >= 2:  # the root's children at least form a cohort
             assert stacks
 
@@ -1142,7 +1119,7 @@ class TestCohorts:
         contexts, joints = [l.checked for l in leaves], [l.joint for l in leaves]
         names = zero.checked.missing
         with pytest.raises(ZeroProbabilityError):
-            Engine(eng.network).calibrate(zero.checked, zero.joint).evaluate_candidates(names)
+            Engine(eng.network).calibrate(zero.checked, zero.joint).rows(names)
         internals, value = tree.internals, tree.exact
         with pytest.MonkeyPatch.context() as mp:
             stacks, reads = self.stacking(mp)
@@ -1304,10 +1281,10 @@ class TestManyFactors:
         action, value = eng.best_action("d", {})
         assert action == "b"
         assert value == pytest.approx(0.75, abs=TOL)
-        ev = calibrate(eng, "d", {}).evaluate_candidate("c0")
-        assert ev.actions == ("a", "b")
-        assert ev.probs == pytest.approx([0.25, 0.75], abs=TOL)
-        assert ev.values == pytest.approx([0.5, 1.0], abs=TOL)
+        best, probs, values = calibrate(eng, "d", {}).evaluate_candidate("c0")
+        assert [eng.network.outcomes["d"][a] for a in best] == ["a", "b"]
+        assert probs == pytest.approx([0.25, 0.75], abs=TOL)
+        assert values == pytest.approx([0.5, 1.0], abs=TOL)
 
 
 def query_network(kind, seed):

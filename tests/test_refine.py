@@ -16,9 +16,9 @@ from idrefine.harness import greedy_query_bound
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import (CSV_HEADER, EXTENSION_STRATEGIES, LEAF_STRATEGIES,
                              PosthocSelector, RandomLeafSelector, RefinementConfig,
-                             StoppingRule, choose_extension, make_selector, refine)
-from idrefine.tree import (Internal, Leaf, extend, extensions, init_tree, iter_leaves,
-                           tree_value)
+                             StoppingRule, make_selector, refine)
+from idrefine.tree import (Internal, Leaf, best_extension, extend, extensions, init_tree,
+                           iter_leaves, random_extension, tree_value)
 
 TOL = 1e-9
 
@@ -341,7 +341,10 @@ class TestOpenLeaves:
         selector = make_selector(leaf, tree, rng)
         assert tree.open == rescan_open(tree) == {tree.root: None}
         while (chosen := selector.next_leaf(tree)) is not None:
-            variable, _ = choose_extension(extension, tree, chosen, engine, rng)
+            if extension == "greedy":
+                variable, _ = best_extension(tree, chosen, engine)
+            else:
+                variable = random_extension(tree, chosen, engine, rng)
             selector.notify_extended(extend(tree, chosen, variable, engine))
             assert tree.open == rescan_open(tree)
         assert not tree.open

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import charged, loop_gain, rescan_open, uncharged
-from idrefine.engine import ZERO_PROB, Calibration, CandidateEvaluation, Engine, compile_network
+from idrefine.engine import ZERO_PROB, Calibration, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
 from idrefine.generate import GeneratorSpec, gen_random_id
@@ -279,13 +279,13 @@ class TestBestExtension:
 
     def test_one_batched_evaluation_per_explored_leaf(self, monkeypatch):
         calls = []
-        original = Calibration.evaluate_candidates
+        original = Calibration.rows
 
         def counting(cal, variables, *rest):
             calls.append(tuple(variables))
             return original(cal, variables, *rest)
 
-        monkeypatch.setattr(Calibration, "evaluate_candidates", counting)
+        monkeypatch.setattr(Calibration, "rows", counting)
         eng, tree = fresh(gen_random_id(GeneratorSpec(n=4, seed=0)))
         name, _ = best_extension(tree, tree.root, eng)
         assert calls == [("c1", "c2", "c3", "c4")]
@@ -294,11 +294,9 @@ class TestBestExtension:
 
 
 
-def evaluation(probs, values):
-    """A CandidateEvaluation over len(probs) outcomes, every action index 0."""
-    k = len(probs)
-    return CandidateEvaluation("x", tuple(f"v{j}" for j in range(k)), probs, [0] * k,
-                               values, ("a",))
+def candidate_row(probs, values):
+    """A row (best, probs, values) over len(probs) outcomes, every action index 0."""
+    return [0] * len(probs), probs, values
 
 
 class TestGains:
@@ -316,30 +314,30 @@ class TestGains:
                                           math.nextafter(edge, 1.0)]))
         probs = data.draw(st.lists(prob, min_size=arity, max_size=arity))
         values = data.draw(st.lists(st.floats(0.0, 1.0), min_size=arity, max_size=arity))
-        leaf, ev = Leaf("a", value, reach, ()), evaluation(probs, values)
-        assert _gain(leaf, ev).hex() == loop_gain(leaf, ev).hex()
+        leaf, row = Leaf("a", value, reach, ()), candidate_row(probs, values)
+        assert _gain(leaf, row).hex() == loop_gain(leaf, row).hex()
 
     def test_outcome_order_at_arity_nine(self):
         """At nine outcomes numpy's pairwise sum adds in another order and
         differs in the last bit here; the gain adds in outcome order."""
         rng = np.random.default_rng(1)
         probs, values = rng.dirichlet(np.ones(9)).tolist(), rng.random(9).tolist()
-        leaf, ev = Leaf("a", 0.0, 0.3, ()), evaluation(probs, values)
+        leaf, row = Leaf("a", 0.0, 0.3, ()), candidate_row(probs, values)
         pairwise = float(np.sum(np.array(values) * (0.3 * np.array(probs))))
-        assert _gain(leaf, ev) == loop_gain(leaf, ev) != pairwise
+        assert _gain(leaf, row) == loop_gain(leaf, row) != pairwise
 
     @given(seed=st.integers(0, 10_000), arity=st.sampled_from([2, 3, 4, 9]))
     def test_recorded_gains_match_loop(self, seed, arity):
         """best_extension records every candidate's gain on the leaf, and each
-        is loop_gain of that candidate's evaluation."""
+        is loop_gain of that candidate's row."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3 if arity < 9 else 2,
                                                                  seed=seed, arity=arity))))
         tree = init_tree(eng, "d")
         name, gain = best_extension(tree, tree.root, eng)
         record = tree.root.explored
         assert set(record.gains) == set(record.evaluations) == {v.name for v in tree.predecessors}
-        for v, ev in record.evaluations.items():
-            assert record.gains[v].hex() == loop_gain(tree.root, ev).hex()
+        for v, row in record.evaluations.items():
+            assert record.gains[v].hex() == loop_gain(tree.root, row).hex()
         assert gain == record.gains[name] == max(record.gains.values())
 
     def test_first_maximum_on_exact_ties(self):

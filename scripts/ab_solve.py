@@ -18,7 +18,8 @@ and ExtensionEvent.gain, and is in neither file), must be byte-equal on
 every instance; otherwise the script exits 1 naming the instance.  After
 its timed rounds, each side solves each instance once more, untimed,
 under tracemalloc, after a garbage collection, the side that runs first
-alternating too.  Per workload it prints the median
+alternating too; tracemalloc traces that solve alone, and the outputs
+compared above are serialized outside it.  Per workload it prints the median
 CHANGE/BASE ratio of the per-instance times, and of the per-instance peak
 memory that tracemalloc traced, each with its quartiles.
 
@@ -79,9 +80,8 @@ class Side:
                                     stop=stop, seed=0)
         return diagram, pkg.compile_network(diagram), config
 
-    def solve(self, wl, prepared) -> tuple[float, str, str, str]:
-        """(seconds, the trace CSVs, the policy JSON and the internal-vertex
-        gains of every refined decision); only the solve is timed."""
+    def run(self, wl, prepared) -> tuple[float, list, list]:
+        """(seconds, the refined trees, their traces): the solve, timed."""
         diagram, network, config = prepared
         t0 = time.perf_counter()
         if wl.multistage:
@@ -90,7 +90,12 @@ class Side:
         else:
             tree, trace = self.refine.refine(self.package.Engine(network), "d", config)
             trees, traces = [tree], [trace]
-        seconds = time.perf_counter() - t0
+        return time.perf_counter() - t0, trees, traces
+
+    def solve(self, wl, prepared) -> tuple[float, str, str, str]:
+        """(seconds, the trace CSVs, the policy JSON and the internal-vertex
+        gains of every refined decision); only the solve is timed."""
+        seconds, trees, traces = self.run(wl, prepared)
         gains = " ".join(repr(v.gain) for t in trees for v in self.tree.iter_internals(t))
         return (seconds, "".join(t.to_csv() for t in traces),
                 "".join(map(self.tree.dumps_policy, trees)), gains)
@@ -104,14 +109,15 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def peak_bytes(side: Side, wl, prepared) -> int:
-    """The peak of the memory tracemalloc traces during one solve.  A full
+    """The peak of the memory tracemalloc traces during one solve, its
+    outputs unserialized (Side.run).  A full
     garbage collection first also empties the interpreter's free lists, so
     that every allocation of the solve is traced and repeated runs of the
     same code read the same peak."""
     gc.collect()
     tracemalloc.start()
     try:
-        side.solve(wl, prepared)
+        side.run(wl, prepared)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -9,6 +9,7 @@ tables.  Profiles the last decision alone, then the full sweep back.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from idrefine.fixtures import car_buyer_data_path, load_car_buyer
 from idrefine.harness import run_profile, run_sweep_profile
@@ -31,11 +32,11 @@ def main() -> int:
     cfg = RefinementConfig(seed=args.seed)
     summary, _ = run_profile(diagram, "buy", cfg, with_oracle=True)
     print("last decision alone (others uniform):")
-    print(json.dumps(summary.to_dict(), indent=2))
+    print(json.dumps(asdict(summary), indent=2))
 
     sweep, policy, _ = run_sweep_profile(diagram, cfg)
     print("\nfull sweep back:")
-    print(json.dumps(sweep.to_dict(), indent=2))
+    print(json.dumps(asdict(sweep), indent=2))
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from .diagram import DiagramError, load_diagram, serialize_diagram
 from .generate import GeneratorSpec, gen_random_id
@@ -45,15 +45,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--policy", default=None, help="write the policy JSON here")
 
 
-def _stopping_rule(args) -> StoppingRule:
-    # with no bound the run is complete; with one, run_to_complete changes nothing
-    return StoppingRule(max_extensions=args.max_ext, max_passes=args.max_passes,
-                        min_evi=args.min_evi, run_to_complete=True)
-
-
 def _config(args) -> RefinementConfig:
+    # with no bound the run is complete; with one, run_to_complete changes nothing
+    stop = StoppingRule(max_extensions=args.max_ext, max_passes=args.max_passes,
+                        min_evi=args.min_evi, run_to_complete=True)
     return RefinementConfig(leaf_strategy=args.leaf, extension_strategy=args.ext,
-                            stop=_stopping_rule(args), seed=args.seed)
+                            stop=stop, seed=args.seed)
 
 
 def _load_valid(path) -> "InfluenceDiagram":
@@ -192,7 +189,7 @@ def _cmd_profile(args, parser) -> int:
     summary, _ = run_profile(diagram, args.decision, _config(args),
                              trace_path=args.trace, policy_path=args.policy,
                              summary_path=args.summary)
-    print(json.dumps(summary.to_dict(), indent=2))
+    print(json.dumps(asdict(summary), indent=2))
     return 0
 
 

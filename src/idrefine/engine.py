@@ -100,17 +100,13 @@ class ZeroProbabilityError(ValueError):
 
 @dataclass
 class QueryCounter:
-    """Monotone query-cost counters; reset only explicitly."""
+    """Monotone query-cost counters: nothing lowers them."""
 
     fine: int = 0
     passes: int = 0
 
     def snapshot(self) -> tuple[int, int]:
         return (self.fine, self.passes)
-
-    def reset(self) -> None:
-        self.fine = 0
-        self.passes = 0
 
 
 @dataclass(frozen=True)
@@ -292,9 +288,6 @@ class ChanceNetwork:
     def degenerate(self) -> bool:
         """True when the utility is constant; any policy is then optimal."""
         return self.u_max == self.u_min
-
-    def denormalize(self, value: float) -> float:
-        return value * (self.u_max - self.u_min) + self.u_min
 
     def fix_decision(self, decision: str, policy: PolicyCpt) -> "ChanceNetwork":
         """This network with the last unfixed decision acting by a policy.

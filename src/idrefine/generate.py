@@ -36,15 +36,11 @@ class GeneratorSpec:
             raise ValueError("arity must be at least 2")
 
 
-def _outcomes(arity: int) -> tuple[str, ...]:
-    return tuple(f"v{i}" for i in range(arity))
-
-
 def gen_random_id(spec: GeneratorSpec) -> InfluenceDiagram:
     """Instantiate the single-decision template for the given spec."""
     rng = np.random.default_rng(spec.seed)
     arity = spec.arity
-    outs = _outcomes(arity)
+    outs = tuple(f"v{i}" for i in range(arity))
     nodes: dict[str, object] = {}
     chance_names = []
     for k in range(1, spec.n + 1):

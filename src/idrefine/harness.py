@@ -65,9 +65,6 @@ class ProfileSummary:
     oracle_value_raw: float | None = None
     oracle_gap: float | None = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def run_profile(diagram: InfluenceDiagram, decision: str | None,
                 config: RefinementConfig, trace_path=None, policy_path=None,
@@ -110,7 +107,7 @@ def run_profile(diagram: InfluenceDiagram, decision: str | None,
 
     _write(trace_path, trace.to_csv)
     _write(policy_path, lambda: dumps_policy(tree))
-    _write(summary_path, lambda: json.dumps(summary.to_dict(), indent=2))
+    _write(summary_path, lambda: json.dumps(asdict(summary), indent=2))
     return summary, trace
 
 
@@ -126,9 +123,6 @@ class SweepSummary:
     # published figures; the total here is simply the sum over decisions
     oracle_value_normalized: float | None = None
     oracle_gap: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def trace_path_for(template: str, decision: str) -> str:
@@ -157,7 +151,7 @@ def run_sweep_profile(diagram: InfluenceDiagram,
         summary.per_decision[d] = {
             "internal_vertices": last[d].internal_vertices,
             "leaves": last[d].leaves,
-            "used_predecessors": list(compiled.used_predecessors),
+            "used_predecessors": list(compiled.contingency.parents),
             "fine_queries": last[d].fine_queries,
             "passes": last[d].passes,
             "baseline_states": states,
@@ -172,5 +166,5 @@ def run_sweep_profile(diagram: InfluenceDiagram,
         for d, trace in traces.items():
             _write(trace_path_for(trace_template, d), trace.to_csv)
     _write(policy_path, lambda: dumps_multistage_policy(policy))
-    _write(summary_path, lambda: json.dumps(summary.to_dict(), indent=2))
+    _write(summary_path, lambda: json.dumps(asdict(summary), indent=2))
     return summary, policy, traces

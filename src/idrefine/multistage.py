@@ -35,10 +35,6 @@ class CompiledPolicy:
     tree: DecisionTree
     contingency: PolicyCpt
 
-    @property
-    def used_predecessors(self) -> tuple[str, ...]:
-        return self.contingency.parents
-
 
 @dataclass(eq=False)
 class MultistagePolicy:
@@ -125,7 +121,7 @@ def multistage_policy_json(policy: MultistagePolicy) -> dict:
     return {"value_normalized": policy.value_normalized,
             "value_raw": policy.value_raw,
             "policies": [{"decision": p.decision,
-                          "used_predecessors": list(p.used_predecessors),
+                          "used_predecessors": list(p.contingency.parents),
                           "tree": vertex_to_json(p.tree.root)}
                          for p in policy.policies]}
 

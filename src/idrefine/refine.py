@@ -125,9 +125,6 @@ class TraceRecord(NamedTuple):
 class AnytimeTrace:
     records: list[TraceRecord] = field(default_factory=list)
 
-    def add(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for r in self.records:
@@ -208,12 +205,6 @@ class RandomLeafSelector:
         return self._leaves[self._served]
 
 
-def make_selector(strategy: str, tree: DecisionTree, rng: np.random.Generator):
-    if strategy == "posthoc":
-        return PosthocSelector(tree, rng)
-    return RandomLeafSelector(tree, rng)
-
-
 def refine(engine: Engine, decision: str, config: RefinementConfig | None = None,
            observer: Callable[[ExtensionEvent], None] | None = None,
            ) -> tuple[DecisionTree, AnytimeTrace]:
@@ -237,8 +228,8 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     def record(iteration: int) -> None:
         internals, leaves = tree_counts(tree)
         value = tree_value(tree)
-        trace.add(TraceRecord(iteration, counter.fine, counter.passes,
-                              internals, leaves, value, tree.denormalize(value)))
+        trace.records.append(TraceRecord(iteration, counter.fine, counter.passes, internals,
+                                         leaves, value, tree.denormalize(value)))
 
     record(0)
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
@@ -249,7 +240,8 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     if cohort and config.extension_strategy == "greedy" and not degenerate:
         counter = QueryCounter(*counter.snapshot())  # replays the charges grow makes
         grown = grow(tree, engine)
-    selector = make_selector(config.leaf_strategy, tree, rng)
+    selector = (PosthocSelector if config.leaf_strategy == "posthoc"
+                else RandomLeafSelector)(tree, rng)
     iterations = 0
     while not (degenerate or stop.budget_reached(iterations, engine)):
         leaf = selector.next_leaf(tree)

@@ -38,9 +38,9 @@ for it, and the gain of each candidate the counters were charged for.  A
 candidate is charged, and its gain computed, once, when first read
 (_explore, shared by best_extension, evi and extend), with the others not
 yet charged, in one read on the leaf's calibration (Calibration.rows).
-_stack evaluates every candidate of a group of unexplored leaves holding
-joints, one stacked pass per joint shape (engine.stack_rows), recording
-the rows uncharged.  best_extension groups a leaf's siblings on its first
+_stacked, the one grouping for sibling groups, cohorts and levels, makes
+one stacked pass per joint shape (engine.stack_rows); _stack records its
+rows uncharged.  best_extension groups a leaf's siblings on its first
 exploration, since a run that may stop early would strand a larger
 group's work uncharged; in a run that will explore every open leaf,
 random_extension groups the leaf's cohort, every open leaf whose joint has
@@ -241,19 +241,24 @@ def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
     return record
 
 
-def _stack(leaves: Iterable[Leaf]) -> None:
-    """Evaluate every candidate of the given unexplored leaves holding joints,
-    one stacked pass per joint shape, and record them uncharged on each; a
-    leaf of probability zero, or alone in its shape, is left to be explored alone."""
+def _stacked(leaves: Iterable[Leaf]) -> dict[Leaf, list[Row] | None]:
+    """Every candidate's rows of the given leaves holding joints, uncharged,
+    one stacked pass per joint shape (stack_rows): None for a leaf of
+    probability zero, and no entry for a leaf alone in its shape."""
     shapes: dict[tuple[int, ...], list[Leaf]] = {}
     for leaf in leaves:
-        if leaf.explored is None and leaf.joint is not None:
+        if leaf.joint is not None:
             shapes.setdefault(leaf.joint.shape, []).append(leaf)
-    for group in shapes.values():
-        if len(group) > 1:
-            for c, rows in zip(group, stack_rows([c.joint for c in group])):
-                if rows is not None:
-                    c.explored = Explored(dict(zip(c.checked.missing, rows)), {})
+    return {c: rows for group in shapes.values() if len(group) > 1
+            for c, rows in zip(group, stack_rows([m.joint for m in group]))}
+
+
+def _stack(leaves: Iterable[Leaf]) -> None:
+    """Record _stacked's rows uncharged on each of the given unexplored leaves;
+    a leaf without them is left to be explored alone."""
+    for c, rows in _stacked([c for c in leaves if c.explored is None]).items():
+        if rows is not None:
+            c.explored = Explored(dict(zip(c.checked.missing, rows)), {})
 
 
 def _gain(leaf: Leaf, row: Row) -> float:
@@ -375,25 +380,20 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
     """The greedy split of every open leaf, and of every leaf below it that
     would be open, decided breadth-first; no vertex is put in the tree.
 
-    A level is decided from its stacks' rows (stack_rows, one per joint
-    shape, a lone leaf a stack of one), keeping no record (Explored); a
-    leaf with no joint, or left out for probability zero, reads its own
-    calibration's, which raises ZeroProbabilityError for the latter.  Each
-    leaf is charged for every candidate (engine.calibrate, Calibration.rows)
-    and split on the first of its equal maximum gains, computed as _gain
-    computes them; a negative gain raises RuntimeError.  The tree's open
-    leaves must be unexplored; they keep their joints and checked contexts,
-    for extend after a raise, and grow's own leaves drop both once decided.
+    A level is decided from _stacked's rows, keeping no record (Explored);
+    a leaf with no joint, alone in its shape or left out for probability
+    zero reads its own calibration's, which raises ZeroProbabilityError
+    for the last.  Each leaf is charged for every candidate
+    (engine.calibrate, Calibration.rows) and split on the first of its
+    equal maximum gains, computed as _gain computes them; a negative gain
+    raises RuntimeError.  The tree's open leaves must be unexplored; they
+    keep their joints and checked contexts, for extend after a raise, and
+    grow's own leaves drop both once decided.
     """
     grown: dict[Leaf, Grown] = {}
     counter, actions, level = engine.counter, tree.actions, list(tree.open)
     while level:
-        shapes: dict[tuple[int, ...], list[Leaf]] = {}
-        for leaf in level:
-            if leaf.joint is not None:
-                shapes.setdefault(leaf.joint.shape, []).append(leaf)
-        stacked = {c: rows for group in shapes.values()
-                   for c, rows in zip(group, stack_rows([m.joint for m in group]))}
+        stacked = _stacked(level)
         below = []
         for leaf in level:
             checked, joint, reach = leaf.checked, leaf.joint, leaf.reach

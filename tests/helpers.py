@@ -13,10 +13,12 @@ row (per outcome: best action index, probability and value, as lists),
 elimination step as one ``np.einsum``, and ``loop_gain`` is the former
 per-call gain of a leaf's extension.  ``rescan_open`` recomputes a tree's
 open leaves by a walk, apart from the record extend() keeps,
-``charged`` and ``uncharged`` read a leaf's record of exploration, and
-``calibrate`` calibrates a caller's findings, given as labels.
+``charged`` and ``uncharged`` read a leaf's record of exploration,
+``calibrate`` calibrates a caller's findings, given as labels, and
+``no_decision_json`` is a valid diagram that has no decision node.
 """
 
+import json
 import math
 from itertools import product
 
@@ -25,6 +27,7 @@ import numpy as np
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
 from idrefine.engine import (ZERO_PROB, ZeroProbabilityError, _elimination_order, _Factor,
                              _marginal, _query, _restrict)
+from idrefine.fixtures import MINI_WEATHER_JSON
 from idrefine.oracle import state_action_values
 from idrefine.tree import Leaf
 
@@ -169,6 +172,15 @@ def calibrate(engine, decision, evidence, joint=None):
     """engine.calibrate of the evidence checked by Engine.context for
     exploring the decision, handed ``joint`` if given."""
     return engine.calibrate(engine.context(decision, evidence), joint)
+
+
+def no_decision_json():
+    """mini_weather without its decision node, the utility over W alone."""
+    doc = json.loads(MINI_WEATHER_JSON)
+    doc["nodes"] = [n for n in doc["nodes"] if n["kind"] != "decision"]
+    doc["nodes"][-1].update(parents=["W"], table=[20, 70])
+    doc["decision_order"] = []
+    return json.dumps(doc)
 
 
 def loop_gain(leaf, row):

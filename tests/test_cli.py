@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import no_decision_json
 from idrefine.cli import main
 from idrefine.diagram import DiagramError, load_diagram, parse_diagram
 from idrefine.fixtures import MINI_WEATHER_JSON
@@ -192,6 +193,14 @@ class TestSweep:
     def test_negative_budget_exits_2(self, two_stage_file, capsys):
         assert main(["sweep", two_stage_file, "--budget", "d1=-1"]) == 2
         assert "max_extensions must not be negative, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "oracle"])
+def test_no_decision_node_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "none.json"
+    path.write_text(no_decision_json())
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: diagram has no decision node\n"
 
 
 class TestOracle:

@@ -214,11 +214,6 @@ class TestCounterDiscipline:
         cal.evaluate_candidate("R")
         assert mini_engine.counter.snapshot() == (4, 3)
 
-    def test_reset(self, mini_engine):
-        mini_engine.best_action("D", {})
-        mini_engine.counter.reset()
-        assert mini_engine.counter.snapshot() == (0, 0)
-
 
 class TestOneWayIn:
     """Every Calibration comes from Engine.calibrate, which charges its pass."""
@@ -1501,8 +1496,8 @@ class TestDenormalization:
     @given(seed=st.integers(0, 5_000), v=st.floats(0, 1))
     def test_roundtrip_identity(self, seed, v):
         net = compile_network(gen_random_id(GeneratorSpec(n=2, seed=seed)))
-        raw = net.denormalize(v)
+        raw = init_tree(Engine(net), "d").denormalize(v)
         assert raw == pytest.approx(v * (net.u_max - net.u_min) + net.u_min, abs=TOL)
 
     def test_mini_weather_raw(self, mini_engine):
-        assert mini_engine.network.denormalize(0.812) == pytest.approx(81.2, abs=TOL)
+        assert init_tree(mini_engine, "D").denormalize(0.812) == pytest.approx(81.2, abs=TOL)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from idrefine.diagram import DiagramError
+from idrefine.diagram import DiagramError, parse_diagram
 from idrefine.fixtures import mini_weather, mini_weather_coin
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.harness import (baseline_states, greedy_query_bound,
@@ -113,6 +113,25 @@ class TestSummaryFromTrace:
             assert (counts["internal_vertices"], counts["leaves"]) == recount(entry["tree"])
             assert counts["used_predecessors"] == entry["used_predecessors"]
             assert tuple(counts["used_predecessors"]) == used_predecessors(compiled.tree)
+
+
+class TestOracleCap:
+    def test_past_the_cap_runs_without_the_oracle(self):
+        """x0 observed by d, a utility over (x0, d) and 20 unconnected coins:
+        2**22 joint states, past the oracle's 2**20 cap.  The solve still
+        finds the optimum, and every oracle field is None."""
+        coin = {"kind": "chance", "outcomes": ["h", "t"], "parents": [], "table": [0.5, 0.5]}
+        nodes = [dict(coin, name=f"x{i}") for i in range(21)] + [
+            {"name": "d", "kind": "decision", "outcomes": ["h", "t"], "parents": ["x0"]},
+            {"name": "v", "kind": "value", "parents": ["x0", "d"], "table": [1, 0, 0, 1]}]
+        diagram = parse_diagram(json.dumps({"nodes": nodes, "decision_order": ["d"]}))
+        summary, _ = run_profile(diagram, "d", RefinementConfig())
+        assert summary.final_value_normalized == 1.0
+        assert (summary.oracle_value_normalized, summary.oracle_value_raw,
+                summary.oracle_gap) == (None, None, None)
+        sweep, _, _ = run_sweep_profile(diagram, RefinementConfig())
+        assert sweep.value_normalized == 1.0
+        assert (sweep.oracle_value_normalized, sweep.oracle_gap) == (None, None)
 
 
 class TestSweepProfile:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import enum_action_value
+from helpers import enum_action_value, no_decision_json
+from idrefine.diagram import parse_diagram, validate
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import mini_weather
 from idrefine.generate import gen_two_stage
@@ -124,6 +125,16 @@ class TestSweepBack:
         with pytest.raises(ValueError, match="already fixed"):
             refine(Engine(net), "d2")
 
+    def test_no_decision_node(self):
+        """A diagram with no decision node is valid, but there is nothing to
+        sweep back, nor to solve for the multistage oracle."""
+        diagram = parse_diagram(no_decision_json())
+        assert validate(diagram).ok
+        with pytest.raises(ValueError, match="diagram has no decision node"):
+            sweep_back(diagram)
+        with pytest.raises(ValueError, match="diagram has no decision node"):
+            oracle_optimal_multistage(diagram)
+
     def test_per_decision_budgets(self):
         diagram = gen_two_stage(4)
         configs = {
@@ -140,7 +151,8 @@ class TestSweepBack:
         # actions uniformly; checked against explicit mixture enumeration
         diagram = gen_two_stage(seed)
         eng = Engine(compile_network(diagram))
-        direct = eng.network.denormalize(eng.action_value("d2", "buy", {"m": "y"}))
+        net = eng.network
+        direct = eng.action_value("d2", "buy", {"m": "y"}) * (net.u_max - net.u_min) + net.u_min
         mixture = 0.0
         weight = 0.0
         from helpers import enum_probability

@@ -16,7 +16,7 @@ from idrefine.harness import greedy_query_bound
 from idrefine.oracle import oracle_optimal
 from idrefine.refine import (CSV_HEADER, EXTENSION_STRATEGIES, LEAF_STRATEGIES,
                              PosthocSelector, RandomLeafSelector, RefinementConfig,
-                             StoppingRule, make_selector, refine)
+                             StoppingRule, refine)
 from idrefine.tree import (Internal, Leaf, best_extension, extend, extensions, init_tree,
                            iter_leaves, random_extension, tree_value)
 
@@ -338,7 +338,7 @@ class TestOpenLeaves:
         engine = Engine(compile_network(diagram))
         tree = init_tree(engine, diagram.decision_order[0])
         rng = np.random.default_rng(seed)
-        selector = make_selector(leaf, tree, rng)
+        selector = (PosthocSelector if leaf == "posthoc" else RandomLeafSelector)(tree, rng)
         assert tree.open == rescan_open(tree) == {tree.root: None}
         while (chosen := selector.next_leaf(tree)) is not None:
             if extension == "greedy":

@@ -121,7 +121,8 @@ class InfluenceDiagram:
         """The decision named, or, with none named, the diagram's only one."""
         n = len(self.decisions)
         if decision is None and n != 1:
-            raise DiagramError(f"decision must be named: the diagram has {n} decisions")
+            raise DiagramError(f"decision must be named: the diagram has {n} decisions"
+                               if n else "diagram has no decision node")
         return self.decisions[0] if decision is None else decision
 
     def predecessors(self, decision: str) -> tuple[Variable, ...]:
@@ -162,7 +163,7 @@ def _row_problems(rows: np.ndarray, where: str = "table") -> list[str]:
     ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
     if not ok.all():
         i = int(np.argmin(ok))
-        problems.append(f"{where}: row {i} does not sum to 1, it sums to {sums[i]!r}")
+        problems.append(f"{where}: row {i} does not sum to 1, it sums to {float(sums[i])!r}")
     return problems
 
 

@@ -27,18 +27,19 @@ independent of the elimination backend:
 Exploring a context for a decision works from the context's *leaf joint*:
 the unnormalized joint over the decision's predecessors missing from the
 context (in declaration order), the decision and the proxy.  A calibration
-computes it with one contraction, and each candidate's (candidate,
-decision, proxy) joint is a sum over it.  Adding the finding X = x to the
-context slices the leaf joint at x, as new evidence slices a calibrated
-clique (Shafer & Shenoy 1990; Jensen, Lauritzen & Olesen 1990), so
-``Engine.calibrate`` accepts such a slice, a numpy view, and a calibration
-handed one contracts and restricts nothing.  The joint is computed only
-when it is no larger than the largest factor restricted to the context,
-which holds whenever one utility spans the missing predecessors; otherwise
-each candidate takes its own contraction.  The counters charge the same
-either way.  All of a context's candidates are evaluated in one call:
-their joints are stacked by shape and memory layout, and the argmax, the
-gather and the divisions (_choose) run, and are read out, once per stack.
+computes it with one contraction and keeps it on its CheckedContext, and
+each candidate's (candidate, decision, proxy) joint is a sum over it.
+Adding the finding X = x to the context slices the leaf joint at x, as new
+evidence slices a calibrated clique (Shafer & Shenoy 1990; Jensen,
+Lauritzen & Olesen 1990): CheckedContext.child hands the child that slice,
+a numpy view, and a calibration of the child contracts and restricts
+nothing.  The joint is computed only when it is no larger than the largest
+factor restricted to the context, which holds whenever one utility spans
+the missing predecessors; otherwise each candidate takes its own
+contraction.  The counters charge the same either way.  All of a context's
+candidates are evaluated in one call: their joints are stacked by shape
+and memory layout, and the argmax, the gather and the divisions (_choose)
+run, and are read out, once per stack.
 
 A candidate's result is a Row: per outcome of the candidate, the index of
 the maximizing action, P(outcome | context) and that action's normalized
@@ -359,29 +360,36 @@ class CheckedContext:
     """A context checked once, for exploring one decision of one network:
     its findings as outcome indices, the decision's predecessors it lacks,
     in declaration order, and the shape of its leaf joint, whose axes are
-    those predecessors, the decision and the proxy.
+    those predecessors, the decision and the proxy.  ``joint`` is that leaf
+    joint once the engine has it (Calibration.leaf_joint), else None: the
+    one cached part of the value, which its owner may drop.
 
     Made only by Engine.context, from a caller's evidence, and by child;
     Engine.calibrate takes one without checking it again.
     """
 
-    __slots__ = ("network", "decision", "findings", "missing", "shape")
+    __slots__ = ("network", "decision", "findings", "missing", "shape", "joint")
 
     def __init__(self, network: ChanceNetwork, decision: str, findings: dict[str, int],
-                 missing: tuple[str, ...], shape: tuple[int, ...]):
+                 missing: tuple[str, ...], shape: tuple[int, ...],
+                 joint: np.ndarray | None = None):
         self.network = network
         self.decision = decision
         self.findings = findings  # shared with every calibration of it; never mutated
         self.missing = missing
         self.shape = shape
+        self.joint = joint
 
     def __deepcopy__(self, memo: dict) -> "CheckedContext":
-        return self  # a value, checked against this network: a copy of a tree shares it
+        # a context of its own, sharing every field: a tree and its copy drop joints apart
+        return CheckedContext(self.network, self.decision, self.findings, self.missing,
+                              self.shape, self.joint)
 
     def child(self, variable: str, index: int) -> "CheckedContext":
         """This context plus the finding that a missing predecessor takes its
-        index-th outcome; anything else raises ValueError."""
-        missing, shape = self.missing, self.shape
+        index-th outcome, holding its joint sliced there, a view, if this
+        context holds one; anything else raises ValueError."""
+        missing, shape, joint = self.missing, self.shape, self.joint
         try:
             k = missing.index(variable)  # one scan of missing
         except ValueError:
@@ -389,7 +397,8 @@ class CheckedContext:
         if k < 0 or type(index) is not int or not 0 <= index < shape[k]:
             raise ValueError(f"{variable!r} = {index!r} is not a finding this context lacks")
         return CheckedContext(self.network, self.decision, {**self.findings, variable: index},
-                              missing[:k] + missing[k + 1:], shape[:k] + shape[k + 1:])
+                              missing[:k] + missing[k + 1:], shape[:k] + shape[k + 1:],
+                              None if joint is None else joint[(slice(None),) * k + (index,)])
 
 
 class Engine:
@@ -414,9 +423,7 @@ class Engine:
         return out
 
     def _check_decision(self, decision: str, evidence: Iterable[str]) -> None:
-        node = self.network.diagram.node(decision)
-        if not isinstance(node, DecisionNode):
-            raise DiagramError(f"{decision!r} is not a decision node")
+        self.network.diagram.predecessors(decision)  # raises unless it is a decision node
         if decision in self.network.fixed_policies:
             raise ValueError(f"decision {decision!r} is already fixed in this network")
         if decision in evidence:
@@ -486,15 +493,13 @@ class Engine:
         return CheckedContext(net, decision, findings, missing,
                               tuple(net.doms[v] for v in missing) + (net.doms[decision], 2))
 
-    def calibrate(self, context: CheckedContext,
-                  joint: np.ndarray | None = None) -> "Calibration":
+    def calibrate(self, context: CheckedContext) -> "Calibration":
         """Enter a checked context for exploring its decision (one pass).
 
         The context must come from this engine's network (Engine.context or
         CheckedContext.child); anything else raises before the pass is
-        charged.  ``joint``, if given, is the context's leaf joint
-        (Calibration.leaf_joint), e.g. a slice of the parent context's; only
-        its shape is checked.
+        charged.  A context holding its leaf joint, e.g. a slice of its
+        parent's, is explored from it.
         """
         if type(context) is not CheckedContext:
             raise ValueError(f"calibrate takes a CheckedContext (Engine.context), "
@@ -502,7 +507,7 @@ class Engine:
         if context.network is not self.network:
             raise ValueError("the context was checked against another network")
         self.counter.passes += 1
-        return Calibration(self, context, joint)
+        return Calibration(self, context)
 
     # -- uncounted diagnostics -------------------------------------------
 
@@ -523,16 +528,14 @@ class Calibration:
     """A checked context being explored for its decision.
 
     Created only through Engine.calibrate, which counts the pass.  The
-    factors are restricted to the context on first use, so a calibration
-    handed its leaf joint restricts none.
+    factors are restricted to the context on first use, so a calibration of
+    a context holding its leaf joint restricts none.
     """
 
-    def __init__(self, engine: Engine, context: CheckedContext, joint: np.ndarray | None):
+    def __init__(self, engine: Engine, context: CheckedContext):
         self._engine = engine
         self._context = context
         self._restricted: list[_Factor] | None = None
-        self._axes: tuple[str, ...] | None = None  # the leaf joint's, once it is asked for
-        self._joint = joint
         self._halves: dict[tuple[int, int], np.ndarray] = {}
 
     @property
@@ -547,33 +550,30 @@ class Calibration:
         the context, in declaration order; the decision; the proxy), or None
         where it would be larger than the largest restricted factor.
 
-        Computed once, unless the calibration was handed it; its axes and
-        shape are the checked context's.  Slicing it at one outcome of a
-        missing predecessor gives the leaf joint of the context extended by
-        that outcome.
+        The context's joint if it holds one; otherwise computed and stored on
+        the context.  Its axes and shape are the checked context's, and
+        CheckedContext.child slices it for the context extended by one
+        outcome of a missing predecessor.
         """
         context = self._context
-        if self._axes is None:
-            net, shape = self._engine.network, context.shape
-            if self._joint is not None and self._joint.shape != shape:
-                raise ValueError(f"a leaf joint for {context.decision!r} in this context has "
-                                 f"shape {shape}, not {self._joint.shape}")
-            self._axes = context.missing + (context.decision, net.proxy)
-            if self._joint is None:
-                largest = max(math.prod(net.doms[v] for v in f.vars if v not in context.findings)
-                              for f in net.factors.values())
-                if math.prod(shape) <= largest:
-                    self._joint = _query(net, self._factors, {}, self._axes)
-        return self._joint
+        if context.joint is None:
+            net = self._engine.network
+            largest = max(math.prod(net.doms[v] for v in f.vars if v not in context.findings)
+                          for f in net.factors.values())
+            if math.prod(context.shape) <= largest:
+                context.joint = _query(net, self._factors, {},
+                                       context.missing + (context.decision, net.proxy))
+        return context.joint
 
     def _candidate_joint(self, variable: str) -> np.ndarray:
         """The unnormalized joint of (variable, decision, proxy), as a stack
-        of one: a sum over the leaf joint, or one contraction where there is
-        none."""
-        if self._joint is not None and variable in self._axes[:-2]:
-            return _marginal(self._joint[None], self._axes.index(variable), self._halves)
+        of one: a sum over the context's leaf joint, or one contraction where
+        it holds none."""
+        context = self._context
+        if context.joint is not None:
+            return _marginal(context.joint[None], context.missing.index(variable), self._halves)
         net = self._engine.network
-        targets = (self._context.decision, variable, net.proxy)
+        targets = (context.decision, variable, net.proxy)
         return _query(net, self._factors, {}, targets).swapaxes(0, 1)[None]
 
     def evaluate_candidate(self, variable: str) -> Row:
@@ -591,7 +591,7 @@ class Calibration:
         """
         eng, decision = self._engine, self._context.decision
         net = eng.network
-        joint = self.leaf_joint()  # checks a handed joint's shape
+        joint = self.leaf_joint()
         eng.counter.passes += 1
         eng.counter.fine += 2 * net.doms[decision]
         if joint is None:
@@ -615,11 +615,10 @@ class Calibration:
             bad = next(v for v in variables if v not in missing)
             raise ValueError(f"{bad!r} is not a possible extension here: it is not a "
                              f"missing predecessor of {context.decision!r}")
-        if stacked is None:
-            self.leaf_joint()  # rejects a handed joint of the wrong shape
         eng.counter.passes += 2 * len(variables)
         eng.counter.fine += 2 * sum(map(net.doms.__getitem__, variables))
         if stacked is None and variables:
+            self.leaf_joint()
             stacked = _evaluate([self._candidate_joint(v) for v in variables])
         return stacked or []
 

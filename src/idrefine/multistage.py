@@ -23,7 +23,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .diagram import InfluenceDiagram
+from .diagram import DiagramError, InfluenceDiagram
 from .engine import ChanceNetwork, Engine, PolicyCpt, compile_network
 from .refine import AnytimeTrace, ExtensionEvent, RefinementConfig, refine
 from .tree import DecisionTree, find_leaf, iter_internals, vertex_to_json
@@ -91,7 +91,7 @@ def sweep_back(diagram: InfluenceDiagram,
     """
     order = diagram.decision_order
     if not order:
-        raise ValueError("diagram has no decision node")
+        raise DiagramError("diagram has no decision node")
 
     def config_for(d: str) -> RefinementConfig:
         if config is None:

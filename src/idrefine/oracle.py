@@ -25,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, ValueNode
+from .diagram import ChanceNode, DiagramError, InfluenceDiagram, ValueNode
 
 DEFAULT_CAP = 1 << 20
 
@@ -156,13 +156,10 @@ def state_action_values(diagram: InfluenceDiagram, decision: str,
     shape (#states, #actions): den[w, a] is P(state w, uniform others) and
     num[w, a] the corresponding utility mass.
     """
-    node = diagram.node(decision)
-    if not isinstance(node, DecisionNode):
-        raise DiagramError(f"{decision!r} is not a decision node")
+    preds = diagram.predecessors(decision)  # raises unless it is a decision node
     doms, pos = _layout(diagram, cap)
     uniform = math.prod(1.0 / diagram.variable(e).arity
                         for e in diagram.decisions if e != decision)
-    preds = diagram.predecessors(decision)
     p, u = _joint(diagram, doms, pos)
     num, den = _state_action(p, u, uniform, doms, [pos[v.name] for v in preds],
                              pos[decision])

@@ -213,9 +213,10 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     The trace holds one record for the initial tree and one per extension;
     its value column is non-decreasing.  Budget bounds are checked between
     iterations, so an iteration in flight may overshoot them slightly.
-    However the run stops, the leaves still open drop their leaf joints and
-    their records of exploration, so the returned tree does not keep the
-    root's joint or any sibling results it was never charged for alive.
+    However the run stops, the leaves still open drop their records of
+    exploration and their contexts' leaf joints, so the returned tree does
+    not keep the root's joint or any sibling results it was never charged
+    for alive; they keep their contexts, so the tree can still be extended.
     A greedy run with no bound is grown first (see the module docstring).
     """
     config = config or RefinementConfig()
@@ -269,5 +270,5 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             observer(ExtensionEvent(iterations, context_size, node.variable, node.gain,
                                     after[0] - before[0], after[1] - before[1]))
     for leaf in tree.open:
-        leaf.joint = leaf.explored = None
+        leaf.checked.joint = leaf.explored = None
     return tree, trace

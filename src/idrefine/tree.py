@@ -21,16 +21,15 @@ The links live in the tree, not in the vertices, so that no vertex refers
 back up and a dropped tree is freed at once, not by the cycle collector.
 
 An open leaf, unless reveal opened it, carries its context checked once
-(engine.CheckedContext: its findings as outcome indices and its missing
-predecessors) and its leaf joint (Calibration.leaf_joint) once one is
-known.  That checked context is what every exploration of the leaf
-calibrates (Engine.calibrate takes nothing else) and what a stacked pass
-reads the leaf's candidates from.  init_tree has the engine check the
-root's context and contracts the root's joint; extend derives each open
-child's context from the leaf's (CheckedContext.child), and hands it a
-slice of the leaf's joint, a numpy view, so on a star topology the root's
-joint is the one contraction of a run and the root's findings the only
-ones checked.
+(engine.CheckedContext: its findings as outcome indices, its missing
+predecessors and, once the engine has it, its leaf joint).  That checked
+context is what every exploration of the leaf calibrates (Engine.calibrate
+takes nothing else) and what a stacked pass reads the leaf's candidates
+from.  init_tree has the engine check the root's context, whose
+calibration contracts the root's joint; extend and grow derive each open
+child's context from the leaf's (CheckedContext.child, which slices the
+joint), so on a star topology the root's joint is the one contraction of
+a run and the root's findings the only ones checked.
 
 Leaf by leaf, a leaf allocates nothing more until it is explored.  Then it
 keeps one record (Explored): the row (engine.Row) of every candidate known
@@ -93,8 +92,7 @@ class Leaf:
     reach: float   # probability of the context
     context: Context
     pruned: bool = False
-    joint: np.ndarray | None = field(default=None, repr=False)  # Calibration.leaf_joint
-    # kept by the tree: an open leaf's checked context, and its record
+    # kept by the tree: an open leaf's checked context (with its leaf joint), and its record
     checked: CheckedContext | None = field(default=None, init=False, repr=False)
     explored: Explored | None = field(default=None, init=False, repr=False)
 
@@ -144,17 +142,17 @@ class DecisionTree:
 def init_tree(engine: Engine, decision: str) -> DecisionTree:
     """Single-leaf tree holding the best unconditional action, two passes:
     the calibration of the empty context and a value pass on it
-    (Calibration.best_action), which reads the root's leaf joint.  The root
-    keeps that joint for its first exploration if it is open.
+    (Calibration.best_action), which reads the root's leaf joint and keeps
+    it on the root's context.  An open root keeps that context for its first
+    exploration.
     """
     net = engine.network
     root = engine.context(decision, {})  # checks the decision before the calibration charges
-    cal = engine.calibrate(root)
-    action, value = cal.best_action()
+    action, value = engine.calibrate(root).best_action()
     tree = DecisionTree(decision, net.outcomes[decision], net.diagram.predecessors(decision),
                         net.u_min, net.u_max, Leaf(action, value, 1.0, ()))
     if tree.root in tree.open:
-        tree.root.checked, tree.root.joint = root, cal.leaf_joint()
+        tree.root.checked = root
     return tree
 
 
@@ -227,14 +225,12 @@ def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
     record = leaf.explored or Explored({}, {})
     todo = [name for name in names if name not in record.gains] if record.gains else names
     if todo:
-        known, cal = record.evaluations, engine.calibrate(leaf.checked, leaf.joint)
+        known = record.evaluations
         # a stacked pass evaluated every candidate, or none
         stacked = [known[name] for name in todo] if todo[0] in known else None
-        rows = cal.rows(todo, stacked)
+        rows = engine.calibrate(leaf.checked).rows(todo, stacked)
         if stacked is None:
             known.update(zip(todo, rows))
-            if leaf.joint is None:  # the calibration may have computed one
-                leaf.joint = cal.leaf_joint()
         leaf.explored = record
         for name, row in zip(todo, rows):
             record.gains[name] = _gain(leaf, row)
@@ -242,15 +238,15 @@ def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
 
 
 def _stacked(leaves: Iterable[Leaf]) -> dict[Leaf, list[Row] | None]:
-    """Every candidate's rows of the given leaves holding joints, uncharged,
-    one stacked pass per joint shape (stack_rows): None for a leaf of
-    probability zero, and no entry for a leaf alone in its shape."""
+    """Every candidate's rows of the given leaves whose contexts hold joints,
+    uncharged, one stacked pass per joint shape (stack_rows): None for a
+    leaf of probability zero, and no entry for a leaf alone in its shape."""
     shapes: dict[tuple[int, ...], list[Leaf]] = {}
     for leaf in leaves:
-        if leaf.joint is not None:
-            shapes.setdefault(leaf.joint.shape, []).append(leaf)
+        if leaf.checked.joint is not None:
+            shapes.setdefault(leaf.checked.shape, []).append(leaf)
     return {c: rows for group in shapes.values() if len(group) > 1
-            for c, rows in zip(group, stack_rows([m.joint for m in group]))}
+            for c, rows in zip(group, stack_rows([m.checked.joint for m in group]))}
 
 
 def _stack(leaves: Iterable[Leaf]) -> None:
@@ -309,10 +305,10 @@ def random_extension(tree: DecisionTree, leaf: Leaf, engine: Engine,
     reads the drawn candidate from it; the draw is the same either way.
     """
     names = open_context(tree, leaf).missing
-    if cohort and leaf.explored is None and leaf.joint is not None:
-        shape = leaf.joint.shape  # explored is tested first: most open leaves are
-        _stack([c for c in tree.open if c.explored is None and c.joint is not None
-                and c.joint.shape == shape])
+    if cohort and leaf.explored is None and leaf.checked.joint is not None:
+        shape = leaf.checked.shape  # explored is tested first: most open leaves are
+        _stack([c for c in tree.open if c.explored is None and c.checked is not None
+                and c.checked.joint is not None and c.checked.shape == shape])
     return names[int(rng.integers(len(names)))]
 
 
@@ -324,11 +320,11 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     candidate was charged before; otherwise costs one calibration pass plus
     two passes for it.  The children that are not pruned and can still be
     extended become open, each with the leaf's context plus the child's
-    outcome (CheckedContext.child) and the leaf's joint sliced at that
-    outcome, a view; the leaf leaves tree.open and drops its joint.  A call
-    that raises leaves the tree as it was.  One loop builds and links the
-    children: a build loop, as grow's, then a link loop, as reveal's, took
-    1.006-1.071 times as long on random_complete (scripts/ab_solve.py)."""
+    outcome (CheckedContext.child); the leaf leaves tree.open and drops its
+    context.  A call that raises leaves the tree as it was.  One loop builds
+    and links the children: a build loop, as grow's, then a link loop, as
+    reveal's, took 1.006-1.071 times as long on random_complete
+    (scripts/ab_solve.py)."""
     checked = open_context(tree, leaf, variable)
     record = _explore(leaf, (variable,), engine)
     gain = record.gains[variable]
@@ -336,7 +332,6 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
         raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
     (best, probs, values), node = record.evaluations[variable], Internal(variable, {}, gain)
     outcomes, stays_open = checked.network.outcomes[variable], len(checked.missing) > 1
-    prefix = (slice(None),) * checked.missing.index(variable)
     for j, (outcome, p, a, value) in enumerate(zip(outcomes, probs, best, values)):
         reach = leaf.reach * p
         context = leaf.context + ((variable, outcome),)
@@ -349,21 +344,20 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
         if stays_open:
             tree.open[child] = node
             child.checked = checked.child(variable, j)
-            if leaf.joint is not None:
-                child.joint = leaf.joint[prefix + (j,)]  # prefix: the axes before the variable's
     _place(tree, leaf, node)
     return node
 
 
 def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
     """Put the vertex, its children counted, in the open leaf's place; the
-    leaf leaves tree.open, the counts and the value, and drops its joint."""
+    leaf leaves tree.open, the counts and the value, and drops its checked
+    context, and with it its leaf joint."""
     parent = tree.open.pop(leaf)
     if parent is None:
         tree.root = node
     else:
         parent.children[leaf.context[-1][1]] = node
-    leaf.joint = None
+    leaf.checked = None
     tree.exact -= _exact(leaf.value * leaf.reach)
     tree.internals += 1
     tree.leaves -= 1
@@ -386,9 +380,11 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
     for the last.  Each leaf is charged for every candidate
     (engine.calibrate, Calibration.rows) and split on the first of its
     equal maximum gains, computed as _gain computes them; a negative gain
-    raises RuntimeError.  The tree's open leaves must be unexplored; they
-    keep their joints and checked contexts, for extend after a raise, and
-    grow's own leaves drop both once decided.
+    raises RuntimeError.  A leaf's children's contexts slice any joint its
+    context holds, computed by its calibration or not, as extend's do.  The
+    tree's open leaves must be unexplored; they keep their checked
+    contexts, for extend after a raise, and grow's own leaves drop theirs
+    once decided.
     """
     grown: dict[Leaf, Grown] = {}
     counter, actions, level = engine.counter, tree.actions, list(tree.open)
@@ -396,9 +392,9 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
         stacked = _stacked(level)
         below = []
         for leaf in level:
-            checked, joint, reach = leaf.checked, leaf.joint, leaf.reach
+            checked, reach = leaf.checked, leaf.reach
             names, fine, passes = checked.missing, counter.fine, counter.passes
-            rows = engine.calibrate(checked, joint).rows(names, stacked.pop(leaf, None))
+            rows = engine.calibrate(checked).rows(names, stacked.pop(leaf, None))
             base, k = leaf.value * reach, 0
             for i, (_, probs, values) in enumerate(rows):
                 total = 0.0
@@ -413,7 +409,7 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
                 raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
             variable, (best, probs, values) = names[k], rows[k]
             node, outcomes = Internal(variable, {}, gain), checked.network.outcomes[variable]
-            stays_open, prefix = len(names) > 1, (slice(None),) * k
+            stays_open = len(names) > 1
             for j, (outcome, p, a, value) in enumerate(zip(outcomes, probs, best, values)):
                 r = reach * p
                 context = leaf.context + ((variable, outcome),)
@@ -423,12 +419,10 @@ def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
                 child = node.children[outcome] = Leaf(actions[a], value, r, context)
                 if stays_open:
                     child.checked = checked.child(variable, j)
-                    if joint is not None:
-                        child.joint = joint[prefix + (j,)]  # prefix: axes before the variable
                     below.append(child)
             grown[leaf] = Grown(node, counter.fine - fine, counter.passes - passes)
             if leaf not in tree.open:
-                leaf.joint = leaf.checked = None
+                leaf.checked = None
         level = below
     return grown
 
@@ -437,8 +431,8 @@ def reveal(tree: DecisionTree, leaf: Leaf, grown: dict[Leaf, Grown]) -> Grown:
     """Put the vertex grow made for the open leaf in its place, as extend
     would have put it, bringing the tree's open leaves, counts and value up
     to date, and return it with what exploring the leaf charged.  The
-    leaves it opens carry no checked context or joint: grow has decided
-    them, and exploring one raises ValueError."""
+    leaves it opens carry no checked context: grow has decided them, and
+    exploring one raises ValueError."""
     vertex = grown.pop(leaf)
     node, stays_open = vertex.node, len(leaf.context) + 1 < len(tree.predecessors)
     for child in node.children.values():

@@ -150,10 +150,10 @@ def loop_candidate(cal, decision, variable):
     """One candidate's row, (best, probs, values), evaluated on its own, as
     Calibration.evaluate_candidate did before the candidates of a leaf were
     stacked; it charges nothing."""
-    net = cal._engine.network
+    net, missing = cal._engine.network, cal._context.missing
     leaf = cal.leaf_joint()
-    if leaf is not None and variable in cal._axes[:-2]:
-        joint = _marginal(leaf[None], cal._axes.index(variable), cal._halves)[0].swapaxes(0, 1)
+    if leaf is not None and variable in missing:
+        joint = _marginal(leaf[None], missing.index(variable), cal._halves)[0].swapaxes(0, 1)
     else:
         joint = _query(net, cal._factors, {}, (decision, variable, net.proxy))
     context = float(joint.sum())
@@ -170,8 +170,10 @@ def loop_candidate(cal, decision, variable):
 
 def calibrate(engine, decision, evidence, joint=None):
     """engine.calibrate of the evidence checked by Engine.context for
-    exploring the decision, handed ``joint`` if given."""
-    return engine.calibrate(engine.context(decision, evidence), joint)
+    exploring the decision, the context holding ``joint`` if given."""
+    context = engine.context(decision, evidence)
+    context.joint = joint
+    return engine.calibrate(context)
 
 
 def no_decision_json():

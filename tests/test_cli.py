@@ -81,6 +81,28 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert message in capsys.readouterr().out
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["nodes"][2].update(table=[0.5, 0.5]),
+         "decision node 'D' must not carry a table"),
+        (lambda doc: doc["nodes"][0].pop("table"), "node 'W': missing 'table'"),
+        (lambda doc: doc.update(nodes=[]), "'nodes' must be a non-empty list"),
+        (lambda doc: doc["nodes"][0].update(outcomes=["sun", "sun"]),
+         "node 'W': duplicate outcome labels"),
+        (lambda doc: doc["nodes"][0].update(table=[0.75, 0.5]),
+         "node 'W': row 0 does not sum to 1, it sums to 1.25"),
+    ], ids=["decision-table", "missing-table", "no-nodes", "duplicate-outcomes", "row-sum"])
+    def test_rejection_message(self, tmp_path, capsys, edit, message):
+        """parse_diagram raises exactly this message, and validate prints it."""
+        doc = json.loads(MINI_WEATHER_JSON)
+        edit(doc)
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DiagramError) as err:
+            parse_diagram(path.read_text())
+        assert str(err.value) == message
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == message + "\n"
+
     @pytest.mark.parametrize("content, message", [
         (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
         (b'\xff\xfe{"nodes": 1}', "not UTF-8 text"),
@@ -194,8 +216,18 @@ class TestSweep:
         assert main(["sweep", two_stage_file, "--budget", "d1=-1"]) == 2
         assert "max_extensions must not be negative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, message", [
+        ("foo", "--budget expects NAME=EXTENSIONS, got 'foo'"),
+        ("d2=x", "--budget expects an integer extension count, got 'd2=x'")])
+    def test_malformed_budget_is_a_usage_error(self, two_stage_file, capsys, entry, message):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", two_stage_file, "--budget", entry])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: idrefine") and err.endswith(f"error: {message}\n")
 
-@pytest.mark.parametrize("command", ["sweep", "oracle"])
+
+@pytest.mark.parametrize("command", ["sweep", "oracle", "solve", "profile"])
 def test_no_decision_node_exits_2(tmp_path, capsys, command):
     path = tmp_path / "none.json"
     path.write_text(no_decision_json())
@@ -210,6 +242,10 @@ class TestOracle:
         assert doc["value_normalized"] == pytest.approx(0.812, abs=1e-9)
         actions = {tuple(r["state"].values()): r["action"] for r in doc["table"]}
         assert actions == {("sunny",): "leave", ("rainy",): "take"}
+
+    def test_not_a_decision_exits_2(self, mini_file, capsys):
+        assert main(["oracle", mini_file, "--decision", "W"]) == 2
+        assert capsys.readouterr().err == "error: 'W' is not a decision node\n"
 
     def test_multistage(self, two_stage_file, capsys):
         assert main(["oracle", two_stage_file]) == 0

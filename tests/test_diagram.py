@@ -102,6 +102,12 @@ class TestValidate:
         for d in (mini_weather(), weather3()):
             assert validate(d).ok
 
+    def test_report_is_falsy_when_invalid(self):
+        d = mini_weather()
+        assert validate(d)
+        d.nodes["W"].variable = Variable("W", ("sun", "sun"))
+        assert not validate(d)
+
     def test_cycle_detected(self):
         d = mini_weather()
         d.nodes["W"].parents = ("R",)
@@ -330,6 +336,10 @@ class TestInformationStates:
     def test_unknown_node(self):
         with pytest.raises(DiagramError, match="unknown node"):
             list(information_states(mini_weather(), "nope"))
+
+    def test_not_a_decision(self):
+        with pytest.raises(DiagramError, match="^'W' is not a decision node$"):
+            mini_weather().predecessors("W")
 
     @given(seed=st.integers(0, 1000), n=st.integers(1, 6))
     def test_count_matches_arity_product(self, seed, n):

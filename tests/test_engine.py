@@ -21,7 +21,7 @@ from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
 from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, grow,
-                          init_tree, iter_leaves, reveal)
+                          init_tree, iter_internals, iter_leaves, reveal)
 
 TOL = 1e-9
 
@@ -346,21 +346,6 @@ class TestRejectedCallsChargeNothing:
             init_tree(eng, "d2")
         assert eng.counter.snapshot() == (0, 0)
 
-    @pytest.mark.parametrize("read", [lambda cal: cal.evaluate_candidate("c2"),
-                                      lambda cal: cal.best_action()])
-    def test_handed_joint_of_the_wrong_shape(self, read):
-        """Exploring a calibration handed a leaf joint of the wrong shape
-        raises before it charges: the calibration's own pass is all."""
-        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
-        root = eng.context("d", {})
-        joint = eng.calibrate(root).leaf_joint()
-        for context in (eng.context("d", {"c1": "v0"}), root.child("c1", 0)):
-            cal = eng.calibrate(context, joint)
-            before = eng.counter.snapshot()
-            with pytest.raises(ValueError, match="shape"):
-                read(cal)
-            assert eng.counter.snapshot() == before
-
     def test_unknown_posterior_target_is_a_diagram_error(self, mini_engine):
         for target in ("Q", "V"):
             with pytest.raises(DiagramError, match=f"unknown variable '{target}'"):
@@ -619,12 +604,19 @@ class TestLeafJoint:
                         eng.context_probability(child) / reach, abs=TOL)
 
     def test_handed_joint_of_wrong_shape_rejected(self):
+        """A child context holds its parent's leaf joint sliced at its
+        finding (CheckedContext.child), a view of the child's shape, and
+        evaluates as the same context checked from labels, which contracts
+        its own."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
-        joint = calibrate(eng, "d", {}).leaf_joint()
-        with pytest.raises(ValueError, match="shape"):
-            calibrate(eng, "d", {"c1": "v0"}, joint).evaluate_candidate("c2")
-        sliced = calibrate(eng, "d", {"c1": "v0"}, joint[0]).evaluate_candidate("c2")
-        fresh = calibrate(eng, "d", {"c1": "v0"}).evaluate_candidate("c2")
+        root = eng.context("d", {})
+        joint = eng.calibrate(root).leaf_joint()
+        assert root.joint is joint
+        child, checked = root.child("c1", 0), eng.context("d", {"c1": "v0"})
+        assert child.joint.base is joint and child.joint.shape == child.shape
+        assert checked.joint is None
+        sliced = eng.calibrate(child).evaluate_candidate("c2")
+        fresh = eng.calibrate(checked).evaluate_candidate("c2")
         assert sliced[0] == fresh[0]  # the best actions
         assert sliced[1] == pytest.approx(fresh[1], abs=TOL)
         assert sliced[2] == pytest.approx(fresh[2], abs=TOL)
@@ -781,15 +773,18 @@ class TestStackRows:
         else:
             net = compile_network(mixed_arity_diagram(seed, every=True))
         root = Engine(net).context("d", {})
-        contexts, joints = [root], [Engine(net).calibrate(root).leaf_joint()]
+        Engine(net).calibrate(root).leaf_joint()
+        contexts = [root]
         for _ in range(data.draw(st.integers(0, min(len(root.missing) - 1, 4)))):
             k = data.draw(st.integers(0, len(contexts[0].missing) - 1))
-            variable, prefix = contexts[0].missing[k], (slice(None),) * k
-            contexts, joints = [c.child(variable, j) for c in contexts
-                                for j in range(net.doms[variable])], \
-                [joint[prefix + (j,)] for joint in joints for j in range(net.doms[variable])]
-        scaled = data.draw(st.lists(st.booleans(), min_size=len(joints), max_size=len(joints)))
-        joints = [joint * 1e-13 if s else joint for joint, s in zip(joints, scaled)]
+            variable = contexts[0].missing[k]
+            contexts = [c.child(variable, j) for c in contexts for j in range(net.doms[variable])]
+        scaled = data.draw(st.lists(st.booleans(), min_size=len(contexts),
+                                    max_size=len(contexts)))
+        for c, s in zip(contexts, scaled):
+            if s:
+                c.joint = c.joint * 1e-13
+        joints = [c.joint for c in contexts]
         choices = []
 
         def choosing(stack, _original=sys.modules["idrefine.engine"]._choose):
@@ -800,8 +795,8 @@ class TestStackRows:
             stacked = stack_rows(joints)
         if None not in stacked:  # no retry: one _choose group per candidate arity
             assert len(choices) == len({net.doms[v] for v in contexts[0].missing})
-        for c, joint, rows in zip(contexts, joints, stacked, strict=True):
-            alone = Engine(net).calibrate(c, joint)
+        for c, rows in zip(contexts, stacked, strict=True):
+            alone = Engine(net).calibrate(c)
             try:
                 expected = alone.rows(c.missing)
             except ZeroProbabilityError:
@@ -841,10 +836,11 @@ class TestSiblingGroups:
                 names = [v.name for v in extensions(tree, leaf)]
                 if leaf.pruned or not names:
                     continue
-                reference = calibrate(Engine(net), "d", dict(leaf.context), leaf.joint)
+                joint = leaf.checked.joint
+                reference = calibrate(Engine(net), "d", dict(leaf.context), joint)
                 expected = [loop_candidate(reference, "d", v) for v in names]
                 alone = Engine(net)
-                calibrate(alone, "d", dict(leaf.context), leaf.joint).rows(names)
+                calibrate(alone, "d", dict(leaf.context), joint).rows(names)
                 grouped += bool(uncharged(leaf))
                 before = eng.counter.snapshot()
                 best_extension(tree, leaf, eng)
@@ -863,10 +859,11 @@ class TestSiblingGroups:
         entries, summed directly; the stack of both has twice as many and
         must be summed directly too, or the results change in the last bits."""
         eng, tree, children = self.split_root(seed, n=9, variable="c5")
-        assert children[0].joint.size == _HALVING_MIN
+        assert children[0].checked.joint.size == _HALVING_MIN
         names = [v.name for v in extensions(tree, children[0])]
-        expected = [[loop_candidate(calibrate(Engine(eng.network), "d", dict(c.context), c.joint),
-                                    "d", v) for v in names] for c in children]
+        expected = [[loop_candidate(calibrate(Engine(eng.network), "d", dict(c.context),
+                                              c.checked.joint), "d", v)
+                     for v in names] for c in children]
         best_extension(tree, children[0], eng)
         assert uncharged(children[1]) == set(names)  # evaluated in one group
         best_extension(tree, children[1], eng)
@@ -886,16 +883,17 @@ class TestSiblingGroups:
         explored gets the results it gets alone, and the sibling, never
         recorded, raises only when it is explored, as it does alone."""
         eng, tree, (first, second) = self.split_root()
-        second.joint = second.joint * 1e-13
+        second.checked.joint = second.checked.joint * 1e-13
         names = [v.name for v in extensions(tree, first)]
-        alone = calibrate(Engine(eng.network), "d", dict(first.context), first.joint)
+        alone = calibrate(Engine(eng.network), "d", dict(first.context), first.checked.joint)
         expected = alone.rows(names)
         best_extension(tree, first, eng)
         for v, ref in zip(names, expected):
             assert_same_evaluation(charged(first)[v], ref)
         assert not uncharged(first) and second.explored is None
         with pytest.raises(ZeroProbabilityError):
-            calibrate(Engine(eng.network), "d", dict(second.context), second.joint).rows(names)
+            calibrate(Engine(eng.network), "d", dict(second.context),
+                      second.checked.joint).rows(names)
         with pytest.raises(ZeroProbabilityError):
             best_extension(tree, second, eng)
 
@@ -996,7 +994,8 @@ class TestCohorts:
     def stacking(mp):
         """Patch the tree's stack_rows to record each stack as (leaf joints,
         rows), and Calibration.rows to record each read as (checked context,
-        leaf joint, the stacked rows it was handed or None); returns both."""
+        the leaf joint it held, the stacked rows it was handed or None);
+        returns both."""
         tree_module = sys.modules["idrefine.tree"]
         stacks, reads = [], []
 
@@ -1006,7 +1005,7 @@ class TestCohorts:
             return results
 
         def reading(cal, variables, stacked=None, _original=Calibration.rows):
-            reads.append((cal._context, cal._joint, stacked))
+            reads.append((cal._context, cal._context.joint, stacked))
             return _original(cal, variables, stacked)
         mp.setattr(tree_module, "stack_rows", recording)
         mp.setattr(Calibration, "rows", reading)
@@ -1015,11 +1014,11 @@ class TestCohorts:
     @staticmethod
     def assert_as_if_alone(results):
         """Each (checked context, leaf joint, stacked rows) holds bit for bit
-        the rows a lone calibration of the context reads (repr tells -0.0
-        from 0.0)."""
+        the rows a lone calibration of the context holding that joint reads
+        (repr tells -0.0 from 0.0)."""
         for c, joint, rows in results:
-            alone = Engine(c.network).calibrate(c, joint)
-            assert repr(rows) == repr(alone.rows(c.missing))
+            c.joint = joint
+            assert repr(rows) == repr(Engine(c.network).calibrate(c).rows(c.missing))
 
     @given(data=st.data())
     def test_complete_run(self, data):
@@ -1110,11 +1109,11 @@ class TestCohorts:
         leaves = list(tree.open)
         assert len(leaves) == 4 and len({l.context[0] for l in leaves}) == 2
         zero = leaves[2]
-        zero.joint = zero.joint * 1e-13
-        contexts, joints = [l.checked for l in leaves], [l.joint for l in leaves]
+        zero.checked.joint = zero.checked.joint * 1e-13
+        contexts, joints = [l.checked for l in leaves], [l.checked.joint for l in leaves]
         names = zero.checked.missing
         with pytest.raises(ZeroProbabilityError):
-            Engine(eng.network).calibrate(zero.checked, zero.joint).rows(names)
+            Engine(eng.network).calibrate(zero.checked).rows(names)
         internals, value = tree.internals, tree.exact
         with pytest.MonkeyPatch.context() as mp:
             stacks, reads = self.stacking(mp)
@@ -1125,7 +1124,7 @@ class TestCohorts:
         assert [rows is None for rows in results] == [l is zero for l in leaves]
         assert [(c, rows) for c, _, rows in reads] == list(zip(contexts, results))[:3]
         assert all(map(operator.is_, (rows for _, _, rows in reads), results[:3]))
-        self.assert_as_if_alone([(l.checked, l.joint, rows)
+        self.assert_as_if_alone([(l.checked, l.checked.joint, rows)
                                  for l, rows in zip(leaves, results) if rows is not None])
         assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
         assert all(l.checked is not None for l in tree.open)
@@ -1142,6 +1141,22 @@ class TestCohorts:
             delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
             assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
         assert dumps_policy(tree).splitlines() == dumps_policy(ref_tree).splitlines()
+
+
+def shared_parent_diagram(seed):
+    """Binary roots c1, c2 and c4, c3 a child of (c1, c2), d observing all
+    four, and a utility over (c1, c2, c4, d), tables drawn by the seed.  The
+    root's leaf joint (64 entries) is larger than the utility (32), and is
+    refused; the joint of a context that knows c3 fits."""
+    rng = np.random.default_rng(seed)
+    outs, nodes = ("v0", "v1"), {}
+    for name, parents in (("c1", ()), ("c2", ()), ("c3", ("c1", "c2")), ("c4", ())):
+        cpt = rng.uniform(0.05, 1.0, size=(2,) * len(parents) + (2,))
+        rows = normalize_rows((cpt / cpt.sum(axis=-1, keepdims=True)).reshape(-1, 2))
+        nodes[name] = ChanceNode(Variable(name, outs), parents, rows.reshape(cpt.shape))
+    nodes["d"] = DecisionNode(Variable("d", ("a0", "a1")), ("c1", "c2", "c3", "c4"))
+    nodes["v"] = ValueNode("v", ("c1", "c2", "c4", "d"), rng.random(size=(2,) * 4))
+    return InfluenceDiagram(nodes, ("d",))
 
 
 class TestGrowth:
@@ -1207,6 +1222,31 @@ class TestGrowth:
         assert events == reference[2]
         assert counters == reference[3]
         assert (grown, reference[4]) == (len(traces), 0)
+
+    @pytest.mark.parametrize("seed", [4, 0])
+    def test_computed_joints_reused_alike(self, seed):
+        """The root's leaf joint is refused and those of contexts that know
+        c3 are computed (shared_parent_diagram).  A leaf's calibration keeps
+        a joint it computes on its context, and the children's contexts
+        slice it, grown or leaf by leaf, so both runs contract the same
+        leaf joints, and write the same trace CSV, policy JSON and gains.
+        On draw 4, a grown run that dropped the joints its calibrations
+        computed contracted 8 leaf joints, against 4 leaf by leaf."""
+        engine_module, runs = sys.modules["idrefine.engine"], []
+        for stop in (StoppingRule(run_to_complete=True), StoppingRule(max_extensions=10 ** 9)):
+            contractions = []
+
+            def query(net, factors, evidence, targets, _original=engine_module._query):
+                if len(targets) >= 3 and targets[-2:] == ("d", net.proxy):  # a leaf joint
+                    contractions.append(targets)
+                return _original(net, factors, evidence, targets)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(engine_module, "_query", query)
+                tree, trace = refine(Engine(compile_network(shared_parent_diagram(seed))),
+                                     "d", RefinementConfig(stop=stop, seed=seed))
+            runs.append((len(contractions), trace.to_csv(), dumps_policy(tree),
+                         repr([v.gain for v in iter_internals(tree)])))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("explore", [
         lambda tree, leaf, eng: extend(tree, leaf, extensions(tree, leaf)[0].name, eng),

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import enum_best_action, loop_oracle, normalized
-from idrefine.diagram import information_states
+from idrefine.diagram import DiagramError, information_states
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import constant_utility, deterministic_exclusion, mini_weather
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -47,6 +47,10 @@ class TestSingleDecision:
         picks = rng.integers(n_actions, size=(1000, n_states))
         values = num[np.arange(n_states), picks].sum(axis=1)
         assert (result.raw_value >= values - TOL).all()
+
+    def test_not_a_decision(self):
+        with pytest.raises(DiagramError, match="^'W' is not a decision node$"):
+            oracle_optimal(mini_weather(), "W")
 
     def test_cap(self):
         diagram = gen_random_id(GeneratorSpec(n=8, seed=0))

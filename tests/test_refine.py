@@ -350,10 +350,15 @@ class TestOpenLeaves:
         assert not tree.open
 
 
+def holds_joint(leaf):
+    return leaf.checked is not None and leaf.checked.joint is not None
+
+
 class TestLeafJointsReleased:
     """However a run stops, it keeps no leaf joint, so the root joint the
     open leaves' joints were sliced from can be freed, and no sibling
-    results it was never charged for."""
+    results it was never charged for; the open leaves keep their checked
+    contexts, so the tree can still be extended."""
 
     @pytest.mark.parametrize("stop", [StoppingRule(max_extensions=60),
                                       StoppingRule(max_passes=400),
@@ -367,14 +372,17 @@ class TestLeafJointsReleased:
             _original(leaves)
             grouped.extend(c for c in leaves if uncharged(c))
         monkeypatch.setattr(tree_module, "_stack", recording)
-        _, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
+        engine, tree, _ = run(gen_random_id(GeneratorSpec(n=12, seed=0)), stop=stop)
         leaves = list(iter_leaves(tree))
-        assert tree.open
-        assert all(l.joint is None and not uncharged(l) for l in leaves)
+        assert tree.open and all(l.checked is not None for l in tree.open)
+        assert not any(holds_joint(l) or uncharged(l) for l in leaves)
         never_charged = {l for l in grouped if not charged(l)}
         assert never_charged <= set(leaves)
         # each of these stops lands between two siblings of one group
         assert bool(never_charged) == (stop.max_extensions != 0)
+        leaf = next(iter(tree.open))  # the returned tree can still be extended
+        variable, gain = best_extension(tree, leaf, engine)
+        assert extend(tree, leaf, variable, engine).gain == gain
 
     @pytest.mark.parametrize("leaf", LEAF_STRATEGIES)
     @pytest.mark.parametrize("extension", EXTENSION_STRATEGIES)
@@ -382,19 +390,19 @@ class TestLeafJointsReleased:
         _, tree, _ = run(gen_random_id(GeneratorSpec(n=5, seed=2, arity=3)),
                          leaf_strategy=leaf, extension_strategy=extension, seed=1)
         assert not tree.open
-        assert all(l.joint is None and not uncharged(l) for l in iter_leaves(tree))
+        assert not any(holds_joint(l) or uncharged(l) for l in iter_leaves(tree))
 
     def test_degenerate_network(self):
         _, tree, trace = run(constant_utility())
         assert len(trace.records) == 1
         assert tree.open == {tree.root: None}
-        assert tree.root.joint is None and tree.root.explored is None
+        assert tree.root.checked.joint is None and tree.root.explored is None
 
     def test_root_without_predecessors_keeps_none(self):
         nodes = {"d": DecisionNode(Variable("d", ("a", "b")), ()),
                  "v": ValueNode("v", ("d",), np.array([0.0, 1.0]))}
         tree = init_tree(Engine(compile_network(InfluenceDiagram(nodes, ("d",)))), "d")
-        assert (tree.root.action, tree.root.value, tree.root.joint) == ("b", 1.0, None)
+        assert (tree.root.action, tree.root.value, tree.root.checked) == ("b", 1.0, None)
 
 
 class TestEngineQueries:

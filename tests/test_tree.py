@@ -192,6 +192,21 @@ class TestExtend:
         assert_statistics(copied)
         assert tree_counts(copied) == (2, 3)
 
+    def test_deep_copy_drops_its_joints_apart(self):
+        """A deep copy's open leaf holds a checked context of its own that
+        shares the original's leaf joint, so dropping the copy's joint, as
+        refine does at the end of a run, keeps the original's; both still
+        extend to the same vertex."""
+        eng, tree = fresh(gen_random_id(GeneratorSpec(n=3, seed=1)))
+        copied = copy.deepcopy(tree)
+        joint = tree.root.checked.joint
+        assert joint is not None and copied.root.checked is not tree.root.checked
+        assert copied.root.checked.joint is joint
+        copied.root.checked.joint = None
+        assert tree.root.checked.joint is joint
+        assert extend(copied, copied.root, "c2", eng).gain == \
+            extend(tree, tree.root, "c2", eng).gain
+
     def test_greedy_cache_makes_extend_free(self):
         eng, tree = fresh(mini_weather_coin())
         best_extension(tree, tree.root, eng)

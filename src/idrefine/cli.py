@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(p)
     p.add_argument("--budget", action="append", metavar="NAME=EXTENSIONS",
                    help="per-decision extension budget (repeatable)")
+    p.set_defaults(subparser=p)  # reports a malformed --budget with sweep's usage
 
     p = sub.add_parser("oracle", help="brute-force optimal policy")
     p.add_argument("file")
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args, parser) -> int:
+def _cmd_validate(args) -> int:
     try:
         load_diagram(args.file)
     except DiagramError as e:
@@ -120,7 +121,7 @@ def _cmd_validate(args, parser) -> int:
     return 0
 
 
-def _cmd_solve(args, parser) -> int:
+def _cmd_solve(args) -> int:
     diagram = _load_valid(args.file)
     summary, trace = run_profile(diagram, args.decision, _config(args),
                                  trace_path=args.trace, policy_path=args.policy,
@@ -134,10 +135,10 @@ def _cmd_solve(args, parser) -> int:
     return 0
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     diagram = _load_valid(args.file)
     base = _config(args)
-    budgets = _budgets(args.budget, parser)
+    budgets = _budgets(args.budget, args.subparser)
     for name in budgets:
         if name not in diagram.decisions:
             raise ValueError(f"--budget names unknown decision {name!r}")
@@ -153,7 +154,7 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
+def _cmd_oracle(args) -> int:
     diagram = _load_valid(args.file)
     decisions = diagram.decisions
     if args.decision is not None or len(decisions) == 1:
@@ -176,7 +177,7 @@ def _cmd_oracle(args, parser) -> int:
     return 0
 
 
-def _cmd_gen(args, parser) -> int:
+def _cmd_gen(args) -> int:
     diagram = gen_random_id(GeneratorSpec(n=args.n, seed=args.seed, arity=args.arity))
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(serialize_diagram(diagram))
@@ -184,7 +185,7 @@ def _cmd_gen(args, parser) -> int:
     return 0
 
 
-def _cmd_profile(args, parser) -> int:
+def _cmd_profile(args) -> int:
     diagram = _load_valid(args.file)
     summary, _ = run_profile(diagram, args.decision, _config(args),
                              trace_path=args.trace, policy_path=args.policy,
@@ -198,10 +199,9 @@ COMMANDS = {"validate": _cmd_validate, "solve": _cmd_solve, "sweep": _cmd_sweep,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args, parser)
+        return COMMANDS[args.command](args)
     except _InvalidInput as e:
         print(f"invalid diagram: {e}", file=sys.stderr)
         return VALIDATION_FAILURE

@@ -8,34 +8,32 @@ cost after the initial tree and after each extension.
 
 Leaf choice and extension choice are orthogonal and pluggable:
 
-* leaf strategies: ``posthoc`` (a max-gain priority queue over internal
-  vertices; all leaves of the dequeued vertex are served before the queue
-  is consulted again; ties break by seeded RNG) or ``random`` (uniform
-  over the open leaves, drawn from a list kept in depth-first order: each
-  extension splices the new vertex's open children in where the leaf it
+* leaf strategies: ``posthoc`` (a max-gain priority queue over the
+  extensions made; all leaves an extension opened are served before the
+  queue is consulted again; ties break by seeded RNG) or ``random``
+  (uniform over the open leaves, drawn from a list kept in depth-first
+  order: each extension's opened leaves are spliced in where the leaf it
   replaced stood, so no draw rescans the tree);
 * extension strategies: ``greedy`` (best improvement, all candidates
   charged and recorded) or ``random`` (uniform over candidates, only the
   drawn one charged).  Each run stacks the leaves it will read, one pass
-  per joint shape (engine.stack_rows), and every path, leaf by leaf or
-  grown, reads a candidate's result as that pass's row, or as the same row
-  computed for the leaf alone.  A bounded greedy run stacks a leaf's
-  unexplored siblings with it, so that a stop strands little stacked work;
-  a bounded random run stacks none.  In a run with no bound, which
-  explores every open leaf, random extension stacks the leaf's cohort, and
-  a greedy run each whole level (below).
+  per joint shape.  A bounded greedy run stacks a leaf's unexplored
+  siblings with it, so that a stop strands little stacked work; a bounded
+  random run stacks none.  In a run with no bound, which explores every
+  open leaf, random extension stacks the leaf's cohort, and a greedy run
+  each whole level (below).
 
 A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
-split depends only on the leaf's own context, so tree.grow first decides
-every split, level by level, from each level's stacked rows, charging
-each leaf as best_extension would; then the loop serves the leaves in the
-leaf strategy's order, and tree.reveal puts each grown vertex in place
-with what its exploration charged.  The trace, the tree, the counters and
-the observer's events are those of extending leaf by leaf, but every
-query, and any error one raises (a context of probability zero, a split
-that lowers the value), comes before the first event reaches the
-observer.  A bounded run would compute splits past its stop, and random
-extension's draws interleave with the leaf strategy's, so neither grows.
+split depends only on the leaf's own context, so tree.grow first puts
+every split in place, charging each leaf as best_extension would; then
+the loop replays the run from grow's records, serving them in the leaf
+strategy's order, one selector step and one trace record per extension.
+The trace, the tree, the counters and the observer's events are those of
+extending leaf by leaf, but every query, and any error one raises (a
+context of probability zero, a split that lowers the value), comes
+before the first event reaches the observer.  A bounded run would compute
+splits past its stop, and random extension's draws interleave with the
+leaf strategy's, so neither grows.
 
 A fixed seed makes a run fully deterministic.
 """
@@ -51,9 +49,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .engine import Engine, QueryCounter
-from .tree import (DecisionTree, Internal, Leaf, best_extension, extend, grow, init_tree,
-                   iter_leaves, random_extension, reveal, tree_counts, tree_value)
+from .engine import Engine
+from .tree import (_SCALE, DecisionTree, best_extension, extend, grow, init_tree,
+                   random_extension, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -149,56 +147,51 @@ class ExtensionEvent:
 class PosthocSelector:
     """Serve leaves under the internal vertex whose creation gained most.
 
-    Vertices enqueue once, at creation, with their recorded gain; equal
-    gains break at random (seeded).  The root leaf is served before the
-    queue is first consulted.
+    Each extension is notified once, with its gain and the leaves it
+    opened, served in order when its turn comes; equal gains break at
+    random (seeded).  The leaves it starts with are served first.  A leaf
+    is whatever the caller extends: a Leaf, or the split grown for it.
     """
 
-    def __init__(self, tree: DecisionTree, rng: np.random.Generator):
+    def __init__(self, leaves: list, rng: np.random.Generator):
         self._rng = rng
         self._seq = count()
-        self._heap: list[tuple[float, float, int, Internal]] = []
-        self._pending: deque = deque([tree.root])
+        self._heap: list[tuple[float, float, int, list]] = []
+        self._pending: deque = deque(leaves)
 
-    def notify_extended(self, vertex: Internal) -> None:
-        heapq.heappush(self._heap, (-vertex.gain, self._rng.random(), next(self._seq), vertex))
+    def notify_extended(self, gain: float, opened: list) -> None:
+        tie = self._rng.random()  # one draw per extension, whatever it opened
+        if opened:
+            heapq.heappush(self._heap, (-gain, tie, next(self._seq), opened))
 
-    def next_leaf(self, tree: DecisionTree) -> Leaf | None:
-        while True:
-            while self._pending:
-                leaf = self._pending.popleft()
-                if leaf in tree.open:
-                    return leaf
+    def next_leaf(self):
+        while not self._pending:
             if not self._heap:
                 return None
-            _, _, _, vertex = heapq.heappop(self._heap)
-            self._pending.extend(vertex.children.values())
+            self._pending.extend(heapq.heappop(self._heap)[3])
+        return self._pending.popleft()
 
 
 class RandomLeafSelector:
-    """Uniform choice over the open leaves (DecisionTree.open).
+    """Uniform choice over the open leaves.
 
-    The candidates are kept in depth-first order, the order of
-    iter_leaves, so a seeded draw picks the same leaf as an index into a
-    fresh scan would.  notify_extended must be given the vertex that
-    replaced the leaf last served.
+    Given the open leaves in depth-first order, the order of iter_leaves,
+    it keeps them so: the leaves each extension opened are spliced in where
+    the leaf last served stood, so a seeded draw picks the same leaf as an
+    index into a fresh scan would.  notify_extended must follow the
+    next_leaf whose leaf was extended.
     """
 
-    def __init__(self, tree: DecisionTree, rng: np.random.Generator):
+    def __init__(self, leaves: list, rng: np.random.Generator):
         self._rng = rng
-        self._open = tree.open
-        self._leaves = [l for l in iter_leaves(tree) if l in self._open]
+        self._leaves = list(leaves)
         self._served: int | None = None
 
-    def notify_extended(self, vertex: Internal) -> None:
-        i = self._served
-        children = list(vertex.children.values())
-        if i is None or self._leaves[i].context != children[0].context[:-1]:
-            raise ValueError("vertex did not replace the leaf last served")
-        self._leaves[i:i + 1] = [c for c in children if c in self._open]
-        self._served = None
+    def notify_extended(self, gain: float, opened: list) -> None:
+        i, self._served = self._served, None  # a second call fails on None
+        self._leaves[i:i + 1] = opened
 
-    def next_leaf(self, tree: DecisionTree) -> Leaf | None:
+    def next_leaf(self):
         if not self._leaves:
             return None
         self._served = int(self._rng.integers(len(self._leaves)))
@@ -224,51 +217,47 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     trace = AnytimeTrace()
 
     tree = init_tree(engine, decision)
-    counter = engine.counter  # as the trace reads it
-
-    def record(iteration: int) -> None:
-        internals, leaves = tree_counts(tree)
-        value = tree_value(tree)
-        trace.records.append(TraceRecord(iteration, counter.fine, counter.passes, internals,
-                                         leaves, value, tree.denormalize(value)))
-
-    record(0)
+    counter = engine.counter
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
-    stop = config.stop
+    stop, greedy = config.stop, config.extension_strategy == "greedy"
     # with no bound, every open leaf is explored, so every stacked leaf is read
     cohort = stop.unbounded
-    grown = None
-    if cohort and config.extension_strategy == "greedy" and not degenerate:
-        counter = QueryCounter(*counter.snapshot())  # replays the charges grow makes
-        grown = grow(tree, engine)
-    selector = (PosthocSelector if config.leaf_strategy == "posthoc"
-                else RandomLeafSelector)(tree, rng)
-    iterations = 0
-    while not (degenerate or stop.budget_reached(iterations, engine)):
-        leaf = selector.next_leaf(tree)
-        if leaf is None:
+    grown = cohort and greedy and not degenerate
+    # the counters, counts and value, as each extension changes them
+    fine, passes, internals, leaves, exact = *counter.snapshot(), *tree_counts(tree), tree.exact
+    iterations, value = 0, tree_value(tree)
+    selector = (PosthocSelector if config.leaf_strategy == "posthoc" else RandomLeafSelector)(
+        grow(tree, engine) if grown else list(tree.open), rng)
+    while True:
+        trace.records.append(TraceRecord(iterations, fine, passes, internals, leaves, value,
+                                         tree.denormalize(value)))
+        if degenerate or stop.budget_reached(iterations, engine):
             break
-        before = counter.snapshot()
-        context_size = len(leaf.context)
-        if grown is None:
-            if config.extension_strategy == "greedy":
+        served = selector.next_leaf()
+        if served is None:
+            break
+        if grown:  # what the split grow put in the leaf's place changed
+            gain, variable, depth, fine_spent, passes_spent, added, change, opened = served
+            fine, passes, internals = fine + fine_spent, passes + passes_spent, internals + 1
+            leaves, exact = leaves + added, exact + change
+        else:
+            leaf, depth = served, len(served.context)
+            if greedy:
                 variable, gain = best_extension(tree, leaf, engine)
                 if stop.min_evi is not None and gain < stop.min_evi:
                     break
             else:
                 variable = random_extension(tree, leaf, engine, rng, cohort=cohort)
             node = extend(tree, leaf, variable, engine)
-        else:
-            node, fine, passes = reveal(tree, leaf, grown)
-            counter.fine += fine
-            counter.passes += passes
-        selector.notify_extended(node)
+            gain, opened = node.gain, [c for c in node.children.values() if c in tree.open]
+            fine_spent, passes_spent = counter.fine - fine, counter.passes - passes
+            (fine, passes), (internals, leaves), exact = (counter.snapshot(), tree_counts(tree),
+                                                          tree.exact)
+        selector.notify_extended(gain, opened)
         iterations += 1
-        record(iterations)
+        value = exact / _SCALE
         if observer is not None:
-            after = counter.snapshot()
-            observer(ExtensionEvent(iterations, context_size, node.variable, node.gain,
-                                    after[0] - before[0], after[1] - before[1]))
+            observer(ExtensionEvent(iterations, depth, variable, gain, fine_spent, passes_spent))
     for leaf in tree.open:
         leaf.checked.joint = leaf.explored = None
     return tree, trace

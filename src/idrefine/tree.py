@@ -13,23 +13,22 @@ the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
 Trees are single-owner mutable values.  A tree starts as one leaf
-(init_tree) and grows by extend, or by grow and reveal.  It maps its open
-leaves, those that can still be extended, to their parents, None for the
-root (DecisionTree.open).  Every test of whether a leaf can be extended
-reads it, so a leaf of another tree, or one already replaced, is not open.
-The links live in the tree, not in the vertices, so that no vertex refers
+(init_tree) and grows by extend, or by grow.  It maps its open leaves,
+those that can still be extended, to their parents, None for the root
+(DecisionTree.open).  Every test of whether a leaf can be extended reads
+it, so a leaf of another tree, or one already replaced, is not open.  The
+links live in the tree, not in the vertices, so that no vertex refers
 back up and a dropped tree is freed at once, not by the cycle collector.
 
-An open leaf, unless reveal opened it, carries its context checked once
-(engine.CheckedContext: its findings as outcome indices, its missing
-predecessors and, once the engine has it, its leaf joint).  That checked
-context is what every exploration of the leaf calibrates (Engine.calibrate
-takes nothing else) and what a stacked pass reads the leaf's candidates
-from.  init_tree has the engine check the root's context, whose
-calibration contracts the root's joint; extend and grow derive each open
-child's context from the leaf's (CheckedContext.child, which slices the
-joint), so on a star topology the root's joint is the one contraction of
-a run and the root's findings the only ones checked.
+An open leaf carries its context checked once (engine.CheckedContext:
+its findings as outcome indices, its missing predecessors and, once the
+engine has it, its leaf joint), which every exploration of the leaf
+calibrates and a stacked pass reads its candidates from.  init_tree has
+the engine check the root's context, whose calibration contracts the
+root's joint; below it, every joint is a slice of its parent's (extend:
+CheckedContext.child; grow: a gather of the level's stack), so on a star
+topology the root's joint is the one contraction of a run and the root's
+findings the only ones checked.
 
 Leaf by leaf, a leaf allocates nothing more until it is explored.  Then it
 keeps one record (Explored): the row (engine.Row) of every candidate known
@@ -37,25 +36,25 @@ for it, and the gain of each candidate the counters were charged for.  A
 candidate is charged, and its gain computed, once, when first read
 (_explore, shared by best_extension, evi and extend), with the others not
 yet charged, in one read on the leaf's calibration (Calibration.rows).
-_stacked, the one grouping for sibling groups, cohorts and levels, makes
-one stacked pass per joint shape (engine.stack_rows); _stack records its
-rows uncharged.  best_extension groups a leaf's siblings on its first
-exploration, since a run that may stop early would strand a larger
-group's work uncharged; in a run that will explore every open leaf,
-random_extension groups the leaf's cohort, every open leaf whose joint has
-its shape (``cohort``): it charges one candidate per leaf, so it strands
+_stack records the rows of one stacked pass per joint shape
+(engine.stack_rows) uncharged.  best_extension stacks a leaf's siblings on
+its first exploration, since a run that may stop early would strand a
+larger group's work uncharged; in a run that will explore every open
+leaf, random_extension stacks the leaf's cohort, every open leaf whose
+joint has its shape: it charges one candidate per leaf, so it strands
 k - 1 of k stacked results anyway.
 
 A greedy run that will explore every open leaf need not go leaf by leaf:
 a leaf's greedy split depends only on its own context, so the serving
-order changes the trace, not the tree.  grow decides every split first,
-breadth-first, each level from the same stacked rows, read as they come
-with no record kept, charging and splitting each leaf as best_extension
-and extend would.  reveal puts each grown vertex in place (_place) with
-what exploring its leaf charged, for any order of service.
+order changes the trace, not the tree.  grow puts every split in place at
+once, breadth-first, reading each level below the open leaves in one
+charged stacked pass per joint shape (Engine.explore_stack), with no
+calibration or checked context made where joints are held.  It makes a
+Leaf or Internal only for a vertex of the grown tree, and for each split
+a record (Grown) from which refine replays the run, in any order.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
-as extend() and reveal() grow it, so reading them costs no walk.  The
+as extend() and grow() grow it, so reading them costs no walk.  The
 value is one exact integer, the sum of every leaf's value * reach scaled
 by 2**1074 (every finite float is a multiple of 2**-1074), read out by one
 integer division, which Python rounds correctly: it equals math.fsum of
@@ -65,6 +64,7 @@ the products, whatever the order in which the leaves were made.
 from __future__ import annotations
 
 import json
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
@@ -122,7 +122,7 @@ class DecisionTree:
     u_min: float
     u_max: float
     root: Vertex
-    # running statistics, kept current by extend() and reveal(); see tree_value
+    # running statistics, kept current by extend() and grow(); see tree_value
     internals: int = field(init=False)
     leaves: int = field(init=False)      # non-pruned
     exact: int = field(init=False, repr=False)  # the value times 2**1074
@@ -204,15 +204,13 @@ def find_leaf(tree: DecisionTree, where: Context | Mapping[str, str]) -> Leaf:
 def open_context(tree: DecisionTree, leaf: Leaf, variable: str | None = None) -> CheckedContext:
     """The open leaf's checked context, whose ``missing`` names its
     extensions in declaration order; raises ValueError, before anything is
-    charged, unless the leaf is open, not grown, and has variable (if given)."""
+    charged, unless the leaf is open and has variable (if given)."""
     if leaf not in tree.open:
         if leaf.pruned:
             raise ValueError("a pruned leaf cannot be extended")
         if not extensions(tree, leaf):
             raise ValueError("leaf context already contains every predecessor")
         raise ValueError("leaf does not belong to this tree")
-    if leaf.checked is None:  # opened by reveal: grow decided it and dropped its context
-        raise ValueError("a grown leaf is put in place by reveal, not explored")
     if variable is not None and variable not in leaf.checked.missing:
         raise ValueError(f"{variable!r} is not a possible extension of this leaf")
     return leaf.checked
@@ -237,24 +235,20 @@ def _explore(leaf: Leaf, names: tuple[str, ...], engine: Engine) -> Explored:
     return record
 
 
-def _stacked(leaves: Iterable[Leaf]) -> dict[Leaf, list[Row] | None]:
-    """Every candidate's rows of the given leaves whose contexts hold joints,
-    uncharged, one stacked pass per joint shape (stack_rows): None for a
-    leaf of probability zero, and no entry for a leaf alone in its shape."""
+def _stack(leaves: Iterable[Leaf]) -> None:
+    """Record every candidate's rows, uncharged, on each of the given
+    unexplored leaves whose contexts hold joints, one stacked pass per joint
+    shape (stack_rows); a leaf alone in its shape, or of probability zero,
+    is left to be explored alone."""
     shapes: dict[tuple[int, ...], list[Leaf]] = {}
     for leaf in leaves:
-        if leaf.checked.joint is not None:
+        if leaf.explored is None and leaf.checked.joint is not None:
             shapes.setdefault(leaf.checked.shape, []).append(leaf)
-    return {c: rows for group in shapes.values() if len(group) > 1
-            for c, rows in zip(group, stack_rows([m.checked.joint for m in group]))}
-
-
-def _stack(leaves: Iterable[Leaf]) -> None:
-    """Record _stacked's rows uncharged on each of the given unexplored leaves;
-    a leaf without them is left to be explored alone."""
-    for c, rows in _stacked([c for c in leaves if c.explored is None]).items():
-        if rows is not None:
-            c.explored = Explored(dict(zip(c.checked.missing, rows)), {})
+    for group in shapes.values():
+        if len(group) > 1:
+            for c, rows in zip(group, stack_rows([m.checked.joint for m in group])):
+                if rows is not None:
+                    c.explored = Explored(dict(zip(c.checked.missing, rows)), {})
 
 
 def _gain(leaf: Leaf, row: Row) -> float:
@@ -307,8 +301,7 @@ def random_extension(tree: DecisionTree, leaf: Leaf, engine: Engine,
     names = open_context(tree, leaf).missing
     if cohort and leaf.explored is None and leaf.checked.joint is not None:
         shape = leaf.checked.shape  # explored is tested first: most open leaves are
-        _stack([c for c in tree.open if c.explored is None and c.checked is not None
-                and c.checked.joint is not None and c.checked.shape == shape])
+        _stack([c for c in tree.open if c.explored is None and c.checked.shape == shape])
     return names[int(rng.integers(len(names)))]
 
 
@@ -321,10 +314,7 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
     two passes for it.  The children that are not pruned and can still be
     extended become open, each with the leaf's context plus the child's
     outcome (CheckedContext.child); the leaf leaves tree.open and drops its
-    context.  A call that raises leaves the tree as it was.  One loop builds
-    and links the children: a build loop, as grow's, then a link loop, as
-    reveal's, took 1.006-1.071 times as long on random_complete
-    (scripts/ab_solve.py)."""
+    context.  A call that raises leaves the tree as it was."""
     checked = open_context(tree, leaf, variable)
     record = _explore(leaf, (variable,), engine)
     gain = record.gains[variable]
@@ -344,105 +334,117 @@ def extend(tree: DecisionTree, leaf: Leaf, variable: str, engine: Engine) -> Int
         if stays_open:
             tree.open[child] = node
             child.checked = checked.child(variable, j)
+    tree.internals, tree.leaves = tree.internals + 1, tree.leaves - 1
+    tree.exact -= _exact(leaf.value * leaf.reach)
     _place(tree, leaf, node)
     return node
 
 
 def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
-    """Put the vertex, its children counted, in the open leaf's place; the
-    leaf leaves tree.open, the counts and the value, and drops its checked
-    context, and with it its leaf joint."""
+    """Put the vertex in the open leaf's place, uncounted; the leaf leaves
+    tree.open and drops its checked context, and with it its leaf joint."""
     parent = tree.open.pop(leaf)
     if parent is None:
         tree.root = node
     else:
         parent.children[leaf.context[-1][1]] = node
     leaf.checked = None
-    tree.exact -= _exact(leaf.value * leaf.reach)
-    tree.internals += 1
-    tree.leaves -= 1
 
 
-class Grown(NamedTuple):
-    """The vertex grow made for an open leaf, and what exploring it charged."""
-    node: Internal
-    fine: int
-    passes: int
+# A split grow put in place of a leaf, as refine's replay serves it: gain and
+# variable, the leaf's context size, what exploring the leaf charged, the changes
+# in the non-pruned leaf count and exact value, the splits of the leaves it opened.
+Grown = namedtuple("Grown", "gain variable depth fine passes leaves exact opened")
 
 
-def grow(tree: DecisionTree, engine: Engine) -> dict[Leaf, Grown]:
-    """The greedy split of every open leaf, and of every leaf below it that
-    would be open, decided breadth-first; no vertex is put in the tree.
-
-    A level is decided from _stacked's rows, keeping no record (Explored);
-    a leaf with no joint, alone in its shape or left out for probability
-    zero reads its own calibration's, which raises ZeroProbabilityError
-    for the last.  Each leaf is charged for every candidate
-    (engine.calibrate, Calibration.rows) and split on the first of its
-    equal maximum gains, computed as _gain computes them; a negative gain
-    raises RuntimeError.  A leaf's children's contexts slice any joint its
-    context holds, computed by its calibration or not, as extend's do.  The
-    tree's open leaves must be unexplored; they keep their checked
-    contexts, for extend after a raise, and grow's own leaves drop theirs
-    once decided.
+def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
+    """Put the greedy split of every open leaf, and of every leaf below it
+    that would be open, in place, bringing the counts and the value up to
+    date; returns the open leaves' splits, in tree.open's order (see the
+    module docstring).  Each context is charged as best_extension would
+    charge it, and split on the first of its equal maximum gains, computed
+    as _gain computes them; a negative gain raises RuntimeError.  The open
+    leaves, and contexts below a leaf joint the engine refused, are read
+    alone (Engine.calibrate); where such a context holds no joint, its
+    children's contexts derive from its own (CheckedContext.child).  The
+    open leaves must be unexplored.  A call that raises, ZeroProbabilityError
+    for a context of probability zero among them, leaves the tree as it was.
     """
-    grown: dict[Leaf, Grown] = {}
-    counter, actions, level = engine.counter, tree.actions, list(tree.open)
+    outcomes, labels = engine.network.outcomes, tree.actions
+    placed, heads = {}, []
+    # joint shape -> (joints, entries), or a checked context -> ([], [entry]); an entry
+    # holds missing predecessors, context, action, the dict and key its split goes in,
+    # the list its record goes in (siblings in order), reach, value * reach, its _exact
+    level = {leaf.checked: ([], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
+                                  heads, leaf.reach, leaf.value * leaf.reach,
+                                  _exact(leaf.value * leaf.reach))])
+             for leaf in tree.open}
+    internals = leaves = exact = 0
     while level:
-        stacked = _stacked(level)
-        below = []
-        for leaf in level:
-            checked, reach = leaf.checked, leaf.reach
-            names, fine, passes = checked.missing, counter.fine, counter.passes
-            rows = engine.calibrate(checked).rows(names, stacked.pop(leaf, None))
-            base, k = leaf.value * reach, 0
-            for i, (_, probs, values) in enumerate(rows):
-                total = 0.0
-                for p, v in zip(probs, values):
-                    r = reach * p
-                    if r >= ZERO_PROB:
-                        total += v * r
-                total -= base
-                if not i or total > gain:  # the first of equal maxima
-                    k, gain = i, total
-            if gain < -1e-9:
-                raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-            variable, (best, probs, values) = names[k], rows[k]
-            node, outcomes = Internal(variable, {}, gain), checked.network.outcomes[variable]
-            stays_open = len(names) > 1
-            for j, (outcome, p, a, value) in enumerate(zip(outcomes, probs, best, values)):
-                r = reach * p
-                context = leaf.context + ((variable, outcome),)
-                if r < ZERO_PROB:
-                    node.children[outcome] = Leaf(leaf.action, 0.0, r, context, pruned=True)
-                    continue
-                child = node.children[outcome] = Leaf(actions[a], value, r, context)
-                if stays_open:
-                    child.checked = checked.child(variable, j)
-                    below.append(child)
-            grown[leaf] = Grown(node, counter.fine - fine, counter.passes - passes)
-            if leaf not in tree.open:
-                leaf.checked = None
+        below: dict = {}
+        for key, (joints, entries) in level.items():
+            if joints:
+                stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
+                rows, fine, passes = engine.explore_stack(stack)
+            else:
+                before = engine.counter.snapshot()
+                rows = [engine.calibrate(key).rows(key.missing)]
+                fine, passes = (a - b for a, b in zip(engine.counter.snapshot(), before))
+                stack = None if key.joint is None else key.joint[None]
+            runs = defaultdict(lambda: ([], [], []))  # per candidate: contexts split, born, kept
+            for s, ((names, context, action, parent, at, records, reach, base, scaled),
+                    candidates) in enumerate(zip(entries, rows)):
+                for i, (_, probs, values) in enumerate(candidates):
+                    total = 0.0
+                    for p, v in zip(probs, values):
+                        r = reach * p
+                        if r >= ZERO_PROB:
+                            total += v * r
+                    total -= base
+                    if not i or total > gain:  # the first of equal maxima
+                        k, gain = i, total
+                if gain < -1e-9:
+                    raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
+                variable, (best, probs, values) = names[k], candidates[k]
+                rest, node = names[:k] + names[k + 1:], Internal(variable, {}, gain)
+                parent[at] = node
+                split_here, born, kept = runs[k]
+                split_here.append(s)
+                opened, count, change = [], 0, -scaled
+                for o, a, p, v in zip(outcomes[variable], best, probs, values):
+                    r, c = reach * p, context + ((variable, o),)
+                    kept.append(r >= ZERO_PROB)
+                    if not kept[-1]:
+                        node.children[o] = Leaf(action, 0.0, r, c, pruned=True)
+                        continue
+                    t = v * r
+                    e, count = _exact(t), count + 1
+                    change += e
+                    if rest:  # the split a level below takes its place
+                        node.children[o] = None
+                        born.append((rest, c, labels[a], node.children, o, opened, r, t, e))
+                    else:
+                        node.children[o] = Leaf(labels[a], v, r, c)
+                records.append(Grown(gain, variable, len(context), fine, passes, count - 1,
+                                     change, opened))
+                internals, leaves, exact = internals + 1, leaves + count - 1, exact + change
+            for k, (split_here, born, kept) in runs.items():
+                if born and stack is None:  # below a context with no joint: checked contexts
+                    for entry in born:
+                        x, o = entry[1][-1]
+                        below[key.child(x, outcomes[x].index(o))] = ([], [entry])
+                elif born:  # the children's joints, copied in C order, which decides how sums add
+                    shape = stack.shape[1:1 + k] + stack.shape[2 + k:]
+                    axes = (0, 1 + k, *(i for i in range(1, stack.ndim) if i != 1 + k))
+                    joints, more = below.setdefault(shape, ([], []))
+                    joints.append(stack[split_here].transpose(axes).reshape(-1, *shape)[kept])
+                    more += born
         level = below
-    return grown
-
-
-def reveal(tree: DecisionTree, leaf: Leaf, grown: dict[Leaf, Grown]) -> Grown:
-    """Put the vertex grow made for the open leaf in its place, as extend
-    would have put it, bringing the tree's open leaves, counts and value up
-    to date, and return it with what exploring the leaf charged.  The
-    leaves it opens carry no checked context: grow has decided them, and
-    exploring one raises ValueError."""
-    vertex = grown.pop(leaf)
-    node, stays_open = vertex.node, len(leaf.context) + 1 < len(tree.predecessors)
-    for child in node.children.values():
-        if not child.pruned:
-            tree.leaves += 1
-            tree.exact += _exact(child.value * child.reach)
-            if stays_open:
-                tree.open[child] = node
-    _place(tree, leaf, node)
-    return vertex
+    for leaf, node in placed.items():
+        _place(tree, leaf, node)
+    tree.internals, tree.leaves = tree.internals + internals, tree.leaves + leaves
+    tree.exact += exact
+    return heads
 
 
 def apply_policy(tree: DecisionTree, state: dict[str, str]) -> str:

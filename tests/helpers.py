@@ -12,7 +12,9 @@ row (per outcome: best action index, probability and value, as lists),
 ``_query``, ``einsum_query`` is the former ``_query``, which ran each
 elimination step as one ``np.einsum``, and ``loop_gain`` is the former
 per-call gain of a leaf's extension.  ``rescan_open`` recomputes a tree's
-open leaves by a walk, apart from the record extend() keeps,
+open leaves by a walk, apart from the record extend() keeps, and
+``assert_statistics`` checks a tree's counts, value and open leaves
+against walks,
 ``charged`` and ``uncharged`` read a leaf's record of exploration,
 ``calibrate`` calibrates a caller's findings, given as labels, and
 ``no_decision_json`` is a valid diagram that has no decision node.
@@ -29,7 +31,7 @@ from idrefine.engine import (ZERO_PROB, ZeroProbabilityError, _elimination_order
                              _marginal, _query, _restrict)
 from idrefine.fixtures import MINI_WEATHER_JSON
 from idrefine.oracle import state_action_values
-from idrefine.tree import Leaf
+from idrefine.tree import Leaf, extensions, policy_json, tree_counts, tree_value
 
 
 def _frame(diagram):
@@ -278,3 +280,28 @@ def rescan_open(tree, vertex=None, parent=None):
     for child in vertex.children.values():
         links.update(rescan_open(tree, child, vertex))
     return links
+
+
+def recount(vertex):
+    """(internal vertices, non-pruned leaves, value * reach of each such leaf),
+    by a recursive walk."""
+    if isinstance(vertex, Leaf):
+        return (0, 0, []) if vertex.pruned else (0, 1, [vertex.value * vertex.reach])
+    internals, leaves, products = 1, 0, []
+    for child in vertex.children.values():
+        i, l, p = recount(child)
+        internals, leaves, products = internals + i, leaves + l, products + p
+    return internals, leaves, products
+
+
+def assert_statistics(tree):
+    internals, leaves, products = recount(tree.root)
+    assert tree_counts(tree) == (internals, leaves)
+    assert tree.open == rescan_open(tree)
+    assert tree_value(tree) == math.fsum(products)
+    assert policy_json(tree)["value_normalized"] == tree_value(tree)
+    named = {v.name: v for v in tree.predecessors}
+    for leaf in tree.open:  # what extend derived equals what the context says
+        assert leaf.checked.missing == tuple(v.name for v in extensions(tree, leaf))
+        assert {x: named[x].outcomes[o]
+                for x, o in leaf.checked.findings.items()} == dict(leaf.context)

@@ -224,7 +224,7 @@ class TestSweep:
             main(["sweep", two_stage_file, "--budget", entry])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: idrefine") and err.endswith(f"error: {message}\n")
+        assert err.startswith("usage: idrefine sweep ") and err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["sweep", "oracle", "solve", "profile"])

@@ -1,5 +1,4 @@
 import json
-import operator
 import sys
 
 import numpy as np
@@ -7,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import (calibrate, charged, einsum_query, enum_action_value, enum_best_action,
-                     enum_posterior, enum_probability, loop_candidate,
+from helpers import (assert_statistics, calibrate, charged, einsum_query, enum_action_value,
+                     enum_best_action, enum_posterior, enum_probability, loop_candidate,
                      loop_elimination_order, normalized, uncharged)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
@@ -21,7 +20,7 @@ from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
 from idrefine.multistage import sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
 from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, grow,
-                          init_tree, iter_internals, iter_leaves, reveal)
+                          init_tree, iter_internals, iter_leaves, tree_value)
 
 TOL = 1e-9
 
@@ -984,11 +983,11 @@ class TestCohorts:
     """In a run with no bound, random_extension stacks a leaf's cohort,
     every unexplored open leaf whose joint has the leaf's joint's shape,
     whatever its parent, and a greedy run is grown (tree.grow), each
-    level's open leaves stacked by joint shape (stack_rows).  Each leaf is
-    stacked at most once, and each result is bit for bit that of evaluating
-    the leaf alone.  A grown run charges every stacked result, through
-    Calibration.rows; random extension charges only the drawn candidate of
-    each leaf, and the other results cost wall time but never the counters."""
+    level's contexts stacked by joint shape (Engine.explore_stack).  Each
+    leaf is stacked at most once, and each result is bit for bit that of
+    evaluating the leaf alone.  A grown run charges every stacked result;
+    random extension charges only the drawn candidate of each leaf, and the
+    other results cost wall time but never the counters."""
 
     @staticmethod
     def stacking(mp):
@@ -1020,43 +1019,70 @@ class TestCohorts:
             c.joint = joint
             assert repr(rows) == repr(Engine(c.network).calibrate(c).rows(c.missing))
 
+    @staticmethod
+    def exploring(mp):
+        """Patch Engine.explore_stack to record each stack it explores as
+        (stack, its results); returns the list."""
+        explored = []
+
+        def recording(engine, stack, _original=Engine.explore_stack):
+            result = _original(engine, stack)
+            explored.append((stack, result))
+            return result
+        mp.setattr(Engine, "explore_stack", recording)
+        return explored
+
     @given(data=st.data())
     def test_complete_run(self, data):
-        """A complete greedy run, under either leaf strategy: every stacked
-        result is as if evaluated alone, each leaf is stacked at most once
-        and charged exactly once, each stacked leaf by reading its own
-        stack's rows, no stacked result goes unread, and on stars with
-        n >= 3 some stack spans more than one sibling group."""
-        kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage"]))
+        """A complete greedy run, under either leaf strategy, stacks no
+        cohort or sibling group (stack_rows).  Each context it explores is
+        charged exactly once, as one row of one stacked pass or alone (the
+        root, and contexts below a refused leaf joint: Calibration.rows);
+        each stacked row's results are bit for bit those of a stack of that
+        row alone, and the root's children's those of their calibrations;
+        and on stars with n >= 3 some stack spans more than one sibling
+        group."""
+        kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage", "coins"]))
         seed = data.draw(st.integers(0, 10_000))
         config = RefinementConfig(leaf_strategy=data.draw(st.sampled_from(["posthoc", "random"])),
                                   seed=seed)
         with pytest.MonkeyPatch.context() as mp:
             stacks, reads = self.stacking(mp)
+            explored = self.exploring(mp)
             if kind == "star":
                 n = data.draw(st.integers(1, 8))
                 arity = data.draw(st.integers(2, 3))
-                tree, _ = refine(Engine(compile_network(gen_random_id(
-                    GeneratorSpec(n=n, seed=seed, arity=arity)))), "d", config)
+                diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+                tree, _ = refine(Engine(compile_network(diagram)), "d", config)
                 trees = [tree]
                 assert tree.internals == (arity ** n - 1) // (arity - 1)
-            elif kind == "mixed arity":
-                diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
-                trees = [refine(Engine(compile_network(diagram)), "d", config)[0]]
+            elif kind == "two-stage":
+                diagram = gen_two_stage(seed)
+                trees = [p.tree for p in sweep_back(diagram, config)[0].policies]
             else:
-                trees = [p.tree for p in sweep_back(gen_two_stage(seed), config)[0].policies]
-        read = [(c, joint, rows) for c, joint, rows in reads if rows is not None]
-        self.assert_as_if_alone(read)
-        stacked_joints = [id(j) for joints, _ in stacks for j in joints]
-        assert len(stacked_joints) == len(set(stacked_joints))
-        charged_ids = [id(c) for c, _, _ in reads]
-        assert len(charged_ids) == len(set(charged_ids)) == sum(t.internals for t in trees)
-        stacked = {id(rows): j for joints, results in stacks
-                   for j, rows in zip(joints, results) if rows is not None}
-        assert sorted(stacked) == sorted(id(rows) for _, _, rows in read)  # zero waste
-        assert all(joint is stacked[id(rows)] for _, joint, rows in read)
-        if kind == "star" and n >= 3:  # a level's stack spans more than one sibling group
-            assert any(len(joints) > arity for joints, _ in stacks)
+                diagram = (mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+                           if kind == "mixed arity" else mini_weather_coin(3))
+                trees = [refine(Engine(compile_network(diagram)), diagram.decision_order[0],
+                                config)[0]]
+        assert stacks == [] and all(rows is None for _, _, rows in reads)
+        assert sum(len(stack) for stack, _ in explored) + len(reads) \
+            == sum(t.internals for t in trees)
+        alone = Engine(compile_network(diagram))
+        for stack, (results, fine, passes) in explored:
+            for s in range(len(stack)):
+                own, own_fine, own_passes = alone.explore_stack(stack[s:s + 1])
+                assert (own_fine, own_passes) == (fine, passes)
+                assert repr(own) == repr(results[s:s + 1])
+        if kind == "star" and n >= 2:  # the root's children: each row as its calibration's
+            root = alone.context("d", {})
+            alone.calibrate(root).leaf_joint()
+            stack, (results, _, _) = explored[0]
+            assert len(stack) == arity
+            for j, rows in enumerate(results):
+                child = root.child(trees[0].root.variable, j)
+                assert repr(rows) == repr(alone.calibrate(child).rows(child.missing))
+            if n >= 3:  # a level's stack spans more than one sibling group
+                assert any(len(stack) > arity for stack, _ in explored)
 
     @given(data=st.data())
     def test_random_extension_as_if_alone(self, data):
@@ -1096,13 +1122,13 @@ class TestCohorts:
             assert stacks
 
     def test_zero_probability_member_left_out(self):
-        """A level member whose rows would raise ZeroProbabilityError (its
-        joint scaled below ZERO_PROB) is left out of the level's stack; the
-        other members are stacked once, with the results they get alone,
-        and grow raises when it evaluates that member alone, as evaluating
-        it alone does, before the tree changes.  The tree's open leaves keep
-        their checked contexts, and each other member, decided or only
-        stacked, extends to the vertex, at the charges, of a fresh tree."""
+        """A member of a level whose rows would raise ZeroProbabilityError
+        (its joint scaled below ZERO_PROB) is left out of stack_rows'
+        stack, the other members getting the results they get alone.  grow
+        raises ZeroProbabilityError on that level, as evaluating the member
+        alone does, before the tree changes.  The tree's open leaves keep
+        their checked contexts, and each other member extends to the
+        vertex, at the charges, of a fresh tree."""
         eng, tree, _ = TestSiblingGroups.split_root()
         for child in list(tree.open):
             extend(tree, child, "c3", eng)
@@ -1110,22 +1136,16 @@ class TestCohorts:
         assert len(leaves) == 4 and len({l.context[0] for l in leaves}) == 2
         zero = leaves[2]
         zero.checked.joint = zero.checked.joint * 1e-13
-        contexts, joints = [l.checked for l in leaves], [l.checked.joint for l in leaves]
         names = zero.checked.missing
         with pytest.raises(ZeroProbabilityError):
             Engine(eng.network).calibrate(zero.checked).rows(names)
-        internals, value = tree.internals, tree.exact
-        with pytest.MonkeyPatch.context() as mp:
-            stacks, reads = self.stacking(mp)
-            with pytest.raises(ZeroProbabilityError):
-                grow(tree, eng)
-        [(stacked_joints, results)] = stacks
-        assert all(map(operator.is_, stacked_joints, joints))
+        results = stack_rows([l.checked.joint for l in leaves])
         assert [rows is None for rows in results] == [l is zero for l in leaves]
-        assert [(c, rows) for c, _, rows in reads] == list(zip(contexts, results))[:3]
-        assert all(map(operator.is_, (rows for _, _, rows in reads), results[:3]))
         self.assert_as_if_alone([(l.checked, l.checked.joint, rows)
                                  for l, rows in zip(leaves, results) if rows is not None])
+        internals, value = tree.internals, tree.exact
+        with pytest.raises(ZeroProbabilityError):
+            grow(tree, eng)
         assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
         assert all(l.checked is not None for l in tree.open)
         ref_eng, ref_tree, _ = TestSiblingGroups.split_root()
@@ -1160,19 +1180,25 @@ def shared_parent_diagram(seed):
 
 
 class TestGrowth:
-    """A complete greedy run is grown and replayed (tree.grow, tree.reveal);
-    the same run bounded only by max_extensions=10**9 extends leaf by leaf.
-    Both write the same trace CSV bytes, policy JSON bytes, observer events
-    and counters."""
+    """A complete greedy run is grown and replayed (tree.grow, then the
+    records grow returns); the same run bounded only by
+    max_extensions=10**9 extends leaf by leaf.  Both write the same trace
+    CSV bytes, policy JSON bytes, observer events and counters, and the
+    grown tree's counts and value are those of a walk of it, and of the
+    trace's last record.  On wide stars (arity 4 to 9) a gain sums 8 or
+    more outcomes, where numpy's pairwise order would differ from the
+    leaf-by-leaf run's left to right."""
 
     @given(data=st.data())
     def test_same_as_extending_leaf_by_leaf(self, data):
-        kind = data.draw(st.sampled_from(["star", "mixed arity", "exclusion", "coins",
-                                          "two-stage", "decision only", "ties"]))
+        kind = data.draw(st.sampled_from(["star", "wide star", "mixed arity", "exclusion",
+                                          "coins", "two-stage", "decision only", "ties"]))
         leaf = data.draw(st.sampled_from(["posthoc", "random"]))
         seed = data.draw(st.integers(0, 10_000))
-        if kind == "star":
-            n, arity = data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3))
+        if kind in ("star", "wide star"):
+            n, arity = ((data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3)))
+                        if kind == "star" else
+                        (data.draw(st.integers(1, 2)), data.draw(st.integers(4, 9))))
             diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
         elif kind == "mixed arity":
             diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
@@ -1203,7 +1229,8 @@ class TestGrowth:
                 if kind == "two-stage":
                     policy, traces = sweep_back(diagram, config,
                                                 observer=lambda d, ev: events.append((d, ev)))
-                    trees, traces = [p.tree for p in policy.policies], list(traces.values())
+                    trees = [p.tree for p in policy.policies]
+                    traces = [traces[t.decision] for t in trees]
                     counters = None  # each decision's engine is sweep_back's; its trace has them
                 else:
                     engine = Engine(compile_network(diagram))
@@ -1212,6 +1239,13 @@ class TestGrowth:
                     trees, traces, counters = [tree], [trace], engine.counter.snapshot()
                     assert counters == (trace.records[-1].fine_queries,
                                         trace.records[-1].passes)
+            if stop.unbounded:  # the grown trees' own counts and value
+                for tree, trace in zip(trees, traces):
+                    assert_statistics(tree)
+                    last = trace.records[-1]
+                    assert not tree.open and (last.internal_vertices, last.leaves,
+                                              last.value_normalized) == (
+                        tree.internals, tree.leaves, tree_value(tree))
             # as lines, so that a failure names the first row that differs without a long diff
             runs.append(([line for t in traces for line in t.to_csv().splitlines()],
                          [line for t in trees for line in dumps_policy(t).splitlines()],
@@ -1249,24 +1283,27 @@ class TestGrowth:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("explore", [
-        lambda tree, leaf, eng: extend(tree, leaf, extensions(tree, leaf)[0].name, eng),
-        lambda tree, leaf, eng: evi(tree, leaf, extensions(tree, leaf)[0].name, eng),
+        lambda tree, leaf, eng: extend(tree, leaf, "c1", eng),
+        lambda tree, leaf, eng: evi(tree, leaf, "c1", eng),
         best_extension], ids=["extend", "evi", "best_extension"])
     def test_grown_leaf_not_explored(self, explore):
-        """A leaf reveal opened holds no checked context, since grow has
-        decided it: exploring it raises ValueError and charges nothing."""
+        """grow puts a vertex in place of every open leaf, and of every leaf
+        below it that would be open, and returns each open leaf's record:
+        the tree it leaves has no open leaf, and exploring any of its leaves
+        raises ValueError and charges nothing."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
         tree = init_tree(eng, "d")
+        extend(tree, tree.root, "c1", eng)
+        leaves = list(tree.open)
         grown = grow(tree, eng)
-        reveal(tree, tree.root, grown)
+        assert [g.depth for g in grown] == [1, 1] and [g.variable for g in grown] == [
+            n.variable for n in tree.root.children.values()]
+        assert not tree.open and tree.internals == 7
         before = eng.counter.snapshot()
-        for leaf in list(tree.open):
-            with pytest.raises(ValueError, match="grown leaf"):
+        for leaf in iter_leaves(tree):
+            with pytest.raises(ValueError):
                 explore(tree, leaf, eng)
         assert eng.counter.snapshot() == before
-        for leaf in list(tree.open):  # reveal still puts each vertex in place
-            reveal(tree, leaf, grown)
-        assert tree.internals == 3
 
 
 class TestEliminationOrder:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import charged, rescan_open, uncharged
 from idrefine.diagram import DecisionNode, InfluenceDiagram, ValueNode, Variable
-from idrefine.engine import Engine, compile_network
+from idrefine.engine import Calibration, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -21,6 +21,18 @@ from idrefine.tree import (Internal, Leaf, best_extension, extend, extensions, i
                            iter_leaves, random_extension, tree_value)
 
 TOL = 1e-9
+
+
+def open_leaves(tree):
+    """The tree's open leaves in depth-first order, as a selector starts with them."""
+    return [l for l in iter_leaves(tree) if l in tree.open]
+
+
+def notify(selector, tree, vertex):
+    """Tell the selector of an extension as refine does: the vertex's gain
+    and the leaves it opened, in outcome order."""
+    selector.notify_extended(vertex.gain,
+                             [c for c in vertex.children.values() if c in tree.open])
 
 
 def run(diagram, decision=None, observer=None, **cfg):
@@ -155,21 +167,21 @@ class TestPosthocSelector:
     def test_root_leaf_served_first(self):
         eng = Engine(compile_network(mini_weather()))
         tree = init_tree(eng, "D")
-        sel = PosthocSelector(tree, np.random.default_rng(0))
-        assert sel.next_leaf(tree) is tree.root
+        sel = PosthocSelector(open_leaves(tree), np.random.default_rng(0))
+        assert sel.next_leaf() is tree.root
 
     def test_leaves_of_best_vertex_served_in_outcome_order(self):
         diagram = mini_weather_coin()
         eng = Engine(compile_network(diagram))
         tree = init_tree(eng, "D")
-        sel = PosthocSelector(tree, np.random.default_rng(0))
-        root_leaf = sel.next_leaf(tree)
+        sel = PosthocSelector(open_leaves(tree), np.random.default_rng(0))
+        root_leaf = sel.next_leaf()
         vertex = extend(tree, root_leaf, "R", eng)
-        sel.notify_extended(vertex)
-        first = sel.next_leaf(tree)
+        notify(sel, tree, vertex)
+        first = sel.next_leaf()
         assert first is vertex.children["sunny"]
         extend(tree, first, "C1", eng)
-        second = sel.next_leaf(tree)
+        second = sel.next_leaf()
         assert second is vertex.children["rainy"]
 
     def test_higher_gain_vertex_served_before_lower(self):
@@ -178,16 +190,16 @@ class TestPosthocSelector:
         first, all its leaves before any of the other's."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
         tree = init_tree(eng, "d")
-        sel = PosthocSelector(tree, np.random.default_rng(0))
-        sel.notify_extended(extend(tree, sel.next_leaf(tree), "c1", eng))
-        low, high = sorted((extend(tree, sel.next_leaf(tree), "c2", eng) for _ in range(2)),
+        sel = PosthocSelector(open_leaves(tree), np.random.default_rng(0))
+        notify(sel, tree, extend(tree, sel.next_leaf(), "c1", eng))
+        low, high = sorted((extend(tree, sel.next_leaf(), "c2", eng) for _ in range(2)),
                            key=lambda vertex: vertex.gain)
         assert low.gain < high.gain
-        sel.notify_extended(low)
-        sel.notify_extended(high)
-        served = [sel.next_leaf(tree) for _ in range(4)]
+        notify(sel, tree, low)
+        notify(sel, tree, high)
+        served = [sel.next_leaf() for _ in range(4)]
         assert served == (list(high.children.values()) + list(low.children.values()))
-        assert sel.next_leaf(tree) is None
+        assert sel.next_leaf() is None
 
     def test_equal_gains_same_seed_identical_order(self):
         diagram = gen_random_id(GeneratorSpec(n=3, seed=7))
@@ -203,8 +215,8 @@ class TestRandomLeafSelector:
     def test_single_extensible_leaf(self):
         eng = Engine(compile_network(mini_weather()))
         tree = init_tree(eng, "D")
-        sel = RandomLeafSelector(tree, np.random.default_rng(0))
-        assert sel.next_leaf(tree) is tree.root
+        sel = RandomLeafSelector(open_leaves(tree), np.random.default_rng(0))
+        assert sel.next_leaf() is tree.root
 
     def test_uniform_over_leaves(self):
         diagram = gen_random_id(GeneratorSpec(n=3, seed=1))
@@ -215,11 +227,11 @@ class TestRandomLeafSelector:
             extend(tree, leaf, "c2", eng)
         leaves = [l for l in iter_leaves(tree) if extensions(tree, l)]
         assert len(leaves) == 4
-        sel = RandomLeafSelector(tree, np.random.default_rng(123))
+        sel = RandomLeafSelector(open_leaves(tree), np.random.default_rng(123))
         counts = {id(l): 0 for l in leaves}
         draws = 10_000
         for _ in range(draws):
-            counts[id(sel.next_leaf(tree))] += 1
+            counts[id(sel.next_leaf())] += 1
         sigma = (draws * 0.25 * 0.75) ** 0.5
         for c in counts.values():
             assert abs(c - draws / 4) < 5 * sigma
@@ -242,21 +254,12 @@ class TestRandomLeafSelector:
         eng = Engine(compile_network(diagram))
         tree = init_tree(eng, diagram.decision_order[0])
         rng = np.random.default_rng(seed)
-        sel = RandomLeafSelector(tree, rng)
-        while (leaf := sel.next_leaf(tree)) is not None:
+        sel = RandomLeafSelector(open_leaves(tree), rng)
+        while (leaf := sel.next_leaf()) is not None:
             candidates = extensions(tree, leaf)
             variable = candidates[int(rng.integers(len(candidates)))].name
-            sel.notify_extended(extend(tree, leaf, variable, eng))
+            notify(sel, tree, extend(tree, leaf, variable, eng))
             assert sel._leaves == rescan(tree)
-
-    def test_vertex_from_another_leaf_rejected(self):
-        eng = Engine(compile_network(mini_weather_coin()))
-        tree = init_tree(eng, "D")
-        sel = RandomLeafSelector(tree, np.random.default_rng(0))
-        sel.notify_extended(extend(tree, sel.next_leaf(tree), "R", eng))
-        sunny = tree.root.children["sunny"]
-        with pytest.raises(ValueError, match="last served"):
-            sel.notify_extended(extend(tree, sunny, "C1", eng))
 
     @pytest.mark.parametrize("extension", ["random", "greedy"])
     @pytest.mark.parametrize("n, seed", [(3, 0), (4, 1), (5, 2), (6, 3)])
@@ -278,19 +281,30 @@ def rescan(tree):
 
 
 class RescanningSelector:
-    """Reference: a uniform draw over a fresh scan of the tree on every call."""
+    """Reference: a uniform draw, on every call, over a fresh depth-first
+    scan of the leaves it started with and those each extension opened,
+    a served leaf standing for the leaves it opened.  It serves whatever
+    refine serves: a tree's leaves, or the records grown for them."""
 
-    def __init__(self, tree, rng):
-        self._rng = rng
+    def __init__(self, leaves, rng):
+        self._rng, self._roots, self._opened, self._served = rng, list(leaves), {}, None
 
-    def notify_extended(self, vertex):
-        pass
+    def notify_extended(self, gain, opened):
+        self._opened[id(self._served)] = list(opened)
 
-    def next_leaf(self, tree):
-        candidates = rescan(tree)
+    def scan(self, leaves):
+        for leaf in leaves:
+            if id(leaf) in self._opened:
+                yield from self.scan(self._opened[id(leaf)])
+            else:
+                yield leaf
+
+    def next_leaf(self):
+        candidates = list(self.scan(self._roots))
         if not candidates:
             return None
-        return candidates[int(self._rng.integers(len(candidates)))]
+        self._served = candidates[int(self._rng.integers(len(candidates)))]
+        return self._served
 
 
 class TestTreeWalks:
@@ -300,7 +314,7 @@ class TestTreeWalks:
         counted = []
         # sys.modules: the package re-exports the function refine as idrefine.refine
         targets = [(sys.modules["idrefine.tree"], "iter_vertices"),
-                   (sys.modules["idrefine.refine"], "iter_leaves")]
+                   (sys.modules["idrefine.tree"], "iter_leaves")]
         for module, name in targets:
             def counting(*args, _original=getattr(module, name), _name=name):
                 counted.append(_name)
@@ -315,13 +329,12 @@ class TestTreeWalks:
                                                  ("random", "random"),
                                                  ("random", "greedy")])
     def test_walk_count_independent_of_iterations(self, monkeypatch, leaf, extension):
-        """A new tree is one leaf, counted with no walk, so posthoc never
-        walks; the random selector walks once, when it lists the open
-        leaves (iter_leaves over iter_vertices: two counted calls)."""
+        """A new tree is one leaf, counted with no walk, and each selector
+        starts from its open leaves and is told the leaves each extension
+        opens, so no run walks the tree."""
         small = self.walks(monkeypatch, 4, leaf_strategy=leaf, extension_strategy=extension)
         large = self.walks(monkeypatch, 7, leaf_strategy=leaf, extension_strategy=extension)
-        assert small == (0 if leaf == "posthoc" else 2)
-        assert large == small
+        assert small == large == 0
 
 
 class TestOpenLeaves:
@@ -338,14 +351,15 @@ class TestOpenLeaves:
         engine = Engine(compile_network(diagram))
         tree = init_tree(engine, diagram.decision_order[0])
         rng = np.random.default_rng(seed)
-        selector = (PosthocSelector if leaf == "posthoc" else RandomLeafSelector)(tree, rng)
+        selector = (PosthocSelector if leaf == "posthoc" else RandomLeafSelector)(
+            open_leaves(tree), rng)
         assert tree.open == rescan_open(tree) == {tree.root: None}
-        while (chosen := selector.next_leaf(tree)) is not None:
+        while (chosen := selector.next_leaf()) is not None:
             if extension == "greedy":
                 variable, _ = best_extension(tree, chosen, engine)
             else:
                 variable = random_extension(tree, chosen, engine, rng)
-            selector.notify_extended(extend(tree, chosen, variable, engine))
+            notify(selector, tree, extend(tree, chosen, variable, engine))
             assert tree.open == rescan_open(tree)
         assert not tree.open
 
@@ -437,20 +451,24 @@ class TestEngineQueries:
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_each_explored_leaf_stacked_once(self, monkeypatch, n):
-        """Each leaf the run explores is one row of one stacked pass, and
-        there is one pass per level: the root alone, then all of each
-        level's leaves, whose joints have one shape on a star."""
-        engine = sys.modules["idrefine.engine"]
-        rows = []
+        """Each leaf the run explores is explored once: the root alone, on
+        its calibration, then each level's leaves, whose joints have one
+        shape on a star, as the rows of one stacked pass per level."""
+        rows, alone = [], []
 
-        def counting(joints, _original=engine._evaluate):
-            rows.append(len(joints[0]))  # the contexts stacked
-            return _original(joints)
-        monkeypatch.setattr(engine, "_evaluate", counting)
+        def counting(engine, stack, _original=Engine.explore_stack):
+            rows.append(len(stack))  # the contexts stacked
+            return _original(engine, stack)
+
+        def reading(cal, variables, stacked=None, _original=Calibration.rows):
+            alone.append(stacked)
+            return _original(cal, variables, stacked)
+        monkeypatch.setattr(Engine, "explore_stack", counting)
+        monkeypatch.setattr(Calibration, "rows", reading)
         _, tree, trace = run(gen_random_id(GeneratorSpec(n=n, seed=n)))
         monkeypatch.undo()
         assert trace.records[-1].internal_vertices == 2 ** n - 1
-        assert rows == [2 ** k for k in range(n)]
+        assert (rows, alone) == ([2 ** k for k in range(1, n)], [None])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_stage_sweep(self, monkeypatch, seed):

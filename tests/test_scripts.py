@@ -87,6 +87,12 @@ def test_benchmark_tracing_targets_exist(monkeypatch):
     assert [vars(owner)[attr] for owner, attr, _ in tracing._targets()] == originals
 
 
+def planted(text, line, replacement):
+    """text with its one occurrence of line replaced; a line that moved fails by name."""
+    assert text.count(line) == 1, f"the mutation's anchor is not one line of tree.py: {line!r}"
+    return text.replace(line, replacement)
+
+
 def test_ab_solve_script(tmp_path):
     """Both sides this checkout, two instances of every workload: the trace
     CSVs, policies and gains agree, and a time ratio and a peak-memory ratio
@@ -109,9 +115,9 @@ def test_ab_solve_script(tmp_path):
                          r"q3 \d+\.\d{4}\]; median peak \S+ MiB -> \S+ MiB$", line), line
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
     tree_py = tmp_path / "src" / "idrefine" / "tree.py"
-    tree_py.write_text(tree_py.read_text().replace(
-        "return json.dumps(policy_json(tree), indent=2)",
-        "return json.dumps(policy_json(tree), indent=1)"))
+    tree_py.write_text(planted(tree_py.read_text(),
+                               "return json.dumps(policy_json(tree), indent=2)",
+                               "return json.dumps(policy_json(tree), indent=1)"))
     for workload in ("greedy_complete", "sweep_two_stage"):
         result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
                                  "--instances", "1", "--rounds", "1"],
@@ -120,12 +126,11 @@ def test_ab_solve_script(tmp_path):
         assert f"{workload} 0: policies differ" in result.stderr
     shutil.rmtree(tmp_path / "src")
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
-    tree_py.write_text(tree_py.read_text().replace(
-        "    gain: float  # tree-value increase recorded when this vertex was created\n",
-        "    gain: float  # tree-value increase recorded when this vertex was created\n\n"
-        "    def __post_init__(self):\n"
-        "        self.gain = math.nextafter(self.gain, math.inf)\n").replace(
-        "import json\n", "import json\nimport math\n", 1))
+    gain_line = "    gain: float  # tree-value increase recorded when this vertex was created\n"
+    nudged = (gain_line + "\n    def __post_init__(self):\n"
+              "        self.gain = math.nextafter(self.gain, math.inf)\n")
+    tree_py.write_text(planted(planted(tree_py.read_text(), gain_line, nudged),
+                               "import json\n", "import json\nimport math\n"))
     for workload in ("greedy_complete", "sweep_two_stage"):
         result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
                                  "--instances", "1", "--rounds", "1"],

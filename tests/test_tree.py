@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import charged, loop_gain, rescan_open, uncharged
+from helpers import assert_statistics, charged, loop_gain, uncharged
 from idrefine.engine import ZERO_PROB, Calibration, Engine, compile_network
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin, weather3)
@@ -17,7 +17,7 @@ from idrefine.oracle import oracle_optimal
 from idrefine.refine import RefinementConfig, refine
 from idrefine.tree import (_SCALE, DecisionTree, Explored, Leaf, _exact, _gain,
                            apply_policy, best_extension, evi, extend, extensions,
-                           find_leaf, init_tree, iter_leaves, policy_json, to_table,
+                           find_leaf, init_tree, iter_leaves, to_table,
                            tree_counts, tree_value, vertex_to_json)
 
 TOL = 1e-9
@@ -507,31 +507,6 @@ class TestStructuralInvariants:
         for leaf in iter_leaves(tree):
             names = [v for v, _ in leaf.context]
             assert len(names) == len(set(names))
-
-
-def recount(vertex):
-    """(internal vertices, non-pruned leaves, value * reach of each such leaf),
-    by a recursive walk."""
-    if isinstance(vertex, Leaf):
-        return (0, 0, []) if vertex.pruned else (0, 1, [vertex.value * vertex.reach])
-    internals, leaves, products = 1, 0, []
-    for child in vertex.children.values():
-        i, l, p = recount(child)
-        internals, leaves, products = internals + i, leaves + l, products + p
-    return internals, leaves, products
-
-
-def assert_statistics(tree):
-    internals, leaves, products = recount(tree.root)
-    assert tree_counts(tree) == (internals, leaves)
-    assert tree.open == rescan_open(tree)
-    assert tree_value(tree) == math.fsum(products)
-    assert policy_json(tree)["value_normalized"] == tree_value(tree)
-    named = {v.name: v for v in tree.predecessors}
-    for leaf in tree.open:  # what extend derived equals what the context says
-        assert leaf.checked.missing == tuple(v.name for v in extensions(tree, leaf))
-        assert {x: named[x].outcomes[o]
-                for x, o in leaf.checked.findings.items()} == dict(leaf.context)
 
 
 class TestRunningStatistics:

@@ -51,9 +51,10 @@ stack's contexts x candidates rows are read out at once.  The contexts may
 lack different predecessors, as many and of the same arities.  That pass
 is uncounted; each context is charged when its calibration reads its rows
 (Calibration.rows), the same as evaluating it then, or, with no
-calibration made, by Engine.explore_stack; and every row is
-bit-identical to evaluating that context alone, because a single context
-goes through the same sums and _choose as a stack of one.
+calibration made, by Engine.explore_stack, which may read one candidate,
+the same axis, per context; and every row is bit-identical to evaluating
+that context alone, because a single context goes through the same sums
+and _choose as a stack of one.
 
 Findings are outcome labels, checked once per context: Engine.context
 checks a caller's evidence for exploring one decision, charging nothing,
@@ -510,15 +511,18 @@ class Engine:
         self.counter.passes += 1
         return Calibration(self, context)
 
-    def explore_stack(self, stack: np.ndarray) -> tuple[list[list[Row]], int, int]:
-        """stack_rows for the contexts whose leaf joints are the stack's rows,
-        each charged, with no Calibration made, what calibrating it and
-        reading every row would charge, and that charge, (fine, passes); a
-        context of probability zero raises ZeroProbabilityError."""
-        fine, passes = 2 * sum(stack.shape[1:-2]), 1 + 2 * (stack.ndim - 3)
+    def explore_stack(self, stack: np.ndarray, axis: int | None = None
+                      ) -> tuple[list[list[Row]], int, int]:
+        """stack_rows, of every candidate or the axis-th alone, for the
+        contexts whose leaf joints are the stack's rows, each charged, with
+        no Calibration made, what calibrating it and reading those rows would
+        charge, and that charge, (fine, passes); a context of probability
+        zero raises ZeroProbabilityError."""
+        fine = 2 * (sum(stack.shape[1:-2]) if axis is None else stack.shape[1 + axis])
+        passes = 1 + 2 * (stack.ndim - 3 if axis is None else 1)
         self.counter.fine += len(stack) * fine
         self.counter.passes += len(stack) * passes
-        rows = stack_rows(stack)
+        rows = stack_rows(stack, axis)
         if None in rows:
             raise ZeroProbabilityError("context has probability zero")
         return rows, fine, passes
@@ -637,16 +641,18 @@ class Calibration:
         return stacked or []
 
 
-def stack_rows(joints: Sequence[np.ndarray] | np.ndarray) -> list[list[Row] | None]:
+def stack_rows(joints: Sequence[np.ndarray] | np.ndarray,
+               axis: int | None = None) -> list[list[Row] | None]:
     """Every candidate's rows for contexts of one decision whose leaf joints
     have one shape, in one stacked pass, uncounted: per context, the list
     Calibration.rows gives for it alone, bit for bit, or None where it has
     probability zero (alone, it raises ZeroProbabilityError).  A context's
-    candidates are its joint's predecessor axes, in order; each context is
-    charged when it reads its rows (Calibration.rows' ``stacked``).
-    ``joints`` may be them stacked, in C order."""
+    candidates are its joint's predecessor axes, in order, or the axis-th;
+    each context is charged when it reads its rows (Calibration.rows'
+    ``stacked``).  ``joints`` may be them stacked, in C order."""
     stack, halves, keep = np.asarray(joints), {}, range(len(joints))
-    marginals = [_marginal(stack, k, halves) for k in range(stack.ndim - 3)]
+    axes = range(stack.ndim - 3) if axis is None else (axis,)
+    marginals = [_marginal(stack, k, halves) for k in axes]
     try:
         flat = _evaluate(marginals)
     except ZeroProbabilityError:  # leave out each context with a row _choose rejects

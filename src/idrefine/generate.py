@@ -34,6 +34,8 @@ class GeneratorSpec:
             raise ValueError("n must be at least 1")
         if self.arity < 2:
             raise ValueError("arity must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 def gen_random_id(spec: GeneratorSpec) -> InfluenceDiagram:

@@ -20,20 +20,22 @@ Leaf choice and extension choice are orthogonal and pluggable:
   per joint shape.  A bounded greedy run stacks a leaf's unexplored
   siblings with it, so that a stop strands little stacked work; a bounded
   random run stacks none.  In a run with no bound, which explores every
-  open leaf, random extension stacks the leaf's cohort, and a greedy run
-  each whole level (below).
+  open leaf, random extension leaf by leaf stacks the leaf's cohort, and
+  grown and drawn runs each whole level (below).
 
 A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
 split depends only on the leaf's own context, so tree.grow first puts
 every split in place, charging each leaf as best_extension would; then
 the loop replays the run from grow's records, serving them in the leaf
 strategy's order, one selector step and one trace record per extension.
-The trace, the tree, the counters and the observer's events are those of
-extending leaf by leaf, but every query, and any error one raises (a
-context of probability zero, a split that lowers the value), comes
-before the first event reaches the observer.  A bounded run would compute
-splits past its stop, and random extension's draws interleave with the
-leaf strategy's, so neither grows.
+A random run with no bound is drawn where no child can be pruned
+(tree.drawable): tree.draw makes every draw, then every split, and the
+loop serves its records as drawn.  Either way the trace, the tree, the
+counters and the observer's events are those of extending leaf by leaf,
+but every query, and any error one raises (a context of probability
+zero, a split that lowers the value), comes before the first event
+reaches the observer.  A bounded run would compute splits past its stop,
+and posthoc leaf choice reads random splits' gains, so neither grows.
 
 A fixed seed makes a run fully deterministic.
 """
@@ -50,8 +52,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .engine import Engine
-from .tree import (_SCALE, DecisionTree, best_extension, extend, grow, init_tree,
-                   random_extension, tree_counts, tree_value)
+from .tree import (_SCALE, DecisionTree, best_extension, draw, drawable, extend, grow,
+                   init_tree, random_extension, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -107,6 +109,8 @@ class RefinementConfig:
             raise ValueError(f"unknown extension strategy {self.extension_strategy!r}")
         if self.stop.min_evi is not None and self.extension_strategy != "greedy":
             raise ValueError("min_evi stopping applies to the greedy extension strategy only")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
 
 
 class TraceRecord(NamedTuple):
@@ -220,23 +224,30 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     counter = engine.counter
     degenerate = engine.network.degenerate  # any policy is optimal: nothing to explore
     stop, greedy = config.stop, config.extension_strategy == "greedy"
+    random_leaf = config.leaf_strategy == "random"
     # with no bound, every open leaf is explored, so every stacked leaf is read
     cohort = stop.unbounded
-    grown = cohort and greedy and not degenerate
+    # with no bound, a greedy run is grown, and a random one drawn where it can be
+    grown = cohort and not degenerate and (greedy or random_leaf and drawable(tree))
     # the counters, counts and value, as each extension changes them
     fine, passes, internals, leaves, exact = *counter.snapshot(), *tree_counts(tree), tree.exact
     iterations, value = 0, tree_value(tree)
-    selector = (PosthocSelector if config.leaf_strategy == "posthoc" else RandomLeafSelector)(
-        grow(tree, engine) if grown else list(tree.open), rng)
+    if grown and not greedy:  # every draw is made first; its records are served as drawn
+        drawn = iter(draw(tree, engine, RandomLeafSelector, rng))
+        next_leaf, notify = (lambda: next(drawn, None)), (lambda gain, opened: None)
+    else:
+        selector = (RandomLeafSelector if random_leaf else PosthocSelector)(
+            grow(tree, engine) if grown else list(tree.open), rng)
+        next_leaf, notify = selector.next_leaf, selector.notify_extended
     while True:
         trace.records.append(TraceRecord(iterations, fine, passes, internals, leaves, value,
                                          tree.denormalize(value)))
         if degenerate or stop.budget_reached(iterations, engine):
             break
-        served = selector.next_leaf()
+        served = next_leaf()
         if served is None:
             break
-        if grown:  # what the split grow put in the leaf's place changed
+        if grown:  # what the split grown or drawn in the leaf's place changed
             gain, variable, depth, fine_spent, passes_spent, added, change, opened = served
             fine, passes, internals = fine + fine_spent, passes + passes_spent, internals + 1
             leaves, exact = leaves + added, exact + change
@@ -253,7 +264,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
             fine_spent, passes_spent = counter.fine - fine, counter.passes - passes
             (fine, passes), (internals, leaves), exact = (counter.snapshot(), tree_counts(tree),
                                                           tree.exact)
-        selector.notify_extended(gain, opened)
+        notify(gain, opened)
         iterations += 1
         value = exact / _SCALE
         if observer is not None:

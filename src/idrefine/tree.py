@@ -13,7 +13,7 @@ the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
 Trees are single-owner mutable values.  A tree starts as one leaf
-(init_tree) and grows by extend, or by grow.  It maps its open leaves,
+(init_tree) and grows by extend, grow or draw.  It maps its open leaves,
 those that can still be extended, to their parents, None for the root
 (DecisionTree.open).  Every test of whether a leaf can be extended reads
 it, so a leaf of another tree, or one already replaced, is not open.  The
@@ -26,9 +26,9 @@ engine has it, its leaf joint), which every exploration of the leaf
 calibrates and a stacked pass reads its candidates from.  init_tree has
 the engine check the root's context, whose calibration contracts the
 root's joint; below it, every joint is a slice of its parent's (extend:
-CheckedContext.child; grow: a gather of the level's stack), so on a star
-topology the root's joint is the one contraction of a run and the root's
-findings the only ones checked.
+CheckedContext.child; grow and draw: a gather of the level's stack), so
+on a star topology the root's joint is the one contraction of a run and
+the root's findings the only ones checked.
 
 Leaf by leaf, a leaf allocates nothing more until it is explored.  Then it
 keeps one record (Explored): the row (engine.Row) of every candidate known
@@ -51,7 +51,10 @@ once, breadth-first, reading each level below the open leaves in one
 charged stacked pass per joint shape (Engine.explore_stack), with no
 calibration or checked context made where joints are held.  It makes a
 Leaf or Internal only for a vertex of the grown tree, and for each split
-a record (Grown) from which refine replays the run, in any order.
+a record (Grown) from which refine replays the run, in any order.  A
+random run that will explore every open leaf is drawn first where no
+child can be pruned (drawable): draw's splits then grow alike, each
+reading only its drawn candidate, stacked per joint shape and drawn axis.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and grow() grow it, so reading them costs no walk.  The
@@ -66,7 +69,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import product, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -357,7 +360,7 @@ def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
 Grown = namedtuple("Grown", "gain variable depth fine passes leaves exact opened")
 
 
-def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
+def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[Grown]:
     """Put the greedy split of every open leaf, and of every leaf below it
     that would be open, in place, bringing the counts and the value up to
     date; returns the open leaves' splits, in tree.open's order (see the
@@ -369,26 +372,30 @@ def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
     children's contexts derive from its own (CheckedContext.child).  The
     open leaves must be unexplored.  A call that raises, ZeroProbabilityError
     for a context of probability zero among them, leaves the tree as it was.
+    With ``drawn``, the root's node from draw, each context is split on its
+    drawn variable, the one candidate read, and its record is appended to
+    its node instead of returned.
     """
     outcomes, labels = engine.network.outcomes, tree.actions
     placed, heads = {}, []
-    # joint shape -> (joints, entries), or a checked context -> ([], [entry]); an entry
-    # holds missing predecessors, context, action, the dict and key its split goes in,
-    # the list its record goes in (siblings in order), reach, value * reach, its _exact
-    level = {leaf.checked: ([], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
-                                  heads, leaf.reach, leaf.value * leaf.reach,
-                                  _exact(leaf.value * leaf.reach))])
-             for leaf in tree.open}
+    # (joint shape or a checked context, drawn axis) -> (joints, entries); an entry holds
+    # missing predecessors, context, action, the dict and key its split goes in, the list
+    # its record goes in (siblings in order; drawn: its node), reach, value * reach, _exact
+    level = {(leaf.checked, None if drawn is None else drawn[1]): (
+        [], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
+              heads if drawn is None else drawn, leaf.reach, leaf.value * leaf.reach,
+              _exact(leaf.value * leaf.reach))]) for leaf in tree.open}
     internals = leaves = exact = 0
     while level:
         below: dict = {}
-        for key, (joints, entries) in level.items():
+        for (key, axis), (joints, entries) in level.items():
             if joints:
                 stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
-                rows, fine, passes = engine.explore_stack(stack)
+                rows, fine, passes = engine.explore_stack(stack, axis)
             else:
                 before = engine.counter.snapshot()
-                rows = [engine.calibrate(key).rows(key.missing)]
+                read = key.missing if axis is None else key.missing[axis:axis + 1]
+                rows = [engine.calibrate(key).rows(read)]
                 fine, passes = (a - b for a, b in zip(engine.counter.snapshot(), before))
                 stack = None if key.joint is None else key.joint[None]
             runs = defaultdict(lambda: ([], [], []))  # per candidate: contexts split, born, kept
@@ -405,13 +412,14 @@ def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
                         k, gain = i, total
                 if gain < -1e-9:
                     raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-                variable, (best, probs, values) = names[k], candidates[k]
-                rest, node = names[:k] + names[k + 1:], Internal(variable, {}, gain)
-                parent[at] = node
+                (best, probs, values), k = candidates[k], k if axis is None else axis
+                variable, rest = names[k], names[:k] + names[k + 1:]
+                node = parent[at] = Internal(variable, {}, gain)
                 split_here, born, kept = runs[k]
                 split_here.append(s)
-                opened, count, change = [], 0, -scaled
-                for o, a, p, v in zip(outcomes[variable], best, probs, values):
+                opened, count, change = [] if drawn is None else records[2], 0, -scaled
+                holders = opened or repeat(opened)  # where each child's record goes
+                for o, a, p, v, h in zip(outcomes[variable], best, probs, values, holders):
                     r, c = reach * p, context + ((variable, o),)
                     kept.append(r >= ZERO_PROB)
                     if not kept[-1]:
@@ -422,7 +430,7 @@ def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
                     change += e
                     if rest:  # the split a level below takes its place
                         node.children[o] = None
-                        born.append((rest, c, labels[a], node.children, o, opened, r, t, e))
+                        born.append((rest, c, labels[a], node.children, o, h, r, t, e))
                     else:
                         node.children[o] = Leaf(labels[a], v, r, c)
                 records.append(Grown(gain, variable, len(context), fine, passes, count - 1,
@@ -432,19 +440,52 @@ def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
                 if born and stack is None:  # below a context with no joint: checked contexts
                     for entry in born:
                         x, o = entry[1][-1]
-                        below[key.child(x, outcomes[x].index(o))] = ([], [entry])
+                        below[key.child(x, outcomes[x].index(o)), None] = ([], [entry])
                 elif born:  # the children's joints, copied in C order, which decides how sums add
                     shape = stack.shape[1:1 + k] + stack.shape[2 + k:]
                     axes = (0, 1 + k, *(i for i in range(1, stack.ndim) if i != 1 + k))
-                    joints, more = below.setdefault(shape, ([], []))
-                    joints.append(stack[split_here].transpose(axes).reshape(-1, *shape)[kept])
-                    more += born
+                    block = stack[split_here].transpose(axes).reshape(-1, *shape)[kept]
+                    groups = {None: slice(None)} if drawn is None else defaultdict(list)
+                    for i, entry in enumerate(() if drawn is None else born):  # by axis drawn
+                        groups[entry[5][1]].append(i)
+                    for drawn_axis, members in groups.items():
+                        joints, more = below.setdefault((shape, drawn_axis), ([], []))
+                        joints.append(block if drawn is None else block[members])
+                        more += born if drawn is None else [born[i] for i in members]
         level = below
     for leaf, node in placed.items():
         _place(tree, leaf, node)
     tree.internals, tree.leaves = tree.internals + internals, tree.leaves + leaves
     tree.exact += exact
     return heads
+
+
+def drawable(tree: DecisionTree) -> bool:
+    """Whether the tree, as init_tree made it, has an open root holding its
+    joint, whose full contexts (summed over decision and proxy, over its
+    total) are all at least 2 * ZERO_PROB, so no reach rounds below ZERO_PROB."""
+    joint = tree.root.checked.joint if tree.root in tree.open else None
+    return joint is not None and joint.sum(axis=(-2, -1)).min() >= 2 * ZERO_PROB * joint.sum()
+
+
+def draw(tree: DecisionTree, engine: Engine, selector: type,
+         rng: np.random.Generator) -> list[Grown]:
+    """Grow a random run with no bound on a tree that drawable accepts, its
+    leaves served by ``selector`` (a leaf selector class, made with (leaves,
+    rng)), its variables drawn uniformly, rng drawing as leaf by leaf; each
+    context is charged as extend charges it.  Returns the records as drawn."""
+    # a node: missing predecessors, axis drawn, the nodes it opened, then its record
+    root = [tree.root.checked.missing, None, None]
+    outcomes, order, served = engine.network.outcomes, [], selector([root], rng)
+    while (node := served.next_leaf()) is not None:
+        missing = node[0]
+        node[1] = k = int(rng.integers(len(missing)))
+        rest = missing[:k] + missing[k + 1:]
+        node[2] = [[rest, None, None] for _ in outcomes[missing[k]]] if rest else []
+        order.append(node)
+        served.notify_extended(0.0, node[2])
+    grow(tree, engine, root)
+    return [node[3] for node in order]
 
 
 def apply_policy(tree: DecisionTree, state: dict[str, str]) -> str:

@@ -165,6 +165,10 @@ class TestSolve:
         assert main(["solve", mini_file, *flags]) == 2
         assert message in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, mini_file, capsys):
+        assert main(["solve", mini_file, "--seed", "-1"]) == 2
+        assert "error: seed must not be negative, got -1" in capsys.readouterr().err
+
     def test_invalid_diagram_exits_1(self, tmp_path):
         doc = json.loads(MINI_WEATHER_JSON)
         doc["nodes"][0]["parents"] = ["R"]
@@ -280,6 +284,12 @@ class TestGenProfile:
             out = json.loads(text, parse_constant=reject)
             assert out["query_bound"] is None and out["query_bound_held"] is None
             assert out["extensions"] == 0
+
+    def test_gen_negative_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        assert main(["gen", "--n", "3", "--seed", "-1", "-o", str(path)]) == 2
+        assert "error: seed must not be negative, got -1" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_gen_ternary(self, tmp_path):
         path = tmp_path / "t.json"

@@ -11,16 +11,16 @@ from helpers import (assert_statistics, calibrate, charged, einsum_query, enum_a
                      loop_elimination_order, normalized, uncharged)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
-from idrefine.engine import (_PLANS, Calibration, Engine, PolicyCpt, ZeroProbabilityError,
-                             _HALVING_MIN, _elimination_order, _plan, _query,
-                             compile_network, stack_rows)
+from idrefine.engine import (_PLANS, ZERO_PROB, Calibration, Engine, PolicyCpt,
+                             ZeroProbabilityError, _HALVING_MIN, _elimination_order, _plan,
+                             _query, compile_network, stack_rows)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
-from idrefine.multistage import sweep_back
+from idrefine.multistage import dumps_multistage_policy, sweep_back
 from idrefine.refine import RefinementConfig, StoppingRule, refine
-from idrefine.tree import (best_extension, dumps_policy, evi, extend, extensions, grow,
-                          init_tree, iter_internals, iter_leaves, tree_value)
+from idrefine.tree import (best_extension, drawable, dumps_policy, evi, extend, extensions,
+                          find_leaf, grow, init_tree, iter_internals, iter_leaves, tree_value)
 
 TOL = 1e-9
 
@@ -955,16 +955,23 @@ class TestSiblingGroups:
     @pytest.mark.parametrize("leaf", ["random", "posthoc"])
     def test_random_extension_stacks_only_complete_runs(self, monkeypatch, leaf):
         """A bounded random-extension run forms no group.  A complete one
-        stacks cohorts, beyond one leaf's siblings, and charges each
-        extension only the drawn candidate: a calibration pass plus two
-        passes, and twice its outcomes in fine queries."""
+        stacks more than one leaf's siblings: cohorts leaf by leaf (posthoc
+        leaf choice), or, drawn (random leaf choice, tree.draw), each
+        level's contexts by drawn axis (Engine.explore_stack).  Either way it
+        charges each extension only the drawn candidate: a calibration pass
+        plus two passes, and twice its outcomes in fine queries."""
         tree_module = sys.modules["idrefine.tree"]
         stacks = []
 
         def counting(joints, _original=tree_module.stack_rows):
             stacks.append(len(joints))
             return _original(joints)
+
+        def drawing(engine, stack, axis=None, _original=Engine.explore_stack):
+            stacks.append(len(stack))
+            return _original(engine, stack, axis)
         monkeypatch.setattr(tree_module, "stack_rows", counting)
+        monkeypatch.setattr(Engine, "explore_stack", drawing)
         net = compile_network(gen_random_id(GeneratorSpec(n=6, seed=3)))
         for stop in (StoppingRule(max_extensions=40), StoppingRule(max_passes=120)):
             _, trace = refine(Engine(net), "d", RefinementConfig(
@@ -1025,8 +1032,8 @@ class TestCohorts:
         (stack, its results); returns the list."""
         explored = []
 
-        def recording(engine, stack, _original=Engine.explore_stack):
-            result = _original(engine, stack)
+        def recording(engine, stack, axis=None, _original=Engine.explore_stack):
+            result = _original(engine, stack, axis)
             explored.append((stack, result))
             return result
         mp.setattr(Engine, "explore_stack", recording)
@@ -1086,11 +1093,14 @@ class TestCohorts:
 
     @given(data=st.data())
     def test_random_extension_as_if_alone(self, data):
-        """A complete random-extension run, under either leaf strategy,
-        writes the trace CSV and the policy JSON of the same run with no
-        stacking (_stack a no-op) byte for byte.  Each leaf is stacked at
-        most once, each stacked leaf reads its drawn candidate's row from
-        its stack, and every stacked row is as if evaluated alone."""
+        """A complete random-extension run made leaf by leaf, under either
+        leaf strategy, writes the trace CSV and the policy JSON of the same
+        run with no stacking (_stack a no-op) byte for byte.  Each leaf is
+        stacked at most once, each stacked leaf reads its drawn candidate's
+        row from its stack, and every stacked row is as if evaluated alone.
+        A random leaf choice goes leaf by leaf where tree.drawable refuses
+        the root, as both runs here have it do; else it is drawn
+        (TestDrawing)."""
         leaf = data.draw(st.sampled_from(["random", "posthoc"]))
         seed = data.draw(st.integers(0, 10_000))
         star = data.draw(st.booleans())
@@ -1101,10 +1111,13 @@ class TestCohorts:
             diagram = mixed_arity_diagram(seed, every=True)
         net = compile_network(diagram)
         config = RefinementConfig(leaf_strategy=leaf, extension_strategy="random", seed=seed)
+        refine_module = sys.modules["idrefine.refine"]
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine_module, "drawable", lambda tree: False)
             stacks, reads = self.stacking(mp)
             tree, trace = refine(Engine(net), "d", config)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine_module, "drawable", lambda tree: False)
             mp.setattr(sys.modules["idrefine.tree"], "_stack", lambda *args: None)
             lone_tree, lone_trace = refine(Engine(net), "d", config)
         # as lines, so that a failure names the first row that differs without a long diff
@@ -1304,6 +1317,147 @@ class TestGrowth:
             with pytest.raises(ValueError):
                 explore(tree, leaf, eng)
         assert eng.counter.snapshot() == before
+
+
+class TestDrawing:
+    """A random run with no bound (random leaf and extension) whose root
+    tree.drawable accepts is drawn and grown first (tree.draw), then
+    replayed; the same run bounded by max_extensions at its own extension
+    count goes leaf by leaf, since a bounded run is never drawn.  Both
+    write the same trace CSV bytes, policy JSON bytes, gains (repr),
+    counters and observer events, decision by decision under sweep_back.
+    A root that drawable refuses, and any other random run, goes leaf by
+    leaf."""
+
+    @staticmethod
+    def solve(diagram, stops, seed, leaf="random"):
+        """(trace CSV lines, policy JSON lines, gains, counters, events, the
+        decisions drawn) of a random-extension run of every decision, each
+        stopped by its rule in ``stops``; counters are those of a
+        single-decision run (sweep_back's traces hold each decision's)."""
+        refine_module, drawn, events = sys.modules["idrefine.refine"], [], []
+        config = {d: RefinementConfig(leaf_strategy=leaf, extension_strategy="random",
+                                      stop=stop, seed=seed) for d, stop in stops.items()}
+        with pytest.MonkeyPatch.context() as mp:
+            def drawing(tree, *args, _original=refine_module.draw):
+                drawn.append(tree.decision)
+                return _original(tree, *args)
+            mp.setattr(refine_module, "draw", drawing)
+            if len(stops) > 1:
+                policy, traces = sweep_back(diagram, config,
+                                            observer=lambda d, ev: events.append((d, ev)))
+                trees, counters = [p.tree for p in policy.policies], None
+                traces = [traces[t.decision] for t in trees]
+                policies = dumps_multistage_policy(policy)
+            else:
+                (d, config), = config.items()
+                engine = Engine(compile_network(diagram))
+                tree, trace = refine(engine, d, config,
+                                     observer=lambda ev: events.append((d, ev)))
+                trees, traces, counters = [tree], [trace], engine.counter.snapshot()
+                policies = dumps_policy(tree)
+        # as lines, so that a failure names the first row that differs without a long diff
+        return ([line for t in traces for line in t.to_csv().splitlines()],
+                policies.splitlines(), [repr(v.gain) for t in trees for v in iter_internals(t)],
+                counters, events, drawn)
+
+    def assert_as_leaf_by_leaf(self, diagram, seed):
+        """The decisions a complete run drew, after checking its outputs
+        against the leaf-by-leaf run's."""
+        order = diagram.decision_order
+        complete = self.solve(diagram, {d: StoppingRule(run_to_complete=True) for d in order},
+                              seed)
+        extended = {d: sum(e == d for e, _ in complete[4]) for d in order}
+        bounded = self.solve(diagram, {d: StoppingRule(max_extensions=extended[d])
+                                       for d in order}, seed)
+        for got, expected in zip(complete[:5], bounded[:5]):
+            assert got == expected
+        assert bounded[5] == []
+        return complete[5]
+
+    @given(data=st.data())
+    def test_same_as_extending_leaf_by_leaf(self, data):
+        kind = data.draw(st.sampled_from(["star", "two-stage", "mixed arity", "no predecessors",
+                                          "degenerate"]))
+        seed = data.draw(st.integers(0, 10_000))
+        if kind == "star":
+            arity = data.draw(st.integers(2, 4))
+            n = data.draw(st.integers(1, {2: 6, 3: 4, 4: 3}[arity]))
+            diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
+        elif kind == "two-stage":
+            diagram = gen_two_stage(seed)
+        elif kind == "mixed arity":
+            diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+        elif kind == "no predecessors":
+            diagram = InfluenceDiagram({"d": DecisionNode(Variable("d", ("a", "b")), ()),
+                                        "v": ValueNode("v", ("d",), np.array([0.0, 1.0]))},
+                                       ("d",))
+        else:
+            diagram = constant_utility()
+        drawn = self.assert_as_leaf_by_leaf(diagram, seed)
+        if kind == "two-stage":
+            assert drawn == ["d2", "d1"]
+        else:
+            d = diagram.decision_order[0]
+            net = compile_network(diagram)
+            assert drawn == ([d] if not net.degenerate and drawable(init_tree(Engine(net), d))
+                             else [])
+
+    @staticmethod
+    def rare(p):
+        """One chance node X, rare with probability p; D observes X, and V
+        favours y exactly when X is rare."""
+        x = ChanceNode(Variable("X", ("common", "rare")), (), np.array([1.0 - p, p]))
+        d = DecisionNode(Variable("D", ("x", "y")), ("X",))
+        v = ValueNode("V", ("X", "D"), np.array([[1.0, 0.0], [0.0, 1.0]]))
+        return InfluenceDiagram({"X": x, "D": d, "V": v}, ("D",))
+
+    @pytest.mark.parametrize("p, drawn", [(1e-13, False), (1.5e-12, False), (3e-12, True)])
+    def test_rare_context(self, p, drawn):
+        """A root whose smallest full context lies below ZERO_PROB (its leaf
+        is pruned) or below 2 * ZERO_PROB is refused, and the run goes leaf
+        by leaf; at 3e-12 it is drawn.  Either way the outputs are those of
+        the leaf-by-leaf run."""
+        diagram = self.rare(p)
+        assert drawable(init_tree(Engine(compile_network(diagram)), "D")) == drawn
+        assert self.assert_as_leaf_by_leaf(diagram, 0) == (["D"] if drawn else [])
+        assert find_leaf(self.run(diagram), {"X": "rare"}).pruned == (p < ZERO_PROB)
+
+    @staticmethod
+    def run(diagram, leaf="random", engine=None, observer=None):
+        """The tree of a complete random-extension run, seed 3."""
+        engine = engine or Engine(compile_network(diagram))
+        config = RefinementConfig(leaf_strategy=leaf, extension_strategy="random", seed=3)
+        return refine(engine, diagram.decision_order[0], config, observer=observer)[0]
+
+    def test_drawn_path(self):
+        """A drawn run calibrates only the root (in init_tree, and for its
+        drawn candidate), never calls extend or random_extension, and makes
+        every query before its first observer event, as a grown run does."""
+        refine_module, calibrated, called, seen = sys.modules["idrefine.refine"], [], [], []
+        with pytest.MonkeyPatch.context() as mp:
+            def calibrate(engine, context, _original=Engine.calibrate):
+                calibrated.append(context.findings)
+                return _original(engine, context)
+            mp.setattr(Engine, "calibrate", calibrate)
+            for name in ("extend", "random_extension"):
+                mp.setattr(refine_module, name, lambda *args, _name=name: called.append(_name))
+            diagram = gen_random_id(GeneratorSpec(n=6, seed=3))
+            engine = Engine(compile_network(diagram))
+            tree = self.run(diagram, engine=engine,
+                            observer=lambda ev: seen.append(engine.counter.snapshot()))
+        assert calibrated == [{}, {}] and called == []
+        assert tree.internals == len(seen) == 2 ** 6 - 1
+        assert set(seen) == {engine.counter.snapshot()} == {(4 * len(seen) + 4, 3 * len(seen) + 2)}
+
+    def test_posthoc_leaf_choice_not_drawn(self):
+        """Posthoc leaf choice reads the gains, so its random-extension runs
+        go leaf by leaf."""
+        refine_module, drawn = sys.modules["idrefine.refine"], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine_module, "draw", lambda *args: drawn.append(args))
+            tree = self.run(gen_random_id(GeneratorSpec(n=4, seed=3)), leaf="posthoc")
+        assert drawn == [] and tree.internals == 2 ** 4 - 1
 
 
 class TestEliminationOrder:

@@ -17,6 +17,10 @@ class TestSpec:
         with pytest.raises(ValueError):
             GeneratorSpec(n=2, seed=1, arity=1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            GeneratorSpec(n=3, seed=-1)
+
 
 class TestSingleDecisionTemplate:
     def test_n8_structure(self):

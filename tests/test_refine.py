@@ -78,6 +78,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="leaf strategy"):
             RefinementConfig(leaf_strategy="best")
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must not be negative, got -1"):
+            RefinementConfig(seed=-1)
+
 
 class TestLoop:
     def test_mini_weather_two_records(self):
@@ -456,9 +460,9 @@ class TestEngineQueries:
         shape on a star, as the rows of one stacked pass per level."""
         rows, alone = [], []
 
-        def counting(engine, stack, _original=Engine.explore_stack):
+        def counting(engine, stack, axis=None, _original=Engine.explore_stack):
             rows.append(len(stack))  # the contexts stacked
-            return _original(engine, stack)
+            return _original(engine, stack, axis)
 
         def reading(cal, variables, stacked=None, _original=Calibration.rows):
             alone.append(stacked)

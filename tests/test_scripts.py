@@ -101,7 +101,7 @@ def test_ab_solve_script(tmp_path):
     it names the policies and exits 1, on a single-decision workload and on
     a multistage one; against one whose every split's gain is one ulp
     larger, so that its traces and policies do not differ, it names the
-    gains and exits 1."""
+    gains and exits 1, on grown, drawn and multistage runs."""
     script = str(REPO / "scripts" / "ab_solve.py")
     result = subprocess.run([sys.executable, script, str(REPO), str(REPO),
                              "--instances", "2", "--rounds", "1"],
@@ -131,7 +131,7 @@ def test_ab_solve_script(tmp_path):
               "        self.gain = math.nextafter(self.gain, math.inf)\n")
     tree_py.write_text(planted(planted(tree_py.read_text(), gain_line, nudged),
                                "import json\n", "import json\nimport math\n"))
-    for workload in ("greedy_complete", "sweep_two_stage"):
+    for workload in ("greedy_complete", "random_complete", "sweep_two_stage"):
         result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
                                  "--instances", "1", "--rounds", "1"],
                                 capture_output=True, text=True, check=False)

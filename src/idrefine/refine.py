@@ -29,12 +29,12 @@ every split in place, charging each leaf as best_extension would; then
 the loop replays the run from grow's records, serving them in the leaf
 strategy's order, one selector step and one trace record per extension.
 A random run with no bound is drawn where no child can be pruned
-(tree.drawable): tree.draw makes every draw, then every split, and the
-loop serves its records as drawn.  Either way the trace, the tree, the
-counters and the observer's events are those of extending leaf by leaf,
-but every query, and any error one raises (a context of probability
-zero, a split that lowers the value), comes before the first event
-reaches the observer.  A bounded run would compute splits past its stop,
+(tree.drawable): draw makes every draw first, then tree.grow_drawn puts
+every split in place, and the loop serves their records as drawn.
+Either way the trace, the tree, the counters and the observer's events
+are those of extending leaf by leaf, but every query, and any error one
+raises (a context of probability zero, a split that lowers the value),
+comes before the first event reaches the observer.  A bounded run would compute splits past its stop,
 and posthoc leaf choice reads random splits' gains, so neither grows.
 
 A fixed seed makes a run fully deterministic.
@@ -52,8 +52,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .engine import Engine
-from .tree import (_SCALE, DecisionTree, best_extension, draw, drawable, extend, grow,
-                   init_tree, random_extension, tree_counts, tree_value)
+from .tree import (_SCALE, DecisionTree, Grown, best_extension, drawable, extend, grow,
+                   grow_drawn, init_tree, random_extension, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -202,6 +202,26 @@ class RandomLeafSelector:
         return self._leaves[self._served]
 
 
+def draw(tree: DecisionTree, engine: Engine, rng: np.random.Generator) -> list[Grown]:
+    """The records of a random run with no bound on a tree that drawable
+    accepts, in the order it extends: every leaf and variable is drawn
+    first, on plans (tree.grow_drawn's) standing for the open leaves, with
+    the rng calls of the leaf-by-leaf run in their order; then grow_drawn
+    puts every split in place."""
+    outcomes, order = engine.network.outcomes, []
+    root = [None, None, tree.root.checked.missing]  # a plan, until drawn its missing predecessors
+    selector = RandomLeafSelector([root], rng)
+    while (plan := selector.next_leaf()) is not None:
+        missing = plan.pop()
+        plan[0] = k = int(rng.integers(len(missing)))
+        rest = missing[:k] + missing[k + 1:]
+        plan[1] = [[None, None, rest] for _ in outcomes[missing[k]]] if rest else []
+        order.append(plan)
+        selector.notify_extended(0.0, plan[1])
+    grow_drawn(tree, engine, root)
+    return [plan[2] for plan in order]
+
+
 def refine(engine: Engine, decision: str, config: RefinementConfig | None = None,
            observer: Callable[[ExtensionEvent], None] | None = None,
            ) -> tuple[DecisionTree, AnytimeTrace]:
@@ -233,7 +253,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     fine, passes, internals, leaves, exact = *counter.snapshot(), *tree_counts(tree), tree.exact
     iterations, value = 0, tree_value(tree)
     if grown and not greedy:  # every draw is made first; its records are served as drawn
-        drawn = iter(draw(tree, engine, RandomLeafSelector, rng))
+        drawn = iter(draw(tree, engine, rng))
         next_leaf, notify = (lambda: next(drawn, None)), (lambda gain, opened: None)
     else:
         selector = (RandomLeafSelector if random_leaf else PosthocSelector)(

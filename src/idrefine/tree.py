@@ -13,12 +13,13 @@ the parent leaf's action, contribute nothing to the value, and are never
 extended.
 
 Trees are single-owner mutable values.  A tree starts as one leaf
-(init_tree) and grows by extend, grow or draw.  It maps its open leaves,
-those that can still be extended, to their parents, None for the root
-(DecisionTree.open).  Every test of whether a leaf can be extended reads
-it, so a leaf of another tree, or one already replaced, is not open.  The
-links live in the tree, not in the vertices, so that no vertex refers
-back up and a dropped tree is freed at once, not by the cycle collector.
+(init_tree) and grows by extend, grow or grow_drawn.  It maps its open
+leaves, those that can still be extended, to their parents, None for the
+root (DecisionTree.open).  Every test of whether a leaf can be extended
+reads it, so a leaf of another tree, or one already replaced, is not
+open.  The links live in the tree, not in the vertices, so that no
+vertex refers back up and a dropped tree is freed at once, not by the
+cycle collector.
 
 An open leaf carries its context checked once (engine.CheckedContext:
 its findings as outcome indices, its missing predecessors and, once the
@@ -26,7 +27,7 @@ engine has it, its leaf joint), which every exploration of the leaf
 calibrates and a stacked pass reads its candidates from.  init_tree has
 the engine check the root's context, whose calibration contracts the
 root's joint; below it, every joint is a slice of its parent's (extend:
-CheckedContext.child; grow and draw: a gather of the level's stack), so
+CheckedContext.child; grow, grow_drawn: a gather of the level's stack), so
 on a star topology the root's joint is the one contraction of a run and
 the root's findings the only ones checked.
 
@@ -53,8 +54,9 @@ calibration or checked context made where joints are held.  It makes a
 Leaf or Internal only for a vertex of the grown tree, and for each split
 a record (Grown) from which refine replays the run, in any order.  A
 random run that will explore every open leaf is drawn first where no
-child can be pruned (drawable): draw's splits then grow alike, each
-reading only its drawn candidate, stacked per joint shape and drawn axis.
+child can be pruned (drawable, refine.draw); grow_drawn then puts its
+splits in place alike, reading only each context's drawn candidate, one
+stacked pass per joint shape and drawn axis, the root's included.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and grow() grow it, so reading them costs no walk.  The
@@ -69,7 +71,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Union
 
 import numpy as np
@@ -360,7 +362,7 @@ def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
 Grown = namedtuple("Grown", "gain variable depth fine passes leaves exact opened")
 
 
-def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[Grown]:
+def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
     """Put the greedy split of every open leaf, and of every leaf below it
     that would be open, in place, bringing the counts and the value up to
     date; returns the open leaves' splits, in tree.open's order (see the
@@ -372,30 +374,26 @@ def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[
     children's contexts derive from its own (CheckedContext.child).  The
     open leaves must be unexplored.  A call that raises, ZeroProbabilityError
     for a context of probability zero among them, leaves the tree as it was.
-    With ``drawn``, the root's node from draw, each context is split on its
-    drawn variable, the one candidate read, and its record is appended to
-    its node instead of returned.
     """
     outcomes, labels = engine.network.outcomes, tree.actions
     placed, heads = {}, []
-    # (joint shape or a checked context, drawn axis) -> (joints, entries); an entry holds
-    # missing predecessors, context, action, the dict and key its split goes in, the list
-    # its record goes in (siblings in order; drawn: its node), reach, value * reach, _exact
-    level = {(leaf.checked, None if drawn is None else drawn[1]): (
-        [], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
-              heads if drawn is None else drawn, leaf.reach, leaf.value * leaf.reach,
-              _exact(leaf.value * leaf.reach))]) for leaf in tree.open}
+    # joint shape -> (joints, entries), or a checked context -> ([], [entry]); an entry
+    # holds missing predecessors, context, action, the dict and key its split goes in,
+    # the list its record goes in (siblings in order), reach, value * reach, its _exact
+    level = {leaf.checked: ([], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
+                                  heads, leaf.reach, leaf.value * leaf.reach,
+                                  _exact(leaf.value * leaf.reach))])
+             for leaf in tree.open}
     internals = leaves = exact = 0
     while level:
         below: dict = {}
-        for (key, axis), (joints, entries) in level.items():
+        for key, (joints, entries) in level.items():
             if joints:
                 stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
-                rows, fine, passes = engine.explore_stack(stack, axis)
+                rows, fine, passes = engine.explore_stack(stack)
             else:
                 before = engine.counter.snapshot()
-                read = key.missing if axis is None else key.missing[axis:axis + 1]
-                rows = [engine.calibrate(key).rows(read)]
+                rows = [engine.calibrate(key).rows(key.missing)]
                 fine, passes = (a - b for a, b in zip(engine.counter.snapshot(), before))
                 stack = None if key.joint is None else key.joint[None]
             runs = defaultdict(lambda: ([], [], []))  # per candidate: contexts split, born, kept
@@ -412,14 +410,13 @@ def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[
                         k, gain = i, total
                 if gain < -1e-9:
                     raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
-                (best, probs, values), k = candidates[k], k if axis is None else axis
-                variable, rest = names[k], names[:k] + names[k + 1:]
-                node = parent[at] = Internal(variable, {}, gain)
+                variable, (best, probs, values) = names[k], candidates[k]
+                rest, node = names[:k] + names[k + 1:], Internal(variable, {}, gain)
+                parent[at] = node
                 split_here, born, kept = runs[k]
                 split_here.append(s)
-                opened, count, change = [] if drawn is None else records[2], 0, -scaled
-                holders = opened or repeat(opened)  # where each child's record goes
-                for o, a, p, v, h in zip(outcomes[variable], best, probs, values, holders):
+                opened, count, change = [], 0, -scaled
+                for o, a, p, v in zip(outcomes[variable], best, probs, values):
                     r, c = reach * p, context + ((variable, o),)
                     kept.append(r >= ZERO_PROB)
                     if not kept[-1]:
@@ -430,7 +427,7 @@ def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[
                     change += e
                     if rest:  # the split a level below takes its place
                         node.children[o] = None
-                        born.append((rest, c, labels[a], node.children, o, h, r, t, e))
+                        born.append((rest, c, labels[a], node.children, o, opened, r, t, e))
                     else:
                         node.children[o] = Leaf(labels[a], v, r, c)
                 records.append(Grown(gain, variable, len(context), fine, passes, count - 1,
@@ -440,18 +437,13 @@ def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[
                 if born and stack is None:  # below a context with no joint: checked contexts
                     for entry in born:
                         x, o = entry[1][-1]
-                        below[key.child(x, outcomes[x].index(o)), None] = ([], [entry])
+                        below[key.child(x, outcomes[x].index(o))] = ([], [entry])
                 elif born:  # the children's joints, copied in C order, which decides how sums add
                     shape = stack.shape[1:1 + k] + stack.shape[2 + k:]
                     axes = (0, 1 + k, *(i for i in range(1, stack.ndim) if i != 1 + k))
-                    block = stack[split_here].transpose(axes).reshape(-1, *shape)[kept]
-                    groups = {None: slice(None)} if drawn is None else defaultdict(list)
-                    for i, entry in enumerate(() if drawn is None else born):  # by axis drawn
-                        groups[entry[5][1]].append(i)
-                    for drawn_axis, members in groups.items():
-                        joints, more = below.setdefault((shape, drawn_axis), ([], []))
-                        joints.append(block if drawn is None else block[members])
-                        more += born if drawn is None else [born[i] for i in members]
+                    joints, more = below.setdefault(shape, ([], []))
+                    joints.append(stack[split_here].transpose(axes).reshape(-1, *shape)[kept])
+                    more += born
         level = below
     for leaf, node in placed.items():
         _place(tree, leaf, node)
@@ -460,32 +452,70 @@ def grow(tree: DecisionTree, engine: Engine, drawn: list | None = None) -> list[
     return heads
 
 
+def grow_drawn(tree: DecisionTree, engine: Engine, drawn: list) -> None:
+    """Put every split of a random run drawn first (refine.draw) in place,
+    as grow does, each on the axis its plan drew, and append its record
+    (opened empty) to its plan: [axis, the children's plans if they split in
+    turn], ``drawn`` the root's.  The tree must be as init_tree made it and
+    drawable, so no child is pruned.  Each level is read in one stacked pass
+    per joint shape and axis, each context charged as extend charges it."""
+    outcomes, labels, root = engine.network.outcomes, tree.actions, tree.root
+    # (joint shape, axis) -> (joints, entries); an entry holds its plan, missing predecessors,
+    # context, the dict and key its split goes in, reach, value * reach, its _exact
+    placed, t = {}, root.value * root.reach
+    level = {(None, drawn[0]): ([root.checked.joint[None]], [
+        (drawn, root.checked.missing, root.context, placed, root, root.reach, t, _exact(t))])}
+    internals = leaves = exact = 0
+    while level:
+        below: dict = {}
+        for (_, k), (joints, entries) in level.items():
+            stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
+            rows, fine, passes = engine.explore_stack(stack, k)
+            groups = defaultdict(lambda: ([], []))  # per axis drawn below: children, entries
+            for s, ((plan, names, context, parent, at, reach, base, scaled),
+                    ((best, probs, values),)) in enumerate(zip(entries, rows)):
+                gain = 0.0
+                for p, v in zip(probs, values):
+                    gain += v * (reach * p)
+                gain -= base
+                if gain < -1e-9:
+                    raise RuntimeError(f"extension decreased the tree value by {-gain!r}")
+                variable, rest = names[k], names[:k] + names[k + 1:]
+                node, change = Internal(variable, {}, gain), -scaled
+                parent[at] = node
+                for j, (o, a, p, v) in enumerate(zip(outcomes[variable], best, probs, values)):
+                    r, c = reach * p, context + ((variable, o),)
+                    t = v * r
+                    e = _exact(t)
+                    change += e
+                    if rest:  # the split a level below takes its place
+                        children, more = groups[plan[1][j][0]]
+                        children.append(s * len(best) + j)
+                        more.append((plan[1][j], rest, c, node.children, o, r, t, e))
+                    node.children[o] = None if rest else Leaf(labels[a], v, r, c)
+                plan.append(Grown(gain, variable, len(context), fine, passes, len(best) - 1,
+                                  change, ()))
+                internals, leaves, exact = internals + 1, leaves + len(best) - 1, exact + change
+            if groups:  # the children's joints, copied in C order, which decides how sums add
+                shape = stack.shape[1:1 + k] + stack.shape[2 + k:]
+                axes = (0, 1 + k, *(i for i in range(1, stack.ndim) if i != 1 + k))
+                block = stack.transpose(axes).reshape(-1, *shape)
+                for axis, (children, more) in groups.items():
+                    joints, born = below.setdefault((shape, axis), ([], []))
+                    joints.append(block[children])
+                    born += more
+        level = below
+    _place(tree, root, placed[root])
+    tree.internals, tree.leaves = tree.internals + internals, tree.leaves + leaves
+    tree.exact += exact
+
+
 def drawable(tree: DecisionTree) -> bool:
     """Whether the tree, as init_tree made it, has an open root holding its
     joint, whose full contexts (summed over decision and proxy, over its
     total) are all at least 2 * ZERO_PROB, so no reach rounds below ZERO_PROB."""
     joint = tree.root.checked.joint if tree.root in tree.open else None
     return joint is not None and joint.sum(axis=(-2, -1)).min() >= 2 * ZERO_PROB * joint.sum()
-
-
-def draw(tree: DecisionTree, engine: Engine, selector: type,
-         rng: np.random.Generator) -> list[Grown]:
-    """Grow a random run with no bound on a tree that drawable accepts, its
-    leaves served by ``selector`` (a leaf selector class, made with (leaves,
-    rng)), its variables drawn uniformly, rng drawing as leaf by leaf; each
-    context is charged as extend charges it.  Returns the records as drawn."""
-    # a node: missing predecessors, axis drawn, the nodes it opened, then its record
-    root = [tree.root.checked.missing, None, None]
-    outcomes, order, served = engine.network.outcomes, [], selector([root], rng)
-    while (node := served.next_leaf()) is not None:
-        missing = node[0]
-        node[1] = k = int(rng.integers(len(missing)))
-        rest = missing[:k] + missing[k + 1:]
-        node[2] = [[rest, None, None] for _ in outcomes[missing[k]]] if rest else []
-        order.append(node)
-        served.notify_extended(0.0, node[2])
-    grow(tree, engine, root)
-    return [node[3] for node in order]
 
 
 def apply_policy(tree: DecisionTree, state: dict[str, str]) -> str:

@@ -956,7 +956,7 @@ class TestSiblingGroups:
     def test_random_extension_stacks_only_complete_runs(self, monkeypatch, leaf):
         """A bounded random-extension run forms no group.  A complete one
         stacks more than one leaf's siblings: cohorts leaf by leaf (posthoc
-        leaf choice), or, drawn (random leaf choice, tree.draw), each
+        leaf choice), or, drawn (random leaf choice, refine.draw), each
         level's contexts by drawn axis (Engine.explore_stack).  Either way it
         charges each extension only the drawn candidate: a calibration pass
         plus two passes, and twice its outcomes in fine queries."""
@@ -1321,7 +1321,7 @@ class TestGrowth:
 
 class TestDrawing:
     """A random run with no bound (random leaf and extension) whose root
-    tree.drawable accepts is drawn and grown first (tree.draw), then
+    tree.drawable accepts is drawn and grown first (refine.draw), then
     replayed; the same run bounded by max_extensions at its own extension
     count goes leaf by leaf, since a bounded run is never drawn.  Both
     write the same trace CSV bytes, policy JSON bytes, gains (repr),
@@ -1431,9 +1431,10 @@ class TestDrawing:
         return refine(engine, diagram.decision_order[0], config, observer=observer)[0]
 
     def test_drawn_path(self):
-        """A drawn run calibrates only the root (in init_tree, and for its
-        drawn candidate), never calls extend or random_extension, and makes
-        every query before its first observer event, as a grown run does."""
+        """A drawn run calibrates only the root, once, in init_tree (the
+        root's drawn candidate is read from its joint stacked alone), never
+        calls extend or random_extension, and makes every query before its
+        first observer event, as a grown run does."""
         refine_module, calibrated, called, seen = sys.modules["idrefine.refine"], [], [], []
         with pytest.MonkeyPatch.context() as mp:
             def calibrate(engine, context, _original=Engine.calibrate):
@@ -1446,7 +1447,7 @@ class TestDrawing:
             engine = Engine(compile_network(diagram))
             tree = self.run(diagram, engine=engine,
                             observer=lambda ev: seen.append(engine.counter.snapshot()))
-        assert calibrated == [{}, {}] and called == []
+        assert calibrated == [{}] and called == []
         assert tree.internals == len(seen) == 2 ** 6 - 1
         assert set(seen) == {engine.counter.snapshot()} == {(4 * len(seen) + 4, 3 * len(seen) + 2)}
 

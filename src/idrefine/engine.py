@@ -29,6 +29,8 @@ the unnormalized joint over the decision's predecessors missing from the
 context (in declaration order), the decision and the proxy.  A calibration
 computes it with one contraction and keeps it on its CheckedContext, and
 each candidate's (candidate, decision, proxy) joint is a sum over it.
+Sums that keep the (decision, proxy) tail go through _keep, np.einsum on all
+but tiny stacks; sums reducing it (_choose) keep ndarray.sum's pairwise order.
 Adding the finding X = x to the context slices the leaf joint at x, as new
 evidence slices a calibrated clique (Shafer & Shenoy 1990; Jensen,
 Lauritzen & Olesen 1990): CheckedContext.child hands the child that slice,
@@ -82,6 +84,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import string
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -92,9 +95,10 @@ from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, V
 
 ZERO_PROB = 1e-12
 Row = tuple[list[int], list[float], list[float]]  # per outcome: action, P(outcome), value
-# Below about this many entries, a numpy call's fixed cost outweighs the
-# additions that halving a leaf joint saves (_marginal).
+# _marginal halves leaf joints of more entries: below, a numpy call costs
+# more than halving saves.  The pinned bits depend on it: it is no tuning knob.
 _HALVING_MIN = 1024
+_EINSUM_MIN = 256  # below it, np.einsum's fixed cost outweighs its gain (_keep)
 
 
 class ZeroProbabilityError(ValueError):
@@ -238,10 +242,9 @@ def _plan(scopes: tuple[tuple[str, ...], ...], shapes: tuple[tuple[int, ...], ..
 
 def _execute(plan: tuple[_Step, ...], factors: list[np.ndarray]) -> np.ndarray:
     """Run a plan on a list of the factors' values, which it uses up.
-    Products are multiplied left to right, as the elementwise product of
-    the operands in order, and every step's result is C-contiguous: a
-    joint's layout decides the order in which later sums over it add
-    (_marginal, _choose) and how _evaluate groups joints."""
+    Products multiply operands left to right, eliminations sum axis 0 by
+    ndarray.sum, never np.einsum, and each result is C-contiguous: layout
+    orders later sums (_marginal, _choose) and groups joints (_evaluate)."""
     for operands, inplace, reduce in plan:
         product = None
         for k, (i, axes, shape) in enumerate(operands):
@@ -612,10 +615,8 @@ class Calibration:
         joint = self.leaf_joint()
         eng.counter.passes += 1
         eng.counter.fine += 2 * net.doms[decision]
-        if joint is None:
-            joint = _query(net, self._factors, {}, (decision, net.proxy))
-        else:
-            joint = joint.sum(axis=tuple(range(joint.ndim - 2)))
+        joint = (_query(net, self._factors, {}, (decision, net.proxy)) if joint is None
+                 else _keep(joint[None], 1, 1)[0])
         best, _, values = _choose(joint[None, None])
         return net.outcomes[decision][best[0, 0]], float(values[0, 0])
 
@@ -674,19 +675,32 @@ def _marginal(stack: np.ndarray, k: int,
     While one joint has more than _HALVING_MIN entries, the predecessor
     axes are halved towards axis k, and each half is summed once and kept
     in ``halves``: all m marginals of a joint of size N then cost about 2N
-    additions instead of m * N.  What is left is summed directly.  A stack
-    of one is halved, and summed, exactly as a stack of many.
+    additions instead of m * N.  What is left is summed directly, each sum
+    one _keep.  A stack of one is halved and summed exactly as a stack of many.
     """
     joint, lo, hi = stack, 0, stack.ndim - 3
     while hi - lo > 1 and joint.size > _HALVING_MIN * len(joint):
         mid = (lo + hi) // 2
         keep = (lo, mid) if k < mid else (mid, hi)
         if keep not in halves:
-            drop = tuple(1 + i - lo for i in range(lo, hi) if not keep[0] <= i < keep[1])
-            halves[keep] = joint.sum(axis=drop)
+            halves[keep] = _keep(joint, 1 + keep[0] - lo, 1 + keep[1] - lo)
         joint, (lo, hi) = halves[keep], keep
-    drop = tuple(1 + i - lo for i in range(lo, hi) if i != k)
-    return joint.sum(axis=drop) if drop else joint
+    return _keep(joint, 1 + k - lo, 2 + k - lo) if hi - lo > 1 else joint
+
+
+@lru_cache(maxsize=None)  # (ndim, lo, hi), ndim at most 52, einsum's letters
+def _keeping(ndim: int, lo: int, hi: int) -> tuple[str, tuple[int, ...]]:
+    axes = string.ascii_letters[:ndim]
+    drop = tuple(i for i in range(1, ndim - 2) if not lo <= i < hi)
+    return f"{axes}->{axes[0]}{axes[lo:hi]}{axes[-2:]}", drop
+
+
+def _keep(stack: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The stack summed over all axes but 0, lo to hi - 1 and the last two,
+    in ndarray.sum's order and bits: from _EINSUM_MIN entries by np.einsum,
+    which skips sum's inner loop per 4-entry tail."""
+    subscripts, drop = _keeping(stack.ndim, lo, hi)
+    return stack.sum(axis=drop) if stack.size < _EINSUM_MIN else np.einsum(subscripts, stack)
 
 
 def _evaluate(joints: list[np.ndarray]) -> list[Row]:

@@ -2,12 +2,15 @@
 
 Everything here enumerates the raw joint straight from the diagram's
 tables, bypassing the compiled network and the elimination engine, so the
-engine is checked against a genuinely separate code path.  The five
+engine is checked against a genuinely separate code path.  The six
 exceptions are bit-exact references for faster replacements:
 ``loop_oracle`` is the oracle's former per-state loop over
 ``state_action_values``, ``loop_candidate`` is the former per-candidate
 arithmetic of ``Calibration.evaluate_candidate``, giving the candidate's
 row (per outcome: best action index, probability and value, as lists),
+``sum_keep`` and ``sum_marginal`` are the engine's ``_keep`` and
+``_marginal`` with every sum an ``ndarray.sum``, as before ``_keep`` summed
+by ``np.einsum``,
 ``loop_elimination_order`` is the former elimination-order search of
 ``_query``, ``einsum_query`` is the former ``_query``, which ran each
 elimination step as one ``np.einsum``, and ``loop_gain`` is the former
@@ -27,8 +30,8 @@ from itertools import product
 import numpy as np
 
 from idrefine.diagram import ChanceNode, DecisionNode, ValueNode
-from idrefine.engine import (ZERO_PROB, ZeroProbabilityError, _elimination_order, _Factor,
-                             _marginal, _query, _restrict)
+from idrefine.engine import (_HALVING_MIN, ZERO_PROB, ZeroProbabilityError,
+                             _elimination_order, _Factor, _query, _restrict)
 from idrefine.fixtures import MINI_WEATHER_JSON
 from idrefine.oracle import state_action_values
 from idrefine.tree import Leaf, extensions, policy_json, tree_counts, tree_value
@@ -148,14 +151,33 @@ def loop_oracle(diagram, decision):
     return table, per_state, state_probs, (raw_total - u_min * prob_total) / span, raw_total
 
 
+def sum_keep(stack, lo, hi):
+    """engine._keep as ndarray.sum: the stack summed over every axis but
+    axis 0, axes lo to hi - 1 and the last two."""
+    return stack.sum(axis=tuple(i for i in range(1, stack.ndim - 2) if not lo <= i < hi))
+
+
+def sum_marginal(stack, k, halves):
+    """engine._marginal with every sum an ndarray.sum (sum_keep): the same
+    halves, kept in ``halves``, and the same final sum down to axis k."""
+    joint, lo, hi = stack, 0, stack.ndim - 3
+    while hi - lo > 1 and joint.size > _HALVING_MIN * len(joint):
+        mid = (lo + hi) // 2
+        keep = (lo, mid) if k < mid else (mid, hi)
+        if keep not in halves:
+            halves[keep] = sum_keep(joint, 1 + keep[0] - lo, 1 + keep[1] - lo)
+        joint, (lo, hi) = halves[keep], keep
+    return sum_keep(joint, 1 + k - lo, 2 + k - lo) if hi - lo > 1 else joint
+
+
 def loop_candidate(cal, decision, variable):
     """One candidate's row, (best, probs, values), evaluated on its own, as
     Calibration.evaluate_candidate did before the candidates of a leaf were
-    stacked; it charges nothing."""
+    stacked, its joint from sum_marginal; it charges nothing."""
     net, missing = cal._engine.network, cal._context.missing
     leaf = cal.leaf_joint()
     if leaf is not None and variable in missing:
-        joint = _marginal(leaf[None], missing.index(variable), cal._halves)[0].swapaxes(0, 1)
+        joint = sum_marginal(leaf[None], missing.index(variable), {})[0].swapaxes(0, 1)
     else:
         joint = _query(net, cal._factors, {}, (decision, variable, net.proxy))
     context = float(joint.sum())

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import numpy as np
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import (assert_statistics, calibrate, charged, einsum_query, enum_action_value,
                      enum_best_action, enum_posterior, enum_probability, loop_candidate,
-                     loop_elimination_order, normalized, uncharged)
+                     loop_elimination_order, normalized, sum_keep, sum_marginal, uncharged)
 from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (_PLANS, ZERO_PROB, Calibration, Engine, PolicyCpt,
-                             ZeroProbabilityError, _HALVING_MIN, _elimination_order, _plan,
-                             _query, compile_network, stack_rows)
+                             ZeroProbabilityError, _HALVING_MIN, _choose, _elimination_order,
+                             _keep, _marginal, _plan, _query, compile_network, stack_rows)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -802,6 +803,76 @@ class TestStackRows:
                 assert rows is None
                 continue
             assert repr(rows) == repr(expected)
+
+
+def bits(array):
+    """The array's entries as their bit patterns, and its strides."""
+    return array.view(np.int64).tolist(), array.strides
+
+
+class TestTailKeepingSums:
+    """_keep, behind every sum that keeps the (decision, proxy) tail, one
+    np.einsum from _EINSUM_MIN entries, and _marginal and
+    Calibration.best_action, which call it, bit for bit against ndarray.sum
+    (sum_keep and sum_marginal in helpers.py)."""
+
+    @staticmethod
+    def star(arities, actions):
+        """Uniform roots c0.. of the given arities, all parents of d, and a
+        utility that reads them and d."""
+        names = [f"c{k}" for k in range(len(arities))]
+        nodes = {c: ChanceNode(Variable(c, tuple(f"v{i}" for i in range(a))), (),
+                               np.full(a, 1.0 / a)) for c, a in zip(names, arities)}
+        nodes["d"] = DecisionNode(Variable("d", tuple(f"a{i}" for i in range(actions))),
+                                  tuple(names))
+        nodes["v"] = ValueNode("v", tuple(names) + ("d",), np.ones(tuple(arities) + (actions,)))
+        return InfluenceDiagram(nodes, ("d",))
+
+    @pytest.mark.parametrize("halved", [False, True])
+    @given(data=st.data())
+    def test_bit_for_bit_with_ndarray_sum(self, halved, data):
+        """Stacks of 1-3 leaf joints over 1-8 predecessor axes of arity 2-4,
+        each joint at most _HALVING_MIN entries or, halved, more, in C order
+        or as a slice of a larger stack at one predecessor, as
+        CheckedContext.child makes them; entries spread over many binades,
+        so that any other order of additions shows in the last bits."""
+        arities = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=8))
+        actions, size = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+        while math.prod(arities) > 4096 or (
+                not halved and math.prod(arities) * actions * 2 > _HALVING_MIN):
+            arities.pop()
+        while halved and math.prod(arities) * actions * 2 <= _HALVING_MIN:
+            if min(arities) < 4:
+                arities[arities.index(min(arities))] += 1
+            else:
+                arities.append(4)
+        shape = (size, *arities, actions, 2)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if data.draw(st.booleans()):  # a child's view: one more axis, sliced
+            k = data.draw(st.integers(1, len(shape) - 2))
+            parent = (*shape[:k], data.draw(st.integers(2, 4)), *shape[k:])
+            stack = rng.random(parent) * 10.0 ** rng.uniform(-12, 0, parent)
+            stack = stack[(slice(None),) * k + (data.draw(st.integers(0, parent[k] - 1)),)]
+        else:
+            stack = rng.random(shape) * 10.0 ** rng.uniform(-12, 0, shape)
+        p = len(arities)
+        for lo in range(1, p + 2):
+            for hi in range(lo, p + 2):  # every kept block; lo == hi drops all
+                got, ref = _keep(stack, lo, hi), sum_keep(stack, lo, hi)
+                if hi - lo == p:  # nothing dropped: einsum may return a view
+                    assert got.tolist() == ref.tolist()
+                else:
+                    assert bits(got) == bits(ref)
+        halves, ref_halves = {}, {}
+        for k in range(p):
+            assert bits(_marginal(stack, k, halves)) == bits(sum_marginal(stack, k, ref_halves))
+        assert halves.keys() == ref_halves.keys() and bool(halves) == halved
+        eng = Engine(compile_network(self.star(arities, actions)))
+        for joint in stack:
+            context = eng.context("d", {})
+            context.joint = joint
+            best, _, values = _choose(joint.sum(axis=tuple(range(p)))[None, None])
+            assert eng.calibrate(context).best_action() == (f"a{best[0, 0]}", values[0, 0])
 
 
 def assert_same_evaluation(row, ref):
@@ -1626,12 +1697,27 @@ class TestPlanCache:
 
 
 class TestOneExecutor:
-    def test_no_einsum(self, monkeypatch):
+    def test_queries_use_no_einsum(self, monkeypatch):
         """Every query runs through the planned executor: with np.einsum
-        raising, a complete refine, a two-stage sweep, context_probability
-        and the 70-coin diagram all run."""
-        def einsum(*args, **kwargs):
-            raise AssertionError("np.einsum called")
+        raising while engine._query runs, a complete refine, a two-stage
+        sweep, context_probability and the 70-coin diagram all run, and so
+        does a bounded refine of an n = 8 star, whose leaf joints are large
+        enough that their sums reach np.einsum, through _keep."""
+        engine, querying, kept = sys.modules["idrefine.engine"], [], []
+
+        def query(*args, _original=engine._query):
+            querying.append(True)
+            try:
+                return _original(*args)
+            finally:
+                querying.pop()
+
+        def einsum(*args, _original=np.einsum, **kwargs):
+            if querying:
+                raise AssertionError("np.einsum called in a query")
+            kept.append(sys._getframe(1).f_code is _keep.__code__)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(engine, "_query", query)
         monkeypatch.setattr(np, "einsum", einsum)
         _, trace = refine(Engine(compile_network(mini_weather_coin(3))), "D", RefinementConfig())
         assert trace.records[-1].internal_vertices == 2 ** 4 - 1
@@ -1639,6 +1725,9 @@ class TestOneExecutor:
         assert Engine(compile_network(mini_weather())).context_probability(
             {"W": "rain", "R": "rainy"}) == pytest.approx(0.3 * 0.8)
         TestManyFactors().test_more_factors_than_einsum_operands()
+        star = Engine(compile_network(gen_random_id(GeneratorSpec(n=8, seed=0))))
+        refine(star, "d", RefinementConfig(stop=StoppingRule(max_passes=40)))
+        assert kept and all(kept)
 
 
 class TestExactness:

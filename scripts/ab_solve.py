@@ -10,18 +10,23 @@ named workload (default: all four; perfbench/workloads.py of this checkout
 gives the JSON text and the settings, imported read-only), each side parses,
 validates and compiles the text untimed, then times the solve the benchmark
 times: refine on a fresh engine, or sweep_back for a multistage workload.
-Each side runs R times per instance, the side that runs first alternating,
-and keeps its fastest time.  Both sides' trace CSVs, the policy JSON
-(tree.dumps_policy) of every refined tree, and every refined tree's
-internal-vertex gains (repr, depth-first; a gain sets the posthoc order
-and ExtensionEvent.gain, and is in neither file), must be byte-equal on
-every instance; otherwise the script exits 1 naming the instance.  After
+Right after each solve it times the oracle the benchmark times next
+(oracle_optimal, or oracle_optimal_multistage for a multistage workload),
+as the benchmark does.  Each side runs R times per instance, the side that
+runs first alternating, and keeps its fastest solve and its fastest oracle.
+Both sides' trace CSVs, the policy JSON (tree.dumps_policy) of every
+refined tree, every refined tree's internal-vertex gains (repr,
+depth-first; a gain sets the posthoc order and ExtensionEvent.gain, and is
+in neither file), and the oracle value (float.hex) must be byte-equal on
+every instance; otherwise the script names each that differs, with the
+instance, and exits 1.  After
 its timed rounds, each side solves each instance once more, untimed,
 under tracemalloc, after a garbage collection, the side that runs first
 alternating too; tracemalloc traces that solve alone, and the outputs
 compared above are serialized outside it.  Per workload it prints the median
-CHANGE/BASE ratio of the per-instance times, and of the per-instance peak
-memory that tracemalloc traced, each with its quartiles.
+CHANGE/BASE ratio of the per-instance solve times, of the per-instance
+oracle times, and of the per-instance peak memory that tracemalloc traced,
+each with its quartiles.
 
 Timing the two sides seconds apart is the point: on a host whose speed
 drifts within minutes, separate benchmark runs of each side can differ by
@@ -66,6 +71,7 @@ class Side:
         # the module, not the function the package re-exports under this name
         self.refine = importlib.import_module(f"{name}.refine")
         self.tree = importlib.import_module(f"{name}.tree")
+        self.oracle = importlib.import_module(f"{name}.oracle")
 
     def prepare(self, wl, text: str):
         pkg = self.package
@@ -92,13 +98,22 @@ class Side:
             trees, traces = [tree], [trace]
         return time.perf_counter() - t0, trees, traces
 
-    def solve(self, wl, prepared) -> tuple[float, str, str, str]:
-        """(seconds, the trace CSVs, the policy JSON and the internal-vertex
-        gains of every refined decision); only the solve is timed."""
+    def solve(self, wl, prepared) -> tuple[float, float, dict[str, str]]:
+        """(seconds of the solve, seconds of the oracle right after it, and
+        the outputs compared: the trace CSVs, the policy JSON and the
+        internal-vertex gains of every refined decision, and the oracle
+        value as float.hex); only the solve and the oracle are timed."""
         seconds, trees, traces = self.run(wl, prepared)
+        diagram, O = prepared[0], self.oracle
+        t0 = time.perf_counter()
+        result = (O.oracle_optimal_multistage(diagram) if wl.multistage
+                  else O.oracle_optimal(diagram, "d"))
+        oracle_seconds = time.perf_counter() - t0
         gains = " ".join(repr(v.gain) for t in trees for v in self.tree.iter_internals(t))
-        return (seconds, "".join(t.to_csv() for t in traces),
-                "".join(map(self.tree.dumps_policy, trees)), gains)
+        return seconds, oracle_seconds, {
+            "trace CSVs": "".join(t.to_csv() for t in traces),
+            "policies": "".join(map(self.tree.dumps_policy, trees)),
+            "gains": gains, "oracle values": float(result.value).hex()}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -124,35 +139,46 @@ def peak_bytes(side: Side, wl, prepared) -> int:
 
 
 def compare(wl, base: Side, change: Side, instances: int, rounds: int) -> bool:
-    """Print one line for the workload; False if some trace, policy or gain differs."""
-    ratios, memory = [], []
-    times, peaks = {base: [], change: []}, {base: [], change: []}
+    """Print one line for the workload; False if some trace, policy, gain
+    or oracle value differs."""
+    ratios, oracle_ratios, memory = [], [], []
+    times, oracle_times, peaks = ({base: [], change: []} for _ in range(3))
     for index in range(min(instances, wl.pool)):
         text = wl.text(index)
         prepared = {side: side.prepare(wl, text) for side in (base, change)}
         best = {base: float("inf"), change: float("inf")}
-        csv, policies, gains = {}, {}, {}
+        best_oracle = dict(best)
+        out = {}
         for r in range(rounds):
             for side in ((base, change) if (index + r) % 2 == 0 else (change, base)):
-                seconds, csv[side], policies[side], gains[side] = side.solve(wl, prepared[side])
+                seconds, oracle_seconds, out[side] = side.solve(wl, prepared[side])
                 best[side] = min(best[side], seconds)
-        for what, out in (("trace CSVs", csv), ("policies", policies), ("gains", gains)):
-            if out[base] != out[change]:
-                print(f"{wl.name} {index}: {what} differ", file=sys.stderr)
-                return False
+                best_oracle[side] = min(best_oracle[side], oracle_seconds)
+        differ = [what for what in out[base] if out[base][what] != out[change][what]]
+        for what in differ:
+            print(f"{wl.name} {index}: {what} differ", file=sys.stderr)
+        if differ:
+            return False
         peak = {side: peak_bytes(side, wl, prepared[side])
                 for side in ((base, change) if index % 2 == 0 else (change, base))}
         ratios.append(best[change] / best[base])
+        oracle_ratios.append(best_oracle[change] / best_oracle[base])
         memory.append(peak[change] / peak[base])
         for side in best:
             times[side].append(best[side])
+            oracle_times[side].append(best_oracle[side])
             peaks[side].append(peak[side] / 2 ** 20)
     q1, median, q3 = quartiles(ratios)
+    o1, oracle_median, o3 = quartiles(oracle_ratios)
     m1, memory_median, m3 = quartiles(memory)
-    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces, policies and "
-          f"gains byte-equal; CHANGE/BASE median {median:.4f} [q1 {q1:.4f}, q3 {q3:.4f}]; "
+    print(f"{wl.name}: {len(ratios)} instances x {rounds} rounds, traces, policies, "
+          f"gains and oracle values byte-equal; CHANGE/BASE median {median:.4f} "
+          f"[q1 {q1:.4f}, q3 {q3:.4f}]; "
           f"median solve {statistics.median(times[base]):.6g} s -> "
-          f"{statistics.median(times[change]):.6g} s; peak memory CHANGE/BASE median "
+          f"{statistics.median(times[change]):.6g} s; oracle CHANGE/BASE median "
+          f"{oracle_median:.4f} [q1 {o1:.4f}, q3 {o3:.4f}]; median oracle "
+          f"{statistics.median(oracle_times[base]):.6g} s -> "
+          f"{statistics.median(oracle_times[change]):.6g} s; peak memory CHANGE/BASE median "
           f"{memory_median:.4f} [q1 {m1:.4f}, q3 {m3:.4f}]; median peak "
           f"{statistics.median(peaks[base]):.4g} MiB -> "
           f"{statistics.median(peaks[change]):.4g} MiB", flush=True)

@@ -6,11 +6,16 @@ multiplied, with no elimination, and the mass is binned by (information
 state, action).  They are the independent reference that the engine and
 the refinement algorithms are tested against.
 
-Results are bit-reproducible for a given diagram: the tables are multiplied
-in node-declaration order starting from ones, and ``np.bincount`` adds each
-bin's terms one after another in the joint's lexicographic order (a
-pairwise ``sum`` would change the last bits).  Likewise the single-decision
-value is a sequential sum over information states, in state order.
+Results are bit-reproducible for a given diagram.  A configuration's
+chance weight is 1.0 times the tables in node-declaration order (the
+product grows by broadcasting over the axes the tables so far span).  Each
+(information state, action) bin adds its terms one after another onto 0.0
+in the joint's lexicographic order, as ``np.bincount`` would: the weighted
+joint is laid out in C order with the binned axes last, so that each bin
+is a column whose rows ``ndarray.sum(axis=0)`` adds in order.  Along a lone
+axis ``ndarray.sum`` adds pairwise, which changes the last bits, so a
+one-column sum (the multistage value, and the single-decision value's sums
+over information states, in state order) runs through ``np.cumsum``.
 
 Decisions other than the queried one are treated as uniform, matching how
 an unfixed decision enters the compiled network.
@@ -28,6 +33,7 @@ import numpy as np
 from .diagram import ChanceNode, DiagramError, InfluenceDiagram, ValueNode
 
 DEFAULT_CAP = 1 << 20
+_ARGMAX_STATES = 1024  # _choose: argmax is the faster up to about this many states
 
 
 class StateSpaceCapError(ValueError):
@@ -88,12 +94,17 @@ def _layout(diagram: InfluenceDiagram, cap: int):
     return doms, {n: i for i, n in enumerate(names)}
 
 
+def _argsort(seq) -> list[int]:
+    """np.argsort of a short list, without the cost of making it an array."""
+    return sorted(range(len(seq)), key=seq.__getitem__)
+
+
 def _spread(table: np.ndarray, axes, doms) -> np.ndarray:
     """``table`` (one axis per joint axis in ``axes``) broadcastable over the joint."""
     shape = [1] * len(doms)
     for ax in axes:
         shape[ax] = doms[ax]
-    return np.transpose(table, np.argsort(axes)).reshape(shape)
+    return table.transpose(_argsort(axes)).reshape(shape)
 
 
 def _index(axes, doms) -> np.ndarray:
@@ -104,47 +115,52 @@ def _index(axes, doms) -> np.ndarray:
 
 
 def _joint(diagram: InfluenceDiagram, doms, pos):
-    """Chance weight of every joint configuration, and the utility
-    broadcastable over the joint."""
-    p = np.ones(doms)
+    """Chance weight of every joint configuration and the utility, each
+    broadcastable over the joint (size 1 on an axis none of its tables spans)."""
+    p = np.ones((1,) * len(doms))
     for name, node in diagram.nodes.items():
         if isinstance(node, ChanceNode):
-            p *= _spread(node.cpt, [pos[q] for q in (*node.parents, name)], doms)
+            p = p * _spread(node.cpt, [pos[q] for q in (*node.parents, name)], doms)
     value = diagram.value_node
     return p, _spread(value.utility, [pos[q] for q in value.parents], doms)
 
 
-def _accumulate(p, u, weight, axes, doms):
-    """Bin the weighted joint by the index of the variables on ``axes``.
-
-    Returns (num, den), one entry per bin: den sums p * weight, num the
-    same mass times u.
-    """
-    key = np.broadcast_to(_index(axes, doms), doms).ravel()
-    size = math.prod(doms[ax] for ax in axes)
-    mass = p * weight
-    den = np.bincount(key, mass.ravel(), size)
-    mass *= u
-    return np.bincount(key, mass.ravel(), size), den
-
-
 def _state_action(p, u, weight, doms, states, action):
-    """``_accumulate`` by (information state on axes ``states``, action on
-    axis ``action``), as (#states, #actions) arrays."""
-    num, den = _accumulate(p, u, weight, [*states, action], doms)
-    return num.reshape(-1, doms[action]), den.reshape(-1, doms[action])
+    """Bin the weighted joint by (information state on axes ``states``,
+    action on axis ``action``): (num, den) as (#states, #actions) arrays,
+    den summing p * weight and num the same mass times u."""
+    axes = [*states, action]
+    order = [ax for ax in range(len(doms)) if ax not in axes] + axes
+    # C order over (the other axes, the binned axes): each bin is a column,
+    # its rows in the joint's order; np.multiply writes through the view
+    binned = np.empty([doms[ax] for ax in order])
+    mass = np.multiply(p, weight, out=binned.transpose(_argsort(order)))
+    rows = binned.reshape(-1, math.prod(doms[ax] for ax in axes))
+    den = _sequential_sum(rows).reshape(-1, doms[action])
+    mass *= u
+    return _sequential_sum(rows).reshape(den.shape), den
 
 
-def _sequential_sum(x: np.ndarray) -> float:
-    """x[0] + x[1] + ... added left to right onto 0.0, as a loop would."""
-    return float(np.cumsum(x)[-1]) + 0.0  # + 0.0: an all -0.0 sum reads 0.0
+def _sequential_sum(x: np.ndarray):
+    """x[0] + x[1] + ... along axis 0, added in order onto 0.0 as a loop
+    would.  ndarray.sum adds so only while a second axis of two or more
+    entries runs inside; along a lone axis it adds pairwise."""
+    total = x.sum(axis=0) if x.ndim == 2 and x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
+    total += 0.0  # an all -0.0 sum reads 0.0, as it does from 0.0
+    return total
 
 
 def _choose(num, den):
     """Per state: the best action (first on ties, 0 if impossible) and E[u]
     of every action (-inf where impossible)."""
     eu = np.divide(num, den, out=np.full_like(num, -np.inf), where=den > 0.0)
-    return eu.argmax(axis=1), eu
+    if len(eu) <= _ARGMAX_STATES:  # argmax(axis=1) makes one call per state
+        return eu.argmax(axis=1), eu
+    best, top = np.zeros(len(eu), dtype=np.intp), eu[:, 0]
+    for a in range(1, eu.shape[1]):  # the first maximum, as argmax (no NaN here)
+        best += (eu[:, a] > top) * (a - best)
+        top = np.maximum(top, eu[:, a])
+    return best, eu
 
 
 def state_action_values(diagram: InfluenceDiagram, decision: str,
@@ -181,19 +197,21 @@ def oracle_optimal(diagram: InfluenceDiagram, decision: str | None = None,
     span = u_max - u_min
 
     best, eu = _choose(num, den)
-    rows = np.arange(len(best))
+    chosen = np.arange(0, num.size, num.shape[1]) + best  # flat index of (state, best)
     # den already marginalizes everything but the fixed own action, so for
     # a state over non-descendants it equals P(state) directly
-    mass = den[rows, best]  # >= 0; exactly 0.0 for an impossible state
-    possible = mass > 0.0
-    eu = np.where(possible, eu[rows, best], 0.0)  # no 0 * -inf below
+    mass = den.take(chosen)  # >= 0; exactly 0.0 for an impossible state
+    impossible = mass == 0.0
+    eu = eu.take(chosen)
+    eu[impossible] = 0.0  # no 0 * -inf below
     if span == 0.0:
         value, raw_value = 0.5, u_min
-        state_values = np.where(possible, 0.5, 0.0)
+        state_values = np.where(impossible, 0.0, 0.5)
     else:
-        raw_value = _sequential_sum(mass * eu)
-        value = (raw_value - u_min * _sequential_sum(mass)) / span
-        state_values = np.where(possible, (eu - u_min) / span, 0.0)
+        raw_value = float(_sequential_sum(mass * eu))
+        value = (raw_value - u_min * float(_sequential_sum(mass))) / span
+        state_values = (eu - u_min) / span
+        state_values[impossible] = 0.0
     return OracleResult(decision, tuple(v.name for v in preds), value, raw_value,
                         tuple(v.outcomes for v in preds),
                         diagram.variable(decision).outcomes, best, state_values, mass)
@@ -223,7 +241,7 @@ def oracle_optimal_multistage(diagram: InfluenceDiagram,
         chosen[d] = _choose(num, den)[0]
         acted = chosen[d][_index(states, doms)]
         consistent = consistent & (_index([pos[d]], doms) == acted)
-    raw_value = float(_accumulate(p, u, consistent, [], doms)[0][0])
+    raw_value = float(_sequential_sum((p * consistent * u).ravel()))
 
     utility = diagram.value_node.utility
     u_min, u_max = float(utility.min()), float(utility.max())

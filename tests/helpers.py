@@ -21,6 +21,9 @@ against walks,
 ``charged`` and ``uncharged`` read a leaf's record of exploration,
 ``calibrate`` calibrates a caller's findings, given as labels, and
 ``no_decision_json`` is a valid diagram that has no decision node.
+``loop_state_action`` and ``loop_consistent_total`` enumerate the joint
+one configuration at a time with the oracle's arithmetic in the oracle's
+order, so that its binning can be compared bit for bit.
 """
 
 import json
@@ -120,6 +123,59 @@ def normalized(diagram, raw):
     u = diagram.value_node.utility
     lo, hi = float(u.min()), float(u.max())
     return (raw - lo) / (hi - lo)
+
+
+def _joint_terms(diagram):
+    """(configuration, chance weight, utility) of every joint configuration,
+    in lexicographic declaration order; the weight is multiplied onto 1.0
+    in node order."""
+    _, doms, pos = _frame(diagram)
+    value = diagram.value_node
+    chance = [(tuple(pos[q] for q in (*node.parents, name)), node.cpt)
+              for name, node in diagram.nodes.items() if isinstance(node, ChanceNode)]
+    for config in product(*(range(d) for d in doms)):
+        p = 1.0
+        for axes, cpt in chance:
+            p *= float(cpt[tuple(config[ax] for ax in axes)])
+        yield config, p, float(value.utility[tuple(config[pos[q]] for q in value.parents)])
+
+
+def loop_state_action(diagram, decision):
+    """(num, den) of state_action_values, shape (#states, #actions), one
+    joint configuration at a time: each configuration's weight times the
+    uniform weight of the other decisions lands in its (state, action) bin,
+    den adding it and num it times u, each bin onto 0.0 in joint order."""
+    _, doms, pos = _frame(diagram)
+    bins = [pos[v.name] for v in diagram.predecessors(decision)] + [pos[decision]]
+    uniform = math.prod(1.0 / diagram.variable(e).arity
+                        for e in diagram.decisions if e != decision)
+    size = math.prod(doms[ax] for ax in bins)
+    num, den = [0.0] * size, [0.0] * size
+    for config, p, u in _joint_terms(diagram):
+        b = 0
+        for ax in bins:
+            b = b * doms[ax] + config[ax]
+        mass = p * uniform
+        den[b] += mass
+        num[b] += mass * u
+    shape = (-1, doms[pos[decision]])
+    return np.array(num).reshape(shape), np.array(den).reshape(shape)
+
+
+def loop_consistent_total(diagram, tables):
+    """The raw value of oracle_optimal_multistage given its tables: onto
+    0.0 in joint order, each configuration's weight times 1 if every
+    decision acts by its table there (else 0), times u."""
+    names, _, _ = _frame(diagram)
+    outcomes = [diagram.variable(n).outcomes for n in names]
+    total = 0.0
+    for config, p, u in _joint_terms(diagram):
+        labels = {n: o[i] for n, o, i in zip(names, outcomes, config)}
+        consistent = all(
+            tables[d][tuple(labels[v.name] for v in diagram.predecessors(d))] == labels[d]
+            for d in diagram.decision_order)
+        total += p * float(consistent) * u
+    return total
 
 
 def loop_oracle(diagram, decision):

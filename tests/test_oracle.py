@@ -1,14 +1,20 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import enum_best_action, loop_oracle, normalized
-from idrefine.diagram import DiagramError, information_states
+from helpers import (enum_best_action, loop_consistent_total, loop_oracle, loop_state_action,
+                     normalized)
+from idrefine.diagram import (DecisionNode, DiagramError, InfluenceDiagram, ValueNode,
+                              information_states, parse_diagram)
 from idrefine.engine import Engine, compile_network
-from idrefine.fixtures import constant_utility, deterministic_exclusion, mini_weather
+from idrefine.fixtures import (CAR_BUYER_TABLE_NODES, car_buyer_template, constant_utility,
+                               deterministic_exclusion, mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
-from idrefine.oracle import (StateSpaceCapError, _index, oracle_optimal,
+from idrefine.oracle import (_ARGMAX_STATES, StateSpaceCapError, _index, oracle_optimal,
                              oracle_optimal_multistage, state_action_values)
 
 TOL = 1e-9
@@ -127,6 +133,94 @@ class TestAgainstPerStateLoop:
 
     def test_zero_span(self):
         self.assert_identical(constant_utility(), "D")
+
+    @pytest.mark.parametrize("n, arity", [(11, 2), (7, 3)])
+    def test_many_states(self, n, arity):
+        """More states than _choose hands to argmax, half of them with a tie."""
+        diagram = gen_random_id(GeneratorSpec(n=n, seed=0, arity=arity))
+        utility = diagram.value_node.utility
+        utility[::2, ..., -1] = utility[::2, ..., 0]
+        assert len(oracle_optimal(diagram).best) > _ARGMAX_STATES
+        self.assert_identical(diagram, "d")
+
+
+def seeded_car_buyer(seed):
+    """The car-buyer structure with seeded tables: three decisions, the
+    first of which observes nothing."""
+    rng = np.random.default_rng(seed)
+    doc = car_buyer_template()
+    arity = {n["name"]: len(n.get("outcomes", ())) for n in doc["nodes"]}
+    for node in doc["nodes"]:
+        if node["name"] in CAR_BUYER_TABLE_NODES:
+            configs = math.prod(arity[q] for q in node["parents"])
+            if node["kind"] == "chance":
+                rows = rng.uniform(size=(configs, arity[node["name"]]))
+                rows /= rows.sum(axis=1, keepdims=True)
+            else:
+                rows = rng.uniform(size=configs)
+            node["table"] = rows.ravel().tolist()
+    return parse_diagram(json.dumps(doc))
+
+
+def reordered_star(n, seed):
+    """A star whose decision lists its predecessors last to first, so its
+    state axes run against the joint's axis order."""
+    diagram = gen_random_id(GeneratorSpec(n=n, seed=seed))
+    nodes = dict(diagram.nodes)
+    nodes["d"] = DecisionNode(nodes["d"].variable, nodes["d"].parents[::-1])
+    return InfluenceDiagram(nodes, ("d",))
+
+
+class TestBinningAgainstJointLoop:
+    """state_action_values and the multistage raw value bit for bit
+    against helpers.py's loop over every joint configuration: the same
+    products and the same per-bin sums in the same order."""
+
+    @staticmethod
+    def assert_identical(diagram, decision):
+        _, num, den = state_action_values(diagram, decision)
+        ref_num, ref_den = loop_state_action(diagram, decision)
+        assert num.shape == ref_num.shape and den.shape == ref_den.shape
+        assert num.tobytes() == ref_num.tobytes()
+        assert den.tobytes() == ref_den.tobytes()
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stars(self, n, arity):
+        for seed in range(2):
+            self.assert_identical(gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity)), "d")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_stage_every_decision(self, seed):
+        diagram = gen_two_stage(seed)
+        for decision in diagram.decisions:
+            self.assert_identical(diagram, decision)
+
+    def test_state_axes_against_joint_order(self):
+        self.assert_identical(reordered_star(4, 0), "d")
+
+    def test_impossible_states(self):
+        diagram = deterministic_exclusion()
+        self.assert_identical(diagram, "D")
+        value = diagram.value_node
+        diagram.nodes[value.name] = ValueNode(value.name, value.parents, -1.0 - value.utility)
+        # an impossible state's bins now add -0.0 terms only, and read 0.0
+        assert (diagram.value_node.utility < 0.0).all()
+        self.assert_identical(diagram, "D")
+
+    def test_decision_with_no_predecessors(self):
+        diagram = seeded_car_buyer(0)
+        assert diagram.predecessors("first_test") == ()
+        for decision in diagram.decisions:
+            self.assert_identical(diagram, decision)
+
+    @pytest.mark.parametrize("diagram", [gen_two_stage(0), gen_two_stage(1), seeded_car_buyer(0),
+                                         mini_weather(), deterministic_exclusion()])
+    def test_multistage_total(self, diagram):
+        """One bin over the whole joint: a pairwise sum would differ."""
+        result = oracle_optimal_multistage(diagram)
+        expected = loop_consistent_total(diagram, result.tables)
+        assert float(result.raw_value).hex() == float(expected).hex()
 
 
 @given(data=st.data())

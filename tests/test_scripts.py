@@ -4,12 +4,16 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+
+import numpy as np
 
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import mini_weather
 
 REPO = Path(__file__).resolve().parent.parent
+PINS_LIMIT2 = REPO / "tests" / "data" / "check_pins_limit2.txt"  # check_pins.py --limit 2
 
 
 def test_anytime_profiles_script(tmp_path):
@@ -36,7 +40,11 @@ def test_check_pins_expect(tmp_path):
     """A run checks every workload's instances up to --limit, with no
     failure; --expect passes against that run's own output, names each
     digest that differs from a doctored copy of it, and reads only the
-    summary lines of an output that reported a move."""
+    summary lines of an output that reported a move.  Last, the first run's
+    output equals the committed one in tests/data, so Tier-1 fails when a
+    digest moves; the digests rest on numpy's summation kernels, so that
+    file names the numpy version it was made with, and another version
+    fails here, naming both."""
     script = [sys.executable, str(REPO / "scripts" / "check_pins.py"), "--limit", "2"]
     first = subprocess.run(script, capture_output=True, text=True, check=False)
     assert first.returncode == 0, first.stderr
@@ -58,6 +66,10 @@ def test_check_pins_expect(tmp_path):
     again = subprocess.run(script + ["--expect", str(expected)],
                            capture_output=True, text=True, check=False)
     assert (again.returncode, again.stdout) == (0, first.stdout), again.stderr
+    version, _, pinned = PINS_LIMIT2.read_text().partition("\n")
+    assert version == f"numpy {np.__version__}", (
+        f"{PINS_LIMIT2.name} was made with {version}, this run with numpy {np.__version__}")
+    assert first.stdout == pinned
 
 
 def test_benchmark_tracing_targets_exist(monkeypatch):
@@ -89,11 +101,13 @@ def planted(text, line, replacement):
 
 def test_ab_solve_script(tmp_path):
     """Both sides this checkout, two instances of every workload: the trace
-    CSVs, policies and gains agree, and a time ratio and a peak-memory ratio
-    are printed for each workload.
+    CSVs, policies, gains and oracle values agree, and a solve-time ratio,
+    an oracle-time ratio and a peak-memory ratio are printed for each
+    workload.
     Against a checkout whose policy JSON differs but whose traces do not,
-    it names the policies and exits 1, on a single-decision workload and on
-    a multistage one; against one whose every split's gain is one ulp
+    and whose oracle values are one ulp larger, it names the policies and
+    the oracle values and exits 1, on a single-decision workload and on a
+    multistage one; against one whose every split's gain is one ulp
     larger, so that its traces and policies do not differ, it names the
     gains and exits 1, on grown, drawn and multistage runs."""
     script = str(REPO / "scripts" / "ab_solve.py")
@@ -101,23 +115,39 @@ def test_ab_solve_script(tmp_path):
                              "--instances", "2", "--rounds", "1"],
                             capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
+    ratio = r"median \d+\.\d{4} \[q1 \d+\.\d{4}, q3 \d+\.\d{4}\]"
     for workload in ("greedy_complete", "random_complete", "greedy_budget", "sweep_two_stage"):
         line = next(l for l in result.stdout.splitlines() if l.startswith(f"{workload}: "))
-        assert line.startswith(f"{workload}: 2 instances x 1 rounds, traces, policies and "
-                               "gains byte-equal; CHANGE/BASE median")
-        assert re.search(r"; peak memory CHANGE/BASE median \d+\.\d{4} \[q1 \d+\.\d{4}, "
-                         r"q3 \d+\.\d{4}\]; median peak \S+ MiB -> \S+ MiB$", line), line
+        assert line.startswith(f"{workload}: 2 instances x 1 rounds, traces, policies, gains "
+                               "and oracle values byte-equal; CHANGE/BASE median")
+        assert re.search(rf"; oracle CHANGE/BASE {ratio}; median oracle \S+ s -> \S+ s; "
+                         rf"peak memory CHANGE/BASE {ratio}; median peak \S+ MiB -> \S+ MiB$",
+                         line), line
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
     tree_py = tmp_path / "src" / "idrefine" / "tree.py"
     tree_py.write_text(planted(tree_py.read_text(),
                                "return json.dumps(policy_json(tree), indent=2)",
                                "return json.dumps(policy_json(tree), indent=1)"))
+    oracle_py = tmp_path / "src" / "idrefine" / "oracle.py"
+    oracle_py.write_text(oracle_py.read_text() + textwrap.dedent("""
+        def _nudged(oracle):
+            def nudged(*args, **kwargs):
+                result = oracle(*args, **kwargs)
+                result.value = math.nextafter(result.value, math.inf)
+                return result
+            return nudged
+
+
+        oracle_optimal = _nudged(oracle_optimal)
+        oracle_optimal_multistage = _nudged(oracle_optimal_multistage)
+        """))
     for workload in ("greedy_complete", "sweep_two_stage"):
         result = subprocess.run([sys.executable, script, str(REPO), str(tmp_path), workload,
                                  "--instances", "1", "--rounds", "1"],
                                 capture_output=True, text=True, check=False)
         assert result.returncode == 1
-        assert f"{workload} 0: policies differ" in result.stderr
+        assert result.stderr.splitlines() == [f"{workload} 0: policies differ",
+                                              f"{workload} 0: oracle values differ"]
     shutil.rmtree(tmp_path / "src")
     shutil.copytree(REPO / "src" / "idrefine", tmp_path / "src" / "idrefine")
     gain_line = "    gain: float  # tree-value increase recorded when this vertex was created\n"

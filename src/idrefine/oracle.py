@@ -7,15 +7,13 @@ state, action).  They are the independent reference that the engine and
 the refinement algorithms are tested against.
 
 Results are bit-reproducible for a given diagram.  A configuration's
-chance weight is 1.0 times the tables in node-declaration order (the
-product grows by broadcasting over the axes the tables so far span).  Each
-(information state, action) bin adds its terms one after another onto 0.0
-in the joint's lexicographic order, as ``np.bincount`` would: the weighted
-joint is laid out in C order with the binned axes last, so that each bin
-is a column whose rows ``ndarray.sum(axis=0)`` adds in order.  Along a lone
-axis ``ndarray.sum`` adds pairwise, which changes the last bits, so a
-one-column sum (the multistage value, and the single-decision value's sums
-over information states, in state order) runs through ``np.cumsum``.
+chance weight is 1.0 times the tables in node-declaration order.  Each
+(information state, action) bin adds its terms in the joint's lexicographic
+order onto 0.0, as ``np.bincount`` would: with the binned axes last in C
+order, each bin is a column whose rows ``ndarray.sum(axis=0)`` adds in
+order.  Along a lone axis ``ndarray.sum`` adds pairwise, so a one-column
+sum (the multistage value, and the single-decision value's sums over
+information states, in state order) runs through ``np.cumsum``.
 
 Decisions other than the queried one are treated as uniform, matching how
 an unfixed decision enters the compiled network.
@@ -33,7 +31,9 @@ import numpy as np
 from .diagram import ChanceNode, DiagramError, InfluenceDiagram, ValueNode
 
 DEFAULT_CAP = 1 << 20
-_ARGMAX_STATES = 1024  # _choose: argmax is the faster up to about this many states
+# _choose: argmax up to this many states, a column pass above; timed after a
+# solve, argmax is 3% faster at 1,024 states, even at 2,048, 5% slower at 4,096
+_ARGMAX_STATES = 1024
 
 
 class StateSpaceCapError(ValueError):
@@ -142,9 +142,8 @@ def _state_action(p, u, weight, doms, states, action):
 
 
 def _sequential_sum(x: np.ndarray):
-    """x[0] + x[1] + ... along axis 0, added in order onto 0.0 as a loop
-    would.  ndarray.sum adds so only while a second axis of two or more
-    entries runs inside; along a lone axis it adds pairwise."""
+    """x[0] + x[1] + ... along axis 0, onto 0.0 in order, as a loop adds;
+    ndarray.sum does so only over two or more columns, else adds pairwise."""
     total = x.sum(axis=0) if x.ndim == 2 and x.shape[1] > 1 else np.cumsum(x, axis=0)[-1]
     total += 0.0  # an all -0.0 sum reads 0.0, as it does from 0.0
     return total

@@ -13,7 +13,10 @@ axes, depends only on the restricted factors' scopes and shapes, the
 targets and the variables' indices, so it is built once and kept in a
 bounded process-wide cache.  A step multiplies the factors that mention the
 eliminated variable left to right, as broadcast numpy products, and sums
-the variable out into a C-contiguous array.
+the variable out into a C-contiguous array.  The plan splits a large
+product whose innermost axis longer than 1 is short and broadcast in one
+operand, where numpy would run one inner loop per few entries, into one
+np.multiply per entry of that axis: each entry is the same IEEE product.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -99,6 +102,7 @@ Row = tuple[list[int], list[float], list[float]]  # per outcome: action, P(outco
 # more than halving saves.  The pinned bits depend on it: it is no tuning knob.
 _HALVING_MIN = 1024
 _EINSUM_MIN = 256  # below it, np.einsum's fixed cost outweighs its gain (_keep)
+_SPLIT_MIN, _SPLIT_AXIS = 4096, 8  # _split: least product size, longest axis
 
 
 class ZeroProbabilityError(ValueError):
@@ -179,7 +183,8 @@ class _Step(NamedTuple):
     over axis 0, the eliminated variable.  Factors are numbered in the
     order they arise: the query's factors, then one per step."""
 
-    operands: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]  # (factor, axes, shape)
+    # (factor, axes, shape, split), the split None or _split's
+    operands: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple | None], ...]
     inplace: int  # operands from this one on are multiplied into the product in place
     reduce: bool
 
@@ -192,16 +197,30 @@ class _Step(NamedTuple):
 _PLANS = 128
 
 
+def _split(left: tuple[int, ...], right: tuple[int, ...], shape: tuple[int, ...]):
+    """None, or (shape, a (left, right, result) index per entry of its last
+    axis longer than 1) for a large product of operands of shapes left and
+    right where that axis is short and one is broadcast (indexed whole) on it."""
+    k = max((k for k, n in enumerate(shape) if n > 1), default=None)
+    if k is None or shape[k] > _SPLIT_AXIS or left[k] == right[k] or math.prod(shape) < _SPLIT_MIN:
+        return None
+    cuts = [(slice(None),) * k + (slice(t, t + 1),) for t in range(shape[k])]
+    return shape, tuple((at if left[k] > 1 else (), at if right[k] > 1 else (), at) for at in cuts)
+
+
 def _step(scopes: list[tuple[str, ...]], take: Sequence[int], axes: tuple[str, ...],
           doms: Mapping[str, int], reduce: bool) -> _Step:
     """The product of the factors numbered ``take``, in that order, onto ``axes``."""
     place = {v: a for a, v in enumerate(axes)}
-    operands, covered, inplace = [], set(), len(take)
+    operands, covered, inplace, product = [], set(), len(take), ()
     for k, i in enumerate(take):
         scope = scopes[i]
         covered.update(scope)
+        shape = tuple(doms[v] if v in scope else 1 for v in axes)
+        grown = tuple(map(max, product, shape)) if k else shape
         operands.append((i, tuple(sorted(range(len(scope)), key=lambda a: place[scope[a]])),
-                         tuple(doms[v] if v in scope else 1 for v in axes)))
+                         shape, _split(product, shape, grown) if k else None))
+        product = grown
         # the product is first allocated, with every axis, by operand k
         if k and axes and inplace == len(take) and len(covered) == len(axes):
             inplace = k + 1
@@ -244,14 +263,20 @@ def _execute(plan: tuple[_Step, ...], factors: list[np.ndarray]) -> np.ndarray:
     """Run a plan on a list of the factors' values, which it uses up.
     Products multiply operands left to right, eliminations sum axis 0 by
     ndarray.sum, never np.einsum, and each result is C-contiguous: layout
-    orders later sums (_marginal, _choose) and groups joints (_evaluate)."""
+    orders later sums (_marginal, _choose) and groups joints (_evaluate).
+    A product the plan splits is made a slice at a time, in the same layout."""
     for operands, inplace, reduce in plan:
         product = None
-        for k, (i, axes, shape) in enumerate(operands):
+        for k, (i, axes, shape, split) in enumerate(operands):
             factor = factors[i].transpose(axes).reshape(shape)
             factors[i] = None  # each factor is used once
             if product is None:
                 product = factor
+            elif split:
+                out = np.empty(split[0]) if k < inplace else product
+                for left, right, at in split[1]:
+                    np.multiply(product[left], factor[right], out=out[at])
+                product = out
             elif k < inplace:
                 product = np.multiply(product, factor, order="C")
             else:

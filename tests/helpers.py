@@ -178,10 +178,12 @@ def loop_consistent_total(diagram, tables):
     return total
 
 
-def loop_oracle(diagram, decision):
+def loop_oracle(diagram, decision, sums=None):
     """(table, per_state, state_probs, value, raw_value) of oracle_optimal,
-    one information state at a time, adding in state order."""
-    preds, num, den = state_action_values(diagram, decision)
+    one information state at a time, adding in state order, from ``sums``,
+    (num, den) as state_action_values gives them, or from that call."""
+    preds = diagram.predecessors(decision)
+    num, den = sums or state_action_values(diagram, decision)[1:]
     actions = diagram.variable(decision).outcomes
     u = diagram.value_node.utility
     u_min, u_max = float(u.min()), float(u.max())

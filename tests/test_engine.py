@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceD
                               ValueNode, Variable, normalize_rows, parse_diagram)
 from idrefine.engine import (_PLANS, ZERO_PROB, Calibration, Engine, PolicyCpt,
                              ZeroProbabilityError, _HALVING_MIN, _choose, _elimination_order,
-                             _keep, _marginal, _plan, _query, compile_network, stack_rows)
+                             _execute, _keep, _marginal, _plan, _query, compile_network,
+                             stack_rows)
 from idrefine.fixtures import (constant_utility, deterministic_exclusion,
                                mini_weather, mini_weather_coin)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
@@ -1694,6 +1696,119 @@ class TestPlanCache:
         for k in range(_PLANS + 10):
             _plan(((f"x{k}",),), ((2,),), (), (0,))
         assert _plan.cache_info().currsize == _PLANS
+
+
+def reference_execute(plan, factors):
+    """_execute without splits: each step's operands multiplied left to
+    right by one broadcast np.multiply into a C-order result, axis 0 summed
+    out by ndarray.sum where the step eliminates it."""
+    for step in plan:
+        product = None
+        for i, axes, shape, _ in step.operands:
+            factor = factors[i].transpose(axes).reshape(shape)
+            product = factor if product is None else np.multiply(product, factor, order="C")
+        if step.reduce:
+            product = product.sum(axis=0)
+        factors.append(np.asarray(product, order="C"))
+    return factors[-1]
+
+
+def split_kinds(plan):
+    """Each split product's kind: whether it runs in place, and which
+    operand is broadcast on the axis it is split along."""
+    kinds = set()
+    for step in plan:
+        for k, (_, _, _, split) in enumerate(step.operands):
+            if split:
+                left, right, _ = split[1][0]
+                kinds.add((k >= step.inplace, "product" if left == () else "factor"))
+    return kinds
+
+
+@contextmanager
+def low_split_gate():
+    """Every product with a short broadcast innermost axis split, however
+    small; plans made meanwhile are dropped from the cache before and after."""
+    engine = sys.modules["idrefine.engine"]
+    gate = engine._SPLIT_MIN
+    engine._SPLIT_MIN = 1
+    _plan.cache_clear()
+    try:
+        yield
+    finally:
+        engine._SPLIT_MIN = gate
+        _plan.cache_clear()
+
+
+class TestSplitProducts:
+    """A product split along its short innermost axis (_split) is the
+    unsplit product bit for bit, in the same C-contiguous layout."""
+
+    @staticmethod
+    def check(scopes, doms, targets, seed):
+        """_execute of the plan for factors over ``scopes``, made with the
+        gate lowered (low_split_gate), against reference_execute, by
+        tobytes(); entries spread over many binades, so that a reordered
+        product or sum shows in the last bits."""
+        rng = np.random.default_rng(seed)
+        shapes = tuple(tuple(doms[v] for v in scope) for scope in scopes)
+        values = [rng.random(shape) * 10.0 ** rng.uniform(-12, 0, shape) for shape in shapes]
+        index = {v: k for k, v in enumerate(sorted(doms))}
+        with low_split_gate():
+            plan = _plan(scopes, shapes, targets, tuple(index[v] for s in scopes for v in s))
+        got = _execute(plan, list(values))
+        ref = reference_execute(plan, list(values))
+        assert got.shape == ref.shape == tuple(doms[v] for v in targets)
+        assert got.flags["C_CONTIGUOUS"]
+        assert got.tobytes() == ref.tobytes()
+        return plan
+
+    @given(data=st.data())
+    def test_bit_for_bit_with_unsplit_products(self, data):
+        """1-5 factors over up to 5 variables of arity 2-4, each scope in
+        any axis order, and any of their variables as targets, or none (a
+        0-d result)."""
+        doms = {f"x{k}": data.draw(st.integers(2, 4)) for k in range(data.draw(st.integers(1, 5)))}
+        names = sorted(doms)
+        scope = st.lists(st.sampled_from(names), unique=True, max_size=len(names)).map(tuple)
+        scopes = tuple(data.draw(st.lists(scope, min_size=1, max_size=5)))
+        used = sorted({v for scope in scopes for v in scope})
+        targets = tuple(data.draw(st.lists(st.sampled_from(used), unique=True))) if used else ()
+        self.check(scopes, doms, targets, data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    @pytest.mark.parametrize("scopes, targets, kinds", [
+        ((("a",), ("b",)), ("a", "b"), {(False, "product")}),
+        ((("a", "b"), ("a",)), ("a", "b"), {(False, "factor")}),
+        ((("a",), ("a", "b"), ("a",)), ("a", "b"), {(False, "product"), (True, "factor")}),
+        ((("b", "a"), ("c",), ("c", "a")), ("c",), {(False, "factor")}),
+        ((("a",), ("b",)), (), set()),
+    ])
+    def test_each_kind_of_split(self, scopes, targets, kinds):
+        """The product, or the factor, broadcast on the split axis, out of
+        place and in place, in the last step or before an elimination (b,
+        then a, summed out), and a 0-d result, which nothing splits."""
+        plan = self.check(scopes, {"a": 3, "b": 2, "c": 4}, targets, 0)
+        assert split_kinds(plan) == kinds
+
+    def test_plans_split_large_broadcast_products_only(self, monkeypatch):
+        """An n = 12 binary star's root contraction splits each product of
+        at least _SPLIT_MIN entries, all broadcast on their innermost axis;
+        a two-stage sweep, whose products are small, splits none."""
+        engine, plans = sys.modules["idrefine.engine"], []
+        monkeypatch.setattr(engine, "_execute",
+                            lambda plan, factors, _original=engine._execute:
+                            plans.append(plan) or _original(plan, factors))
+        eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=12, seed=0))))
+        eng.calibrate(eng.context("d", {})).leaf_joint()
+        [(operands, inplace, reduce)] = plans[0]
+        grown = np.cumprod([2] * 14)[1:]  # the product's entries after each operand but the first
+        assert len(operands) == 14 and inplace == 14 and not reduce
+        assert [bool(split) for *_, split in operands[1:]] == list(grown >= engine._SPLIT_MIN)
+        assert split_kinds(plans[0]) == {(False, "product")}
+        plans.clear()
+        sweep_back(gen_two_stage(0))
+        assert plans and not any(split for plan in plans for step in plan
+                                 for *_, split in step.operands)
 
 
 class TestOneExecutor:

@@ -14,8 +14,8 @@ from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import (CAR_BUYER_TABLE_NODES, car_buyer_template, constant_utility,
                                deterministic_exclusion, mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
-from idrefine.oracle import (_ARGMAX_STATES, StateSpaceCapError, _index, oracle_optimal,
-                             oracle_optimal_multistage, state_action_values)
+from idrefine.oracle import (_ARGMAX_STATES, _SPLIT_MIN, StateSpaceCapError, _index,
+                             oracle_optimal, oracle_optimal_multistage, state_action_values)
 
 TOL = 1e-9
 
@@ -74,11 +74,14 @@ class TestAgainstIndependentEnumeration:
     """The oracle against the separate per-state enumeration in helpers.py."""
 
     @staticmethod
-    def assert_matches(diagram, decision):
+    def assert_matches(diagram, decision, every=1):
+        """Every ``every``-th information state's action and values."""
         result = oracle_optimal(diagram, decision)
         _, num, den = state_action_values(diagram, decision)
         actions = diagram.variable(decision).outcomes
         for w, state in enumerate(information_states(diagram, decision)):
+            if w % every:
+                continue
             labels = tuple(state.values())
             action, raw = enum_best_action(diagram, decision, state)
             a = actions.index(result.table[labels])
@@ -98,6 +101,18 @@ class TestAgainstIndependentEnumeration:
         diagram = gen_two_stage(seed)
         for decision in diagram.decisions:
             self.assert_matches(diagram, decision)
+
+    def test_star_above_split_gate(self):
+        """An n = 12 binary star, whose joint is large enough that its
+        products split (oracle._multiply): every 512th state against the
+        enumeration, and the value, float.hex, against the per-state loop
+        over helpers.py's loop over every joint configuration."""
+        diagram = gen_random_id(GeneratorSpec(n=12, seed=0))
+        assert 2 ** 13 >= _SPLIT_MIN
+        self.assert_matches(diagram, "d", every=512)
+        result = oracle_optimal(diagram, "d")
+        value = loop_oracle(diagram, "d", loop_state_action(diagram, "d"))[3]
+        assert float(result.value).hex() == float(value).hex()
 
 
 class TestAgainstPerStateLoop:
@@ -195,6 +210,17 @@ class TestBinningAgainstJointLoop:
         diagram = gen_two_stage(seed)
         for decision in diagram.decisions:
             self.assert_identical(diagram, decision)
+
+    def test_star_above_split_gate(self):
+        """An n = 12 binary star: _joint's last products and the binned
+        mass, broadcast on their short innermost axis, are split
+        (oracle._multiply); the multistage total over it too."""
+        diagram = gen_random_id(GeneratorSpec(n=12, seed=0))
+        assert 2 ** 13 >= _SPLIT_MIN
+        self.assert_identical(diagram, "d")
+        result = oracle_optimal_multistage(diagram)
+        expected = loop_consistent_total(diagram, result.tables)
+        assert float(result.raw_value).hex() == float(expected).hex()
 
     def test_state_axes_against_joint_order(self):
         self.assert_identical(reordered_star(4, 0), "d")

@@ -13,10 +13,9 @@ axes, depends only on the restricted factors' scopes and shapes, the
 targets and the variables' indices, so it is built once and kept in a
 bounded process-wide cache.  A step multiplies the factors that mention the
 eliminated variable left to right, as broadcast numpy products, and sums
-the variable out into a C-contiguous array.  The plan splits a large
-product whose innermost axis longer than 1 is short and broadcast in one
-operand, where numpy would run one inner loop per few entries, into one
-np.multiply per entry of that axis: each entry is the same IEEE product.
+the variable out into a C-contiguous array.  The plan, not each call,
+makes a product that diagram.split_product picks one np.multiply per entry
+of its short innermost axis; each entry is the same IEEE product.
 
 Query costs are tracked by two counters with join-tree semantics,
 independent of the elimination backend:
@@ -94,7 +93,8 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .diagram import ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, ValueNode
+from .diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram, ValueNode,
+                      split_product)
 
 ZERO_PROB = 1e-12
 Row = tuple[list[int], list[float], list[float]]  # per outcome: action, P(outcome), value
@@ -102,7 +102,6 @@ Row = tuple[list[int], list[float], list[float]]  # per outcome: action, P(outco
 # more than halving saves.  The pinned bits depend on it: it is no tuning knob.
 _HALVING_MIN = 1024
 _EINSUM_MIN = 256  # below it, np.einsum's fixed cost outweighs its gain (_keep)
-_SPLIT_MIN, _SPLIT_AXIS = 4096, 8  # _split: least product size, longest axis
 
 
 class ZeroProbabilityError(ValueError):
@@ -183,7 +182,7 @@ class _Step(NamedTuple):
     over axis 0, the eliminated variable.  Factors are numbered in the
     order they arise: the query's factors, then one per step."""
 
-    # (factor, axes, shape, split), the split None or _split's
+    # (factor, axes, shape, split), the split None or (product shape, split_product's)
     operands: tuple[tuple[int, tuple[int, ...], tuple[int, ...], tuple | None], ...]
     inplace: int  # operands from this one on are multiplied into the product in place
     reduce: bool
@@ -197,17 +196,6 @@ class _Step(NamedTuple):
 _PLANS = 128
 
 
-def _split(left: tuple[int, ...], right: tuple[int, ...], shape: tuple[int, ...]):
-    """None, or (shape, a (left, right, result) index per entry of its last
-    axis longer than 1) for a large product of operands of shapes left and
-    right where that axis is short and one is broadcast (indexed whole) on it."""
-    k = max((k for k, n in enumerate(shape) if n > 1), default=None)
-    if k is None or shape[k] > _SPLIT_AXIS or left[k] == right[k] or math.prod(shape) < _SPLIT_MIN:
-        return None
-    cuts = [(slice(None),) * k + (slice(t, t + 1),) for t in range(shape[k])]
-    return shape, tuple((at if left[k] > 1 else (), at if right[k] > 1 else (), at) for at in cuts)
-
-
 def _step(scopes: list[tuple[str, ...]], take: Sequence[int], axes: tuple[str, ...],
           doms: Mapping[str, int], reduce: bool) -> _Step:
     """The product of the factors numbered ``take``, in that order, onto ``axes``."""
@@ -218,8 +206,9 @@ def _step(scopes: list[tuple[str, ...]], take: Sequence[int], axes: tuple[str, .
         covered.update(scope)
         shape = tuple(doms[v] if v in scope else 1 for v in axes)
         grown = tuple(map(max, product, shape)) if k else shape
+        cuts = split_product(product, shape, grown) if k else None
         operands.append((i, tuple(sorted(range(len(scope)), key=lambda a: place[scope[a]])),
-                         shape, _split(product, shape, grown) if k else None))
+                         shape, cuts and (grown, cuts)))
         product = grown
         # the product is first allocated, with every axis, by operand k
         if k and axes and inplace == len(take) and len(covered) == len(axes):
@@ -264,7 +253,8 @@ def _execute(plan: tuple[_Step, ...], factors: list[np.ndarray]) -> np.ndarray:
     Products multiply operands left to right, eliminations sum axis 0 by
     ndarray.sum, never np.einsum, and each result is C-contiguous: layout
     orders later sums (_marginal, _choose) and groups joints (_evaluate).
-    A product the plan splits is made a slice at a time, in the same layout."""
+    A product the plan splits (_step) is made a slice at a time, in the same
+    layout, each entry the same product of the same two floats."""
     for operands, inplace, reduce in plan:
         product = None
         for k, (i, axes, shape, split) in enumerate(operands):

@@ -7,8 +7,9 @@ state, action).  They are the independent reference that the engine and
 the refinement algorithms are tested against.
 
 Results are bit-reproducible for a given diagram.  A configuration's
-chance weight is 1.0 times the tables in node-declaration order, and
-_multiply's split products compute each entry as the same product.  Each
+chance weight is 1.0 times the tables in node-declaration order; a joint
+of SPLIT_MIN entries or more has its products split where split_product
+says (_multiply), each entry the same product of the same floats.  Each
 (information state, action) bin adds its terms in the joint's lexicographic
 order onto 0.0, as ``np.bincount`` would: with the binned axes last in C
 order, each bin is a column whose rows ``ndarray.sum(axis=0)`` adds in
@@ -30,13 +31,12 @@ from itertools import product
 
 import numpy as np
 
-from .diagram import ChanceNode, DiagramError, InfluenceDiagram, ValueNode
+from .diagram import SPLIT_MIN, ChanceNode, DiagramError, InfluenceDiagram, ValueNode, split_product
 
 DEFAULT_CAP = 1 << 20
 # _choose: argmax up to this many states, a column pass above; timed after a
 # solve, argmax is 3% faster at 1,024 states, even at 2,048, 5% slower at 4,096
 _ARGMAX_STATES = 1024
-_SPLIT_MIN, _SPLIT_AXIS = 4096, 8  # _multiply: least product size, longest axis
 
 
 class StateSpaceCapError(ValueError):
@@ -118,28 +118,28 @@ def _index(axes, doms) -> np.ndarray:
 
 
 def _multiply(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
-    """a * b, into ``out`` if given (b an array of a's ndim, or a scalar with
-    ``out``); a large product whose last axis longer than 1 is short, and a
-    or b broadcast on it, as one np.multiply per entry of that axis."""
-    if (a.size * b.size if out is None else out.size) >= _SPLIT_MIN:
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape)) if out is None else out
-        k = max((k for k, n in enumerate(out.shape) if n > 1), default=0)
-        cut = [np.ndim(x) > 0 and x.shape[k] > 1 for x in (a, b)]
-        if not all(cut) and out.shape[k] <= _SPLIT_AXIS:
-            for t in range(out.shape[k]):
-                at = (slice(None),) * k + (slice(t, t + 1),)
-                np.multiply(a[at] if cut[0] else a, b[at] if cut[1] else b, out=out[at])
-            return out
-    return np.multiply(a, b, out=out)
+    """a * b, into ``out`` if given (b an array of a's ndim, or a float with
+    ``out``), split where split_product says; for joints over SPLIT_MIN."""
+    if out is None:
+        if a.size * b.size < SPLIT_MIN:  # no smaller than a * b, read at no cost
+            return a * b
+        out = np.empty(tuple(map(max, a.shape, b.shape)))
+    cuts = split_product(a.shape, getattr(b, "shape", (1,) * a.ndim), out.shape)
+    if cuts is None:
+        return np.multiply(a, b, out=out)
+    for left, right, at in cuts:
+        np.multiply(a[left], b[right] if right else b, out=out[at])
+    return out
 
 
 def _joint(diagram: InfluenceDiagram, doms, pos):
     """Chance weight of every joint configuration and the utility, each
     broadcastable over the joint (size 1 on an axis none of its tables spans)."""
+    multiply = _multiply if math.prod(doms) >= SPLIT_MIN else np.multiply
     p = np.ones((1,) * len(doms))
     for name, node in diagram.nodes.items():
         if isinstance(node, ChanceNode):
-            p = _multiply(p, _spread(node.cpt, [pos[q] for q in (*node.parents, name)], doms))
+            p = multiply(p, _spread(node.cpt, [pos[q] for q in (*node.parents, name)], doms))
     value = diagram.value_node
     return p, _spread(value.utility, [pos[q] for q in value.parents], doms)
 
@@ -151,9 +151,10 @@ def _state_action(p, u, weight, doms, states, action):
     axes = [*states, action]
     order = [ax for ax in range(len(doms)) if ax not in axes] + axes
     # C order over (the other axes, the binned axes): each bin is a column,
-    # its rows in the joint's order; _multiply writes through the view
+    # its rows in the joint's order; np.multiply writes through the view
     binned = np.empty([doms[ax] for ax in order])
-    mass = _multiply(p, weight, binned.transpose(_argsort(order)))
+    multiply = _multiply if binned.size >= SPLIT_MIN else np.multiply
+    mass = multiply(p, weight, binned.transpose(_argsort(order)))
     rows = binned.reshape(-1, math.prod(doms[ax] for ax in axes))
     den = _sequential_sum(rows).reshape(-1, doms[action])
     mass *= u

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from helpers import (assert_statistics, calibrate, charged, einsum_query, enum_action_value,
                      enum_best_action, enum_posterior, enum_probability, loop_candidate,
                      loop_elimination_order, normalized, sum_keep, sum_marginal, uncharged)
-from idrefine.diagram import (ChanceNode, DecisionNode, DiagramError, InfluenceDiagram,
-                              ValueNode, Variable, normalize_rows, parse_diagram)
+from idrefine.diagram import (SPLIT_AXIS, ChanceNode, DecisionNode, DiagramError,
+                              InfluenceDiagram, ValueNode, Variable, normalize_rows,
+                              parse_diagram, split_product)
 from idrefine.engine import (_PLANS, ZERO_PROB, Calibration, Engine, PolicyCpt,
                              ZeroProbabilityError, _HALVING_MIN, _choose, _elimination_order,
                              _execute, _keep, _marginal, _plan, _query, compile_network,
@@ -1728,20 +1729,23 @@ def split_kinds(plan):
 @contextmanager
 def low_split_gate():
     """Every product with a short broadcast innermost axis split, however
-    small; plans made meanwhile are dropped from the cache before and after."""
-    engine = sys.modules["idrefine.engine"]
-    gate = engine._SPLIT_MIN
-    engine._SPLIT_MIN = 1
+    small; plans and splits made meanwhile are dropped from their caches
+    before and after."""
+    diagram = sys.modules["idrefine.diagram"]
+    gate = diagram.SPLIT_MIN
+    diagram.SPLIT_MIN = 2
     _plan.cache_clear()
+    split_product.cache_clear()
     try:
         yield
     finally:
-        engine._SPLIT_MIN = gate
+        diagram.SPLIT_MIN = gate
         _plan.cache_clear()
+        split_product.cache_clear()
 
 
 class TestSplitProducts:
-    """A product split along its short innermost axis (_split) is the
+    """A product split along its short innermost axis (split_product) is the
     unsplit product bit for bit, in the same C-contiguous layout."""
 
     @staticmethod
@@ -1765,10 +1769,11 @@ class TestSplitProducts:
 
     @given(data=st.data())
     def test_bit_for_bit_with_unsplit_products(self, data):
-        """1-5 factors over up to 5 variables of arity 2-4, each scope in
-        any axis order, and any of their variables as targets, or none (a
-        0-d result)."""
-        doms = {f"x{k}": data.draw(st.integers(2, 4)) for k in range(data.draw(st.integers(1, 5)))}
+        """1-5 factors over up to 5 variables of arity 2 to SPLIT_AXIS + 1,
+        which is not split along, each scope in any axis order, and any of
+        their variables as targets, or none (a 0-d result)."""
+        arity = st.integers(2, SPLIT_AXIS + 1)
+        doms = {f"x{k}": data.draw(arity) for k in range(data.draw(st.integers(1, 5)))}
         names = sorted(doms)
         scope = st.lists(st.sampled_from(names), unique=True, max_size=len(names)).map(tuple)
         scopes = tuple(data.draw(st.lists(scope, min_size=1, max_size=5)))
@@ -1782,19 +1787,24 @@ class TestSplitProducts:
         ((("a",), ("a", "b"), ("a",)), ("a", "b"), {(False, "product"), (True, "factor")}),
         ((("b", "a"), ("c",), ("c", "a")), ("c",), {(False, "factor")}),
         ((("a",), ("b",)), (), set()),
+        ((("a",), ("l",)), ("a", "l"), set()),
+        ((("a",), ("l",)), ("l", "a"), {(False, "factor")}),
     ])
     def test_each_kind_of_split(self, scopes, targets, kinds):
         """The product, or the factor, broadcast on the split axis, out of
         place and in place, in the last step or before an elimination (b,
-        then a, summed out), and a 0-d result, which nothing splits."""
-        plan = self.check(scopes, {"a": 3, "b": 2, "c": 4}, targets, 0)
+        then a, summed out), and a 0-d result, which nothing splits; an
+        innermost axis l longer than SPLIT_AXIS is not split along, an outer
+        one does not stop a split."""
+        plan = self.check(scopes, {"a": 3, "b": 2, "c": 2, "l": SPLIT_AXIS + 1}, targets, 0)
         assert split_kinds(plan) == kinds
 
     def test_plans_split_large_broadcast_products_only(self, monkeypatch):
         """An n = 12 binary star's root contraction splits each product of
-        at least _SPLIT_MIN entries, all broadcast on their innermost axis;
+        at least SPLIT_MIN entries, all broadcast on their innermost axis;
         a two-stage sweep, whose products are small, splits none."""
         engine, plans = sys.modules["idrefine.engine"], []
+        gate = sys.modules["idrefine.diagram"].SPLIT_MIN
         monkeypatch.setattr(engine, "_execute",
                             lambda plan, factors, _original=engine._execute:
                             plans.append(plan) or _original(plan, factors))
@@ -1803,7 +1813,7 @@ class TestSplitProducts:
         [(operands, inplace, reduce)] = plans[0]
         grown = np.cumprod([2] * 14)[1:]  # the product's entries after each operand but the first
         assert len(operands) == 14 and inplace == 14 and not reduce
-        assert [bool(split) for *_, split in operands[1:]] == list(grown >= engine._SPLIT_MIN)
+        assert [bool(split) for *_, split in operands[1:]] == list(grown >= gate)
         assert split_kinds(plans[0]) == {(False, "product")}
         plans.clear()
         sweep_back(gen_two_stage(0))

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from helpers import (enum_best_action, loop_consistent_total, loop_oracle, loop_state_action,
                      normalized)
-from idrefine.diagram import (DecisionNode, DiagramError, InfluenceDiagram, ValueNode,
-                              information_states, parse_diagram)
+from idrefine.diagram import (SPLIT_MIN, DecisionNode, DiagramError, InfluenceDiagram,
+                              ValueNode, information_states, parse_diagram)
 from idrefine.engine import Engine, compile_network
 from idrefine.fixtures import (CAR_BUYER_TABLE_NODES, car_buyer_template, constant_utility,
                                deterministic_exclusion, mini_weather)
 from idrefine.generate import GeneratorSpec, gen_random_id, gen_two_stage
-from idrefine.oracle import (_ARGMAX_STATES, _SPLIT_MIN, StateSpaceCapError, _index,
-                             oracle_optimal, oracle_optimal_multistage, state_action_values)
+from idrefine.oracle import (_ARGMAX_STATES, StateSpaceCapError, _index, oracle_optimal,
+                             oracle_optimal_multistage, state_action_values)
 
 TOL = 1e-9
 
@@ -103,13 +103,13 @@ class TestAgainstIndependentEnumeration:
             self.assert_matches(diagram, decision)
 
     def test_star_above_split_gate(self):
-        """An n = 12 binary star, whose joint is large enough that its
-        products split (oracle._multiply): every 512th state against the
-        enumeration, and the value, float.hex, against the per-state loop
-        over helpers.py's loop over every joint configuration."""
-        diagram = gen_random_id(GeneratorSpec(n=12, seed=0))
-        assert 2 ** 13 >= _SPLIT_MIN
-        self.assert_matches(diagram, "d", every=512)
+        """An n = 13 binary star, whose last joint product (2^13 entries)
+        and binned mass split (oracle._multiply): every 1,024th state
+        against the enumeration, and the value, float.hex, against the
+        per-state loop over helpers.py's loop over every joint configuration."""
+        diagram = gen_random_id(GeneratorSpec(n=13, seed=0))
+        assert 2 ** 13 >= SPLIT_MIN
+        self.assert_matches(diagram, "d", every=1024)
         result = oracle_optimal(diagram, "d")
         value = loop_oracle(diagram, "d", loop_state_action(diagram, "d"))[3]
         assert float(result.value).hex() == float(value).hex()
@@ -212,11 +212,11 @@ class TestBinningAgainstJointLoop:
             self.assert_identical(diagram, decision)
 
     def test_star_above_split_gate(self):
-        """An n = 12 binary star: _joint's last products and the binned
-        mass, broadcast on their short innermost axis, are split
+        """An n = 13 binary star: _joint's last product (2^13 entries) and
+        the binned mass, broadcast on their short innermost axis, are split
         (oracle._multiply); the multistage total over it too."""
-        diagram = gen_random_id(GeneratorSpec(n=12, seed=0))
-        assert 2 ** 13 >= _SPLIT_MIN
+        diagram = gen_random_id(GeneratorSpec(n=13, seed=0))
+        assert 2 ** 13 >= SPLIT_MIN
         self.assert_identical(diagram, "d")
         result = oracle_optimal_multistage(diagram)
         expected = loop_consistent_total(diagram, result.tables)

@@ -23,19 +23,21 @@ Leaf choice and extension choice are orthogonal and pluggable:
   open leaf, random extension leaf by leaf stacks the leaf's cohort, and
   grown and drawn runs each whole level (below).
 
-A greedy run with no bound is grown, not extended leaf by leaf.  A greedy
-split depends only on the leaf's own context, so tree.grow first puts
-every split in place, charging each leaf as best_extension would; then
-the loop replays the run from grow's records, serving them in the leaf
-strategy's order, one selector step and one trace record per extension.
-A random run with no bound is drawn where no child can be pruned
+A run with no bound is grown or drawn only from the root's held joint
+(tree.growable), and otherwise goes leaf by leaf.  A greedy one is grown:
+a greedy split depends only on the leaf's own context, so tree.grow
+first puts every split in place, charging each leaf as best_extension
+would; then the loop replays the run from grow's records, serving them
+in the leaf strategy's order, one selector step and one trace record per
+extension.  A random one is drawn where, besides, no child can be pruned
 (tree.drawable): draw makes every draw first, then tree.grow_drawn puts
 every split in place, and the loop serves their records as drawn.
 Either way the trace, the tree, the counters and the observer's events
 are those of extending leaf by leaf, but every query, and any error one
 raises (a context of probability zero, a split that lowers the value),
-comes before the first event reaches the observer.  A bounded run would compute splits past its stop,
-and posthoc leaf choice reads random splits' gains, so neither grows.
+comes before the first event reaches the observer.  A bounded run would
+compute splits past its stop, and posthoc leaf choice reads random
+splits' gains, so neither grows.
 
 A fixed seed makes a run fully deterministic.
 """
@@ -53,7 +55,7 @@ import numpy as np
 
 from .engine import Engine
 from .tree import (_SCALE, DecisionTree, Grown, best_extension, drawable, extend, grow,
-                   grow_drawn, init_tree, random_extension, tree_counts, tree_value)
+                   grow_drawn, growable, init_tree, random_extension, tree_counts, tree_value)
 
 CSV_HEADER = "iteration,fine_queries,passes,internal_vertices,leaves,value_normalized,value_raw"
 
@@ -234,7 +236,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     exploration and their contexts' leaf joints, so the returned tree does
     not keep the root's joint or any sibling results it was never charged
     for alive; they keep their contexts, so the tree can still be extended.
-    A greedy run with no bound is grown first (see the module docstring).
+    A run with no bound may be grown or drawn first (see the module docstring).
     """
     config = config or RefinementConfig()
     rng = np.random.default_rng(config.seed)
@@ -247,8 +249,9 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
     random_leaf = config.leaf_strategy == "random"
     # with no bound, every open leaf is explored, so every stacked leaf is read
     cohort = stop.unbounded
-    # with no bound, a greedy run is grown, and a random one drawn where it can be
-    grown = cohort and not degenerate and (greedy or random_leaf and drawable(tree))
+    # with no bound, a greedy run is grown, and a random one drawn, where it can be
+    grown = cohort and not degenerate and (greedy and growable(tree)
+                                           or random_leaf and drawable(tree))
     # the counters, counts and value, as each extension changes them
     fine, passes, internals, leaves, exact = *counter.snapshot(), *tree_counts(tree), tree.exact
     iterations, value = 0, tree_value(tree)
@@ -257,7 +260,7 @@ def refine(engine: Engine, decision: str, config: RefinementConfig | None = None
         next_leaf, notify = (lambda: next(drawn, None)), (lambda gain, opened: None)
     else:
         selector = (RandomLeafSelector if random_leaf else PosthocSelector)(
-            grow(tree, engine) if grown else list(tree.open), rng)
+            [grow(tree, engine)] if grown else list(tree.open), rng)
         next_leaf, notify = selector.next_leaf, selector.notify_extended
     while True:
         trace.records.append(TraceRecord(iterations, fine, passes, internals, leaves, value,

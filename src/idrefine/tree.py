@@ -47,16 +47,16 @@ k - 1 of k stacked results anyway.
 
 A greedy run that will explore every open leaf need not go leaf by leaf:
 a leaf's greedy split depends only on its own context, so the serving
-order changes the trace, not the tree.  grow puts every split in place at
-once, breadth-first, reading each level below the open leaves in one
-charged stacked pass per joint shape (Engine.explore_stack), with no
-calibration or checked context made where joints are held.  It makes a
-Leaf or Internal only for a vertex of the grown tree, and for each split
-a record (Grown) from which refine replays the run, in any order.  A
-random run that will explore every open leaf is drawn first where no
-child can be pruned (drawable, refine.draw); grow_drawn then puts its
-splits in place alike, reading only each context's drawn candidate, one
-stacked pass per joint shape and drawn axis, the root's included.
+order changes the trace, not the tree.  From a root that is open and
+holds its joint (growable), grow puts every split in place at once,
+breadth-first, reading each level, the root's included, in one charged
+stacked pass per joint shape (Engine.explore_stack).  It makes a Leaf or
+Internal only for a vertex of the grown tree, and for each split a record
+(Grown) from which refine replays the run, in any order.  A random run
+that will explore every open leaf is drawn first where, besides, no child
+can be pruned (drawable, refine.draw); grow_drawn then puts its splits in
+place alike, reading only each context's drawn candidate, one stacked
+pass per joint shape and drawn axis.  Any other run goes leaf by leaf.
 
 A tree keeps its internal-vertex and leaf counts and its value up to date
 as extend() and grow() grow it, so reading them costs no walk.  The
@@ -362,40 +362,32 @@ def _place(tree: DecisionTree, leaf: Leaf, node: Internal) -> None:
 Grown = namedtuple("Grown", "gain variable depth fine passes leaves exact opened")
 
 
-def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
-    """Put the greedy split of every open leaf, and of every leaf below it
-    that would be open, in place, bringing the counts and the value up to
-    date; returns the open leaves' splits, in tree.open's order (see the
-    module docstring).  Each context is charged as best_extension would
-    charge it, and split on the first of its equal maximum gains, computed
-    as _gain computes them; a negative gain raises RuntimeError.  The open
-    leaves, and contexts below a leaf joint the engine refused, are read
-    alone (Engine.calibrate); where such a context holds no joint, its
-    children's contexts derive from its own (CheckedContext.child).  The
-    open leaves must be unexplored.  A call that raises, ZeroProbabilityError
-    for a context of probability zero among them, leaves the tree as it was.
+def grow(tree: DecisionTree, engine: Engine) -> Grown:
+    """Put the greedy split of the root, and of every leaf below it that
+    would be open, in place, bringing the counts and the value up to date;
+    returns the root's split (see the module docstring).  The tree must be
+    as init_tree made it and growable.  Each level, the root's included, is
+    read in one stacked pass per joint shape (Engine.explore_stack), each
+    context charged as best_extension would charge it and split on the
+    first of its equal maximum gains, computed as _gain computes them; a
+    negative gain raises RuntimeError.  A call that raises,
+    ZeroProbabilityError for a root of probability zero, leaves the tree as
+    it was.
     """
-    outcomes, labels = engine.network.outcomes, tree.actions
-    placed, heads = {}, []
-    # joint shape -> (joints, entries), or a checked context -> ([], [entry]); an entry
-    # holds missing predecessors, context, action, the dict and key its split goes in,
-    # the list its record goes in (siblings in order), reach, value * reach, its _exact
-    level = {leaf.checked: ([], [(leaf.checked.missing, leaf.context, leaf.action, placed, leaf,
-                                  heads, leaf.reach, leaf.value * leaf.reach,
-                                  _exact(leaf.value * leaf.reach))])
-             for leaf in tree.open}
+    outcomes, labels, root = engine.network.outcomes, tree.actions, tree.root
+    # joint shape -> (joints, entries); an entry holds missing predecessors, context, action,
+    # the dict and key its split goes in, the list its record goes in (siblings in order),
+    # reach, value * reach, its _exact
+    placed, heads, t = {}, [], root.value * root.reach
+    level = {root.checked.shape: ([root.checked.joint[None]], [
+        (root.checked.missing, root.context, root.action, placed, root, heads, root.reach, t,
+         _exact(t))])}
     internals = leaves = exact = 0
     while level:
         below: dict = {}
-        for key, (joints, entries) in level.items():
-            if joints:
-                stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
-                rows, fine, passes = engine.explore_stack(stack)
-            else:
-                before = engine.counter.snapshot()
-                rows = [engine.calibrate(key).rows(key.missing)]
-                fine, passes = (a - b for a, b in zip(engine.counter.snapshot(), before))
-                stack = None if key.joint is None else key.joint[None]
+        for joints, entries in level.values():
+            stack = np.concatenate(joints) if len(joints) > 1 else joints[0]
+            rows, fine, passes = engine.explore_stack(stack)
             runs = defaultdict(lambda: ([], [], []))  # per candidate: contexts split, born, kept
             for s, ((names, context, action, parent, at, records, reach, base, scaled),
                     candidates) in enumerate(zip(entries, rows)):
@@ -434,22 +426,17 @@ def grow(tree: DecisionTree, engine: Engine) -> list[Grown]:
                                      change, opened))
                 internals, leaves, exact = internals + 1, leaves + count - 1, exact + change
             for k, (split_here, born, kept) in runs.items():
-                if born and stack is None:  # below a context with no joint: checked contexts
-                    for entry in born:
-                        x, o = entry[1][-1]
-                        below[key.child(x, outcomes[x].index(o))] = ([], [entry])
-                elif born:  # the children's joints, copied in C order, which decides how sums add
+                if born:  # the children's joints, copied in C order, which decides how sums add
                     shape = stack.shape[1:1 + k] + stack.shape[2 + k:]
                     axes = (0, 1 + k, *(i for i in range(1, stack.ndim) if i != 1 + k))
                     joints, more = below.setdefault(shape, ([], []))
                     joints.append(stack[split_here].transpose(axes).reshape(-1, *shape)[kept])
                     more += born
         level = below
-    for leaf, node in placed.items():
-        _place(tree, leaf, node)
+    _place(tree, root, placed[root])
     tree.internals, tree.leaves = tree.internals + internals, tree.leaves + leaves
     tree.exact += exact
-    return heads
+    return heads[0]
 
 
 def grow_drawn(tree: DecisionTree, engine: Engine, drawn: list) -> None:
@@ -510,11 +497,17 @@ def grow_drawn(tree: DecisionTree, engine: Engine, drawn: list) -> None:
     tree.exact += exact
 
 
-def drawable(tree: DecisionTree) -> bool:
+def growable(tree: DecisionTree) -> bool:
     """Whether the tree, as init_tree made it, has an open root holding its
-    joint, whose full contexts (summed over decision and proxy, over its
-    total) are all at least 2 * ZERO_PROB, so no reach rounds below ZERO_PROB."""
-    joint = tree.root.checked.joint if tree.root in tree.open else None
+    joint, where grow and grow_drawn start."""
+    return tree.root in tree.open and tree.root.checked.joint is not None
+
+
+def drawable(tree: DecisionTree) -> bool:
+    """Whether the tree is growable, and its root joint's full contexts
+    (summed over decision and proxy, over its total) are all at least
+    2 * ZERO_PROB, so no reach rounds below ZERO_PROB."""
+    joint = tree.root.checked.joint if growable(tree) else None
     return joint is not None and joint.sum(axis=(-2, -1)).min() >= 2 * ZERO_PROB * joint.sum()
 
 

@@ -1060,15 +1060,29 @@ class TestSiblingGroups:
         assert all((ev.passes_delta, ev.fine_delta) == (3, 2 * 2) for ev in events)
 
 
+def holding(mp):
+    """Patch refine's init_tree to record, per decision, whether the tree
+    it makes has an open root holding its joint; returns that dict."""
+    held, refine_module = {}, sys.modules["idrefine.refine"]
+
+    def starting(engine, decision, _original=refine_module.init_tree):
+        tree = _original(engine, decision)
+        held[decision] = tree.root in tree.open and tree.root.checked.joint is not None
+        return tree
+    mp.setattr(refine_module, "init_tree", starting)
+    return held
+
+
 class TestCohorts:
     """In a run with no bound, random_extension stacks a leaf's cohort,
     every unexplored open leaf whose joint has the leaf's joint's shape,
-    whatever its parent, and a greedy run is grown (tree.grow), each
-    level's contexts stacked by joint shape (Engine.explore_stack).  Each
-    leaf is stacked at most once, and each result is bit for bit that of
-    evaluating the leaf alone.  A grown run charges every stacked result;
-    random extension charges only the drawn candidate of each leaf, and the
-    other results cost wall time but never the counters."""
+    whatever its parent, and a greedy run whose root holds its joint is
+    grown (tree.grow), each level's contexts, the root's included, stacked
+    by joint shape (Engine.explore_stack).  Each leaf is stacked at most
+    once, and each result is bit for bit that of evaluating the leaf alone.
+    A grown run charges every stacked result; random extension charges only
+    the drawn candidate of each leaf, and the other results cost wall time
+    but never the counters."""
 
     @staticmethod
     def stacking(mp):
@@ -1115,21 +1129,26 @@ class TestCohorts:
 
     @given(data=st.data())
     def test_complete_run(self, data):
-        """A complete greedy run, under either leaf strategy, stacks no
-        cohort or sibling group (stack_rows).  Each context it explores is
-        charged exactly once, as one row of one stacked pass or alone (the
-        root, and contexts below a refused leaf joint: Calibration.rows);
-        each stacked row's results are bit for bit those of a stack of that
-        row alone, and the root's children's those of their calibrations;
-        and on stars with n >= 3 some stack spans more than one sibling
-        group."""
+        """A complete greedy run, under either leaf strategy, explores each
+        context exactly once.  A tree whose root holds its joint is grown:
+        each context is one row of one stacked pass, the root a stack of
+        one, and none is read alone (Calibration.rows); each stacked row's
+        results are bit for bit those of a stack of that row alone, and the
+        root's children's those of their calibrations; and on stars with
+        n >= 3 some stack spans more than one sibling group.  A tree whose
+        root joint the engine refused (coins, mixed arity without c1 in the
+        utility) goes leaf by leaf, each context read once on its
+        calibration, and explores no stack.  Where every root holds its
+        joint, the run stacks no cohort or sibling group (stack_rows)."""
         kind = data.draw(st.sampled_from(["star", "mixed arity", "two-stage", "coins"]))
         seed = data.draw(st.integers(0, 10_000))
         config = RefinementConfig(leaf_strategy=data.draw(st.sampled_from(["posthoc", "random"])),
                                   seed=seed)
+        every = kind == "mixed arity" and data.draw(st.booleans())
         with pytest.MonkeyPatch.context() as mp:
             stacks, reads = self.stacking(mp)
             explored = self.exploring(mp)
+            held = holding(mp)
             if kind == "star":
                 n = data.draw(st.integers(1, 8))
                 arity = data.draw(st.integers(2, 3))
@@ -1141,23 +1160,28 @@ class TestCohorts:
                 diagram = gen_two_stage(seed)
                 trees = [p.tree for p in sweep_back(diagram, config)[0].policies]
             else:
-                diagram = (mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+                diagram = (mixed_arity_diagram(seed, every=every)
                            if kind == "mixed arity" else mini_weather_coin(3))
                 trees = [refine(Engine(compile_network(diagram)), diagram.decision_order[0],
                                 config)[0]]
-        assert stacks == [] and all(rows is None for _, _, rows in reads)
-        assert sum(len(stack) for stack, _ in explored) + len(reads) \
-            == sum(t.internals for t in trees)
+        assert all(held.values()) == (kind in ("star", "two-stage") or every)
+        assert sum(len(stack) for stack, _ in explored) \
+            == sum(t.internals for t in trees if held[t.decision])
+        assert len(reads) == sum(t.internals for t in trees if not held[t.decision])
+        if all(held.values()):
+            assert stacks == [] and reads == []
         alone = Engine(compile_network(diagram))
         for stack, (results, fine, passes) in explored:
             for s in range(len(stack)):
                 own, own_fine, own_passes = alone.explore_stack(stack[s:s + 1])
                 assert (own_fine, own_passes) == (fine, passes)
                 assert repr(own) == repr(results[s:s + 1])
-        if kind == "star" and n >= 2:  # the root's children: each row as its calibration's
+        if kind == "star":  # the root, a stack of one, then its children, each as its calibration
+            assert len(explored[0][0]) == 1
+        if kind == "star" and n >= 2:
             root = alone.context("d", {})
             alone.calibrate(root).leaf_joint()
-            stack, (results, _, _) = explored[0]
+            stack, (results, _, _) = explored[1]
             assert len(stack) == arity
             for j, rows in enumerate(results):
                 child = root.child(trees[0].root.variable, j)
@@ -1211,11 +1235,12 @@ class TestCohorts:
     def test_zero_probability_member_left_out(self):
         """A member of a level whose rows would raise ZeroProbabilityError
         (its joint scaled below ZERO_PROB) is left out of stack_rows'
-        stack, the other members getting the results they get alone.  grow
-        raises ZeroProbabilityError on that level, as evaluating the member
-        alone does, before the tree changes.  The tree's open leaves keep
-        their checked contexts, and each other member extends to the
-        vertex, at the charges, of a fresh tree."""
+        stack, the other members getting the results they get alone; the
+        tree's open leaves keep their checked contexts, and each other
+        member extends to the vertex, at the charges, of a fresh tree.
+        grow on a tree whose root joint is so scaled raises
+        ZeroProbabilityError, as evaluating the root alone does, and leaves
+        the tree as it was."""
         eng, tree, _ = TestSiblingGroups.split_root()
         for child in list(tree.open):
             extend(tree, child, "c3", eng)
@@ -1230,11 +1255,7 @@ class TestCohorts:
         assert [rows is None for rows in results] == [l is zero for l in leaves]
         self.assert_as_if_alone([(l.checked, l.checked.joint, rows)
                                  for l, rows in zip(leaves, results) if rows is not None])
-        internals, value = tree.internals, tree.exact
-        with pytest.raises(ZeroProbabilityError):
-            grow(tree, eng)
-        assert list(tree.open) == leaves and (tree.internals, tree.exact) == (internals, value)
-        assert all(l.checked is not None for l in tree.open)
+        assert list(tree.open) == leaves and all(l.checked is not None for l in tree.open)
         ref_eng, ref_tree, _ = TestSiblingGroups.split_root()
         for child in list(ref_tree.open):
             extend(ref_tree, child, "c3", ref_eng)
@@ -1248,6 +1269,17 @@ class TestCohorts:
             delta = [a - b for a, b in zip(eng.counter.snapshot(), before)]
             assert delta == [a - b for a, b in zip(ref_eng.counter.snapshot(), ref_before)]
         assert dumps_policy(tree).splitlines() == dumps_policy(ref_tree).splitlines()
+        root_eng = Engine(eng.network)
+        rooted = init_tree(root_eng, "d")
+        root = rooted.root
+        root.checked.joint = root.checked.joint * 1e-13
+        with pytest.raises(ZeroProbabilityError):
+            Engine(eng.network).calibrate(root.checked).rows(root.checked.missing)
+        value, before = rooted.exact, dumps_policy(rooted)
+        with pytest.raises(ZeroProbabilityError):
+            grow(rooted, root_eng)
+        assert rooted.root is root and list(rooted.open) == [root] and root.checked is not None
+        assert (rooted.internals, rooted.exact, dumps_policy(rooted)) == (0, value, before)
 
 
 def shared_parent_diagram(seed):
@@ -1266,33 +1298,59 @@ def shared_parent_diagram(seed):
     return InfluenceDiagram(nodes, ("d",))
 
 
+def chain_diagram(seed, n=5):
+    """Binary chance nodes c0 -> c1 -> ... -> c(n-1), d observing all n,
+    and a utility over (c(n-1), c0, d), tables drawn by the seed.  No
+    factor has more than 16 entries, so the root's leaf joint (2^(n+2)) is
+    refused."""
+    rng = np.random.default_rng(seed)
+    outs, nodes, names = ("v0", "v1"), {}, [f"c{k}" for k in range(n)]
+    for k, name in enumerate(names):
+        parents = (names[k - 1],) if k else ()
+        cpt = rng.uniform(0.05, 1.0, size=(2,) * len(parents) + (2,))
+        rows = normalize_rows((cpt / cpt.sum(axis=-1, keepdims=True)).reshape(-1, 2))
+        nodes[name] = ChanceNode(Variable(name, outs), parents, rows.reshape(cpt.shape))
+    nodes["d"] = DecisionNode(Variable("d", ("a0", "a1")), tuple(names))
+    nodes["v"] = ValueNode("v", (names[-1], names[0], "d"), rng.random(size=(2, 2, 2)))
+    return InfluenceDiagram(nodes, ("d",))
+
+
 class TestGrowth:
-    """A complete greedy run is grown and replayed (tree.grow, then the
-    records grow returns); the same run bounded only by
-    max_extensions=10**9 extends leaf by leaf.  Both write the same trace
-    CSV bytes, policy JSON bytes, observer events and counters, and the
-    grown tree's counts and value are those of a walk of it, and of the
-    trace's last record.  On wide stars (arity 4 to 9) a gain sums 8 or
-    more outcomes, where numpy's pairwise order would differ from the
-    leaf-by-leaf run's left to right."""
+    """A complete greedy run whose root holds its joint is grown and
+    replayed (tree.grow, then the records grow returns); one whose root
+    joint the engine refused (exclusion, coins, mixed arity without c1 in
+    the utility, shared parent, chain) goes leaf by leaf.  The same run
+    bounded only by max_extensions=10**9 extends leaf by leaf.  Both write
+    the same trace CSV bytes, policy JSON bytes, observer events and
+    counters, and the grown tree's counts and value are those of a walk of
+    it, and of the trace's last record.  On wide stars (arity 4 to 9) a
+    gain sums 8 or more outcomes, where numpy's pairwise order would differ
+    from the leaf-by-leaf run's left to right."""
 
     @given(data=st.data())
     def test_same_as_extending_leaf_by_leaf(self, data):
         kind = data.draw(st.sampled_from(["star", "wide star", "mixed arity", "exclusion",
-                                          "coins", "two-stage", "decision only", "ties"]))
+                                          "coins", "two-stage", "decision only", "ties",
+                                          "shared parent", "chain"]))
         leaf = data.draw(st.sampled_from(["posthoc", "random"]))
         seed = data.draw(st.integers(0, 10_000))
+        refused = kind in ("exclusion", "coins", "shared parent", "chain")
         if kind in ("star", "wide star"):
             n, arity = ((data.draw(st.integers(1, 8)), data.draw(st.integers(2, 3)))
                         if kind == "star" else
                         (data.draw(st.integers(1, 2)), data.draw(st.integers(4, 9))))
             diagram = gen_random_id(GeneratorSpec(n=n, seed=seed, arity=arity))
         elif kind == "mixed arity":
-            diagram = mixed_arity_diagram(seed, every=data.draw(st.booleans()))
+            every = data.draw(st.booleans())
+            diagram, refused = mixed_arity_diagram(seed, every=every), not every
         elif kind == "exclusion":
             diagram = deterministic_exclusion()
         elif kind == "coins":  # the root's joint is refused, its children's computed
             diagram = mini_weather_coin(3)
+        elif kind == "shared parent":  # the joints of contexts that know c3 are computed
+            diagram = shared_parent_diagram(seed)
+        elif kind == "chain":
+            diagram = chain_diagram(seed)
         elif kind == "decision only":
             n, arity = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 3))
             diagram = decision_only_star(seed, n, arity)
@@ -1303,6 +1361,25 @@ class TestGrowth:
             assert len({evi(tied, tied.root, c.name, eng) for c in tied.predecessors}) == 1
         else:
             diagram = gen_two_stage(seed)
+        assert (self.check(diagram, leaf, seed) == []) == refused
+
+    @pytest.mark.parametrize("leaf", ["posthoc", "random"])
+    @pytest.mark.parametrize("diagram", [
+        deterministic_exclusion(), mini_weather_coin(3), mixed_arity_diagram(0, every=False),
+        shared_parent_diagram(0), shared_parent_diagram(4), chain_diagram(0)],
+        ids=["exclusion", "coins", "mixed arity", "shared parent 0", "shared parent 4", "chain"])
+    def test_refused_root_not_grown(self, diagram, leaf):
+        """Each kind whose root joint the engine refuses, at fixed draws:
+        the complete run is not grown, and writes the bounded run's bytes."""
+        assert self.check(diagram, leaf, 0) == []
+
+    @staticmethod
+    def check(diagram, leaf, seed):
+        """Run the diagram's decisions (sweep_back where it has more than
+        one) to completion and bounded, under the leaf strategy; assert
+        what the class docstring states, and that the bounded run grows
+        nothing and the complete run grows exactly the decisions whose root
+        holds its joint; returns the decisions grown."""
         refine_module = sys.modules["idrefine.refine"]
         runs = []
         for stop in (StoppingRule(run_to_complete=True), StoppingRule(max_extensions=10 ** 9)):
@@ -1313,7 +1390,8 @@ class TestGrowth:
                     grown.append(tree.decision)
                     return _original(tree, engine)
                 mp.setattr(refine_module, "grow", growing)
-                if kind == "two-stage":
+                held = holding(mp)
+                if len(diagram.decision_order) > 1:
                     policy, traces = sweep_back(diagram, config,
                                                 observer=lambda d, ev: events.append((d, ev)))
                     trees = [p.tree for p in policy.policies]
@@ -1336,55 +1414,31 @@ class TestGrowth:
             # as lines, so that a failure names the first row that differs without a long diff
             runs.append(([line for t in traces for line in t.to_csv().splitlines()],
                          [line for t in trees for line in dumps_policy(t).splitlines()],
-                         events, counters, len(grown)))
-        (csv, policies, events, counters, grown), reference = runs
+                         events, counters, grown, held))
+        (csv, policies, events, counters, grown, held), reference = runs
         assert csv == reference[0]
         assert policies == reference[1]
         assert events == reference[2]
         assert counters == reference[3]
-        assert (grown, reference[4]) == (len(traces), 0)
-
-    @pytest.mark.parametrize("seed", [4, 0])
-    def test_computed_joints_reused_alike(self, seed):
-        """The root's leaf joint is refused and those of contexts that know
-        c3 are computed (shared_parent_diagram).  A leaf's calibration keeps
-        a joint it computes on its context, and the children's contexts
-        slice it, grown or leaf by leaf, so both runs contract the same
-        leaf joints, and write the same trace CSV, policy JSON and gains.
-        On draw 4, a grown run that dropped the joints its calibrations
-        computed contracted 8 leaf joints, against 4 leaf by leaf."""
-        engine_module, runs = sys.modules["idrefine.engine"], []
-        for stop in (StoppingRule(run_to_complete=True), StoppingRule(max_extensions=10 ** 9)):
-            contractions = []
-
-            def query(net, factors, evidence, targets, _original=engine_module._query):
-                if len(targets) >= 3 and targets[-2:] == ("d", net.proxy):  # a leaf joint
-                    contractions.append(targets)
-                return _original(net, factors, evidence, targets)
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(engine_module, "_query", query)
-                tree, trace = refine(Engine(compile_network(shared_parent_diagram(seed))),
-                                     "d", RefinementConfig(stop=stop, seed=seed))
-            runs.append((len(contractions), trace.to_csv(), dumps_policy(tree),
-                         repr([v.gain for v in iter_internals(tree)])))
-        assert runs[0] == runs[1]
+        assert grown == [d for d, root in held.items() if root] and reference[4] == []
+        return grown
 
     @pytest.mark.parametrize("explore", [
         lambda tree, leaf, eng: extend(tree, leaf, "c1", eng),
         lambda tree, leaf, eng: evi(tree, leaf, "c1", eng),
         best_extension], ids=["extend", "evi", "best_extension"])
     def test_grown_leaf_not_explored(self, explore):
-        """grow puts a vertex in place of every open leaf, and of every leaf
-        below it that would be open, and returns each open leaf's record:
-        the tree it leaves has no open leaf, and exploring any of its leaves
-        raises ValueError and charges nothing."""
+        """grow puts a vertex in place of init_tree's open root, and of every
+        leaf below it that would be open, and returns the root's record,
+        whose opened records are its children's: the tree it leaves has no
+        open leaf, and exploring any of its leaves raises ValueError and
+        charges nothing."""
         eng = Engine(compile_network(gen_random_id(GeneratorSpec(n=3, seed=1))))
         tree = init_tree(eng, "d")
-        extend(tree, tree.root, "c1", eng)
-        leaves = list(tree.open)
         grown = grow(tree, eng)
-        assert [g.depth for g in grown] == [1, 1] and [g.variable for g in grown] == [
-            n.variable for n in tree.root.children.values()]
+        assert (grown.depth, grown.variable) == (0, tree.root.variable)
+        assert [g.depth for g in grown.opened] == [1, 1] and [
+            g.variable for g in grown.opened] == [n.variable for n in tree.root.children.values()]
         assert not tree.open and tree.internals == 7
         before = eng.counter.snapshot()
         for leaf in iter_leaves(tree):
